@@ -8,19 +8,17 @@ prior predictive truncation shrinks the required prior weight by
 restricting counts to public Poisson-quantile boxes.
 
 Typical flow: load a StrataTable and RatesTable, build_prior, optionally
-compute_bounds, solve_hyperparameters, then run_replicates or
-sample_counts_matrix. audit() exhaustively verifies the privacy bound on
-enumerable instances; the utility module scores replicates against the
-confidential table.
+compute_bounds, solve_hyperparameters, then sample_counts_matrix for a
+(replicates, strata) matrix and write_replicates_csv to store it. audit()
+exhaustively verifies the privacy bound on enumerable instances; the
+utility module scores replicates against the confidential table.
 """
 
 from .calibration import (
     Calibration,
-    MODE_DIRICHLET,
     MODE_TRUNCATED,
     MODE_UNTRUNCATED,
     calibration_report,
-    dirichlet_reduction,
     solve_hyperparameters,
     untruncated_floor,
 )
@@ -30,7 +28,6 @@ from .errors import (
     DomainError,
     DominanceError,
     EnumerationCapError,
-    InapplicableError,
     InfeasibilityError,
     PgsynthError,
     SchemaError,
@@ -57,12 +54,8 @@ from .strata import (
     joint_feasible_bounds,
 )
 from .synthesizer import (
-    SyntheticReplicate,
     read_replicates_csv,
-    run_replicates,
     sample_counts_matrix,
-    sample_truncated,
-    sample_untruncated,
     write_replicates_csv,
 )
 from .utility import (
@@ -78,11 +71,9 @@ __version__ = "1.0.0"
 
 __all__ = [
     "Calibration",
-    "MODE_DIRICHLET",
     "MODE_TRUNCATED",
     "MODE_UNTRUNCATED",
     "calibration_report",
-    "dirichlet_reduction",
     "solve_hyperparameters",
     "untruncated_floor",
     "PgsynthError",
@@ -93,7 +84,6 @@ __all__ = [
     "DominanceError",
     "CalibrationError",
     "EnumerationCapError",
-    "InapplicableError",
     "UndefinedRateError",
     "AuditReport",
     "audit",
@@ -113,12 +103,8 @@ __all__ = [
     "clamp_observed",
     "compute_bounds",
     "joint_feasible_bounds",
-    "SyntheticReplicate",
     "read_replicates_csv",
-    "run_replicates",
     "sample_counts_matrix",
-    "sample_truncated",
-    "sample_untruncated",
     "write_replicates_csv",
     "DisparityEstimate",
     "StandardPopulation",

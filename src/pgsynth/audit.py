@@ -20,8 +20,9 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .calibration import Calibration
+from .distributions import log_negbin_kernel
 from .errors import DomainError, EnumerationCapError, InfeasibilityError
-from .mechanism import build_kernel_params, log_normalizer
+from .mechanism import build_kernel_params, check_bounds, log_success
 from .strata import StrataTable, TruncationBounds
 
 __all__ = [
@@ -140,10 +141,8 @@ def _log_pmf_on_support(
 ) -> np.ndarray:
     """Log mechanism pmf of each support row, given raw counts."""
     params = build_kernel_params(counts, table, calib)
-    logw = (
-        gammaln(support + params.shape[None, :])
-        - gammaln(support + 1.0)
-        + np.where(support == 0, 0.0, support * params.log_p[None, :])
+    logw = log_negbin_kernel(
+        support, params.shape[None, :], params.log_p[None, :]
     ).sum(axis=1)
     return logw - logsumexp(logw)
 
@@ -160,64 +159,35 @@ def exact_joint_pmf(
     Returns (support, log_pmf) with support of shape (N, I). The
     normalizer comes from log-sum-exp over the enumerated support, which
     by construction matches the convolution normalizer; tests hold the
-    two against each other.
+    two against each other. bounds is checked against calib.bounds and
+    otherwise unused (see mechanism.check_bounds).
     """
-    counts = np.asarray(counts, dtype=np.int64)
-    if bounds is not None and calib.bounds is None:
-        raise DomainError("bounds supplied for an untruncated calibration")
+    check_bounds(calib, bounds, table.y_total)
     params = build_kernel_params(counts, table, calib)
     support = enumerate_feasible(params.lo, params.hi, params.y_total, cap)
     return support, _log_pmf_on_support(counts, table, calib, support)
 
 
 def exact_bivariate_pmf(
-    i: int,
-    counts,
-    calib: Calibration,
-    table: StrataTable,
-    bounds: TruncationBounds | None = None,
-    y_total: int | None = None,
+    i: int, counts, calib: Calibration, table: StrataTable
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact stratum-versus-rest pmf over z_i.
 
     Pools every other stratum into a single kernel with aggregate shape,
     population, and rate, then conditions the two-kernel product on the
-    total. Support is [L_i, U_i] when bounds apply, else [0, y_total].
-    Returns (z values, log pmf). This matches the joint marginal exactly
-    when the pooled strata are homogeneous or their boxes are slack.
+    total. Support is stratum i's box under calib.bounds, else
+    [0, y_total]. Returns (z values, log pmf). This matches the joint
+    marginal exactly when the pooled strata are homogeneous or their
+    boxes are slack.
     """
-    counts = np.asarray(counts, dtype=np.int64)
-    if y_total is None:
-        y_total = int(counts.sum())
-    if bounds is None:
-        bounds = calib.bounds
-    n = table.n.astype(np.float64)
-    if bounds is not None:
-        clamped = np.clip(counts, bounds.L, bounds.U)
-        z_lo, z_hi = int(bounds.L[i]), min(int(bounds.U[i]), y_total)
-    else:
-        clamped = counts
-        z_lo, z_hi = 0, y_total
-    if z_lo > z_hi:
-        raise InfeasibilityError("empty bivariate support")
-
-    shape_i = float(clamped[i] + calib.a[i])
-    shape_rest = float(clamped.sum() - clamped[i] + calib.a.sum() - calib.a[i])
-    b_rest = float(calib.b.sum() - calib.b[i])
-    n_rest = float(n.sum() - n[i])
-    with np.errstate(divide="ignore"):
-        log_p_i = -np.log(2.0 + (calib.b[i] / n[i] if n[i] > 0 else np.inf))
-        log_p_rest = -np.log(2.0 + (b_rest / n_rest if n_rest > 0 else np.inf))
-
-    z = np.arange(z_lo, z_hi + 1, dtype=np.int64)
-    rest = y_total - z
-    logw = (
-        gammaln(z + shape_i)
-        - gammaln(z + 1.0)
-        + np.where(z == 0, 0.0, z * log_p_i)
-        + gammaln(rest + shape_rest)
-        - gammaln(rest + 1.0)
-        + np.where(rest == 0, 0.0, rest * log_p_rest)
+    params = build_kernel_params(counts, table, calib)
+    rest = np.arange(params.size) != i
+    log_p_i, log_p_rest = log_success(
+        [calib.b[i], calib.b[rest].sum()], [table.n[i], table.n[rest].sum()]
+    )
+    z = np.arange(params.lo[i], params.hi[i] + 1, dtype=np.int64)
+    logw = log_negbin_kernel(z, params.shape[i], log_p_i) + log_negbin_kernel(
+        params.y_total - z, params.shape[rest].sum(), log_p_rest
     )
     return z, logw - logsumexp(logw)
 
@@ -258,6 +228,7 @@ def audit(
     that clamp identically contribute ratio zero, which is exactly how
     the truncated bound gains its slack.
     """
+    check_bounds(calib, bounds, table.y_total)
     if epsilon is None:
         epsilon = calib.epsilon
     y_total = table.y_total
@@ -349,6 +320,7 @@ def ratio_curve(table: StrataTable, calib: Calibration,
     """
     if table.size != 2:
         raise DomainError("ratio curves are defined for two-stratum instances")
+    check_bounds(calib, bounds, table.y_total)
     y_total = table.y_total
     params = build_kernel_params(table.y, table, calib)
     z_lo, z_hi = int(params.lo[0]), int(params.hi[0])
@@ -420,9 +392,8 @@ def theorem1_bound_check(
         def log_c(c1: int, c2: int) -> float:
             z = np.arange(L, U + 1, dtype=np.int64)
             return float(logsumexp(
-                gammaln(z + c1 + a1) - gammaln(z + 1.0)
-                + gammaln(y_tot - z + c2 + a2) - gammaln(y_tot - z + 1.0)
-                + z * log_r
+                log_negbin_kernel(z, c1 + a1, log_r)
+                + log_negbin_kernel(y_tot - z, c2 + a2, 0.0)
             ))
 
         lhs = log_c(y1 - 1, y2 + 1) - log_c(y1, y2)

@@ -7,11 +7,18 @@ lambda0_i. Two requirement forms exist:
     untruncated:  a_i >= y_total / (e^eps / nu_i - 1)
     truncated:    a_i >= (U_i - L_i) / (e^eps / nu_i - 1) - 2 * L_i
 
-with the per-stratum inflation factor nu_i defined below. Both couple the
-strata through the aggregate a_(i) = sum_{j != i} a_j, so the solution is
-a fixed point computed by damped Jacobi sweeps. The solved report
-(a, b, L, U, epsilon, alpha, c, mode) is releasable by design: it is a
-function of public quantities only.
+with the per-stratum inflation factors
+
+    untruncated:  nu_i = (y_total * s_i + a_(i) + y_total - 1) / (a_(i) + y_total - 1)
+    truncated:    nu_i = (2(y_total - L_i) + a_(i) - 1)
+                         / ((y_total - U_i) + (y_total - L_i) + a_(i) - 1)
+
+where s_i charges the shortfall of the success ratio r_i (see _r_factor):
+the indicator [r_i < 1], or (1 - r_i)^+ with exactly two strata. Both
+forms couple the strata through the aggregate a_(i) = sum_{j != i} a_j,
+so the solution is a fixed point computed by damped Jacobi sweeps. The
+solved report (a, b, L, U, epsilon, alpha, c, mode) is releasable by
+design: it is a function of public quantities only.
 
 When every stratum shares one rate-to-prior ratio the untruncated
 requirement is exactly sufficient for any number of strata (the joint
@@ -32,12 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CalibrationError,
-    DomainError,
-    DominanceError,
-    InapplicableError,
-)
+from .errors import CalibrationError, DomainError, DominanceError
 from .strata import (
     PriorSpec,
     StrataTable,
@@ -49,19 +51,14 @@ from .strata import (
 __all__ = [
     "MODE_UNTRUNCATED",
     "MODE_TRUNCATED",
-    "MODE_DIRICHLET",
     "Calibration",
-    "nu_untruncated",
-    "nu_truncated",
     "solve_hyperparameters",
-    "dirichlet_reduction",
     "calibration_report",
     "write_report",
 ]
 
 MODE_UNTRUNCATED = "untruncated"
 MODE_TRUNCATED = "truncated"
-MODE_DIRICHLET = "dirichlet-equivalent"
 
 A_FLOOR = 1e-3
 CONVERGENCE_TOL = 1e-10
@@ -74,7 +71,7 @@ class Calibration:
     """A solved, releasable mechanism description.
 
     Fields:
-        mode: untruncated, truncated, or dirichlet-equivalent.
+        mode: untruncated or truncated.
         epsilon: privacy budget.
         a, b: gamma shape and rate vectors with a / b = lambda0 exactly.
         lambda0: the prior rates the means are pinned to.
@@ -103,6 +100,9 @@ class Calibration:
             arr = np.asarray(getattr(self, name), dtype=np.float64).copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        # the mechanism reads truncation off bounds alone, so mode must agree
+        if (self.mode == MODE_TRUNCATED) != (self.bounds is not None):
+            raise DomainError("exactly the truncated mode carries bounds")
 
     @property
     def size(self) -> int:
@@ -130,56 +130,6 @@ def _r_factor(a: np.ndarray, expected: np.ndarray, n: np.ndarray) -> np.ndarray:
     # far inside the audit tolerance at any enumerable scale.
     r[np.abs(r - 1.0) < 1e-12] = 1.0
     return r
-
-
-def nu_untruncated(i: int, a: np.ndarray, b: np.ndarray, table: StrataTable) -> float:
-    """Inflation factor for the untruncated requirement at stratum i.
-
-    nu_i = (y_total * [r_i < 1] + a_(i) + y_total - 1) / (a_(i) + y_total - 1)
-    where r_i compares the aggregate complement's rate-to-prior ratio with
-    stratum i's own. Strata whose success ratio r_i is at least 1 need no
-    inflation (nu_i = 1); below 1 the full shortfall enters. a and b are
-    the full current vectors.
-
-    With exactly two strata the solver scales the shortfall by (1 - r_i)
-    instead of the indicator, which is tighter there; this function always
-    reports the indicator form.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    n = table.n.astype(np.float64)
-    if n[i] <= 0 or (n.sum() - n[i]) <= 0:
-        raise DomainError(f"stratum {i} or its complement has zero population")
-    b_rest = b.sum() - b[i]
-    n_rest = n.sum() - n[i]
-    r_i = (b_rest / n_rest + 2.0) / (b[i] / n[i] + 2.0)
-    y_tot = table.y_total
-    a_rest = a.sum() - a[i]
-    denom = a_rest + y_tot - 1.0
-    if denom <= 0.0:
-        raise CalibrationError("nu denominator nonpositive; instance too small")
-    return float((y_tot * (1.0 if r_i < 1.0 else 0.0) + denom) / denom)
-
-
-def nu_truncated(
-    i: int, a_not_i: float, bounds: TruncationBounds, y_total: int
-) -> float:
-    """Inflation factor for the truncated requirement at stratum i.
-
-    nu_i = (2*(y_total - L_i) + a_(i) - 1) / ((y_total - U_i) + (y_total - L_i) + a_(i) - 1)
-    Equals 1 when L_i = U_i and tends to 1 as a_(i) grows.
-    """
-    if a_not_i <= 0.0:
-        raise DomainError("aggregate shape must be positive")
-    L = int(bounds.L[i])
-    U = int(bounds.U[i])
-    if not L <= U <= y_total:
-        raise DomainError("bounds must satisfy L_i <= U_i <= y_total")
-    num = 2.0 * (y_total - L) + a_not_i - 1.0
-    den = (y_total - U) + (y_total - L) + a_not_i - 1.0
-    if den <= 0.0:
-        raise CalibrationError("truncated nu denominator nonpositive")
-    return float(num / den)
 
 
 def _required_untruncated(
@@ -362,25 +312,6 @@ def solve_hyperparameters(
         bounds=bounds if mode == MODE_TRUNCATED else None,
         exchange_rule_applied=exchange,
     )
-
-
-def dirichlet_reduction(calib: Calibration, table: StrataTable) -> np.ndarray:
-    """Concentration vector of the equivalent Dirichlet-multinomial law.
-
-    Under homogeneity (all populations equal, all prior rates equal) the
-    mechanism's predictive coincides with a Dirichlet-multinomial whose
-    concentration is exactly the shape vector; this returns that vector.
-
-    Raises:
-        InapplicableError: populations or prior rates are heterogeneous.
-    """
-    n = table.n
-    if np.any(n != n[0]):
-        raise InapplicableError("populations are heterogeneous")
-    lam = calib.lambda0
-    if np.any(np.abs(lam - lam[0]) > 1e-12 * max(abs(float(lam[0])), 1e-300)):
-        raise InapplicableError("prior rates are heterogeneous")
-    return calib.a.copy()
 
 
 def calibration_report(calib: Calibration, table: StrataTable) -> dict:

@@ -38,7 +38,6 @@ from .errors import (
 from .fixtures import FixtureSpec, generate_fixture, write_fixture_files
 from .strata import RatesTable, StrataTable, build_prior, compute_bounds
 from .synthesizer import (
-    default_thread_count,
     read_replicates_csv,
     sample_counts_matrix,
     write_replicates_csv,
@@ -228,8 +227,7 @@ def cmd_synthesize(args) -> int:
     t1 = time.perf_counter()
     matrix = sample_counts_matrix(
         table, calib,
-        count=cfg.replicates, base_seed=cfg.seed,
-        threads=cfg.threads if cfg.threads is not None else default_thread_count(),
+        count=cfg.replicates, base_seed=cfg.seed, threads=cfg.threads,
     )
     t2 = time.perf_counter()
 
@@ -252,20 +250,9 @@ def cmd_synthesize(args) -> int:
     out_dir = Path(cfg.paths["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     h = cfg.config_hash()
-
-    class _Row:
-        __slots__ = ("replicate_index", "z")
-
-        def __init__(self, idx, z):
-            self.replicate_index = idx
-            self.z = z
-
     rep_path = out_dir / "replicates.csv"
     tmp = rep_path.with_suffix(".csv.tmp")
-    write_replicates_csv(
-        tmp, table, (_Row(i, matrix[i]) for i in range(cfg.replicates)),
-        header_comment=f"config_hash={h}",
-    )
+    write_replicates_csv(tmp, table, matrix, header_comment=f"config_hash={h}")
     os.replace(tmp, rep_path)
     t3 = time.perf_counter()
 
@@ -385,60 +372,39 @@ def cmd_evaluate(args) -> int:
     if manifest_path and manifest_path.exists():
         epsilon = _load_config(manifest_path).get("epsilon", "")
 
-    aar = lambda counts, sel: age_adjusted_rate(  # noqa: E731
-        counts, table, std, sel,
-        age_dim=cfg.age_dim, population_key_dims=cfg.population_key_dims,
-        warn=False,
-    )
-    rows = []
-    rows += _metric_rows(
+    opts = {
+        "age_dim": cfg.age_dim,
+        "population_key_dims": cfg.population_key_dims,
+        "warn": False,
+    }
+    rows = _metric_rows(
         "age_adjusted_rate", "all", epsilon,
-        aar(table.y, None), [aar(matrix[i], None) for i in range(len(matrix))],
+        age_adjusted_rate(table.y, table, std, **opts),
+        [age_adjusted_rate(row, table, std, **opts) for row in matrix],
     )
 
+    pairs = []
     if cfg.group_dim in table.dim_names:
         levels = set(table.column(cfg.group_dim))
         if {cfg.numerator_level, cfg.denominator_level} <= levels:
             sel_a = {cfg.group_dim: cfg.numerator_level}
             sel_b = {cfg.group_dim: cfg.denominator_level}
             label = f"{selector_label(sel_a)}/{selector_label(sel_b)}"
-            truth_d = disparity_ratio(
-                table.y, table, std, sel_a, sel_b,
-                age_dim=cfg.age_dim, population_key_dims=cfg.population_key_dims,
-                warn=False,
-            )
-            reps_d = disparity_ratio(
-                matrix, table, std, sel_a, sel_b,
-                age_dim=cfg.age_dim, population_key_dims=cfg.population_key_dims,
-                warn=False,
-            )
-            rows += _metric_rows(
-                "disparity_ratio", label, epsilon,
-                truth_d.ratio, list(reps_d.per_replicate),
-            )
-
+            pairs.append((label, sel_a, sel_b))
     if cfg.paths.get("density"):
         densities = read_density_csv(cfg.paths["density"])
         urban, rural = urban_rural_classify(
             table, densities, cfg.urban_threshold, geo_dim=cfg.geo_dim
         )
         if urban and rural:
-            sel_u = {cfg.geo_dim: urban}
-            sel_r = {cfg.geo_dim: rural}
-            truth_d = disparity_ratio(
-                table.y, table, std, sel_u, sel_r,
-                age_dim=cfg.age_dim, population_key_dims=cfg.population_key_dims,
-                warn=False,
-            )
-            reps_d = disparity_ratio(
-                matrix, table, std, sel_u, sel_r,
-                age_dim=cfg.age_dim, population_key_dims=cfg.population_key_dims,
-                warn=False,
-            )
-            rows += _metric_rows(
-                "disparity_ratio", "urban/rural", epsilon,
-                truth_d.ratio, list(reps_d.per_replicate),
-            )
+            pairs.append(("urban/rural", {cfg.geo_dim: urban}, {cfg.geo_dim: rural}))
+    for label, sel_a, sel_b in pairs:
+        truth_d = disparity_ratio(table.y, table, std, sel_a, sel_b, **opts)
+        reps_d = disparity_ratio(matrix, table, std, sel_a, sel_b, **opts)
+        rows += _metric_rows(
+            "disparity_ratio", label, epsilon,
+            truth_d.ratio, list(reps_d.per_replicate),
+        )
 
     write_metrics_csv(
         cfg.paths["out"], rows, header_comment=f"config_hash={cfg.config_hash()}"

@@ -1,15 +1,11 @@
 """Numerically stable distribution primitives.
 
 Everything downstream (calibration, sampling, auditing) is built on the
-four operations here: an exact Poisson quantile, a log-scale negative
-binomial kernel, exact gamma sampling, and an exact truncated binomial
-sampler. All probability-mass arithmetic is carried out in log space;
-normalization uses log-sum-exp so that kernels involving terms like
-Gamma(z + 26116)/z! never overflow.
-
-All samplers are pure functions of (arguments, stream state): identical
-seeded streams yield identical outputs, so callers can parallelize by
-giving each logical task its own stream.
+two operations here: an exact vectorized Poisson quantile, which sets the
+truncation boxes, and the log-scale negative binomial kernel, which is
+the one place the mechanism's per-stratum law is written out. All
+probability-mass arithmetic is carried out in log space, so kernels
+involving terms like Gamma(z + 26116)/z! never overflow.
 """
 
 from __future__ import annotations
@@ -17,31 +13,12 @@ from __future__ import annotations
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, InfeasibilityError
+from .errors import DomainError
 
 __all__ = [
-    "poisson_cdf",
-    "poisson_quantile",
     "poisson_quantile_vec",
     "log_negbin_kernel",
-    "sample_gamma",
-    "sample_truncated_binomial",
 ]
-
-
-def poisson_cdf(k, mu):
-    """Poisson cdf F(k | mu), exact to double rounding.
-
-    Evaluated through the regularized upper incomplete gamma function
-    (F(k | mu) = Q(k + 1, mu)) rather than pmf summation, so it stays
-    accurate for large means. Negative k gives 0. Vectorized.
-    """
-    k = np.asarray(k, dtype=np.float64)
-    mu = np.asarray(mu, dtype=np.float64)
-    out = np.where(k < 0, 0.0, special.pdtr(np.maximum(k, 0), mu))
-    if out.ndim == 0:
-        return float(out)
-    return out
 
 
 def poisson_quantile_vec(p, mu) -> np.ndarray:
@@ -96,11 +73,6 @@ def poisson_quantile_vec(p, mu) -> np.ndarray:
     return q
 
 
-def poisson_quantile(p: float, mu: float) -> int:
-    """Smallest integer k with Poisson cdf F(k | mu) >= p. See poisson_quantile_vec."""
-    return int(poisson_quantile_vec(np.float64(p), np.float64(mu)))
-
-
 def _z_times(z: np.ndarray, factor) -> np.ndarray:
     # z * factor with the convention 0 * (-inf) = 0, so an impossible
     # category (factor = -inf) contributes nothing at z = 0.
@@ -136,55 +108,3 @@ def log_negbin_kernel(z, shape, log_ratio_term):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def sample_gamma(shape, rate, rng: np.random.Generator):
-    """Exact draw(s) from Gamma(shape, rate) with mean shape/rate.
-
-    Delegates to the generator's rejection-based gamma sampler, which is
-    exact for all positive shapes including shape < 1 (needed because
-    calibrated shapes routinely fall well below 1).
-    """
-    shape_arr = np.asarray(shape, dtype=np.float64)
-    rate_arr = np.asarray(rate, dtype=np.float64)
-    if np.any(shape_arr <= 0.0) or np.any(rate_arr <= 0.0):
-        raise DomainError("gamma shape and rate must be positive")
-    return rng.gamma(shape_arr, 1.0 / rate_arr)
-
-
-def sample_truncated_binomial(
-    total: int, prob: float, lo: int, hi: int, rng: np.random.Generator
-) -> int:
-    """Exact draw from Binomial(total, prob) conditioned on lo <= k <= hi.
-
-    The truncated pmf is formed in log space, renormalized, and inverted
-    through its cumulative distribution with a single uniform.
-
-    Raises:
-        DomainError: invalid total/prob/bounds ordering.
-        InfeasibilityError: the truncated support carries no mass.
-    """
-    if total < 0:
-        raise DomainError("total must be nonnegative")
-    if not 0.0 <= prob <= 1.0:
-        raise DomainError("prob must lie in [0, 1]")
-    if not 0 <= lo <= hi <= total:
-        raise DomainError("bounds must satisfy 0 <= lo <= hi <= total")
-    ks = np.arange(lo, hi + 1, dtype=np.float64)
-    logw = (
-        special.gammaln(total + 1.0)
-        - special.gammaln(ks + 1.0)
-        - special.gammaln(total - ks + 1.0)
-        + special.xlogy(ks, prob)
-        + special.xlog1py(total - ks, -prob)
-    )
-    mx = np.max(logw)
-    if not np.isfinite(mx):
-        raise InfeasibilityError(
-            f"truncated binomial support [{lo}, {hi}] carries no mass for prob={prob}"
-        )
-    w = np.exp(logw - mx)
-    cum = np.cumsum(w)
-    u = rng.random() * cum[-1]
-    idx = int(np.searchsorted(cum, u, side="right"))
-    return lo + min(idx, hi - lo)

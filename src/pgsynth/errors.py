@@ -44,10 +44,5 @@ class EnumerationCapError(PgsynthError):
     """An exhaustive enumeration would exceed the configured cap."""
 
 
-class InapplicableError(PgsynthError):
-    """An operation's structural precondition does not hold
-    (e.g. a homogeneity-only reduction on heterogeneous strata)."""
-
-
 class UndefinedRateError(PgsynthError):
     """A rate or ratio is undefined (zero population or zero denominator)."""

@@ -15,7 +15,9 @@ The completion-mass table T_k holds, for each attainable total t, the
 summed weight of all ways strata k..I-1 can sum to t. It satisfies
 T_k = w_k * T_{k+1} (discrete convolution), with T_I a point mass at 0.
 T_0 evaluated at y_total is the normalizer; the tables also drive the
-sequential exact sampler.
+sequential exact sampler. backward_pass runs the full recursion once and
+keeps every block-th table; the sampler rebuilds the tables in between
+from those checkpoints.
 """
 
 from __future__ import annotations
@@ -25,18 +27,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import log_negbin_kernel
-from .errors import InfeasibilityError
-from .strata import StrataTable, TruncationBounds
+from .errors import DomainError, InfeasibilityError
+from .strata import StrataTable, TruncationBounds, joint_feasible_bounds
 
 __all__ = [
     "KernelParams",
     "MassTable",
+    "log_success",
+    "check_bounds",
     "build_kernel_params",
-    "stratum_log_weights",
     "stratum_weight_table",
     "convolve_mass",
     "delta_table",
-    "log_normalizer",
+    "backward_pass",
 ]
 
 
@@ -78,6 +81,47 @@ class KernelParams:
         return len(self.shape)
 
 
+def log_success(b, n) -> np.ndarray:
+    """log p = -log(2 + b / n) per entry; -inf where n = 0.
+
+    An empty stratum (n = 0) gets an impossible kernel, a point mass at 0.
+    """
+    b = np.asarray(b, dtype=np.float64)
+    n = np.asarray(n, dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        ratio = np.where(n > 0, b / np.maximum(n, 1.0), np.inf)
+        return -np.log(2.0 + ratio)
+
+
+def check_bounds(calib, bounds: TruncationBounds | None, y_total: int) -> None:
+    """Accept caller-supplied boxes only when they are the calibration's.
+
+    The mechanism always runs on calib.bounds. A caller may pass those
+    boxes again or, when the calibration applied the exchange rule, the
+    raw boxes it reduced; any other boxes describe a mechanism that was
+    never calibrated.
+
+    Raises:
+        DomainError: bounds given to an untruncated calibration, or boxes
+            that neither equal nor reduce to calib.bounds.
+    """
+    if bounds is None:
+        return
+    if calib.bounds is None:
+        raise DomainError("untruncated calibration takes no bounds")
+    candidates = [bounds]
+    if calib.exchange_rule_applied:
+        try:
+            candidates.append(joint_feasible_bounds(bounds, y_total))
+        except InfeasibilityError:
+            pass
+    if not any(
+        np.array_equal(c.L, calib.bounds.L) and np.array_equal(c.U, calib.bounds.U)
+        for c in candidates
+    ):
+        raise DomainError("bounds differ from the calibration's truncation boxes")
+
+
 def build_kernel_params(counts, table: StrataTable, calib) -> KernelParams:
     """Kernel parameters for the mechanism run on a raw count vector.
 
@@ -90,10 +134,6 @@ def build_kernel_params(counts, table: StrataTable, calib) -> KernelParams:
     if len(counts) != table.size:
         raise InfeasibilityError("count vector length does not match the table")
     y_total = int(counts.sum())
-    n = table.n.astype(np.float64)
-    with np.errstate(divide="ignore"):
-        ratio = np.where(n > 0, calib.b / np.maximum(n, 1.0), np.inf)
-        log_p = -np.log(2.0 + ratio)
     bounds: TruncationBounds | None = calib.bounds
     if bounds is not None:
         clamped = np.clip(counts, bounds.L, bounds.U)
@@ -105,7 +145,7 @@ def build_kernel_params(counts, table: StrataTable, calib) -> KernelParams:
         hi = np.full(table.size, y_total, dtype=np.int64)
     return KernelParams(
         shape=clamped.astype(np.float64) + calib.a,
-        log_p=log_p,
+        log_p=log_success(calib.b, table.n),
         lo=lo,
         hi=hi,
         y_total=y_total,
@@ -139,16 +179,11 @@ def delta_table() -> MassTable:
     return MassTable(lo=0, vals=np.ones(1), offset=0.0)
 
 
-def stratum_log_weights(params: KernelParams, i: int) -> tuple[int, np.ndarray]:
-    """Log kernel weights of stratum i over its support [lo_i, hi_i]."""
-    z = np.arange(params.lo[i], params.hi[i] + 1, dtype=np.int64)
-    return int(params.lo[i]), log_negbin_kernel(
-        z, float(params.shape[i]), float(params.log_p[i])
-    )
-
-
 def stratum_weight_table(params: KernelParams, i: int) -> MassTable:
-    lo, logw = stratum_log_weights(params, i)
+    """Kernel weights of stratum i over its support [lo_i, hi_i]."""
+    lo = int(params.lo[i])
+    z = np.arange(lo, params.hi[i] + 1, dtype=np.int64)
+    logw = log_negbin_kernel(z, float(params.shape[i]), float(params.log_p[i]))
     peak = float(np.max(logw))
     if not np.isfinite(peak):
         raise InfeasibilityError(
@@ -178,14 +213,26 @@ def convolve_mass(weights: MassTable, table: MassTable, cap: int) -> MassTable:
     )
 
 
-def log_normalizer(params: KernelParams) -> float:
-    """Log of the total kernel mass on the box-and-total slice."""
-    running = delta_table()
-    for i in range(params.size - 1, -1, -1):
-        running = convolve_mass(
-            stratum_weight_table(params, i), running, params.y_total
-        )
-    value = running.log_at(params.y_total)
-    if not np.isfinite(value):
+def backward_pass(
+    params: KernelParams, block: int
+) -> tuple[dict[int, MassTable], list[MassTable], float]:
+    """Run the recursion T_k = w_k * T_{k+1} from T_I down to T_0.
+
+    Returns the checkpoint map (T_I, and T_k at every k divisible by
+    block), the per-stratum weight tables, and ln C = log T_0(y_total),
+    the log of the total kernel mass on the box-and-total slice. The
+    reachability check sees what the box-sum check alone cannot: strata
+    pinned at zero by degenerate kernels (n_i = 0).
+    """
+    size = params.size
+    weights = [stratum_weight_table(params, i) for i in range(size)]
+    checkpoints: dict[int, MassTable] = {size: delta_table()}
+    running = checkpoints[size]
+    for k in range(size - 1, -1, -1):
+        running = convolve_mass(weights[k], running, params.y_total)
+        if k % block == 0:
+            checkpoints[k] = running
+    log_c = running.log_at(params.y_total)
+    if not np.isfinite(log_c):
         raise InfeasibilityError("the invariant total is unreachable")
-    return value
+    return checkpoints, weights, log_c

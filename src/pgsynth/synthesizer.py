@@ -9,8 +9,8 @@ order and each count is sampled from its exact conditional
     P(z_i = v | remaining total t) propto w_i(v) * T_{i+1}(t - v),
 
 where T_{i+1} is the completion-mass table of the remaining strata
-(mechanism.MassTable). Completion tables are built once per batch by the
-backward convolution recursion, with checkpoints every ceil(sqrt(I))
+(mechanism.MassTable). Completion tables are built once per batch by
+mechanism.backward_pass, with checkpoints every ceil(sqrt(I))
 strata so the per-block rebuild keeps memory at O(sqrt(I) * y_total)
 while the total convolution work stays O(I * y_total * box_width).
 
@@ -24,29 +24,23 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import Calibration, MODE_TRUNCATED, MODE_UNTRUNCATED
-from .distributions import sample_gamma
+from .calibration import Calibration
 from .errors import DomainError, InfeasibilityError, SchemaError
 from .mechanism import (
     KernelParams,
     MassTable,
+    backward_pass,
+    build_kernel_params,
+    check_bounds,
     convolve_mass,
-    delta_table,
-    stratum_weight_table,
 )
 from .strata import StrataTable, TruncationBounds
 
 __all__ = [
-    "SyntheticReplicate",
-    "draw_posterior_rates",
-    "sample_untruncated",
-    "sample_truncated",
     "sample_counts_matrix",
-    "run_replicates",
     "write_replicates_csv",
     "read_replicates_csv",
     "default_thread_count",
@@ -57,26 +51,6 @@ THREADS_ENV_VAR = "PGSYNTH_THREADS"
 # Replicate-chunk size cap, in matrix elements (count * strata). Keeps the
 # per-chunk uniform and weight buffers comfortably inside memory.
 CHUNK_ELEMENTS = 1 << 26
-
-
-@dataclass(frozen=True, eq=False)
-class SyntheticReplicate:
-    """One synthetic count vector plus its provenance.
-
-    z sums to the invariant total; in truncated mode every entry lies in
-    its stratum's box. seed identifies the random stream (base_seed,
-    replicate_index) for batch draws and is None for ad hoc single draws.
-    """
-
-    z: np.ndarray
-    replicate_index: int
-    seed: tuple[int, int] | None
-    mode: str
-
-    def __post_init__(self):
-        arr = np.asarray(self.z, dtype=np.int64).copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "z", arr)
 
 
 def default_thread_count() -> int:
@@ -91,89 +65,6 @@ def default_thread_count() -> int:
     if value < 1:
         raise DomainError(f"{THREADS_ENV_VAR} must be at least 1")
     return value
-
-
-def draw_posterior_rates(
-    table: StrataTable, calib: Calibration, clamped, rng: np.random.Generator
-) -> np.ndarray:
-    """Independent per-stratum rate draws Gamma(clamped_i + a_i, n_i + b_i).
-
-    clamped is the count vector feeding the likelihood: the raw counts in
-    untruncated mode, the box-clamped counts in truncated mode.
-    """
-    clamped = np.asarray(clamped, dtype=np.float64)
-    if len(clamped) != table.size:
-        raise DomainError("count vector length does not match the table")
-    shape = clamped + calib.a
-    rate = table.n.astype(np.float64) + calib.b
-    return sample_gamma(shape, rate, rng)
-
-
-def _params_for(
-    table: StrataTable, calib: Calibration, bounds: TruncationBounds | None
-) -> KernelParams:
-    """Kernel parameters for the table's observed counts.
-
-    Mirrors mechanism.build_kernel_params but lets the caller substitute
-    the boxes (run_replicates accepts them explicitly).
-    """
-    counts = table.y.astype(np.int64)
-    y_total = int(counts.sum())
-    n = table.n.astype(np.float64)
-    with np.errstate(divide="ignore"):
-        ratio = np.where(n > 0, calib.b / np.maximum(n, 1.0), np.inf)
-        log_p = -np.log(2.0 + ratio)
-    if bounds is not None:
-        clamped = np.clip(counts, bounds.L, bounds.U)
-        lo = bounds.L.copy()
-        hi = np.minimum(bounds.U, y_total)
-    else:
-        clamped = counts
-        lo = np.zeros(table.size, dtype=np.int64)
-        hi = np.full(table.size, y_total, dtype=np.int64)
-    return KernelParams(
-        shape=clamped.astype(np.float64) + calib.a,
-        log_p=log_p,
-        lo=lo,
-        hi=hi,
-        y_total=y_total,
-    )
-
-
-def _resolve_bounds(
-    calib: Calibration, bounds: TruncationBounds | None
-) -> TruncationBounds | None:
-    if calib.mode == MODE_UNTRUNCATED:
-        if bounds is not None:
-            raise DomainError("untruncated calibration takes no bounds")
-        return None
-    if bounds is not None:
-        return bounds
-    if calib.bounds is None:
-        raise DomainError("truncated calibration carries no bounds")
-    return calib.bounds
-
-
-def _suffix_checkpoints(
-    params: KernelParams, block: int
-) -> tuple[dict[int, MassTable], list[MassTable]]:
-    """Backward recursion pass storing T_k at every block boundary.
-
-    Returns the checkpoint map plus per-stratum weight tables. Also
-    verifies the invariant total is actually reachable, which the box-sum
-    check alone cannot see when degenerate kernels (n_i = 0) pin strata.
-    """
-    size = params.size
-    weights = [stratum_weight_table(params, i) for i in range(size)]
-    checkpoints: dict[int, MassTable] = {size: delta_table()}
-    running = checkpoints[size]
-    for k in range(size - 1, -1, -1):
-        running = convolve_mass(weights[k], running, params.y_total)
-        if k % block == 0:
-            checkpoints[k] = running
-    if not np.isfinite(running.log_at(params.y_total)):
-        raise InfeasibilityError("the invariant total is unreachable")
-    return checkpoints, weights
 
 
 def _rebuild_block(
@@ -218,15 +109,14 @@ def _draw_chunk(
             mass = np.where(valid, nxt.vals[np.clip(idx, 0, len(nxt.vals) - 1)], 0.0)
             mass *= w.vals[None, :]
             total = mass.sum(axis=1)
+            if np.any(total <= 0.0):
+                raise InfeasibilityError(
+                    f"conditional mass of stratum {i} underflowed to zero; "
+                    "no exact draw exists"
+                )
             cdf = np.cumsum(mass, axis=1)
             target = uniforms[:, i] * total
             pick = (cdf <= target[:, None]).sum(axis=1)
-            # Full linear-scale underflow leaves no signal to split on; fall
-            # back to the first feasible candidate. Unreached in practice
-            # because every table is max-normalized.
-            dead = total <= 0.0
-            if np.any(dead):
-                pick[dead] = np.argmax(valid[dead], axis=1)
             draw = cand[np.minimum(pick, len(cand) - 1)]
             z[:, i] = draw
             remaining -= draw
@@ -257,9 +147,10 @@ def sample_counts_matrix(
 ) -> np.ndarray:
     """Count-by-stratum matrix of exact mechanism draws.
 
-    Row r is replicate r, drawn from the stream (base_seed, r). This is
-    the array-level core of run_replicates; prefer it when the replicate
-    count is large enough that per-replicate objects would dominate.
+    Row r is replicate r, drawn from the stream (base_seed, r). The
+    draws always use calib.bounds; bounds is accepted only as those boxes
+    or, after the two-stratum exchange rule, the raw boxes they came from
+    (see mechanism.check_bounds). threads=None reads PGSYNTH_THREADS.
     """
     if table.size < 2:
         raise DomainError("synthesis needs at least two strata")
@@ -269,12 +160,12 @@ def sample_counts_matrix(
         raise DomainError("base_seed must be nonnegative")
     if threads is None:
         threads = default_thread_count()
-    bounds = _resolve_bounds(calib, bounds)
-    params = _params_for(table, calib, bounds)
+    check_bounds(calib, bounds, table.y_total)
+    params = build_kernel_params(table.y, table, calib)
     if count == 0:
         return np.empty((0, table.size), dtype=np.int64)
     block = max(1, int(np.ceil(np.sqrt(params.size))))
-    checkpoints, weights = _suffix_checkpoints(params, block)
+    checkpoints, weights, _ = backward_pass(params, block)
     chunk = max(1, CHUNK_ELEMENTS // max(params.size, 1))
     starts = list(range(0, count, chunk))
     out = np.empty((count, table.size), dtype=np.int64)
@@ -293,77 +184,14 @@ def sample_counts_matrix(
     return out
 
 
-def run_replicates(
-    table: StrataTable,
-    calib: Calibration,
-    bounds: TruncationBounds | None = None,
-    count: int = 1,
-    base_seed: int = 0,
-    threads: int | None = None,
-) -> list[SyntheticReplicate]:
-    """count independent replicates with per-replicate derived streams.
-
-    Replicate r is identical whether drawn alone or inside any batch,
-    because its stream is keyed by (base_seed, r) and consumed one
-    uniform per stratum regardless of batch layout.
-    """
-    matrix = sample_counts_matrix(
-        table, calib, bounds, count=count, base_seed=base_seed, threads=threads
-    )
-    return [
-        SyntheticReplicate(
-            z=matrix[r],
-            replicate_index=r,
-            seed=(int(base_seed), r),
-            mode=calib.mode,
-        )
-        for r in range(count)
-    ]
-
-
-def _single_draw(
-    table: StrataTable,
-    calib: Calibration,
-    bounds: TruncationBounds | None,
-    rng: np.random.Generator,
-) -> SyntheticReplicate:
-    if table.size < 2:
-        raise DomainError("synthesis needs at least two strata")
-    params = _params_for(table, calib, bounds)
-    block = max(1, int(np.ceil(np.sqrt(params.size))))
-    checkpoints, weights = _suffix_checkpoints(params, block)
-    u = rng.random(params.size).reshape(1, -1)
-    z = _draw_chunk(params, checkpoints, weights, block, u)[0]
-    return SyntheticReplicate(z=z, replicate_index=0, seed=None, mode=calib.mode)
-
-
-def sample_untruncated(
-    table: StrataTable, calib: Calibration, rng: np.random.Generator
-) -> SyntheticReplicate:
-    """One exact draw from the total-conditioned law, full support."""
-    if calib.mode != MODE_UNTRUNCATED:
-        raise DomainError("sample_untruncated needs an untruncated calibration")
-    return _single_draw(table, calib, None, rng)
-
-
-def sample_truncated(
-    table: StrataTable,
-    calib: Calibration,
-    bounds: TruncationBounds,
-    rng: np.random.Generator,
-) -> SyntheticReplicate:
-    """One exact draw from the box-and-total-conditioned law."""
-    if calib.mode != MODE_TRUNCATED:
-        raise DomainError("sample_truncated needs a truncated calibration")
-    if bounds is None:
-        raise DomainError("sample_truncated needs truncation bounds")
-    return _single_draw(table, calib, bounds, rng)
-
-
 def write_replicates_csv(
-    path, table: StrataTable, replicates, header_comment: str | None = None
+    path, table: StrataTable, matrix: np.ndarray, header_comment: str | None = None
 ) -> None:
-    """Long-form CSV: replicate, one column per dimension, z."""
+    """Long-form CSV of a (replicates, strata) matrix: replicate, dims..., z.
+
+    Streams one replicate row at a time, so the text never sits in memory
+    whole.
+    """
     import csv
 
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -371,9 +199,9 @@ def write_replicates_csv(
             fh.write(f"# {header_comment}\n")
         writer = csv.writer(fh)
         writer.writerow(["replicate", *table.dim_names, "z"])
-        for rep in replicates:
-            for key, value in zip(table.keys, rep.z):
-                writer.writerow([rep.replicate_index, *key, int(value)])
+        for r, z in enumerate(matrix):
+            for key, value in zip(table.keys, z.tolist()):
+                writer.writerow([r, *key, value])
 
 
 def read_replicates_csv(path, table: StrataTable) -> np.ndarray:

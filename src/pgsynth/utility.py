@@ -35,7 +35,6 @@ __all__ = [
     "read_density_csv",
     "write_density_csv",
     "write_metrics_csv",
-    "write_observed_expected_csv",
 ]
 
 RATE_SCALE = 100_000.0
@@ -348,13 +347,3 @@ def write_metrics_csv(path, rows, header_comment: str | None = None) -> None:
         writer.writerow(["metric", "selector", "epsilon", "replicate", "value"])
         for metric, selector, epsilon, replicate, value in rows:
             writer.writerow([metric, selector, epsilon, replicate, repr(float(value))])
-
-
-def write_observed_expected_csv(path, pairs, header_comment: str | None = None) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["aggregate", "observed", "expected"])
-        for label, observed, expected in pairs:
-            writer.writerow([label, repr(float(observed)), repr(float(expected))])

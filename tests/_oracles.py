@@ -3,7 +3,8 @@
 Everything here is computed with mpmath arbitrary precision and direct
 summation/enumeration, deliberately avoiding the package's own numerics
 (scipy special functions, log-space convolutions) so agreement is
-evidence rather than tautology.
+evidence rather than tautology. The nu factors at the end are scalar,
+per-stratum restatements of the calibration's vectorized requirements.
 """
 
 from __future__ import annotations
@@ -153,18 +154,6 @@ def total_variation(pmf_a: dict, pmf_b: dict) -> float:
     )
 
 
-def truncated_binomial_pmf(k: int, n: int, p: float, lo: int, hi: int):
-    """Binomial(n, p) restricted to [lo, hi], exact."""
-    if not lo <= k <= hi:
-        return mp.mpf(0)
-    num = mp.binomial(n, k) * mp.mpf(p) ** k * mp.mpf(1 - p) ** (n - k)
-    den = sum(
-        mp.binomial(n, j) * mp.mpf(p) ** j * mp.mpf(1 - p) ** (n - j)
-        for j in range(lo, hi + 1)
-    )
-    return num / den
-
-
 def neighbor_pairs(total: int, size: int):
     """All ordered dataset pairs differing by one unit transfer."""
     datasets = [
@@ -192,3 +181,43 @@ def gamma_log_density(x, shape, rate):
 
 def binom(n: int, k: int) -> int:
     return math.comb(n, k)
+
+
+def nu_untruncated(i: int, a, b, table) -> float:
+    """Indicator-form inflation factor of the untruncated requirement.
+
+    nu_i = (y_total * [r_i < 1] + a_(i) + y_total - 1) / (a_(i) + y_total - 1),
+    r_i = (b_(i)/n_(i) + 2) / (b_i/n_i + 2), with a, b the full vectors.
+    The solver uses this form for three or more strata; with two it scales
+    the shortfall by (1 - r_i) instead.
+    """
+    n = [float(v) for v in table.n]
+    a = [float(v) for v in a]
+    b = [float(v) for v in b]
+    n_rest = sum(n) - n[i]
+    if n[i] <= 0 or n_rest <= 0:
+        raise ValueError(f"stratum {i} or its complement has zero population")
+    r_i = ((sum(b) - b[i]) / n_rest + 2.0) / (b[i] / n[i] + 2.0)
+    y_tot = int(table.y_total)
+    denom = sum(a) - a[i] + y_tot - 1.0
+    if denom <= 0.0:
+        raise ValueError("nu denominator nonpositive")
+    return (y_tot * (1.0 if r_i < 1.0 else 0.0) + denom) / denom
+
+
+def nu_truncated(i: int, a_not_i: float, bounds, y_total: int) -> float:
+    """Inflation factor of the truncated requirement at stratum i.
+
+    nu_i = (2(y_total - L_i) + a_(i) - 1)
+           / ((y_total - U_i) + (y_total - L_i) + a_(i) - 1),
+    which is 1 when L_i = U_i and tends to 1 as a_(i) grows.
+    """
+    L = int(bounds.L[i])
+    U = int(bounds.U[i])
+    if a_not_i <= 0.0 or not L <= U <= y_total:
+        raise ValueError("need a_(i) > 0 and L_i <= U_i <= y_total")
+    num = 2.0 * (y_total - L) + a_not_i - 1.0
+    den = (y_total - U) + (y_total - L) + a_not_i - 1.0
+    if den <= 0.0:
+        raise ValueError("truncated nu denominator nonpositive")
+    return num / den

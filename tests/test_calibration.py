@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pgsynth.audit import exact_joint_pmf
 from pgsynth.calibration import (
+    Calibration,
     MODE_TRUNCATED,
     MODE_UNTRUNCATED,
+    _required_truncated,
+    _required_untruncated,
     calibration_report,
-    dirichlet_reduction,
-    nu_truncated,
-    nu_untruncated,
     solve_hyperparameters,
     untruncated_floor,
 )
@@ -21,7 +22,6 @@ from pgsynth.errors import (
     CalibrationError,
     DomainError,
     DominanceError,
-    InapplicableError,
     InfeasibilityError,
 )
 from pgsynth.strata import (
@@ -32,6 +32,8 @@ from pgsynth.strata import (
     compute_bounds,
 )
 from pgsynth.fixtures import demo_rates, demo_table
+
+from _oracles import dirichlet_multinomial_pmf, nu_truncated, nu_untruncated
 
 
 def homogeneous_instance(size: int, y_total: int):
@@ -131,6 +133,36 @@ class TestNuFactors:
             L=np.array([5, 0]), U=np.array([5, 10]), alpha=0.01, c=1.0
         )
         assert nu_truncated(0, 3.0, bounds, 10) == pytest.approx(1.0)
+
+    def test_oracles_match_solver_requirements(self):
+        # four heterogeneous strata: the solver's vectorized requirements
+        # must be the closed forms built from the per-stratum nu factors
+        table = StrataTable(
+            dim_names=("g",),
+            keys=tuple((f"s{i}",) for i in range(4)),
+            n=np.array([40, 160, 90, 300]),
+            y=np.array([2, 5, 3, 10]),
+        )
+        expected = np.array([1.0, 9.0, 4.0, 6.0])
+        a = np.array([3.0, 0.5, 7.0, 2.0])
+        b = a * table.n / expected
+        y_tot, eps = table.y_total, 2.0
+        got = _required_untruncated(a, expected, table.n.astype(float), y_tot, eps)
+        nus = [nu_untruncated(i, a, b, table) for i in range(4)]
+        assert min(nus) == pytest.approx(1.0) and max(nus) > 1.5
+        for i, nu in enumerate(nus):
+            want = y_tot / (math.exp(eps) / nu - 1.0)
+            assert got[i] == pytest.approx(want, rel=1e-12)
+
+        bounds = TruncationBounds(
+            L=np.array([0, 2, 1, 4]), U=np.array([4, 9, 1, 14]), alpha=0.01, c=1.0
+        )
+        L, U = bounds.L.astype(float), bounds.U.astype(float)
+        got = _required_truncated(a, L, U, y_tot, eps)
+        for i in range(4):
+            nu = nu_truncated(i, a.sum() - a[i], bounds, y_tot)
+            want = (U[i] - L[i]) / (math.exp(eps) / nu - 1.0) - 2.0 * L[i]
+            assert got[i] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 class TestTruncatedDemo:
@@ -240,6 +272,21 @@ class TestGates:
             solve_hyperparameters(table, prior, 1.0, mode=MODE_UNTRUNCATED)
 
 
+    def test_mode_and_bounds_must_agree(self, demo):
+        table, prior = demo
+        bounds = compute_bounds(prior, table, 1e-4, 1.0)
+        calib = solve_hyperparameters(
+            table, prior, 1.0, mode=MODE_TRUNCATED, bounds=bounds
+        )
+        for mode, boxes in ((MODE_TRUNCATED, None), (MODE_UNTRUNCATED, bounds)):
+            with pytest.raises(DomainError):
+                Calibration(
+                    mode=mode, epsilon=1.0, a=calib.a, b=calib.b,
+                    lambda0=calib.lambda0, slack=calib.slack, converged=True,
+                    iterations=1, bounds=boxes,
+                )
+
+
 class TestPointBoxes:
     def test_point_box_stratum_rides_the_floor(self):
         table = StrataTable(
@@ -263,16 +310,16 @@ class TestPointBoxes:
 
 class TestDirichletReduction:
     def test_homogeneous_reduces(self):
-        table, prior = homogeneous_instance(2, 6)
+        # equal populations and prior rates: the mechanism's law is the
+        # Dirichlet-multinomial with concentrations y + a, here on three
+        # strata (the release gate covers two)
+        table, prior = homogeneous_instance(3, 6)
         calib = solve_hyperparameters(table, prior, 1.0, mode=MODE_UNTRUNCATED)
-        conc = dirichlet_reduction(calib, table)
-        assert np.array_equal(conc, calib.a)
-
-    def test_heterogeneous_refuses(self, demo):
-        table, prior = demo
-        calib = solve_hyperparameters(table, prior, 1.0, mode=MODE_UNTRUNCATED)
-        with pytest.raises(InapplicableError):
-            dirichlet_reduction(calib, table)
+        support, logp = exact_joint_pmf(table.y, calib, table)
+        alphas = (table.y + calib.a).tolist()
+        for row, lp in zip(support.tolist(), logp):
+            dm = float(dirichlet_multinomial_pmf(row, alphas))
+            assert math.exp(lp) == pytest.approx(dm, rel=1e-10)
 
 
 class TestReport:

@@ -11,10 +11,10 @@ from pgsynth.errors import InfeasibilityError
 from pgsynth.mechanism import (
     KernelParams,
     MassTable,
+    backward_pass,
     build_kernel_params,
     convolve_mass,
     delta_table,
-    log_normalizer,
     stratum_weight_table,
 )
 from pgsynth.strata import PriorSpec, StrataTable, compute_bounds
@@ -120,7 +120,9 @@ class TestNormalizer:
         )
         calib = solve_hyperparameters(table, prior, 1.0, mode=mode, bounds=bounds)
         params = build_kernel_params(table.y, table, calib)
-        got = log_normalizer(params)
+        checkpoints, _, got = backward_pass(params, block=2)
+        assert sorted(checkpoints) == [0, 2, 3]
+        assert checkpoints[0].log_at(params.y_total) == got
         want = normalizer_direct(
             params.y_total,
             [float(s) for s in params.shape],
@@ -152,4 +154,4 @@ class TestNormalizer:
         )
         params = build_kernel_params(table.y, table, calib)
         assert params.log_p[0] == -np.inf
-        assert np.isfinite(log_normalizer(params))
+        assert np.isfinite(backward_pass(params, block=1)[2])

@@ -11,16 +11,20 @@ from pgsynth.calibration import (
     MODE_UNTRUNCATED,
     solve_hyperparameters,
 )
-from pgsynth.errors import DomainError, SchemaError
-from pgsynth.strata import PriorSpec, StrataTable, TruncationBounds, compute_bounds
+from pgsynth.errors import DomainError, InfeasibilityError, SchemaError
+from pgsynth.fixtures import demo_rates, demo_table
+from pgsynth.mechanism import (
+    KernelParams,
+    MassTable,
+    backward_pass,
+    build_kernel_params,
+    delta_table,
+)
+from pgsynth.strata import StrataTable, TruncationBounds, build_prior, compute_bounds
 from pgsynth.synthesizer import (
     default_thread_count,
-    draw_posterior_rates,
     read_replicates_csv,
-    run_replicates,
     sample_counts_matrix,
-    sample_truncated,
-    sample_untruncated,
     write_replicates_csv,
 )
 
@@ -35,6 +39,16 @@ def calibrated(tiny3, mode):
     return table, calib, bounds
 
 
+def solo_draw(table, calib, base_seed, r):
+    """Replicate r rebuilt alone from its own stream via the draw core."""
+    params = build_kernel_params(table.y, table, calib)
+    block = 2  # the checkpoint spacing changes memory use, never the draw
+    checkpoints, weights, _ = backward_pass(params, block)
+    stream = np.random.default_rng(np.random.SeedSequence((base_seed, r)))
+    u = stream.random(params.size).reshape(1, -1)
+    return synth._draw_chunk(params, checkpoints, weights, block, u)[0]
+
+
 class TestSoloBatchEquivalence:
     @pytest.mark.parametrize("mode", [MODE_UNTRUNCATED, MODE_TRUNCATED])
     def test_single_draws_reproduce_batch_rows(self, tiny3, mode):
@@ -44,23 +58,7 @@ class TestSoloBatchEquivalence:
             table, calib, bounds, count=8, base_seed=base_seed
         )
         for r in range(8):
-            rng = np.random.default_rng(np.random.SeedSequence((base_seed, r)))
-            if mode == MODE_UNTRUNCATED:
-                rep = sample_untruncated(table, calib, rng)
-            else:
-                rep = sample_truncated(table, calib, bounds, rng)
-            assert np.array_equal(rep.z, batch[r])
-
-    def test_run_replicates_wraps_matrix(self, tiny3):
-        table, calib, _ = calibrated(tiny3, MODE_UNTRUNCATED)
-        reps = run_replicates(table, calib, count=5, base_seed=11)
-        matrix = sample_counts_matrix(table, calib, count=5, base_seed=11)
-        assert [r.replicate_index for r in reps] == list(range(5))
-        assert all(r.seed == (11, r.replicate_index) for r in reps)
-        assert all(r.mode == MODE_UNTRUNCATED for r in reps)
-        for r, rep in enumerate(reps):
-            assert np.array_equal(rep.z, matrix[r])
-            assert not rep.z.flags.writeable
+            assert np.array_equal(solo_draw(table, calib, base_seed, r), batch[r])
 
 
 class TestDeterminism:
@@ -143,34 +141,14 @@ class TestExactness:
         assert np.all(draws == table.y)
 
 
-class TestPosteriorRates:
-    def test_moments(self, tiny3):
-        table, calib, _ = calibrated(tiny3, MODE_UNTRUNCATED)
-        rng = np.random.default_rng(42)
-        draws = np.stack([
-            draw_posterior_rates(table, calib, table.y, rng)
-            for _ in range(20_000)
-        ])
-        want_mean = (table.y + calib.a) / (table.n + calib.b)
-        np.testing.assert_allclose(draws.mean(axis=0), want_mean, rtol=0.05)
-        assert np.all(draws > 0)
-
-    def test_length_mismatch(self, tiny3):
-        table, calib, _ = calibrated(tiny3, MODE_UNTRUNCATED)
-        with pytest.raises(DomainError):
-            draw_posterior_rates(table, calib, [1, 2], np.random.default_rng(0))
-
-
 class TestCsvRoundtrip:
     def test_write_then_read(self, tmp_path, tiny3):
         table, calib, _ = calibrated(tiny3, MODE_UNTRUNCATED)
-        reps = run_replicates(table, calib, count=4, base_seed=9)
+        matrix = sample_counts_matrix(table, calib, count=4, base_seed=9)
         path = tmp_path / "reps.csv"
-        write_replicates_csv(path, table, reps, header_comment="config_hash=ab12")
-        matrix = read_replicates_csv(path, table)
-        assert matrix.shape == (4, table.size)
-        for r, rep in enumerate(reps):
-            assert np.array_equal(matrix[r], rep.z)
+        write_replicates_csv(path, table, matrix, header_comment="config_hash=ab12")
+        assert path.read_text().startswith("# config_hash=ab12\nreplicate,g,z\n")
+        assert np.array_equal(read_replicates_csv(path, table), matrix)
 
     @pytest.mark.parametrize("mutate, message", [
         (lambda lines: [lines[0].replace(",z", ",count"), *lines[1:]],
@@ -184,9 +162,9 @@ class TestCsvRoundtrip:
     ])
     def test_malformed_rows_rejected(self, tmp_path, tiny3, mutate, message):
         table, calib, _ = calibrated(tiny3, MODE_UNTRUNCATED)
-        reps = run_replicates(table, calib, count=2, base_seed=9)
+        matrix = sample_counts_matrix(table, calib, count=2, base_seed=9)
         path = tmp_path / "reps.csv"
-        write_replicates_csv(path, table, reps)
+        write_replicates_csv(path, table, matrix)
         lines = path.read_text().strip().split("\n")
         path.write_text("\n".join(mutate(lines)) + "\n")
         with pytest.raises(SchemaError):
@@ -223,12 +201,62 @@ class TestGuards:
     def test_mode_mismatches(self, tiny3):
         table, calib_u, _ = calibrated(tiny3, MODE_UNTRUNCATED)
         table, calib_t, bounds = calibrated(tiny3, MODE_TRUNCATED)
-        rng = np.random.default_rng(0)
-        with pytest.raises(DomainError):
-            sample_untruncated(table, calib_t, rng)
-        with pytest.raises(DomainError):
-            sample_truncated(table, calib_u, bounds, rng)
-        with pytest.raises(DomainError):
-            sample_truncated(table, calib_t, None, rng)
         with pytest.raises(DomainError):
             sample_counts_matrix(table, calib_u, bounds, count=1, base_seed=0)
+        with pytest.raises(DomainError):
+            exact_joint_pmf(table.y, calib_u, table, bounds=bounds)
+        # a truncated calibration carries its own boxes
+        out = sample_counts_matrix(table, calib_t, None, count=1, base_seed=0)
+        assert out.shape == (1, 3)
+
+    def test_zero_conditional_mass_raises(self):
+        # hand-built tables whose products underflow: 1e-200 * 1e-200 is
+        # 0.0 in double precision, so no candidate carries any mass
+        params = KernelParams(
+            shape=np.ones(2), log_p=np.full(2, -1.0),
+            lo=np.zeros(2), hi=np.full(2, 2), y_total=2,
+        )
+        tiny = MassTable(lo=0, vals=np.full(3, 1e-200), offset=0.0)
+        checkpoints = {0: tiny, 1: tiny, 2: delta_table()}
+        with pytest.raises(InfeasibilityError):
+            synth._draw_chunk(
+                params, checkpoints, [tiny, tiny], 1, np.full((4, 2), 0.5)
+            )
+
+
+class TestBoundsSource:
+    """The mechanism runs on calib.bounds whatever boxes the caller holds."""
+
+    def demo_truncated(self):
+        # the demo with every event moved to stratum b: y = (0, 100) sits
+        # outside both boxes, so raw and reduced boxes clamp it differently
+        demo = demo_table()
+        table = StrataTable(
+            dim_names=demo.dim_names, keys=demo.keys, n=demo.n, y=np.array([0, 100])
+        )
+        prior = build_prior(table, demo_rates())
+        raw = compute_bounds(prior, table, 0.05, 1.0)
+        calib = solve_hyperparameters(
+            table, prior, 1.0, mode=MODE_TRUNCATED, bounds=raw
+        )
+        assert calib.exchange_rule_applied
+        assert not np.array_equal(raw.L, calib.bounds.L)
+        return table, calib, raw
+
+    def test_raw_two_stratum_boxes_draw_like_none(self):
+        table, calib, raw = self.demo_truncated()
+        want = sample_counts_matrix(table, calib, count=200, base_seed=4)
+        got = sample_counts_matrix(table, calib, raw, count=200, base_seed=4)
+        assert np.array_equal(got, want)
+        again = sample_counts_matrix(table, calib, calib.bounds, count=200, base_seed=4)
+        assert np.array_equal(again, want)
+
+    def test_mismatched_boxes_rejected(self):
+        table, calib, raw = self.demo_truncated()
+        other = TruncationBounds(
+            L=raw.L, U=raw.U - np.array([1, 0]), alpha=raw.alpha, c=raw.c
+        )
+        with pytest.raises(DomainError):
+            sample_counts_matrix(table, calib, other, count=1, base_seed=0)
+        with pytest.raises(DomainError):
+            exact_joint_pmf(table.y, calib, table, bounds=other)
