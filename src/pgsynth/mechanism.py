@@ -192,12 +192,16 @@ def stratum_weight_table(params: KernelParams, i: int) -> MassTable:
     return MassTable(lo=lo, vals=np.exp(logw - peak), offset=peak)
 
 
-def convolve_mass(weights: MassTable, table: MassTable, cap: int) -> MassTable:
+def convolve_mass(
+    weights: MassTable, table: MassTable, cap: int, out: np.ndarray | None = None
+) -> MassTable:
     """One recursion step T_k = w_k * T_{k+1}, truncated above cap.
 
     Totals beyond cap (the conditioning total) can never be part of a
     feasible draw, so the axis is cut there to keep PA-scale tables at
-    O(y_total) length.
+    O(y_total) length. With out (at least cap + 1 long), the table's
+    values are written to a prefix of it, so a caller that rebuilds many
+    tables can reuse one buffer.
     """
     vals = np.convolve(weights.vals, table.vals)
     lo = weights.lo + table.lo
@@ -208,8 +212,12 @@ def convolve_mass(weights: MassTable, table: MassTable, cap: int) -> MassTable:
     peak = float(vals.max())
     if peak <= 0.0:
         raise InfeasibilityError("mass table underflowed to zero")
+    if out is not None:
+        out = out[: len(vals)]
     return MassTable(
-        lo=lo, vals=vals / peak, offset=weights.offset + table.offset + np.log(peak)
+        lo=lo,
+        vals=np.divide(vals, peak, out=out),
+        offset=weights.offset + table.offset + np.log(peak),
     )
 
 

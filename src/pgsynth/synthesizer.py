@@ -15,9 +15,14 @@ strata so the per-block rebuild keeps memory at O(sqrt(I) * y_total)
 while the total convolution work stays O(I * y_total * box_width).
 
 Reproducibility contract: replicate r consumes exactly one uniform per
-stratum from the dedicated stream seeded by (base_seed, r). Batch
+stratum, in order, from its own stream: PCG64 seeded by
+SeedSequence((base_seed, r)), read through Generator.random. Batch
 processing order, chunking, and thread count therefore never change any
-replicate's value.
+replicate's value. How the streams are generated is picked by chunk
+shape: chunks with more replicates than strata run SeedSequence and PCG64
+across all rows at once in uint32/uint64 numpy arithmetic, wider chunks
+seed one numpy generator per row. Both give the same bits, so the choice
+never shows in any output.
 """
 
 from __future__ import annotations
@@ -52,6 +57,21 @@ THREADS_ENV_VAR = "PGSYNTH_THREADS"
 # per-chunk uniform and weight buffers comfortably inside memory.
 CHUNK_ELEMENTS = 1 << 26
 
+# Rows per slice inside a chunk, for the draw's (rows x candidates)
+# temporaries and the stream arithmetic. A row's value never depends on it.
+ROW_TILE = 1 << 16
+
+# CSV lines per write in write_replicates_csv.
+WRITE_ROWS = 200_000
+
+_MASK32 = 0xFFFFFFFF
+_U32, _LOW32 = np.uint64(32), np.uint64(_MASK32)
+# PCG64's 128-bit LCG multiplier, as 64-bit halves, and the low half's
+# 32-bit limbs for the 64 x 64 -> 128-bit product
+_PCG_MULT_HI = np.uint64(0x2360ED051FC65DA4)
+_PCG_MULT_LO = np.uint64(0x4385DF649FCCF645)
+_PCG_MULT_LO0, _PCG_MULT_LO1 = _PCG_MULT_LO & _LOW32, _PCG_MULT_LO >> _U32
+
 
 def default_thread_count() -> int:
     """Worker count from the PGSYNTH_THREADS variable, else 1."""
@@ -73,11 +93,20 @@ def _rebuild_block(
     checkpoints: dict[int, MassTable],
     weights: list[MassTable],
     y_total: int,
+    buf: np.ndarray,
 ) -> dict[int, MassTable]:
-    """Tables T_{start+1}..T_{end} for one forward block."""
+    """Tables T_{start+1}..T_{end} for one forward block.
+
+    Table k is written to row k - start of buf, which every block of a
+    chunk reuses. Tables allocated afresh per block are handed back to the
+    operating system and faulted in again at the next block, which costs
+    seconds of system time at the published scale.
+    """
     tables = {end: checkpoints[end]}
     for k in range(end - 1, start, -1):
-        tables[k] = convolve_mass(weights[k], tables[k + 1], y_total)
+        tables[k] = convolve_mass(
+            weights[k], tables[k + 1], y_total, out=buf[k - start]
+        )
     return tables
 
 
@@ -97,42 +126,151 @@ def _draw_chunk(
     y_total = params.y_total
     z = np.empty((count, size), dtype=np.int64)
     remaining = np.full(count, y_total, dtype=np.int64)
+    buf = np.empty((block, y_total + 1))
     for start in range(0, size, block):
         end = min(start + block, size)
-        tables = _rebuild_block(start, end, checkpoints, weights, y_total)
+        tables = _rebuild_block(start, end, checkpoints, weights, y_total, buf)
         for i in range(start, end):
             nxt = tables[i + 1]
             w = weights[i]
             cand = np.arange(w.lo, w.lo + len(w.vals), dtype=np.int64)
-            idx = remaining[:, None] - cand[None, :] - nxt.lo
-            valid = (idx >= 0) & (idx < len(nxt.vals))
-            mass = np.where(valid, nxt.vals[np.clip(idx, 0, len(nxt.vals) - 1)], 0.0)
-            mass *= w.vals[None, :]
-            total = mass.sum(axis=1)
-            if np.any(total <= 0.0):
-                raise InfeasibilityError(
-                    f"conditional mass of stratum {i} underflowed to zero; "
-                    "no exact draw exists"
+            for a in range(0, count, ROW_TILE):
+                rows = slice(a, a + ROW_TILE)
+                rem = remaining[rows]
+                idx = rem[:, None] - cand[None, :] - nxt.lo
+                valid = (idx >= 0) & (idx < len(nxt.vals))
+                mass = np.where(
+                    valid, nxt.vals[np.clip(idx, 0, len(nxt.vals) - 1)], 0.0
                 )
-            cdf = np.cumsum(mass, axis=1)
-            target = uniforms[:, i] * total
-            pick = (cdf <= target[:, None]).sum(axis=1)
-            draw = cand[np.minimum(pick, len(cand) - 1)]
-            z[:, i] = draw
-            remaining -= draw
+                mass *= w.vals[None, :]
+                total = mass.sum(axis=1)
+                if np.any(total <= 0.0):
+                    raise InfeasibilityError(
+                        f"conditional mass of stratum {i} underflowed to zero; "
+                        "no exact draw exists"
+                    )
+                cdf = np.cumsum(mass, axis=1)
+                target = uniforms[rows, i] * total
+                pick = (cdf <= target[:, None]).sum(axis=1)
+                draw = cand[np.minimum(pick, len(cand) - 1)]
+                z[rows, i] = draw
+                rem -= draw
         del tables
     if np.any(remaining != 0):
         raise InfeasibilityError("a draw failed to exhaust the invariant total")
     return z
 
 
+def _hash_mixer(init: int, mult: int):
+    """SeedSequence's hashmix with its running multiplier, on uint32 rows."""
+    const = init
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = (const * mult) & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * np.uint32(0xCA01F9DD) - y * np.uint32(0x4973F715)
+    return out ^ (out >> np.uint32(16))
+
+
+def _seed_state(entropy: list[np.ndarray]) -> list[np.ndarray]:
+    """SeedSequence(entropy).generate_state(4, uint64), one row per replicate.
+
+    entropy lists the uint32 words (as rows) in SeedSequence's order; the
+    pool mix follows numpy.random.SeedSequence.mix_entropy word for word.
+    """
+    hashmix = _hash_mixer(0x43B0D7E5, 0x931E8875)
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hashmix = _hash_mixer(0x8B51F9DD, 0x58F38DED)
+    words = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    return [words[2 * j] | (words[2 * j + 1] << _U32) for j in range(4)]
+
+
+def _pcg64_step(hi, lo, inc_hi, inc_lo):
+    """state * PCG64 multiplier + inc mod 2^128, on uint64 halves."""
+    a0, a1 = lo & _LOW32, lo >> _U32
+    p00, p01 = a0 * _PCG_MULT_LO0, a0 * _PCG_MULT_LO1
+    p10, p11 = a1 * _PCG_MULT_LO0, a1 * _PCG_MULT_LO1
+    mid = (p00 >> _U32) + (p01 & _LOW32) + (p10 & _LOW32)
+    carry = p11 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32)
+    hi = carry + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO
+    lo = lo * _PCG_MULT_LO + inc_lo
+    return hi + inc_hi + (lo < inc_lo), lo
+
+
+def _uint32_words(n: int) -> list[int]:
+    """The little-endian 32-bit words SeedSequence reads from an int."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _pcg64_uniforms(base_seed: int, first: int, out: np.ndarray) -> None:
+    """Fill out[k] with default_rng(SeedSequence((base_seed, first + k))).random.
+
+    The replicate indices must all lie below 2^32 or all at or above it,
+    so that each has the same number of 32-bit words.
+    """
+    count, size = out.shape
+    r = np.arange(count, dtype=np.uint64) + np.uint64(first)
+    entropy = [np.full(count, w, dtype=np.uint32) for w in _uint32_words(base_seed)]
+    entropy.append((r & _LOW32).astype(np.uint32))
+    if first > _MASK32:
+        entropy.append((r >> _U32).astype(np.uint32))
+    s0, s1, s2, s3 = _seed_state(entropy)
+    # pcg64_set_seed: inc = (s2:s3 << 1) | 1; state = (inc + s0:s1) * M + inc
+    inc_hi = (s2 << np.uint64(1)) | (s3 >> np.uint64(63))
+    inc_lo = (s3 << np.uint64(1)) | np.uint64(1)
+    lo = inc_lo + s1
+    hi, lo = _pcg64_step(inc_hi + s0 + (lo < s1), lo, inc_hi, inc_lo)
+    for j in range(size):
+        hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
+        # XSL-RR output, then the 53-bit double of Generator.random
+        x = hi ^ lo
+        rot = hi >> np.uint64(58)
+        x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+        out[:, j] = (x >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
 def _chunk_uniforms(base_seed: int, first: int, count: int, size: int) -> np.ndarray:
+    """Row k: the first size uniforms of replicate first + k's stream.
+
+    Chunks taller than they are wide compute the streams across rows, in
+    tiles that never straddle 2^32 (where the index gains a word); wide
+    chunks seed one generator per row. Both give the same bits.
+    """
     u = np.empty((count, size), dtype=np.float64)
-    for offset in range(count):
-        stream = np.random.default_rng(
-            np.random.SeedSequence((base_seed, first + offset))
-        )
-        u[offset] = stream.random(size)
+    if count <= size:
+        for offset in range(count):
+            stream = np.random.default_rng(
+                np.random.SeedSequence((base_seed, first + offset))
+            )
+            u[offset] = stream.random(size)
+        return u
+    a, end = first, first + count
+    while a < end:
+        b = min(end, a + ROW_TILE)
+        if a <= _MASK32 < b - 1:
+            b = _MASK32 + 1
+        _pcg64_uniforms(base_seed, a, u[a - first:b - first])
+        a = b
     return u
 
 
@@ -160,6 +298,8 @@ def sample_counts_matrix(
         raise DomainError("base_seed must be nonnegative")
     if threads is None:
         threads = default_thread_count()
+    elif threads < 1:
+        raise DomainError("threads must be at least 1")
     check_bounds(calib, bounds, table.y_total)
     params = build_kernel_params(table.y, table, calib)
     if count == 0:
@@ -189,19 +329,28 @@ def write_replicates_csv(
 ) -> None:
     """Long-form CSV of a (replicates, strata) matrix: replicate, dims..., z.
 
-    Streams one replicate row at a time, so the text never sits in memory
-    whole.
+    csv.writer renders one replicate's lines once, as a str.format template
+    with the replicate index in field {0} and stratum i's count in {i+1};
+    the file is then written in slices of about WRITE_ROWS lines, so the
+    text never sits in memory whole.
     """
     import csv
+    import io
 
+    text = io.StringIO()
+    writer = csv.writer(text)
+    for i, key in enumerate(table.keys):
+        escaped = [str(v).replace("{", "{{").replace("}", "}}") for v in key]
+        writer.writerow(["{0}", *escaped, f"{{{i + 1}}}"])
+    fmt = text.getvalue().format
+    step = max(1, WRITE_ROWS // table.size)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["replicate", *table.dim_names, "z"])
-        for r, z in enumerate(matrix):
-            for key, value in zip(table.keys, z.tolist()):
-                writer.writerow([r, *key, value])
+        csv.writer(fh).writerow(["replicate", *table.dim_names, "z"])
+        for first in range(0, len(matrix), step):
+            rows = matrix[first:first + step].tolist()
+            fh.write("".join(fmt(r, *z) for r, z in enumerate(rows, start=first)))
 
 
 def read_replicates_csv(path, table: StrataTable) -> np.ndarray:

@@ -3,12 +3,15 @@
 Everything here is computed with mpmath arbitrary precision and direct
 summation/enumeration, deliberately avoiding the package's own numerics
 (scipy special functions, log-space convolutions) so agreement is
-evidence rather than tautology. The nu factors at the end are scalar,
-per-stratum restatements of the calibration's vectorized requirements.
+evidence rather than tautology. The nu factors are scalar, per-stratum
+restatements of the calibration's vectorized requirements. The replicate
+CSV writer at the end is the plain csv.writer loop that the package's
+templated writer must match byte for byte.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 
@@ -221,3 +224,15 @@ def nu_truncated(i: int, a_not_i: float, bounds, y_total: int) -> float:
     if den <= 0.0:
         raise ValueError("truncated nu denominator nonpositive")
     return num / den
+
+
+def write_replicates_csv_rows(path, table, matrix, header_comment=None) -> None:
+    """Long-form replicate CSV, one csv.writer row per (replicate, stratum)."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        if header_comment:
+            fh.write(f"# {header_comment}\n")
+        writer = csv.writer(fh)
+        writer.writerow(["replicate", *table.dim_names, "z"])
+        for r, z in enumerate(matrix):
+            for key, value in zip(table.keys, z.tolist()):
+                writer.writerow([r, *key, value])

@@ -208,6 +208,12 @@ class TestSynthesize:
         assert code == 2
 
 
+    def test_zero_threads_is_usage_error(self, demo_files, tmp_path):
+        out = tmp_path / "run"
+        assert self.synth(demo_files, out, extra=("--threads", "0")) == 2
+        assert not out.exists()
+
+
 class TestAudit:
     def test_pass_writes_report_and_curve(self, demo_files, tmp_path):
         out = tmp_path / "audit.json"

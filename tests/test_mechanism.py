@@ -104,6 +104,16 @@ class TestMassTables:
         out = convolve_mass(a, delta_table(), cap=2)
         assert out.hi == 2
 
+    def test_convolution_into_buffer(self):
+        a = MassTable(lo=1, vals=np.array([0.5, 1.0]), offset=0.0)
+        b = MassTable(lo=2, vals=np.array([1.0, 0.25]), offset=math.log(2.0))
+        buf = np.full(11, np.nan)
+        got = convolve_mass(a, b, cap=10, out=buf)
+        want = convolve_mass(a, b, cap=10)
+        assert (got.lo, got.offset) == (want.lo, want.offset)
+        assert np.array_equal(got.vals, want.vals)
+        assert np.shares_memory(got.vals, buf)
+
     def test_log_at_outside_support(self):
         t = MassTable(lo=3, vals=np.array([1.0]), offset=0.0)
         assert t.log_at(2) == -np.inf and t.log_at(4) == -np.inf

@@ -1,9 +1,12 @@
 """Sampling correctness: determinism, batch equivalence, exactness."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 import pgsynth.synthesizer as synth
+from _oracles import write_replicates_csv_rows
 from pgsynth.audit import exact_joint_pmf
 from pgsynth.calibration import (
     Calibration,
@@ -61,6 +64,65 @@ class TestSoloBatchEquivalence:
             assert np.array_equal(solo_draw(table, calib, base_seed, r), batch[r])
 
 
+def reference_uniforms(base_seed, first, count, size):
+    """The replicate streams spelled out: one numpy generator per row."""
+    return np.stack([
+        np.random.default_rng(np.random.SeedSequence((base_seed, r))).random(size)
+        for r in range(first, first + count)
+    ]).reshape(count, size)
+
+
+class TestStreams:
+    """Both stream methods give exactly the per-row numpy generator's bits."""
+
+    # 2**96 and above fill the four-word pool with the seed alone, so the
+    # replicate index goes through SeedSequence's extra-entropy mixing
+    SEEDS = [0, 5, 2**32 - 1, 2**32, 2**40 + 3, 2**96, 2**100 + 9]
+
+    @pytest.mark.parametrize("base_seed", SEEDS)
+    @pytest.mark.parametrize("first, count, size", [
+        (0, 40, 3), (3, 9, 8), (3, 8, 8), (3, 7, 8), (11, 1, 5),
+    ])
+    def test_chunk_uniforms_match_reference(self, base_seed, first, count, size):
+        want = reference_uniforms(base_seed, first, count, size)
+        assert np.array_equal(
+            synth._chunk_uniforms(base_seed, first, count, size), want
+        )
+        # the vectorized method alone, whatever the shape would pick
+        out = np.empty((count, size))
+        synth._pcg64_uniforms(base_seed, first, out)
+        assert np.array_equal(out, want)
+
+    @pytest.mark.parametrize("base_seed", [0, 2**32, 2**96])
+    def test_index_crossing_two_to_the_32(self, base_seed):
+        # replicate indices gain a second 32-bit word at 2**32
+        first = 2**32 - 3
+        assert np.array_equal(
+            synth._chunk_uniforms(base_seed, first, 6, 2),
+            reference_uniforms(base_seed, first, 6, 2),
+        )
+
+    def test_row_tiles_do_not_change_streams(self, monkeypatch):
+        want = reference_uniforms(7, 0, 23, 2)
+        monkeypatch.setattr(synth, "ROW_TILE", 4)
+        assert np.array_equal(synth._chunk_uniforms(7, 0, 23, 2), want)
+
+    @pytest.mark.parametrize("mode, digest", [
+        (MODE_UNTRUNCATED,
+         "d4afdd789f08d17648129811eebf32f5df199f233181e38877e08d6c158a9593"),
+        (MODE_TRUNCATED,
+         "76a2d483e7bff74409700c705e5b245f23ea9e73a5b2ae93af70da751da95dbc"),
+    ])
+    def test_pinned_draws(self, tiny3, mode, digest):
+        # values drawn with one numpy generator per replicate
+        table, calib, bounds = calibrated(tiny3, mode)
+        m = sample_counts_matrix(
+            table, calib, bounds, count=10_000, base_seed=20260823
+        )
+        raw = np.ascontiguousarray(m, "<i8").tobytes()
+        assert hashlib.sha256(raw).hexdigest() == digest
+
+
 class TestDeterminism:
     def test_same_seed_bit_identical(self, tiny3):
         table, calib, _ = calibrated(tiny3, MODE_UNTRUNCATED)
@@ -86,6 +148,24 @@ class TestDeterminism:
                 table, calib, count=50, base_seed=7, threads=threads
             )
             assert np.array_equal(got, reference)
+
+
+    def test_row_tiles_do_not_change_draws(self, monkeypatch):
+        # a total of 40 gives 41 candidates, so each row's mass sum runs
+        # numpy's pairwise reduction
+        table = StrataTable(
+            dim_names=("g",), keys=(("x",), ("y",), ("z",)),
+            n=np.array([40, 160, 90]), y=np.array([8, 20, 12]),
+        )
+        lam = np.array([2.0, 3.0, 4.0]) / 9.0 * 40 / table.n
+        calib = Calibration(
+            mode=MODE_UNTRUNCATED, epsilon=1.0, a=np.ones(3), b=1.0 / lam,
+            lambda0=lam, slack=np.zeros(3), converged=True, iterations=0,
+        )
+        reference = sample_counts_matrix(table, calib, count=300, base_seed=11)
+        monkeypatch.setattr(synth, "ROW_TILE", 7)
+        got = sample_counts_matrix(table, calib, count=300, base_seed=11)
+        assert np.array_equal(got, reference)
 
 
 class TestExactness:
@@ -150,6 +230,26 @@ class TestCsvRoundtrip:
         assert path.read_text().startswith("# config_hash=ab12\nreplicate,g,z\n")
         assert np.array_equal(read_replicates_csv(path, table), matrix)
 
+    @pytest.mark.parametrize("header_comment", [None, "config_hash=ab12"])
+    def test_writer_matches_row_loop(self, tmp_path, monkeypatch, header_comment):
+        keys = (
+            ("plain", "1"), ("com,ma", "2"), ('quo"te', "3"), ("{0}", "4"),
+            ("}{", "{{x}}"), ("new\nline", "5"), ("", "{"),
+        )
+        table = StrataTable(
+            dim_names=("g", "h"), keys=keys,
+            n=np.full(len(keys), 10), y=np.arange(len(keys)),
+        )
+        rng = np.random.default_rng(0)
+        matrix = rng.integers(0, 1000, size=(5, len(keys)))
+        want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+        write_replicates_csv_rows(want, table, matrix, header_comment)
+        # slices of two replicates, so the write loop runs more than once
+        monkeypatch.setattr(synth, "WRITE_ROWS", 2 * len(keys))
+        write_replicates_csv(got, table, matrix, header_comment)
+        assert got.read_bytes() == want.read_bytes()
+        assert np.array_equal(read_replicates_csv(got, table), matrix)
+
     @pytest.mark.parametrize("mutate, message", [
         (lambda lines: [lines[0].replace(",z", ",count"), *lines[1:]],
          "header"),
@@ -183,6 +283,15 @@ class TestThreadConfig:
         monkeypatch.setenv(synth.THREADS_ENV_VAR, bad)
         with pytest.raises(DomainError):
             default_thread_count()
+
+
+    @pytest.mark.parametrize("threads", [0, -5])
+    def test_nonpositive_threads_rejected(self, tiny3, threads):
+        table, calib, _ = calibrated(tiny3, MODE_UNTRUNCATED)
+        with pytest.raises(DomainError):
+            sample_counts_matrix(
+                table, calib, count=4, base_seed=0, threads=threads
+            )
 
 
 class TestGuards:
