@@ -380,7 +380,7 @@ def cmd_evaluate(args) -> int:
     rows = _metric_rows(
         "age_adjusted_rate", "all", epsilon,
         age_adjusted_rate(table.y, table, std, **opts),
-        [age_adjusted_rate(row, table, std, **opts) for row in matrix],
+        age_adjusted_rate(matrix, table, std, **opts),
     )
 
     pairs = []

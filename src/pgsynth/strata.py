@@ -103,6 +103,24 @@ class StrataTable:
         j = self.dim_index(name)
         return tuple(k[j] for k in self.keys)
 
+    def column_codes(self, name: str) -> tuple[tuple[str, ...], np.ndarray]:
+        """Distinct labels along one dimension and each stratum's index into them.
+
+        Labels come in order of first appearance. The result is computed
+        once per table and dimension; the index array is read-only.
+        """
+        cache = self.__dict__.setdefault("_column_codes", {})
+        if name not in cache:
+            j = self.dim_index(name)
+            lookup: dict[str, int] = {}
+            codes = np.fromiter(
+                (lookup.setdefault(k[j], len(lookup)) for k in self.keys),
+                dtype=np.int64, count=self.size,
+            )
+            codes.flags.writeable = False
+            cache[name] = (tuple(lookup), codes)
+        return cache[name]
+
     @classmethod
     def from_csv(cls, path) -> "StrataTable":
         dim_names, rows = _read_table(path, trailing=("population", "count"))

@@ -357,7 +357,9 @@ def read_replicates_csv(path, table: StrataTable) -> np.ndarray:
     """Load a long-form replicate CSV back into a (replicates, strata) matrix.
 
     Rows must cover every stratum of the table exactly once per replicate
-    index; replicate indices may appear in any order.
+    index. The indices must be exactly 0..R-1, as write_replicates_csv
+    writes them, so row r of the matrix is replicate r; they may appear
+    in any order.
     """
     import csv
 
@@ -410,4 +412,9 @@ def read_replicates_csv(path, table: StrataTable) -> np.ndarray:
         if not mask.all():
             raise SchemaError(f"{path}: replicate {rep} is missing strata")
     order = sorted(per_rep)
+    if order != list(range(len(order))):
+        raise SchemaError(
+            f"{path}: replicate indices must be 0..{len(order) - 1}, "
+            f"got {order[:5]}{' ...' if len(order) > 5 else ''}"
+        )
     return np.stack([per_rep[r] for r in order])

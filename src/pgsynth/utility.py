@@ -3,8 +3,13 @@
 Age-adjusted rates, between-group disparity ratios, urban/rural
 classification by population density, and observed-versus-expected
 aggregates. Everything consumes immutable tables plus plain count
-vectors (or replicate matrices), so the functions are safe to run in
-parallel across replicates.
+vectors, so the functions are safe to run in parallel across replicates.
+
+age_adjusted_rate and disparity_ratio also take a replicate matrix (one
+row per replicate) and score every row in one call: a selector's age
+groups, deduplicated populations and weights are built once, and the
+deaths per row and age group come from one exact integer matrix product.
+Row r's value is bit for bit the value of row r passed alone.
 
 Selectors are dicts mapping dimension names to either one label or a
 collection of labels; a stratum matches when every named dimension's
@@ -135,34 +140,75 @@ def selector_label(selector: dict | None) -> str:
     return "&".join(parts)
 
 
-def _dedup_population(
-    table: StrataTable, mask: np.ndarray, key_dims: tuple[str, ...] | None
-) -> float:
-    """Population total, counting repeated demographic cells once.
+def _age_groups(
+    table: StrataTable,
+    std: StandardPopulation,
+    selector: dict | None,
+    age_dim: str,
+    key_dims: tuple[str, ...] | None,
+):
+    """A selector's public per-age-group data, built once per call.
+
+    Returns (levels, member, pops): levels are the selected age groups
+    in std.weights order, member[i] is stratum i's index into levels (-1
+    outside the selector) and pops the deduplicated population of each
+    level.
+    """
+    mask = selector_mask(table, selector)
+    labels, codes = table.column_codes(age_dim)
+    present = sorted(labels[c] for c in np.unique(codes[mask]))
+    for level in present:
+        if level not in std.weights:
+            raise SchemaError(
+                f"age group {level!r} has no standard population weight"
+            )
+    levels = [level for level in std.weights if level in present]
+    level_of_code = np.full(len(labels), -1, dtype=np.int64)
+    for k, level in enumerate(levels):
+        level_of_code[labels.index(level)] = k
+    member = np.where(mask, level_of_code[codes], -1)
+    return levels, member, _level_populations(table, member, len(levels), key_dims)
+
+
+def _level_populations(
+    table: StrataTable,
+    member: np.ndarray,
+    n_levels: int,
+    key_dims: tuple[str, ...] | None,
+) -> np.ndarray:
+    """Population of each level, counting repeated demographic cells once.
 
     Tables that cross a non-demographic dimension (for example cause of
     death) repeat each cell's population along it; key_dims names the
-    dimensions that identify a person-cell so the sum is taken over
-    unique keys only. None means plain summation.
+    dimensions that identify a person-cell so each level sums over its
+    unique keys only. None means plain summation. Only strata with a
+    level (member >= 0) take part, so an inconsistent cell outside the
+    selector is never checked.
     """
-    idx = np.flatnonzero(mask)
-    if key_dims is None:
-        return float(table.n[idx].sum())
-    positions = [table.dim_index(d) for d in key_dims]
-    seen: dict[tuple[str, ...], int] = {}
-    total = 0
-    for i in idx:
-        key = tuple(table.keys[i][j] for j in positions)
-        prev = seen.get(key)
-        if prev is None:
-            seen[key] = int(table.n[i])
-            total += int(table.n[i])
-        elif prev != int(table.n[i]):
+    idx = np.flatnonzero(member >= 0)
+    level = member[idx]
+    n = table.n[idx]
+    if key_dims is not None:
+        # number the (level, key) cells; renumbering after each dimension
+        # keeps the mixed-radix product below idx.size * table.size
+        cell = level
+        for dim in key_dims:
+            labels, codes = table.column_codes(dim)
+            cell = np.unique(cell * len(labels) + codes[idx], return_inverse=True)[1]
+        _, first, cell = np.unique(cell, return_index=True, return_inverse=True)
+        bad = np.flatnonzero(n != n[first][cell])
+        if bad.size:
+            i = idx[bad[0]]
+            key = tuple(table.keys[i][table.dim_index(d)] for d in key_dims)
             raise SchemaError(
                 f"population differs within demographic cell {key}; "
                 "population_key_dims does not identify cells"
             )
-    return float(total)
+        level, n = level[first], n[first]
+    # integer sums, exact; as float64 they stay exact below 2**53
+    pops = np.zeros(n_levels, dtype=np.int64)
+    np.add.at(pops, level, n)
+    return pops.astype(np.float64)
 
 
 def age_adjusted_rate(
@@ -174,36 +220,28 @@ def age_adjusted_rate(
     age_dim: str = "age",
     population_key_dims: tuple[str, ...] | None = None,
     warn: bool = True,
-) -> float:
+) -> float | np.ndarray:
     """Standard-weighted average of age-specific rates, per 100,000.
+
+    counts is one count vector (the rate comes back as a float) or a
+    replicate matrix with one row per replicate (one rate per row comes
+    back as an array). The selector's age groups and deduplicated
+    populations are built once; the deaths of every row and kept age
+    group then come from one integer matrix product, so a row's rate is
+    bit-for-bit the rate of that row passed alone.
 
     Age groups whose selected population is zero are dropped and the
     remaining weights renormalized (with a warning); a selector with no
     population at all has no rate.
     """
-    counts = np.asarray(counts, dtype=np.float64)
-    if counts.shape != (table.size,):
+    counts = np.asarray(counts)
+    if counts.ndim not in (1, 2) or counts.shape[-1] != table.size:
         raise DomainError("counts must have one entry per stratum")
-    mask = selector_mask(table, selector)
-    age_labels = np.array(table.column(age_dim))
-    present = sorted(set(age_labels[mask]))
-    for level in present:
-        if level not in std.weights:
-            raise SchemaError(
-                f"age group {level!r} has no standard population weight"
-            )
-    kept: list[tuple[float, float]] = []  # (weight, crude rate)
-    dropped: list[str] = []
-    for level in std.weights:
-        if level not in present:
-            continue
-        level_mask = mask & (age_labels == level)
-        pop = _dedup_population(table, level_mask, population_key_dims)
-        if pop <= 0.0:
-            dropped.append(level)
-            continue
-        deaths = float(counts[level_mask].sum())
-        kept.append((std.weights[level], deaths / pop))
+    levels, member, pops = _age_groups(
+        table, std, selector, age_dim, population_key_dims
+    )
+    kept = [k for k, pop in enumerate(pops) if pop > 0.0]
+    dropped = [levels[k] for k, pop in enumerate(pops) if pop <= 0.0]
     if not kept:
         raise UndefinedRateError(
             f"selector {selector_label(selector)} has no population in any age group"
@@ -214,10 +252,21 @@ def age_adjusted_rate(
             f"{selector_label(selector)}; weights renormalized",
             stacklevel=2,
         )
-    weight_sum = sum(w for w, _ in kept)
+    # integer counts sum exactly in int64; float counts keep float64
+    dtype = np.int64 if counts.dtype.kind in "biu" else np.float64
+    groups = (member[:, None] == np.array(kept)).astype(dtype)
+    deaths = counts.astype(dtype, copy=False) @ groups
+    # left to right over the kept levels in std.weights order, as a
+    # scalar loop would add them, so matrix rows equal single vectors
+    acc, weight_sum = 0.0, 0.0
+    for col, k in enumerate(kept):
+        w = std.weights[levels[k]]
+        acc = acc + w * (deaths[..., col] / pops[k])
+        weight_sum += w
     if weight_sum <= 0.0:
         raise UndefinedRateError("all populated age groups carry zero weight")
-    return sum(w * r for w, r in kept) / weight_sum * RATE_SCALE
+    rate = acc / weight_sum * RATE_SCALE
+    return float(rate) if counts.ndim == 1 else rate
 
 
 def disparity_ratio(
@@ -237,30 +286,26 @@ def disparity_ratio(
     replicate); with a matrix the estimate carries per-replicate ratios
     and their arithmetic mean.
     """
-    arr = np.asarray(counts, dtype=np.float64)
-    rows = arr.reshape(1, -1) if arr.ndim == 1 else arr
-    ratios = []
-    for row in rows:
-        rate_a = age_adjusted_rate(
-            row, table, std, group_a,
-            age_dim=age_dim, population_key_dims=population_key_dims, warn=warn,
+    counts = np.asarray(counts)
+    opts = {
+        "age_dim": age_dim, "population_key_dims": population_key_dims,
+        "warn": warn,
+    }
+    rate_a = np.atleast_1d(age_adjusted_rate(counts, table, std, group_a, **opts))
+    rate_b = np.atleast_1d(age_adjusted_rate(counts, table, std, group_b, **opts))
+    zero = np.flatnonzero(rate_b <= 0.0)
+    if zero.size:
+        where = f" in replicate {zero[0]}" if counts.ndim > 1 else ""
+        raise UndefinedRateError(
+            f"denominator group {selector_label(group_b)} has zero rate{where}"
         )
-        rate_b = age_adjusted_rate(
-            row, table, std, group_b,
-            age_dim=age_dim, population_key_dims=population_key_dims, warn=warn,
-        )
-        if rate_b <= 0.0:
-            raise UndefinedRateError(
-                f"denominator group {selector_label(group_b)} has zero rate"
-            )
-        ratios.append(rate_a / rate_b)
-        warn = False  # one warning per call is enough
+    ratios = rate_a / rate_b
     mean = float(np.mean(ratios))
     return DisparityEstimate(
         numerator_group=selector_label(group_a),
         denominator_group=selector_label(group_b),
-        ratio=mean if arr.ndim > 1 else float(ratios[0]),
-        per_replicate=tuple(float(r) for r in ratios),
+        ratio=mean if counts.ndim > 1 else float(ratios[0]),
+        per_replicate=tuple(ratios.tolist()),
         mean_ratio=mean,
     )
 

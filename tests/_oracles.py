@@ -5,8 +5,10 @@ summation/enumeration, deliberately avoiding the package's own numerics
 (scipy special functions, log-space convolutions) so agreement is
 evidence rather than tautology. The nu factors are scalar, per-stratum
 restatements of the calibration's vectorized requirements. The replicate
-CSV writer at the end is the plain csv.writer loop that the package's
-templated writer must match byte for byte.
+CSV writer is the plain csv.writer loop that the package's templated
+writer must match byte for byte, and the age-adjusted rate at the end is
+the per-age-group, per-vector loop that the package's one-product-per-
+selector rate must match bit for bit.
 """
 
 from __future__ import annotations
@@ -14,8 +16,13 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import warnings
 
 import mpmath as mp
+import numpy as np
+
+from pgsynth.errors import DomainError, SchemaError, UndefinedRateError
+from pgsynth.utility import RATE_SCALE, selector_label, selector_mask
 
 mp.mp.dps = 60
 
@@ -236,3 +243,83 @@ def write_replicates_csv_rows(path, table, matrix, header_comment=None) -> None:
         for r, z in enumerate(matrix):
             for key, value in zip(table.keys, z.tolist()):
                 writer.writerow([r, *key, value])
+
+
+def dedup_population_loop(table, mask, key_dims) -> float:
+    """Population total over a stratum mask, counting repeated cells once.
+
+    key_dims names the dimensions that identify a person-cell; a key
+    seen twice must carry the same population. None means plain
+    summation.
+    """
+    idx = np.flatnonzero(mask)
+    if key_dims is None:
+        return float(table.n[idx].sum())
+    positions = [table.dim_index(d) for d in key_dims]
+    seen: dict[tuple[str, ...], int] = {}
+    total = 0
+    for i in idx:
+        key = tuple(table.keys[i][j] for j in positions)
+        prev = seen.get(key)
+        if prev is None:
+            seen[key] = int(table.n[i])
+            total += int(table.n[i])
+        elif prev != int(table.n[i]):
+            raise SchemaError(
+                f"population differs within demographic cell {key}; "
+                "population_key_dims does not identify cells"
+            )
+    return float(total)
+
+
+def age_adjusted_rate_loop(
+    counts, table, std, selector=None, *, age_dim="age",
+    population_key_dims=None, warn=True,
+) -> float:
+    """Age-adjusted rate of one count vector, one age group at a time.
+
+    Each kept age group's deaths are summed over its mask and divided by
+    its deduplicated population; the weighted rates and the weights are
+    then added left to right in std.weights order. (The loop is spelled
+    out because sum() of floats is compensated from Python 3.12 on.)
+    """
+    counts = np.asarray(counts, dtype=np.float64)
+    if counts.shape != (table.size,):
+        raise DomainError("counts must have one entry per stratum")
+    mask = selector_mask(table, selector)
+    age_labels = np.array(table.column(age_dim))
+    present = sorted(set(age_labels[mask]))
+    for level in present:
+        if level not in std.weights:
+            raise SchemaError(
+                f"age group {level!r} has no standard population weight"
+            )
+    kept = []  # (weight, crude rate)
+    dropped = []
+    for level in std.weights:
+        if level not in present:
+            continue
+        level_mask = mask & (age_labels == level)
+        pop = dedup_population_loop(table, level_mask, population_key_dims)
+        if pop <= 0.0:
+            dropped.append(level)
+            continue
+        deaths = float(counts[level_mask].sum())
+        kept.append((std.weights[level], deaths / pop))
+    if not kept:
+        raise UndefinedRateError(
+            f"selector {selector_label(selector)} has no population in any age group"
+        )
+    if dropped and warn:
+        warnings.warn(
+            f"dropping zero-population age groups {dropped} for "
+            f"{selector_label(selector)}; weights renormalized",
+            stacklevel=2,
+        )
+    acc, weight_sum = 0, 0
+    for w, r in kept:
+        acc += w * r
+        weight_sum += w
+    if weight_sum <= 0.0:
+        raise UndefinedRateError("all populated age groups carry zero weight")
+    return acc / weight_sum * RATE_SCALE

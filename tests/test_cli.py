@@ -1,6 +1,11 @@
 """End-to-end command line checks, run in process via main(argv)."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -296,6 +301,14 @@ class TestEvaluateAndFixture:
         assert {row[2] for row in body} == {"2.0"}
         tags = {row[3] for row in body if row[0] == "age_adjusted_rate"}
         assert {"truth", "mean", "p2.5", "p97.5", "0", "39"} <= tags
+        # every byte as the per-replicate, per-age-group loop wrote it;
+        # only the config_hash line embeds paths
+        raw = metrics.read_bytes()
+        assert raw.startswith(lines[0].encode() + b"\n")
+        digest = hashlib.sha256(raw.split(b"\n", 1)[1]).hexdigest()
+        assert digest == (
+            "62500c7738cc1cc56c60dbb0220b6dd399ec25bf90eae7908f6bf7d06898462c"
+        )
 
     def test_evaluate_missing_replicates(self, tmp_path):
         fix_dir = tmp_path / "fix"
@@ -320,6 +333,22 @@ class TestEvaluateAndFixture:
         spec.write_text(json.dumps({"dims": [["county", 2]]}))
         assert run(["fixture", "--spec", str(spec),
                     "--out", str(tmp_path / "x")]) == 2
+
+
+class TestModuleEntry:
+    def test_python_m_pgsynth_help(self):
+        import pgsynth
+
+        src = str(Path(pgsynth.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "pgsynth", "--help"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: pgsynth")
+        assert "evaluate" in proc.stdout
 
 
 class TestConfigHash:

@@ -259,6 +259,11 @@ class TestCsvRoundtrip:
         (lambda lines: [lines[0],
                         lines[1].rsplit(",", 1)[0] + ",-2", *lines[2:]],
          "negative"),
+        # replicate 1 relabelled 5: indices {0, 5} are not 0..R-1
+        (lambda lines: [lines[0], *(
+            "5" + line[1:] if line.startswith("1,") else line
+            for line in lines[1:])],
+         "indices"),
     ])
     def test_malformed_rows_rejected(self, tmp_path, tiny3, mutate, message):
         table, calib, _ = calibrated(tiny3, MODE_UNTRUNCATED)
@@ -267,7 +272,7 @@ class TestCsvRoundtrip:
         write_replicates_csv(path, table, matrix)
         lines = path.read_text().strip().split("\n")
         path.write_text("\n".join(mutate(lines)) + "\n")
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match=message):
             read_replicates_csv(path, table)
 
 

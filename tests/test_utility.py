@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pgsynth.errors import DomainError, SchemaError, UndefinedRateError
 from pgsynth.strata import PriorSpec, StrataTable
@@ -20,6 +21,8 @@ from pgsynth.utility import (
     write_density_csv,
     write_metrics_csv,
 )
+
+from _oracles import age_adjusted_rate_loop
 
 
 STD = StandardPopulation(weights={"young": 0.6, "old": 0.4})
@@ -162,6 +165,144 @@ class TestAgeAdjustedRate:
         table = toy_table()
         with pytest.raises(DomainError):
             age_adjusted_rate([1, 2], table, STD, None)
+        with pytest.raises(DomainError):
+            age_adjusted_rate(np.ones((2, 3)), table, STD, None)
+
+    def test_inconsistent_population_outside_selector(self):
+        # the broken cell is (young, w); selecting race b never looks at it
+        table = sited_table()
+        n = table.n.copy()
+        n[0] = 999
+        broken = StrataTable(
+            dim_names=table.dim_names, keys=table.keys, n=n, y=table.y
+        )
+        got = age_adjusted_rate(
+            broken.y, broken, STD, {"race": "b"},
+            population_key_dims=("age", "race"),
+        )
+        assert got == age_adjusted_rate(
+            table.y, table, STD, {"race": "b"},
+            population_key_dims=("age", "race"),
+        )
+
+
+AGES = ("a0", "a1", "a2", "a3")
+RACES = ("r0", "r1", "r2")
+
+
+@st.composite
+def rate_cases(draw):
+    """A table whose (age, race) cells repeat along site, counts and a std.
+
+    Populations may be zero, so whole age groups can drop out of a
+    selector; strata come in a shuffled order and std may weight age
+    groups the table lacks.
+    """
+    n_age = draw(st.integers(1, len(AGES)))
+    n_race = draw(st.integers(1, len(RACES)))
+    n_site = draw(st.integers(1, 3))
+    keys, n = [], []
+    for age in AGES[:n_age]:
+        for race in RACES[:n_race]:
+            pop = draw(st.one_of(st.just(0), st.integers(1, 10**6)))
+            for site in range(n_site):
+                keys.append((age, race, f"s{site}"))
+                n.append(pop)
+    if len(keys) < 2:
+        keys.append(("a0", "r9", "s0"))
+        n.append(draw(st.integers(0, 100)))
+    order = draw(st.permutations(range(len(keys))))
+    rows = draw(st.integers(1, 4))
+    counts = draw(st.lists(
+        st.lists(st.integers(0, 10**6), min_size=len(keys), max_size=len(keys)),
+        min_size=rows, max_size=rows,
+    ))
+    table = StrataTable(
+        dim_names=("age", "race", "site"),
+        keys=tuple(keys[i] for i in order),
+        n=np.array([n[i] for i in order]),
+        y=np.array(counts[0])[list(order)],
+    )
+    std_levels = draw(st.permutations(list(AGES[:n_age]) + ["a9"]))
+    raw = draw(st.lists(
+        st.integers(0, 9), min_size=len(std_levels), max_size=len(std_levels)
+    ).filter(any))
+    std = StandardPopulation(
+        weights={lv: w / sum(raw) for lv, w in zip(std_levels, raw)}
+    )
+    return table, np.array(counts)[:, list(order)], std
+
+
+SELECTORS = st.one_of(
+    st.none(),
+    st.sampled_from(RACES + ("r9",)).map(lambda r: {"race": r}),
+    st.sets(st.sampled_from(RACES), min_size=1).map(lambda s: {"race": s}),
+    st.tuples(st.sampled_from(AGES), st.sampled_from(RACES)).map(
+        lambda ar: {"age": {ar[0], "a1"}, "race": ar[1]}
+    ),
+)
+KEY_DIMS = st.sampled_from([None, ("age", "race"), ("race", "age")])
+
+
+def outcome(fn):
+    """fn's value and warning messages, or its error's type."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            value = fn()
+        except (SchemaError, UndefinedRateError) as exc:
+            return type(exc), []
+    return value, [str(w.message) for w in caught]
+
+
+class TestMatchesPerVectorLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(case=rate_cases(), selector=SELECTORS, key_dims=KEY_DIMS)
+    def test_rates_equal_loop_exactly(self, case, selector, key_dims):
+        table, matrix, std = case
+        kw = {"population_key_dims": key_dims}
+        want = [
+            outcome(lambda: age_adjusted_rate_loop(row, table, std, selector, **kw))
+            for row in matrix
+        ]
+        got, got_warned = outcome(
+            lambda: age_adjusted_rate(matrix, table, std, selector, **kw)
+        )
+        if isinstance(want[0][0], type):
+            assert got is want[0][0]
+        else:
+            assert got.shape == (len(matrix),)
+            assert got.tolist() == [value for value, _ in want]
+            assert got_warned == want[0][1]
+        for row, expected in zip(matrix, want):
+            single = outcome(lambda: age_adjusted_rate(row, table, std, selector, **kw))
+            assert single == expected
+            if not isinstance(single[0], type):
+                assert type(single[0]) is float
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=rate_cases(), key_dims=KEY_DIMS,
+           groups=st.permutations(RACES).map(lambda r: r[:2]))
+    def test_disparity_rows_equal_single_vectors(self, case, key_dims, groups):
+        table, matrix, std = case
+        sel_a, sel_b = {"race": groups[0]}, {"race": groups[1]}
+        kw = {"population_key_dims": key_dims, "warn": False}
+        singles = [
+            outcome(lambda: disparity_ratio(row, table, std, sel_a, sel_b, **kw))[0]
+            for row in matrix
+        ]
+        est = outcome(lambda: disparity_ratio(matrix, table, std, sel_a, sel_b, **kw))[0]
+        failed = [s for s in singles if isinstance(s, type)]
+        if failed:
+            assert est is failed[0]
+            return
+        assert len(est.per_replicate) == len(matrix)
+        for r, single in enumerate(singles):
+            assert est.per_replicate[r] == single.ratio
+            assert single.ratio == (
+                age_adjusted_rate_loop(matrix[r], table, std, sel_a, **kw)
+                / age_adjusted_rate_loop(matrix[r], table, std, sel_b, **kw)
+            )
 
 
 class TestDisparityRatio:
@@ -191,6 +332,15 @@ class TestDisparityRatio:
         table = toy_table(y=(0, 20, 0, 20))
         with pytest.raises(UndefinedRateError):
             disparity_ratio(table.y, table, STD, {"race": "b"}, {"race": "w"})
+
+    def test_zero_denominator_names_replicate(self):
+        table = toy_table()
+        matrix = np.array([
+            [10, 20, 10, 20],
+            [10, 0, 10, 0],     # group b has no deaths
+        ])
+        with pytest.raises(UndefinedRateError, match=r"race=b .* replicate 1\b"):
+            disparity_ratio(matrix, table, STD, {"race": "w"}, {"race": "b"})
 
 
 class TestUrbanRural:
