@@ -8,8 +8,9 @@ vectors, so the functions are safe to run in parallel across replicates.
 age_adjusted_rate and disparity_ratio also take a replicate matrix (one
 row per replicate) and score every row in one call: a selector's age
 groups, deduplicated populations and weights are built once, and the
-deaths per row and age group come from one exact integer matrix product.
-Row r's value is bit for bit the value of row r passed alone.
+deaths per row and age group come from one float64 matrix product, exact
+for integer counts. For integer counts row r's value is bit for bit the
+value of row r passed alone.
 
 Selectors are dicts mapping dimension names to either one label or a
 collection of labels; a stratum matches when every named dimension's
@@ -189,13 +190,13 @@ def _level_populations(
     level = member[idx]
     n = table.n[idx]
     if key_dims is not None:
-        # number the (level, key) cells; renumbering after each dimension
-        # keeps the mixed-radix product below idx.size * table.size
-        cell = level
-        for dim in key_dims:
-            labels, codes = table.column_codes(dim)
-            cell = np.unique(cell * len(labels) + codes[idx], return_inverse=True)[1]
-        _, first, cell = np.unique(cell, return_index=True, return_inverse=True)
+        cells = np.column_stack(
+            [level, *(table.column_codes(d)[1][idx] for d in key_dims)]
+        )
+        _, first, cell = np.unique(
+            cells, axis=0, return_index=True, return_inverse=True
+        )
+        cell = cell.reshape(-1)  # numpy 2.0.0 returns it as a column
         bad = np.flatnonzero(n != n[first][cell])
         if bad.size:
             i = idx[bad[0]]
@@ -227,8 +228,12 @@ def age_adjusted_rate(
     replicate matrix with one row per replicate (one rate per row comes
     back as an array). The selector's age groups and deduplicated
     populations are built once; the deaths of every row and kept age
-    group then come from one integer matrix product, so a row's rate is
-    bit-for-bit the rate of that row passed alone.
+    group then come from one float64 matrix product. For integer counts
+    (whose sums stay below 2**53) that product is exact, so a row's rate
+    is bit-for-bit the rate of that row passed alone. The weighted rates
+    and weights are added left to right in std.weights order; before
+    Python 3.12 that is also how sum() added them, from 3.12 on sum() of
+    floats is compensated and may differ in the last bit.
 
     Age groups whose selected population is zero are dropped and the
     remaining weights renormalized (with a warning); a selector with no
@@ -252,12 +257,10 @@ def age_adjusted_rate(
             f"{selector_label(selector)}; weights renormalized",
             stacklevel=2,
         )
-    # integer counts sum exactly in int64; float counts keep float64
-    dtype = np.int64 if counts.dtype.kind in "biu" else np.float64
-    groups = (member[:, None] == np.array(kept)).astype(dtype)
-    deaths = counts.astype(dtype, copy=False) @ groups
-    # left to right over the kept levels in std.weights order, as a
-    # scalar loop would add them, so matrix rows equal single vectors
+    groups = (member[:, None] == np.array(kept)).astype(np.float64)
+    deaths = counts.astype(np.float64) @ groups
+    # left to right over the kept levels in std.weights order on every
+    # Python version (sum() of floats is compensated from 3.12 on)
     acc, weight_sum = 0.0, 0.0
     for col, k in enumerate(kept):
         w = std.weights[levels[k]]
