@@ -49,7 +49,6 @@ from .strata import (
     TruncationBounds,
     build_prior,
     check_dominance,
-    clamp_observed,
     compute_bounds,
     joint_feasible_bounds,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "TruncationBounds",
     "build_prior",
     "check_dominance",
-    "clamp_observed",
     "compute_bounds",
     "joint_feasible_bounds",
     "read_replicates_csv",

@@ -111,27 +111,64 @@ def _load_config(path) -> dict:
     return doc
 
 
-def _merge(args, config_keys: dict[str, str]) -> dict:
-    """Config-file values overridden by any flag that was actually given."""
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
+def _real(value) -> float:
+    if isinstance(value, bool):
+        raise TypeError("expected a number, got bool")
+    return float(value)
+
+
+def _integer(value) -> int:
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _epsilons(value) -> tuple[float, ...]:
+    return tuple(_real(v) for v in (value if isinstance(value, list) else [value]))
+
+
+def _dims(value) -> tuple[str, ...]:
+    if isinstance(value, str):
+        return tuple(d.strip() for d in value.split(",") if d.strip())
+    if not isinstance(value, list):
+        raise TypeError(f"expected a string or a list, got {type(value).__name__}")
+    return tuple(_text(d) for d in value)
+
+
+def _merge(args, config_keys: dict) -> dict:
+    """Config-file values overridden by any flag that was actually given.
+
+    Every value goes through its key's converter in config_keys; a value
+    it refuses is a SchemaError. A null config value counts as unset.
+    """
     merged: dict = {}
     if getattr(args, "config", None):
         raw = _load_config(args.config)
         unknown = set(raw) - set(config_keys)
         if unknown:
             raise SchemaError(f"unknown config keys {sorted(unknown)}")
-        merged.update(raw)
+        merged.update((k, v) for k, v in raw.items() if v is not None)
     for key in config_keys:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
+    for key, value in merged.items():
+        try:
+            merged[key] = config_keys[key](value)
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"setting {key!r}: {exc}") from None
     return merged
 
 
-def _epsilon_tuple(value, *, many: bool) -> tuple[float, ...]:
-    if value is None:
+def _epsilon_tuple(eps: tuple[float, ...] | None, *, many: bool) -> tuple[float, ...]:
+    if eps is None:
         raise SchemaError("epsilon is required (flag or config)")
-    values = value if isinstance(value, (list, tuple)) else [value]
-    eps = tuple(float(v) for v in values)
     if not eps:
         raise SchemaError("epsilon list is empty")
     if not many and len(eps) != 1:
@@ -186,8 +223,8 @@ def cmd_calibrate(args) -> int:
         command="calibrate",
         mode=_mode(merged),
         epsilon=eps,
-        alpha=float(merged.get("alpha", DEFAULT_ALPHA)),
-        c=float(merged.get("c", DEFAULT_C)),
+        alpha=merged.get("alpha", DEFAULT_ALPHA),
+        c=merged.get("c", DEFAULT_C),
         paths={k: merged[k] for k in ("strata", "rates", "out")},
     )
     table, prior = _load_instance(cfg)
@@ -210,11 +247,11 @@ def cmd_synthesize(args) -> int:
         command="synthesize",
         mode=_mode(merged),
         epsilon=_epsilon_tuple(merged.get("epsilon"), many=False),
-        alpha=float(merged.get("alpha", DEFAULT_ALPHA)),
-        c=float(merged.get("c", DEFAULT_C)),
-        replicates=int(merged["replicates"]),
-        seed=int(merged["seed"]),
-        threads=int(merged["threads"]) if merged.get("threads") is not None else None,
+        alpha=merged.get("alpha", DEFAULT_ALPHA),
+        c=merged.get("c", DEFAULT_C),
+        replicates=merged["replicates"],
+        seed=merged["seed"],
+        threads=merged.get("threads"),
         paths={k: merged[k] for k in ("strata", "rates", "out")},
     )
     if cfg.replicates < 1:
@@ -293,9 +330,9 @@ def cmd_audit(args) -> int:
         command="audit",
         mode=_mode(merged),
         epsilon=_epsilon_tuple(merged.get("epsilon"), many=False),
-        alpha=float(merged.get("alpha", DEFAULT_ALPHA)),
-        c=float(merged.get("c", DEFAULT_C)),
-        cap=int(merged["cap"]) if merged.get("cap") is not None else None,
+        alpha=merged.get("alpha", DEFAULT_ALPHA),
+        c=merged.get("c", DEFAULT_C),
+        cap=merged.get("cap"),
         paths={k: merged[k] for k in ("strata", "rates", "out")},
     )
     table, prior = _load_instance(cfg)
@@ -339,20 +376,15 @@ def _metric_rows(metric, selector, epsilon, truth_value, rep_values):
 def cmd_evaluate(args) -> int:
     merged = _merge(args, EVALUATE_KEYS)
     _require(merged, ["truth", "replicates_dir", "std", "out"], "evaluate")
-    pop_dims = merged.get("population_dims")
-    if isinstance(pop_dims, str):
-        pop_dims = tuple(d.strip() for d in pop_dims.split(",") if d.strip())
-    elif pop_dims is not None:
-        pop_dims = tuple(pop_dims)
     cfg = RunConfig(
         command="evaluate",
-        urban_threshold=float(merged.get("urban_threshold", DEFAULT_URBAN_THRESHOLD)),
+        urban_threshold=merged.get("urban_threshold", DEFAULT_URBAN_THRESHOLD),
         age_dim=merged.get("age_dim", "age"),
         geo_dim=merged.get("geo_dim", "county"),
         group_dim=merged.get("group_dim", "race"),
         numerator_level=merged.get("numerator", "black"),
         denominator_level=merged.get("denominator", "white"),
-        population_key_dims=pop_dims,
+        population_key_dims=merged.get("population_dims"),
         paths={
             k: merged[k]
             for k in ("truth", "replicates_dir", "std", "density", "out")
@@ -477,26 +509,23 @@ def cmd_fixture(args) -> int:
     return 0
 
 
+# each command's settings and the converter a value goes through
 CALIBRATE_KEYS = {
-    "strata": "path", "rates": "path", "epsilon": "list", "mode": "str",
-    "alpha": "float", "c": "float", "out": "path",
+    "strata": _text, "rates": _text, "epsilon": _epsilons, "mode": _text,
+    "alpha": _real, "c": _real, "out": _text,
 }
 SYNTHESIZE_KEYS = {
-    "strata": "path", "rates": "path", "epsilon": "scalar", "mode": "str",
-    "alpha": "float", "c": "float", "replicates": "int", "seed": "int",
-    "threads": "int", "out": "path",
+    **CALIBRATE_KEYS, "replicates": _integer, "seed": _integer,
+    "threads": _integer,
 }
-AUDIT_KEYS = {
-    "strata": "path", "rates": "path", "epsilon": "scalar", "mode": "str",
-    "alpha": "float", "c": "float", "cap": "int", "out": "path",
-}
+AUDIT_KEYS = {**CALIBRATE_KEYS, "cap": _integer}
 EVALUATE_KEYS = {
-    "truth": "path", "replicates_dir": "path", "std": "path",
-    "density": "path", "urban_threshold": "float", "out": "path",
-    "age_dim": "str", "geo_dim": "str", "group_dim": "str",
-    "numerator": "str", "denominator": "str", "population_dims": "str",
+    "truth": _text, "replicates_dir": _text, "std": _text,
+    "density": _text, "urban_threshold": _real, "out": _text,
+    "age_dim": _text, "geo_dim": _text, "group_dim": _text,
+    "numerator": _text, "denominator": _text, "population_dims": _dims,
 }
-FIXTURE_KEYS = {"spec": "path", "out": "path"}
+FIXTURE_KEYS = {"spec": _text, "out": _text}
 
 
 def _add_common(p, *, many_eps: bool):

@@ -15,13 +15,16 @@ The completion-mass table T_k holds, for each attainable total t, the
 summed weight of all ways strata k..I-1 can sum to t. It satisfies
 T_k = w_k * T_{k+1} (discrete convolution), with T_I a point mass at 0.
 T_0 evaluated at y_total is the normalizer; the tables also drive the
-sequential exact sampler. backward_pass runs the full recursion once and
-keeps every block-th table; the sampler rebuilds the tables in between
-from those checkpoints.
+sequential exact sampler. suffix_tables is the one recursion loop:
+backward_pass runs it over all strata once and keeps every block-th
+table, and the sampler runs it again over one block at a time, from that
+block's checkpoint, just before drawing the block's strata for every
+replicate.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +41,7 @@ __all__ = [
     "build_kernel_params",
     "stratum_weight_table",
     "convolve_mass",
+    "suffix_tables",
     "delta_table",
     "backward_pass",
 ]
@@ -221,6 +225,25 @@ def convolve_mass(
     )
 
 
+def suffix_tables(
+    weights: list[MassTable],
+    table: MassTable,
+    stop: int,
+    start: int,
+    cap: int,
+    out: np.ndarray | None = None,
+) -> Iterator[tuple[int, MassTable]]:
+    """Yield (k, T_k) for k = stop - 1 down to start, from table = T_stop.
+
+    With out, T_k is written to row k - start of it, so a caller that
+    rebuilds the same span of tables many times reuses one buffer.
+    """
+    for k in range(stop - 1, start - 1, -1):
+        row = None if out is None else out[k - start]
+        table = convolve_mass(weights[k], table, cap, out=row)
+        yield k, table
+
+
 def backward_pass(
     params: KernelParams, block: int
 ) -> tuple[dict[int, MassTable], list[MassTable], float]:
@@ -236,8 +259,7 @@ def backward_pass(
     weights = [stratum_weight_table(params, i) for i in range(size)]
     checkpoints: dict[int, MassTable] = {size: delta_table()}
     running = checkpoints[size]
-    for k in range(size - 1, -1, -1):
-        running = convolve_mass(weights[k], running, params.y_total)
+    for k, running in suffix_tables(weights, running, size, 0, params.y_total):
         if k % block == 0:
             checkpoints[k] = running
     log_c = running.log_at(params.y_total)

@@ -33,11 +33,9 @@ __all__ = [
     "PriorSpec",
     "TruncationBounds",
     "DominanceReport",
-    "ClampResult",
     "build_prior",
     "compute_bounds",
     "check_dominance",
-    "clamp_observed",
     "joint_feasible_bounds",
 ]
 
@@ -224,10 +222,6 @@ class TruncationBounds:
         if np.any(self.L < 0) or np.any(self.L > self.U):
             raise DomainError("bounds must satisfy 0 <= L_i <= U_i")
 
-    @property
-    def widths(self) -> np.ndarray:
-        return self.U - self.L
-
 
 @dataclass(frozen=True)
 class DominanceReport:
@@ -238,20 +232,6 @@ class DominanceReport:
     flagged: np.ndarray
     expected: np.ndarray
     passed: bool
-
-
-@dataclass(frozen=True)
-class ClampResult:
-    """Observed counts clamped into the truncation boxes.
-
-    The clamp diagnostics (how many strata were clamped, and which) depend
-    on the confidential counts and must never be written to releasable
-    outputs.
-    """
-
-    y_clamped: np.ndarray
-    clamped_mask: np.ndarray
-    clamped_count: int
 
 
 def build_prior(table: StrataTable, raw_rates: RatesTable) -> PriorSpec:
@@ -325,21 +305,6 @@ def check_dominance(prior: PriorSpec, table: StrataTable) -> DominanceReport:
     flagged = expected >= rest
     return DominanceReport(
         flagged=flagged, expected=expected, passed=not bool(flagged.any())
-    )
-
-
-def clamp_observed(table: StrataTable, bounds: TruncationBounds) -> ClampResult:
-    """Clamp observed counts into their boxes: min(max(y_i, L_i), U_i).
-
-    The original table is unmodified. The clamped vector need not sum to
-    the invariant total; it only feeds the posterior. Idempotent.
-    """
-    if len(bounds.L) != table.size:
-        raise DomainError("bounds and table sizes differ")
-    clamped = np.clip(table.y, bounds.L, bounds.U)
-    mask = clamped != table.y
-    return ClampResult(
-        y_clamped=clamped, clamped_mask=mask, clamped_count=int(mask.sum())
     )
 
 

@@ -9,26 +9,32 @@ order and each count is sampled from its exact conditional
     P(z_i = v | remaining total t) propto w_i(v) * T_{i+1}(t - v),
 
 where T_{i+1} is the completion-mass table of the remaining strata
-(mechanism.MassTable). Completion tables are built once per batch by
-mechanism.backward_pass, with checkpoints every ceil(sqrt(I))
-strata so the per-block rebuild keeps memory at O(sqrt(I) * y_total)
-while the total convolution work stays O(I * y_total * box_width).
+(mechanism.MassTable). mechanism.backward_pass builds the tables once per
+batch and keeps a checkpoint every ceil(sqrt(I)) strata. The draw then
+runs block by block: each block's tables are rebuilt once from its
+checkpoint (mechanism.suffix_tables), and its strata are drawn for every
+replicate in tiles of ROW_TILE rows, on a thread pool when threads > 1
+and there is more than one tile. Table memory stays O(sqrt(I) * y_total)
+and convolution work O(I * y_total * box_width), whatever the replicate
+count. Each draw overwrites the uniform it consumed, so a batch holds
+one (count x I) matrix.
 
 Reproducibility contract: replicate r consumes exactly one uniform per
 stratum, in order, from its own stream: PCG64 seeded by
 SeedSequence((base_seed, r)), read through Generator.random. Batch
-processing order, chunking, and thread count therefore never change any
-replicate's value. How the streams are generated is picked by chunk
-shape: chunks with more replicates than strata run SeedSequence and PCG64
-across all rows at once in uint32/uint64 numpy arithmetic, wider chunks
-seed one numpy generator per row. Both give the same bits, so the choice
-never shows in any output.
+size, row tiling, and thread count therefore never change any
+replicate's value. How the streams are generated is picked by batch
+shape: batches with more replicates than strata run SeedSequence and
+PCG64 across all rows at once in uint32/uint64 numpy arithmetic, wider
+batches seed one numpy generator per row. Both give the same bits, so the
+choice never shows in any output.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 
@@ -40,7 +46,7 @@ from .mechanism import (
     backward_pass,
     build_kernel_params,
     check_bounds,
-    convolve_mass,
+    suffix_tables,
 )
 from .strata import StrataTable, TruncationBounds
 
@@ -53,13 +59,10 @@ __all__ = [
 
 THREADS_ENV_VAR = "PGSYNTH_THREADS"
 
-# Replicate-chunk size cap, in matrix elements (count * strata). Keeps the
-# per-chunk uniform and weight buffers comfortably inside memory.
-CHUNK_ELEMENTS = 1 << 26
-
-# Rows per slice inside a chunk, for the draw's (rows x candidates)
-# temporaries and the stream arithmetic. A row's value never depends on it.
-ROW_TILE = 1 << 16
+# Rows per tile, for the draw's (rows x candidates) temporaries and the
+# stream arithmetic; with threads, each worker holds one tile's
+# temporaries. A row's value never depends on it.
+ROW_TILE = 1 << 15
 
 # CSV lines per write in write_replicates_csv.
 WRITE_ROWS = 200_000
@@ -87,75 +90,64 @@ def default_thread_count() -> int:
     return value
 
 
-def _rebuild_block(
-    start: int,
-    end: int,
-    checkpoints: dict[int, MassTable],
-    weights: list[MassTable],
-    y_total: int,
-    buf: np.ndarray,
-) -> dict[int, MassTable]:
-    """Tables T_{start+1}..T_{end} for one forward block.
-
-    Table k is written to row k - start of buf, which every block of a
-    chunk reuses. Tables allocated afresh per block are handed back to the
-    operating system and faulted in again at the next block, which costs
-    seconds of system time at the published scale.
-    """
-    tables = {end: checkpoints[end]}
-    for k in range(end - 1, start, -1):
-        tables[k] = convolve_mass(
-            weights[k], tables[k + 1], y_total, out=buf[k - start]
-        )
-    return tables
-
-
 def _draw_chunk(
     params: KernelParams,
     checkpoints: dict[int, MassTable],
     weights: list[MassTable],
     block: int,
     uniforms: np.ndarray,
+    threads: int = 1,
 ) -> np.ndarray:
-    """Sequential conditional draws for one replicate chunk.
+    """Sequential conditional draws, written over the uniforms they consume.
 
-    uniforms has one row per replicate and one column per stratum; row r
-    is consumed left to right, one value per stratum.
+    uniforms is a float64 array with one row per replicate and one column
+    per stratum; row r is consumed left to right, one value per stratum.
+    Blocks of strata are the outer loop: a block's tables are rebuilt once
+    into a buffer every block reuses, then each tile of ROW_TILE rows
+    draws the block's strata, on a thread pool when threads > 1 and there
+    are several tiles. The returned int64 matrix is a view of uniforms.
     """
     count, size = uniforms.shape
     y_total = params.y_total
-    z = np.empty((count, size), dtype=np.int64)
+    z = uniforms.view(np.int64)
     remaining = np.full(count, y_total, dtype=np.int64)
     buf = np.empty((block, y_total + 1))
-    for start in range(0, size, block):
-        end = min(start + block, size)
-        tables = _rebuild_block(start, end, checkpoints, weights, y_total, buf)
+    tiles = range(0, count, ROW_TILE)
+
+    def draw_tile(start: int, end: int, tables: dict[int, MassTable], a: int):
+        rows = slice(a, a + ROW_TILE)
+        rem = remaining[rows]
         for i in range(start, end):
             nxt = tables[i + 1]
             w = weights[i]
             cand = np.arange(w.lo, w.lo + len(w.vals), dtype=np.int64)
-            for a in range(0, count, ROW_TILE):
-                rows = slice(a, a + ROW_TILE)
-                rem = remaining[rows]
-                idx = rem[:, None] - cand[None, :] - nxt.lo
-                valid = (idx >= 0) & (idx < len(nxt.vals))
-                mass = np.where(
-                    valid, nxt.vals[np.clip(idx, 0, len(nxt.vals) - 1)], 0.0
+            idx = rem[:, None] - cand[None, :] - nxt.lo
+            valid = (idx >= 0) & (idx < len(nxt.vals))
+            mass = np.where(valid, nxt.vals[np.clip(idx, 0, len(nxt.vals) - 1)], 0.0)
+            mass *= w.vals[None, :]
+            total = mass.sum(axis=1)
+            if np.any(total <= 0.0):
+                raise InfeasibilityError(
+                    f"conditional mass of stratum {i} underflowed to zero; "
+                    "no exact draw exists"
                 )
-                mass *= w.vals[None, :]
-                total = mass.sum(axis=1)
-                if np.any(total <= 0.0):
-                    raise InfeasibilityError(
-                        f"conditional mass of stratum {i} underflowed to zero; "
-                        "no exact draw exists"
-                    )
-                cdf = np.cumsum(mass, axis=1)
-                target = uniforms[rows, i] * total
-                pick = (cdf <= target[:, None]).sum(axis=1)
-                draw = cand[np.minimum(pick, len(cand) - 1)]
-                z[rows, i] = draw
-                rem -= draw
-        del tables
+            cdf = np.cumsum(mass, axis=1)
+            target = uniforms[rows, i] * total
+            pick = (cdf <= target[:, None]).sum(axis=1)
+            draw = cand[np.minimum(pick, len(cand) - 1)]
+            z[rows, i] = draw
+            rem -= draw
+
+    # an executor starts no thread until something is submitted to it
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        run = pool.map if threads > 1 and len(tiles) > 1 else map
+        for start in range(0, size, block):
+            end = min(start + block, size)
+            tables = {end: checkpoints[end]}
+            tables.update(
+                suffix_tables(weights, tables[end], end, start + 1, y_total, out=buf)
+            )
+            list(run(partial(draw_tile, start, end, tables), tiles))
     if np.any(remaining != 0):
         raise InfeasibilityError("a draw failed to exhaust the invariant total")
     return z
@@ -252,9 +244,9 @@ def _pcg64_uniforms(base_seed: int, first: int, out: np.ndarray) -> None:
 def _chunk_uniforms(base_seed: int, first: int, count: int, size: int) -> np.ndarray:
     """Row k: the first size uniforms of replicate first + k's stream.
 
-    Chunks taller than they are wide compute the streams across rows, in
-    tiles that never straddle 2^32 (where the index gains a word); wide
-    chunks seed one generator per row. Both give the same bits.
+    Blocks of rows taller than they are wide compute the streams across
+    rows, in tiles that never straddle 2^32 (where the index gains a
+    word); wide ones seed one generator per row. Both give the same bits.
     """
     u = np.empty((count, size), dtype=np.float64)
     if count <= size:
@@ -306,22 +298,8 @@ def sample_counts_matrix(
         return np.empty((0, table.size), dtype=np.int64)
     block = max(1, int(np.ceil(np.sqrt(params.size))))
     checkpoints, weights, _ = backward_pass(params, block)
-    chunk = max(1, CHUNK_ELEMENTS // max(params.size, 1))
-    starts = list(range(0, count, chunk))
-    out = np.empty((count, table.size), dtype=np.int64)
-
-    def run_one(first: int) -> None:
-        stop = min(first + chunk, count)
-        u = _chunk_uniforms(base_seed, first, stop - first, params.size)
-        out[first:stop] = _draw_chunk(params, checkpoints, weights, block, u)
-
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_one, starts))
-    else:
-        for first in starts:
-            run_one(first)
-    return out
+    uniforms = _chunk_uniforms(base_seed, 0, count, params.size)
+    return _draw_chunk(params, checkpoints, weights, block, uniforms, threads)
 
 
 def write_replicates_csv(

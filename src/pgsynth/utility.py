@@ -120,11 +120,9 @@ def selector_mask(table: StrataTable, selector: dict | None) -> np.ndarray:
     if not selector:
         return mask
     for dim, allowed in selector.items():
-        labels = np.array(table.column(dim))
-        if isinstance(allowed, str):
-            mask &= labels == allowed
-        else:
-            mask &= np.isin(labels, list(allowed))
+        labels, codes = table.column_codes(dim)
+        allowed = {allowed} if isinstance(allowed, str) else set(allowed)
+        mask &= np.isin(codes, [j for j, v in enumerate(labels) if v in allowed])
     return mask
 
 

@@ -335,6 +335,42 @@ class TestEvaluateAndFixture:
                     "--out", str(tmp_path / "x")]) == 2
 
 
+class TestConfigTypes:
+    @pytest.mark.parametrize("command, key, value", [
+        ("synthesize", "replicates", "ten"),
+        ("synthesize", "threads", 1.5),
+        ("calibrate", "alpha", "x"),
+        ("calibrate", "epsilon", "abc"),
+        ("calibrate", "out", 5),
+        ("evaluate", "population_dims", 5),
+    ])
+    def test_mistyped_config_value_is_schema_error(
+        self, demo_files, tmp_path, capsys, command, key, value
+    ):
+        # every other setting is valid, so only the bad value can fail
+        settings = {
+            "calibrate": {
+                "strata": demo_files["strata"], "rates": demo_files["rates"],
+                "epsilon": 1.0, "out": str(tmp_path / "calib.json"),
+            },
+            "synthesize": {
+                "strata": demo_files["strata"], "rates": demo_files["rates"],
+                "epsilon": 1.0, "replicates": 4, "seed": 1,
+                "out": str(tmp_path / "run"),
+            },
+            "evaluate": {
+                "truth": demo_files["strata"], "replicates_dir": str(tmp_path),
+                "std": str(tmp_path / "std.csv"), "out": str(tmp_path / "m.csv"),
+            },
+        }[command]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**settings, key: value}))
+        assert run([command, "--config", str(cfg)]) == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "calib.json").exists()
+        assert not (tmp_path / "run").exists()
+
+
 class TestModuleEntry:
     def test_python_m_pgsynth_help(self):
         import pgsynth

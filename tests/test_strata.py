@@ -16,7 +16,6 @@ from pgsynth.strata import (
     StrataTable,
     build_prior,
     check_dominance,
-    clamp_observed,
     compute_bounds,
     joint_feasible_bounds,
 )
@@ -190,17 +189,6 @@ class TestDominance:
 
 
 class TestClampAndExchange:
-    def test_clamp_observed(self, demo):
-        table, prior = demo
-        b = compute_bounds(prior, table, 1e-4, 1.0)
-        r = clamp_observed(table, b)
-        assert np.all(r.y_clamped >= b.L) and np.all(r.y_clamped <= b.U)
-        assert r.clamped_count == int(r.clamped_mask.sum())
-        # idempotent
-        assert np.array_equal(
-            np.clip(r.y_clamped, b.L, b.U), r.y_clamped
-        )
-
     def test_exchange_boxes_pin_the_pair(self, demo):
         # with two strata the sum constraint tightens both boxes:
         # z2 = 100 - z1, so z2 inherits [100-U1, 100-L1] intersected

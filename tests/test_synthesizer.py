@@ -1,10 +1,12 @@
 """Sampling correctness: determinism, batch equivalence, exactness."""
 
 import hashlib
+import sys
 
 import numpy as np
 import pytest
 
+import pgsynth.mechanism as mechanism
 import pgsynth.synthesizer as synth
 from _oracles import write_replicates_csv_rows
 from pgsynth.audit import exact_joint_pmf
@@ -141,13 +143,19 @@ class TestDeterminism:
     ):
         table, calib, _ = calibrated(tiny3, MODE_UNTRUNCATED)
         reference = sample_counts_matrix(table, calib, count=50, base_seed=7)
-        # tiny chunks force the multi-chunk path so threads actually engage
-        monkeypatch.setattr(synth, "CHUNK_ELEMENTS", 9)
-        for threads in (1, 2, 4):
-            got = sample_counts_matrix(
-                table, calib, count=50, base_seed=7, threads=threads
-            )
-            assert np.array_equal(got, reference)
+        # tiny row tiles give every block several tiles, so threads engage;
+        # a short switch interval interleaves the workers as often as it can
+        monkeypatch.setattr(synth, "ROW_TILE", 3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for threads in (1, 2, 4):
+                got = sample_counts_matrix(
+                    table, calib, count=50, base_seed=7, threads=threads
+                )
+                assert np.array_equal(got, reference)
+        finally:
+            sys.setswitchinterval(interval)
 
 
     def test_row_tiles_do_not_change_draws(self, monkeypatch):
@@ -166,6 +174,40 @@ class TestDeterminism:
         monkeypatch.setattr(synth, "ROW_TILE", 7)
         got = sample_counts_matrix(table, calib, count=300, base_seed=11)
         assert np.array_equal(got, reference)
+
+
+class TestRecursionWork:
+    @pytest.mark.parametrize("count, threads, row_tile", [
+        (1, 1, None), (50, 1, None), (50, 3, 4), (2000, 2, 64),
+    ])
+    def test_convolutions_once_per_batch(
+        self, monkeypatch, count, threads, row_tile
+    ):
+        # the backward pass makes I convolutions and the block rebuilds
+        # I - ceil(I / block) more, however many rows, tiles or threads
+        size = 11
+        table = StrataTable(
+            dim_names=("g",), keys=tuple((f"s{i}",) for i in range(size)),
+            n=np.full(size, 50), y=np.arange(size) % 4,
+        )
+        lam = np.full(size, table.y_total / (50.0 * size))
+        calib = Calibration(
+            mode=MODE_UNTRUNCATED, epsilon=1.0, a=np.ones(size), b=1.0 / lam,
+            lambda0=lam, slack=np.zeros(size), converged=True, iterations=0,
+        )
+        calls = []
+        real = mechanism.convolve_mass
+        monkeypatch.setattr(
+            mechanism, "convolve_mass",
+            lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs),
+        )
+        if row_tile is not None:
+            monkeypatch.setattr(synth, "ROW_TILE", row_tile)
+        sample_counts_matrix(
+            table, calib, count=count, base_seed=1, threads=threads
+        )
+        block = int(np.ceil(np.sqrt(size)))
+        assert len(calls) == 2 * size - int(np.ceil(size / block))
 
 
 class TestExactness:
