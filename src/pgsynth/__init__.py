@@ -20,7 +20,6 @@ from .calibration import (
     MODE_UNTRUNCATED,
     calibration_report,
     solve_hyperparameters,
-    untruncated_floor,
 )
 from .errors import (
     CalibrationError,
@@ -37,9 +36,7 @@ from .audit import (
     AuditReport,
     audit,
     exact_joint_pmf,
-    prior_allocation_log_pmf,
     ratio_curve,
-    theorem1_bound_check,
 )
 from .fixtures import FixtureSpec, Fixture, generate_fixture
 from .strata import (
@@ -62,7 +59,6 @@ from .utility import (
     StandardPopulation,
     age_adjusted_rate,
     disparity_ratio,
-    observed_vs_expected,
     urban_rural_classify,
 )
 
@@ -74,7 +70,6 @@ __all__ = [
     "MODE_UNTRUNCATED",
     "calibration_report",
     "solve_hyperparameters",
-    "untruncated_floor",
     "PgsynthError",
     "DomainError",
     "SchemaError",
@@ -87,9 +82,7 @@ __all__ = [
     "AuditReport",
     "audit",
     "exact_joint_pmf",
-    "prior_allocation_log_pmf",
     "ratio_curve",
-    "theorem1_bound_check",
     "FixtureSpec",
     "Fixture",
     "generate_fixture",
@@ -108,7 +101,6 @@ __all__ = [
     "StandardPopulation",
     "age_adjusted_rate",
     "disparity_ratio",
-    "observed_vs_expected",
     "urban_rural_classify",
     "__version__",
 ]

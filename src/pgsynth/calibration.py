@@ -34,7 +34,6 @@ the prior-predictive boxes shrink with the expected count.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -348,7 +347,3 @@ def write_report(calib: Calibration, table: StrataTable, path, extra: dict | Non
         json.dump(doc, fh, indent=2, sort_keys=False)
         fh.write("\n")
 
-
-def untruncated_floor(y_total: int, epsilon: float) -> float:
-    """Requirement with no inflation (nu = 1): y_total / (e^eps - 1)."""
-    return y_total / math.expm1(epsilon)

@@ -35,7 +35,12 @@ from .errors import (
     PgsynthError,
     SchemaError,
 )
-from .fixtures import FixtureSpec, generate_fixture, write_fixture_files
+from .fixtures import (
+    POPULATION_KEY_DIMS,
+    FixtureSpec,
+    generate_fixture,
+    write_fixture_files,
+)
 from .strata import RatesTable, StrataTable, build_prior, compute_bounds
 from .synthesizer import (
     read_replicates_csv,
@@ -53,7 +58,7 @@ from .utility import (
     age_adjusted_rate,
 )
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 DEFAULT_ALPHA = 1e-4
 DEFAULT_C = 1.0
@@ -341,19 +346,19 @@ def cmd_audit(args) -> int:
     kwargs = {"epsilon": epsilon}
     if cfg.cap is not None:
         kwargs["cap"] = cfg.cap
-    report = audit(table, calib, calib.bounds, **kwargs)
+    report = audit(table, calib, **kwargs)
     h = cfg.config_hash()
     out = Path(cfg.paths["out"])
     extra = {"config_hash": h, "config": cfg.to_doc()}
     curve_path = None
     if table.size == 2:
-        curve = ratio_curve(table, calib, calib.bounds)
+        curve = ratio_curve(table, calib)
         curve_path = out.with_name(f"{out.stem}_curve.csv")
         write_ratio_curve(curve, curve_path, comment=f"config_hash={h}")
         extra["ratio_curve"] = str(curve_path)
     write_audit_report(report, out, extra=extra)
     print(f"wrote {out}" + (f" and {curve_path}" if curve_path else ""))
-    if report.max_abs_log_ratio > epsilon + 1e-9:
+    if not report.passed:
         print(
             f"audit FAILED: max |log ratio| {report.max_abs_log_ratio:.6f} "
             f"exceeds epsilon {epsilon}",
@@ -499,7 +504,7 @@ def cmd_fixture(args) -> int:
         "strata": fixture.table.size,
         "y_total": int(fixture.table.y_total),
         "urban_counties": urban,
-        "population_key_dims": ["county", "age", "race", "sex"],
+        "population_key_dims": list(POPULATION_KEY_DIMS),
         "files": {k: str(v) for k, v in paths.items()},
     }
     with open(Path(merged["out"]) / "manifest.json", "w", encoding="utf-8") as fh:

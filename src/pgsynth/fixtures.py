@@ -29,7 +29,6 @@ __all__ = [
     "FixtureSpec",
     "Fixture",
     "POPULATION_KEY_DIMS",
-    "DIM_NAMES",
     "generate_fixture",
     "write_fixture_files",
     "demo_table",

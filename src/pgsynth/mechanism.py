@@ -30,19 +30,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import log_negbin_kernel
-from .errors import DomainError, InfeasibilityError
-from .strata import StrataTable, TruncationBounds, joint_feasible_bounds
+from .errors import InfeasibilityError
+from .strata import StrataTable, TruncationBounds
 
 __all__ = [
     "KernelParams",
     "MassTable",
-    "log_success",
-    "check_bounds",
     "build_kernel_params",
     "stratum_weight_table",
     "convolve_mass",
     "suffix_tables",
-    "delta_table",
     "backward_pass",
 ]
 
@@ -95,35 +92,6 @@ def log_success(b, n) -> np.ndarray:
     with np.errstate(divide="ignore"):
         ratio = np.where(n > 0, b / np.maximum(n, 1.0), np.inf)
         return -np.log(2.0 + ratio)
-
-
-def check_bounds(calib, bounds: TruncationBounds | None, y_total: int) -> None:
-    """Accept caller-supplied boxes only when they are the calibration's.
-
-    The mechanism always runs on calib.bounds. A caller may pass those
-    boxes again or, when the calibration applied the exchange rule, the
-    raw boxes it reduced; any other boxes describe a mechanism that was
-    never calibrated.
-
-    Raises:
-        DomainError: bounds given to an untruncated calibration, or boxes
-            that neither equal nor reduce to calib.bounds.
-    """
-    if bounds is None:
-        return
-    if calib.bounds is None:
-        raise DomainError("untruncated calibration takes no bounds")
-    candidates = [bounds]
-    if calib.exchange_rule_applied:
-        try:
-            candidates.append(joint_feasible_bounds(bounds, y_total))
-        except InfeasibilityError:
-            pass
-    if not any(
-        np.array_equal(c.L, calib.bounds.L) and np.array_equal(c.U, calib.bounds.U)
-        for c in candidates
-    ):
-        raise DomainError("bounds differ from the calibration's truncation boxes")
 
 
 def build_kernel_params(counts, table: StrataTable, calib) -> KernelParams:

@@ -32,7 +32,6 @@ __all__ = [
     "RatesTable",
     "PriorSpec",
     "TruncationBounds",
-    "DominanceReport",
     "build_prior",
     "compute_bounds",
     "check_dominance",

@@ -45,16 +45,14 @@ from .mechanism import (
     MassTable,
     backward_pass,
     build_kernel_params,
-    check_bounds,
     suffix_tables,
 )
-from .strata import StrataTable, TruncationBounds
+from .strata import StrataTable
 
 __all__ = [
     "sample_counts_matrix",
     "write_replicates_csv",
     "read_replicates_csv",
-    "default_thread_count",
 ]
 
 THREADS_ENV_VAR = "PGSYNTH_THREADS"
@@ -269,7 +267,6 @@ def _chunk_uniforms(base_seed: int, first: int, count: int, size: int) -> np.nda
 def sample_counts_matrix(
     table: StrataTable,
     calib: Calibration,
-    bounds: TruncationBounds | None = None,
     *,
     count: int,
     base_seed: int,
@@ -278,9 +275,7 @@ def sample_counts_matrix(
     """Count-by-stratum matrix of exact mechanism draws.
 
     Row r is replicate r, drawn from the stream (base_seed, r). The
-    draws always use calib.bounds; bounds is accepted only as those boxes
-    or, after the two-stratum exchange rule, the raw boxes they came from
-    (see mechanism.check_bounds). threads=None reads PGSYNTH_THREADS.
+    truncation boxes are calib.bounds. threads=None reads PGSYNTH_THREADS.
     """
     if table.size < 2:
         raise DomainError("synthesis needs at least two strata")
@@ -292,7 +287,6 @@ def sample_counts_matrix(
         threads = default_thread_count()
     elif threads < 1:
         raise DomainError("threads must be at least 1")
-    check_bounds(calib, bounds, table.y_total)
     params = build_kernel_params(table.y, table, calib)
     if count == 0:
         return np.empty((0, table.size), dtype=np.int64)

@@ -26,17 +26,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SchemaError, UndefinedRateError
-from .strata import PriorSpec, StrataTable, _read_table
+from .strata import StrataTable, _read_table
 
 __all__ = [
     "StandardPopulation",
     "DisparityEstimate",
-    "selector_mask",
     "selector_label",
     "age_adjusted_rate",
     "disparity_ratio",
     "urban_rural_classify",
-    "observed_vs_expected",
     "summarize_replicates",
     "read_density_csv",
     "write_density_csv",
@@ -329,20 +327,6 @@ def urban_rural_classify(
         raise SchemaError(f"no density for geographies {missing}")
     urban = frozenset(g for g in labels if densities[g] > threshold)
     return urban, frozenset(g for g in labels if g not in urban)
-
-
-def observed_vs_expected(
-    table: StrataTable, prior: PriorSpec, aggregation: dict[str, dict]
-) -> list[tuple[str, float, float]]:
-    """(observed count sum, prior expected sum) per named aggregate."""
-    expected = prior.expected_counts(table)
-    out = []
-    for label, selector in aggregation.items():
-        mask = selector_mask(table, selector)
-        out.append(
-            (label, float(table.y[mask].sum()), float(expected[mask].sum()))
-        )
-    return out
 
 
 def summarize_replicates(values) -> dict[str, float]:

@@ -6,9 +6,16 @@ summation/enumeration, deliberately avoiding the package's own numerics
 evidence rather than tautology. The nu factors are scalar, per-stratum
 restatements of the calibration's vectorized requirements. The replicate
 CSV writer is the plain csv.writer loop that the package's templated
-writer must match byte for byte, and the age-adjusted rate at the end is
-the per-age-group, per-vector loop that the package's one-product-per-
+writer must match byte for byte, and the age-adjusted rate is the
+per-age-group, per-vector loop that the package's one-product-per-
 selector rate must match bit for bit.
+
+The closed forms at the end (the untruncated floor, the prior-allocation
+tail, the normalizer-ratio bound and the stratum-versus-rest law) are
+checked by the acceptance criteria but called by no pipeline stage, so
+they live here rather than in the package. ratio_curve_bivariate is the
+ratio curve on that law and its own pair loop, which the package's curve
+over the joint law must reproduce exactly.
 """
 
 from __future__ import annotations
@@ -20,8 +27,12 @@ import warnings
 
 import mpmath as mp
 import numpy as np
+from scipy.special import gammaln, logsumexp
 
+from pgsynth.audit import RatioCurve
+from pgsynth.distributions import log_negbin_kernel
 from pgsynth.errors import DomainError, SchemaError, UndefinedRateError
+from pgsynth.mechanism import build_kernel_params, log_success
 from pgsynth.utility import RATE_SCALE, selector_label, selector_mask
 
 mp.mp.dps = 60
@@ -323,3 +334,148 @@ def age_adjusted_rate_loop(
     if weight_sum <= 0.0:
         raise UndefinedRateError("all populated age groups carry zero weight")
     return acc / weight_sum * RATE_SCALE
+
+
+def untruncated_floor(y_total: int, epsilon: float) -> float:
+    """Requirement with no inflation (nu = 1): y_total / (e^eps - 1)."""
+    return y_total / math.expm1(epsilon)
+
+
+def prior_allocation_log_pmf(expected, z) -> float:
+    """Log pmf of z under the pure prior allocation of the total.
+
+    In the infinitely concentrated prior limit the mechanism allocates
+    the total multinomially with cell probabilities proportional to the
+    prior expected counts; this closed form carries the extreme tail
+    masses (1e-83 scale) that motivate truncation.
+    """
+    expected = np.asarray(expected, dtype=np.float64)
+    z = np.asarray(z, dtype=np.int64)
+    if np.any(expected <= 0.0):
+        raise DomainError("prior expected counts must be positive")
+    total = int(z.sum())
+    logpi = np.log(expected) - np.log(expected.sum())
+    return float(
+        gammaln(total + 1.0)
+        - gammaln(z + 1.0).sum()
+        + np.where(z == 0, 0.0, z * logpi).sum()
+    )
+
+
+def theorem1_bound_check(
+    count: int = 10**4,
+    y_total_max: int = 50,
+    seed: int = 20260823,
+    configs=None,
+) -> list[dict]:
+    """Exact normalizer ratio against its closed-form bound, per config.
+
+    Each configuration fixes (y_total, L <= U, shapes, expected counts
+    with the focal stratum not dominating, a dataset split with y_1 >= 1);
+    the check compares the direct-summation normalizer ratio under a unit
+    transfer out of stratum 1 with the bound
+    (y_total - L + a_rest + y_rest) / (L + a_1 + y_1 - 1). Randomized
+    configs draw L < U, where the inequality is strict; L = U makes the
+    two sides equal (single-term sums) and is exercised separately.
+    """
+    rng = np.random.default_rng(seed)
+    rows = []
+    if configs is None:
+        configs = []
+        for _ in range(count):
+            y_tot = int(rng.integers(2, y_total_max + 1))
+            L = int(rng.integers(0, y_tot))
+            U = int(rng.integers(L + 1, y_tot + 1))
+            a1 = float(np.exp(rng.uniform(np.log(1e-3), np.log(1e3))))
+            a2 = float(np.exp(rng.uniform(np.log(1e-3), np.log(1e3))))
+            e_pair = np.sort(rng.uniform(0.5, 100.0, size=2))
+            e1, e2 = float(e_pair[0]), float(e_pair[1])
+            y1 = int(rng.integers(1, y_tot + 1))
+            configs.append((y_tot, L, U, a1, a2, e1, e2, y1))
+    for y_tot, L, U, a1, a2, e1, e2, y1 in configs:
+        y2 = y_tot - y1
+        log_r = np.log((a2 / e2 + 2.0) / (a1 / e1 + 2.0))
+
+        def log_c(c1: int, c2: int) -> float:
+            z = np.arange(L, U + 1, dtype=np.int64)
+            return float(logsumexp(
+                log_negbin_kernel(z, c1 + a1, log_r)
+                + log_negbin_kernel(y_tot - z, c2 + a2, 0.0)
+            ))
+
+        lhs = log_c(y1 - 1, y2 + 1) - log_c(y1, y2)
+        rhs = np.log(y_tot - L + a2 + y2) - np.log(L + a1 + y1 - 1.0)
+        rows.append({
+            "y_total": y_tot, "L": L, "U": U,
+            "a_1": a1, "a_rest": a2,
+            "expected_1": e1, "expected_rest": e2, "y_1": y1,
+            "log_c_ratio": lhs, "log_bound": rhs,
+            "holds": bool(lhs < rhs) if L < U else bool(abs(lhs - rhs) <= 1e-9),
+        })
+    return rows
+
+
+def exact_bivariate_pmf(i: int, counts, calib, table) -> tuple[np.ndarray, np.ndarray]:
+    """Exact stratum-versus-rest pmf over z_i.
+
+    Pools every other stratum into a single kernel with aggregate shape,
+    population, and rate, then conditions the two-kernel product on the
+    total. Support is stratum i's box under calib.bounds, else
+    [0, y_total]. Returns (z values, log pmf). This matches the joint
+    marginal exactly when the pooled strata are homogeneous or their
+    boxes are slack.
+    """
+    params = build_kernel_params(counts, table, calib)
+    rest = np.arange(params.size) != i
+    log_p_i, log_p_rest = log_success(
+        [calib.b[i], calib.b[rest].sum()], [table.n[i], table.n[rest].sum()]
+    )
+    z = np.arange(params.lo[i], params.hi[i] + 1, dtype=np.int64)
+    logw = log_negbin_kernel(z, params.shape[i], log_p_i) + log_negbin_kernel(
+        params.y_total - z, params.shape[rest].sum(), log_p_rest
+    )
+    return z, logw - logsumexp(logw)
+
+
+def ratio_curve_bivariate(table, calib) -> RatioCurve:
+    """The ratio curve built stratum-versus-rest, on its own pair loop.
+
+    For each z_1, the maximal p(z|y)/p(z|x) over the neighbors (y1, Y - y1)
+    and (y1 -+ 1, ...), each law from exact_bivariate_pmf with one pmf per
+    distinct clamped dataset. On two strata that law is the joint one, so
+    audit.ratio_curve must match this bit for bit.
+    """
+    if table.size != 2:
+        raise DomainError("ratio curves are defined for two-stratum instances")
+    y_total = table.y_total
+    params = build_kernel_params(table.y, table, calib)
+    z_lo, z_hi = int(params.lo[0]), int(params.hi[0])
+    z_vals = np.arange(z_lo, z_hi + 1, dtype=np.int64)
+
+    logp: dict[tuple, np.ndarray] = {}
+    for y1 in range(y_total + 1):
+        raw = np.array([y1, y_total - y1], dtype=np.int64)
+        if calib.bounds is not None:
+            key = tuple(np.clip(raw, calib.bounds.L, calib.bounds.U).tolist())
+        else:
+            key = (y1, y_total - y1)
+        if key not in logp:
+            z, lp = exact_bivariate_pmf(0, raw, calib, table)
+            logp[key] = lp
+        logp[(y1, y_total - y1)] = logp[key]
+
+    best = np.full(len(z_vals), -np.inf)
+    best_y = [None] * len(z_vals)
+    best_x = [None] * len(z_vals)
+    for y1 in range(y_total + 1):
+        for x1 in ((y1 - 1, y1 + 1) if 0 < y1 < y_total else
+                   ((y1 + 1,) if y1 == 0 else (y1 - 1,))):
+            d = logp[(y1, y_total - y1)] - logp[(x1, y_total - x1)]
+            better = d > best
+            best[better] = d[better]
+            for k in np.flatnonzero(better):
+                best_y[k] = (y1, y_total - y1)
+                best_x[k] = (x1, y_total - x1)
+    return RatioCurve(
+        z=z_vals, ratio=np.exp(best), attaining_y=best_y, attaining_x=best_x
+    )

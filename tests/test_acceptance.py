@@ -13,18 +13,11 @@ import time
 import numpy as np
 import pytest
 
-from pgsynth.audit import (
-    audit,
-    exact_joint_pmf,
-    prior_allocation_log_pmf,
-    ratio_curve,
-    theorem1_bound_check,
-)
+from pgsynth.audit import audit, exact_joint_pmf, ratio_curve
 from pgsynth.calibration import (
     MODE_TRUNCATED,
     MODE_UNTRUNCATED,
     solve_hyperparameters,
-    untruncated_floor,
 )
 from pgsynth.cli import main as cli_main
 from pgsynth.fixtures import (
@@ -38,7 +31,12 @@ from pgsynth.strata import PriorSpec, StrataTable, build_prior, compute_bounds
 from pgsynth.synthesizer import sample_counts_matrix
 from pgsynth.utility import disparity_ratio
 
-from _oracles import dirichlet_multinomial_pmf
+from _oracles import (
+    dirichlet_multinomial_pmf,
+    prior_allocation_log_pmf,
+    theorem1_bound_check,
+    untruncated_floor,
+)
 
 
 def make_instance(n, weights, y_total, y=None):
@@ -130,7 +128,7 @@ def test_criterion_03_privacy_grid_enumeration():
                         table, prior, epsilon, mode=mode, bounds=bounds
                     )
                     report = audit(
-                        table, calib, calib.bounds, epsilon=epsilon
+                        table, calib, epsilon=epsilon
                     )
                     margin = report.max_abs_log_ratio - epsilon
                     worst = max(worst, margin)
@@ -181,9 +179,9 @@ def test_criterion_05_sampler_matches_exact_law():
             )
             assert active >= 1, "boxes too slack to exercise truncation"
         draws = sample_counts_matrix(
-            table, calib, bounds, count=10**6, base_seed=20260823
+            table, calib, count=10**6, base_seed=20260823
         )
-        support, logp = exact_joint_pmf(table.y, calib, table, bounds=bounds)
+        support, logp = exact_joint_pmf(table.y, calib, table)
         tvs[mode] = empirical_tv(draws, support, logp)
         assert tvs[mode] < 0.005
     elapsed = time.perf_counter() - t0
@@ -226,7 +224,7 @@ def test_criterion_07_ratio_curve_shape(tmp_path):
     trunc = solve_hyperparameters(
         table, prior, 1.0, mode=MODE_TRUNCATED, bounds=bounds
     )
-    curve_t = ratio_curve(table, trunc, trunc.bounds)
+    curve_t = ratio_curve(table, trunc)
     assert curve_t.argmax() == 30
     assert float(curve_t.ratio.max()) <= math.e + 1e-9
 
@@ -264,7 +262,7 @@ def test_criterion_08_production_scale_run():
         table, prior, 1.0, mode=MODE_TRUNCATED, bounds=bounds
     )
     matrix = sample_counts_matrix(
-        table, calib, bounds, count=1000, base_seed=0, threads=4
+        table, calib, count=1000, base_seed=0, threads=4
     )
     elapsed = time.perf_counter() - t0
 
@@ -306,7 +304,7 @@ def test_criterion_09_privacy_utility_trend():
             table, prior, epsilon, mode=MODE_TRUNCATED, bounds=bounds
         )
         matrix = sample_counts_matrix(
-            table, calib, bounds, count=1000, base_seed=17, threads=4
+            table, calib, count=1000, base_seed=17, threads=4
         )
         means[epsilon] = disparity_ratio(
             matrix, table, fix.standard,

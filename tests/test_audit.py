@@ -6,15 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from pgsynth.audit import (
-    audit,
-    enumerate_feasible,
-    exact_bivariate_pmf,
-    exact_joint_pmf,
-    prior_allocation_log_pmf,
-    ratio_curve,
-    theorem1_bound_check,
-)
+from pgsynth.audit import audit, enumerate_feasible, exact_joint_pmf, ratio_curve
 from pgsynth.calibration import (
     Calibration,
     MODE_TRUNCATED,
@@ -27,7 +19,11 @@ from pgsynth.strata import PriorSpec, StrataTable, compute_bounds
 from _oracles import (
     conditioned_law_direct,
     dirichlet_multinomial_pmf,
+    exact_bivariate_pmf,
     multinomial_log_pmf,
+    prior_allocation_log_pmf,
+    ratio_curve_bivariate,
+    theorem1_bound_check,
     total_variation,
 )
 
@@ -46,8 +42,26 @@ def het3(y=(1, 3, 2)):
     return table, prior
 
 
-def law_from_package(counts, calib, table, bounds=None):
-    support, logp = exact_joint_pmf(counts, calib, table, bounds=bounds)
+def pair40_160(y_total):
+    """Criterion 03's two-stratum instance: n = (40, 160), weights (0.3, 0.7)."""
+    n = np.array([40, 160])
+    w = np.array([0.3, 0.7])
+    y = np.floor(w * y_total).astype(np.int64)
+    y[0] += y_total - y.sum()
+    table = StrataTable(dim_names=("g",), keys=(("s0",), ("s1",)), n=n, y=y)
+    prior = PriorSpec(lambda0=w * y_total / n, rescale_factor=1.0, source=None)
+    return table, prior
+
+
+def assert_same_curve(got, want):
+    assert np.array_equal(got.z, want.z)
+    assert np.array_equal(got.ratio, want.ratio)
+    assert got.attaining_y == want.attaining_y
+    assert got.attaining_x == want.attaining_x
+
+
+def law_from_package(counts, calib, table):
+    support, logp = exact_joint_pmf(counts, calib, table)
     return {tuple(int(v) for v in row): mp.e ** mp.mpf(float(lp))
             for row, lp in zip(support, logp)}
 
@@ -76,7 +90,7 @@ class TestExactJointPmf:
             if mode == MODE_TRUNCATED else None
         )
         calib = solve_hyperparameters(table, prior, 1.0, mode=mode, bounds=bounds)
-        pkg = law_from_package(table.y, calib, table, bounds)
+        pkg = law_from_package(table.y, calib, table)
         direct = law_from_oracle(table.y, calib, table, bounds)
         assert set(pkg) == set(direct)
         assert total_variation(pkg, direct) < 1e-12
@@ -143,7 +157,7 @@ class TestAudit:
         calib = solve_hyperparameters(
             table, prior, 1.0, mode=MODE_TRUNCATED, bounds=bounds
         )
-        report = audit(table, calib, calib.bounds, epsilon=1.0)
+        report = audit(table, calib, epsilon=1.0)
         assert report.passed
         assert report.max_abs_log_ratio == pytest.approx(0.7219, abs=1e-3)
         assert report.exchange_rule_applied
@@ -178,6 +192,19 @@ class TestAudit:
                   - logpmf_at(report.argmax_pair.x, z))
         assert gap == pytest.approx(report.max_abs_log_ratio, abs=1e-9)
 
+    def test_boxes_are_not_a_positional_argument(self, demo):
+        # epsilon and cap are keyword-only, so an old call that still
+        # passes boxes fails instead of reading them as epsilon
+        table, prior = demo
+        bounds = compute_bounds(prior, table, 1e-4, 1.0)
+        calib = solve_hyperparameters(
+            table, prior, 1.0, mode=MODE_TRUNCATED, bounds=bounds
+        )
+        with pytest.raises(TypeError):
+            audit(table, calib, calib.bounds)
+        with pytest.raises(TypeError):
+            exact_joint_pmf(table.y, calib, table, calib.bounds)
+
     def test_enumeration_cap(self, demo):
         table, prior = demo
         calib = solve_hyperparameters(table, prior, 1.0, mode=MODE_UNTRUNCATED)
@@ -206,6 +233,34 @@ class TestRatioCurve:
         # the boundary output is attained from the most lopsided neighbors
         assert curve.attaining_y[-1] == (100, 0)
         assert curve.attaining_x[-1] == (99, 1)
+
+    @pytest.mark.parametrize("mode", [MODE_UNTRUNCATED, MODE_TRUNCATED])
+    def test_demo_matches_bivariate_oracle(self, demo, mode):
+        table, prior = demo
+        bounds = (
+            compute_bounds(prior, table, 1e-4, 1.0)
+            if mode == MODE_TRUNCATED else None
+        )
+        calib = solve_hyperparameters(table, prior, 1.0, mode=mode, bounds=bounds)
+        assert_same_curve(ratio_curve(table, calib), ratio_curve_bivariate(table, calib))
+
+    def test_two_stratum_grid_matches_bivariate_oracle(self):
+        # criterion 03's two-stratum half: the joint law on two strata is
+        # the stratum-versus-rest law, so the curves agree bit for bit
+        for y_total in range(2, 11):
+            table, prior = pair40_160(y_total)
+            for epsilon in (0.5, 1.0, 2.0):
+                for mode in (MODE_UNTRUNCATED, MODE_TRUNCATED):
+                    bounds = (
+                        compute_bounds(prior, table, 0.05, 1.0)
+                        if mode == MODE_TRUNCATED else None
+                    )
+                    calib = solve_hyperparameters(
+                        table, prior, epsilon, mode=mode, bounds=bounds
+                    )
+                    assert_same_curve(
+                        ratio_curve(table, calib), ratio_curve_bivariate(table, calib)
+                    )
 
     def test_three_strata_refused(self):
         table, prior = het3()

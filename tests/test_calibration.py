@@ -16,7 +16,6 @@ from pgsynth.calibration import (
     _required_untruncated,
     calibration_report,
     solve_hyperparameters,
-    untruncated_floor,
 )
 from pgsynth.errors import (
     CalibrationError,
@@ -33,7 +32,12 @@ from pgsynth.strata import (
 )
 from pgsynth.fixtures import demo_rates, demo_table
 
-from _oracles import dirichlet_multinomial_pmf, nu_truncated, nu_untruncated
+from _oracles import (
+    dirichlet_multinomial_pmf,
+    nu_truncated,
+    nu_untruncated,
+    untruncated_floor,
+)
 
 
 def homogeneous_instance(size: int, y_total: int):

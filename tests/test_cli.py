@@ -12,6 +12,7 @@ import pytest
 
 from pgsynth.cli import main
 from pgsynth.fixtures import demo_rates, demo_table
+from pgsynth.strata import RatesTable, StrataTable
 
 
 @pytest.fixture()
@@ -237,6 +238,27 @@ class TestAudit:
         text = curve.read_text()
         assert text.startswith("# config_hash=")
         assert doc["ratio_curve"] == str(curve)
+
+    def test_measured_violation_exits_one(self, tmp_path):
+        # four heterogeneous strata: untruncated mode overshoots epsilon = 1
+        keys = tuple((f"s{i}",) for i in range(4))
+        n = (40, 160, 90, 70)
+        w = (0.22, 0.24, 0.26, 0.28)
+        strata = tmp_path / "strata.csv"
+        rates = tmp_path / "rates.csv"
+        StrataTable(dim_names=("g",), keys=keys, n=n, y=(7, 5, 6, 6)).to_csv(strata)
+        RatesTable(
+            dim_names=("g",), rates={k: wi / ni for k, wi, ni in zip(keys, w, n)}
+        ).to_csv(rates)
+        out = tmp_path / "audit.json"
+        code = run([
+            "audit", "--strata", str(strata), "--rates", str(rates),
+            "--epsilon", "1.0", "--mode", "untruncated", "--out", str(out),
+        ])
+        assert code == 1
+        doc = json.loads(out.read_text())
+        assert doc["pass"] is False
+        assert doc["max_abs_log_ratio"] == pytest.approx(1.013076369582052, abs=1e-9)
 
     def test_enumeration_cap_is_runtime_error(self, demo_files, tmp_path):
         code = run([

@@ -17,7 +17,6 @@ from pgsynth.calibration import (
     solve_hyperparameters,
 )
 from pgsynth.errors import DomainError, InfeasibilityError, SchemaError
-from pgsynth.fixtures import demo_rates, demo_table
 from pgsynth.mechanism import (
     KernelParams,
     MassTable,
@@ -25,7 +24,7 @@ from pgsynth.mechanism import (
     build_kernel_params,
     delta_table,
 )
-from pgsynth.strata import StrataTable, TruncationBounds, build_prior, compute_bounds
+from pgsynth.strata import StrataTable, TruncationBounds, compute_bounds
 from pgsynth.synthesizer import (
     default_thread_count,
     read_replicates_csv,
@@ -57,11 +56,9 @@ def solo_draw(table, calib, base_seed, r):
 class TestSoloBatchEquivalence:
     @pytest.mark.parametrize("mode", [MODE_UNTRUNCATED, MODE_TRUNCATED])
     def test_single_draws_reproduce_batch_rows(self, tiny3, mode):
-        table, calib, bounds = calibrated(tiny3, mode)
+        table, calib, _ = calibrated(tiny3, mode)
         base_seed = 5
-        batch = sample_counts_matrix(
-            table, calib, bounds, count=8, base_seed=base_seed
-        )
+        batch = sample_counts_matrix(table, calib, count=8, base_seed=base_seed)
         for r in range(8):
             assert np.array_equal(solo_draw(table, calib, base_seed, r), batch[r])
 
@@ -117,10 +114,8 @@ class TestStreams:
     ])
     def test_pinned_draws(self, tiny3, mode, digest):
         # values drawn with one numpy generator per replicate
-        table, calib, bounds = calibrated(tiny3, mode)
-        m = sample_counts_matrix(
-            table, calib, bounds, count=10_000, base_seed=20260823
-        )
+        table, calib, _ = calibrated(tiny3, mode)
+        m = sample_counts_matrix(table, calib, count=10_000, base_seed=20260823)
         raw = np.ascontiguousarray(m, "<i8").tobytes()
         assert hashlib.sha256(raw).hexdigest() == digest
 
@@ -215,13 +210,13 @@ class TestExactness:
     def test_empirical_law_matches_exact_pmf(self, tiny3, mode):
         table, calib, bounds = calibrated(tiny3, mode)
         draws = sample_counts_matrix(
-            table, calib, bounds, count=40_000, base_seed=1
+            table, calib, count=40_000, base_seed=1
         )
         assert np.all(draws.sum(axis=1) == table.y_total)
         if bounds is not None:
             assert np.all(draws >= bounds.L)
             assert np.all(draws <= np.minimum(bounds.U, table.y_total))
-        support, logp = exact_joint_pmf(table.y, calib, table, bounds=bounds)
+        support, logp = exact_joint_pmf(table.y, calib, table)
         exact = {tuple(row): p for row, p in zip(support.tolist(), np.exp(logp))}
         values, counts = np.unique(draws, axis=0, return_counts=True)
         freq = {tuple(row): c / draws.shape[0]
@@ -259,7 +254,7 @@ class TestExactness:
         calib = solve_hyperparameters(
             table, prior, 1.0, mode=MODE_TRUNCATED, bounds=bounds
         )
-        draws = sample_counts_matrix(table, calib, bounds, count=100, base_seed=0)
+        draws = sample_counts_matrix(table, calib, count=100, base_seed=0)
         assert np.all(draws == table.y)
 
 
@@ -355,14 +350,9 @@ class TestGuards:
         assert out.shape == (0, table.size)
 
     def test_mode_mismatches(self, tiny3):
-        table, calib_u, _ = calibrated(tiny3, MODE_UNTRUNCATED)
-        table, calib_t, bounds = calibrated(tiny3, MODE_TRUNCATED)
-        with pytest.raises(DomainError):
-            sample_counts_matrix(table, calib_u, bounds, count=1, base_seed=0)
-        with pytest.raises(DomainError):
-            exact_joint_pmf(table.y, calib_u, table, bounds=bounds)
+        table, calib_t, _ = calibrated(tiny3, MODE_TRUNCATED)
         # a truncated calibration carries its own boxes
-        out = sample_counts_matrix(table, calib_t, None, count=1, base_seed=0)
+        out = sample_counts_matrix(table, calib_t, count=1, base_seed=0)
         assert out.shape == (1, 3)
 
     def test_zero_conditional_mass_raises(self):
@@ -378,41 +368,3 @@ class TestGuards:
             synth._draw_chunk(
                 params, checkpoints, [tiny, tiny], 1, np.full((4, 2), 0.5)
             )
-
-
-class TestBoundsSource:
-    """The mechanism runs on calib.bounds whatever boxes the caller holds."""
-
-    def demo_truncated(self):
-        # the demo with every event moved to stratum b: y = (0, 100) sits
-        # outside both boxes, so raw and reduced boxes clamp it differently
-        demo = demo_table()
-        table = StrataTable(
-            dim_names=demo.dim_names, keys=demo.keys, n=demo.n, y=np.array([0, 100])
-        )
-        prior = build_prior(table, demo_rates())
-        raw = compute_bounds(prior, table, 0.05, 1.0)
-        calib = solve_hyperparameters(
-            table, prior, 1.0, mode=MODE_TRUNCATED, bounds=raw
-        )
-        assert calib.exchange_rule_applied
-        assert not np.array_equal(raw.L, calib.bounds.L)
-        return table, calib, raw
-
-    def test_raw_two_stratum_boxes_draw_like_none(self):
-        table, calib, raw = self.demo_truncated()
-        want = sample_counts_matrix(table, calib, count=200, base_seed=4)
-        got = sample_counts_matrix(table, calib, raw, count=200, base_seed=4)
-        assert np.array_equal(got, want)
-        again = sample_counts_matrix(table, calib, calib.bounds, count=200, base_seed=4)
-        assert np.array_equal(again, want)
-
-    def test_mismatched_boxes_rejected(self):
-        table, calib, raw = self.demo_truncated()
-        other = TruncationBounds(
-            L=raw.L, U=raw.U - np.array([1, 0]), alpha=raw.alpha, c=raw.c
-        )
-        with pytest.raises(DomainError):
-            sample_counts_matrix(table, calib, other, count=1, base_seed=0)
-        with pytest.raises(DomainError):
-            exact_joint_pmf(table.y, calib, table, bounds=other)

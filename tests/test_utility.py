@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pgsynth.errors import DomainError, SchemaError, UndefinedRateError
-from pgsynth.strata import PriorSpec, StrataTable
+from pgsynth.strata import StrataTable
 from pgsynth.utility import (
     StandardPopulation,
     age_adjusted_rate,
     disparity_ratio,
-    observed_vs_expected,
     read_density_csv,
     selector_label,
     selector_mask,
@@ -357,22 +356,6 @@ class TestUrbanRural:
         assert rural == frozenset({"c2", "c3"})
         with pytest.raises(SchemaError, match="no density"):
             urban_rural_classify(table, {"c1": 300.0}, 280.0)
-
-
-class TestObservedVsExpected:
-    def test_sums(self):
-        table = toy_table()
-        prior = PriorSpec(
-            lambda0=np.array([0.01, 0.02, 0.01, 0.02]),
-            rescale_factor=1.0, source=None,
-        )
-        rows = observed_vs_expected(
-            table, prior, {"all": {}, "w only": {"race": "w"}}
-        )
-        assert rows == [
-            ("all", 60.0, pytest.approx(60.0)),
-            ("w only", 20.0, pytest.approx(20.0)),
-        ]
 
 
 class TestSummaries:
