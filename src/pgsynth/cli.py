@@ -105,15 +105,19 @@ class RunConfig:
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _load_config(path) -> dict:
+def _json_object(text: str, source) -> dict:
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON ({exc})") from None
+        raise SchemaError(f"{source}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: config must be a JSON object")
+        raise SchemaError(f"{source}: config must be a JSON object")
     return doc
+
+
+def _load_config(path) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        return _json_object(fh.read(), path)
 
 
 def _text(value) -> str:
@@ -484,7 +488,12 @@ def cmd_fixture(args) -> int:
     cfg = RunConfig(
         command="fixture", paths={"spec": merged["spec"], "out": merged["out"]}
     )
-    spec = _parse_fixture_spec(_load_config(merged["spec"]))
+    source = merged["spec"]
+    if source.lstrip().startswith("{"):
+        doc = _json_object(source, "--spec")
+    else:
+        doc = _load_config(source)
+    spec = _parse_fixture_spec(doc)
     fixture = generate_fixture(spec)
     h = cfg.config_hash()
     paths = write_fixture_files(
@@ -598,7 +607,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fixture", help="generate a seeded test instance")
     p.add_argument("--config", help=argparse.SUPPRESS)
-    p.add_argument("--spec", help="fixture spec JSON")
+    p.add_argument(
+        "--spec", help="fixture spec: a JSON object inline, or a JSON file path"
+    )
     p.add_argument("--out", help="output directory")
     p.set_defaults(func=cmd_fixture)
 

@@ -14,12 +14,15 @@ raw weights span hundreds of orders of magnitude.
 The completion-mass table T_k holds, for each attainable total t, the
 summed weight of all ways strata k..I-1 can sum to t. It satisfies
 T_k = w_k * T_{k+1} (discrete convolution), with T_I a point mass at 0.
-T_0 evaluated at y_total is the normalizer; the tables also drive the
-sequential exact sampler. suffix_tables is the one recursion loop:
-backward_pass runs it over all strata once and keeps every block-th
-table, and the sampler runs it again over one block at a time, from that
-block's checkpoint, just before drawing the block's strata for every
-replicate.
+A table spans the totals whose weight is >= 2^-1022 times its peak (at
+most y_total + 1 of them); below that an entry would be subnormal or zero
+once divided by the peak. T_0 evaluated at y_total is the normalizer; the
+tables also drive the sequential exact sampler. suffix_tables is the one
+recursion loop: backward_pass runs it over all strata once and keeps
+every block-th table, and the sampler runs it again over one block at a
+time, from that block's checkpoint, just before drawing the block's
+strata for every replicate. All strata's kernel tables come from one
+kernel evaluation per group of strata (stratum_weight_table).
 """
 
 from __future__ import annotations
@@ -130,6 +133,8 @@ class MassTable:
 
     vals[t - lo] holds the (scaled) weight of total t; the true log weight
     is log(vals[t - lo]) + offset. vals.max() == 1 after every rebuild.
+    A completion-mass table spans only the totals from its first to its
+    last weight >= CUT * peak; totals outside [lo, hi] carry mass 0.
     """
 
     lo: int
@@ -147,21 +152,57 @@ class MassTable:
         return float(np.log(self.vals[idx]) + self.offset)
 
 
+# A completion-mass table keeps the span from its first to its last
+# weight >= CUT * peak (see convolve_mass).
+CUT = 2.0**-1022
+
+# Summed support widths per kernel evaluation in stratum_weight_table; it
+# bounds that function's temporaries, and no table depends on it.
+KERNEL_GROUP = 1 << 16
+
+
 def delta_table() -> MassTable:
     return MassTable(lo=0, vals=np.ones(1), offset=0.0)
 
 
-def stratum_weight_table(params: KernelParams, i: int) -> MassTable:
-    """Kernel weights of stratum i over its support [lo_i, hi_i]."""
-    lo = int(params.lo[i])
-    z = np.arange(lo, params.hi[i] + 1, dtype=np.int64)
-    logw = log_negbin_kernel(z, float(params.shape[i]), float(params.log_p[i]))
-    peak = float(np.max(logw))
-    if not np.isfinite(peak):
-        raise InfeasibilityError(
-            f"stratum {i} carries no mass anywhere on its support"
+def stratum_weight_table(params: KernelParams) -> list[MassTable]:
+    """Kernel weights of every stratum i over its support [lo_i, hi_i].
+
+    Strata are evaluated in groups whose summed support widths stay
+    under KERNEL_GROUP entries (a wider stratum is a group of its own):
+    each group's supports are laid end to end, the kernel is evaluated
+    once over them, and the result is split back into one max-normalized
+    table per stratum, as views of the group's array.
+    """
+    widths = params.hi - params.lo + 1
+    ends = np.cumsum(widths)
+    tables: list[MassTable] = []
+    a = 0
+    while a < params.size:
+        limit = ends[a] - widths[a] + KERNEL_GROUP
+        b = max(a + 1, int(np.searchsorted(ends, limit, side="right")))
+        w = widths[a:b]
+        starts = np.cumsum(w) - w
+        z = np.arange(starts[-1] + w[-1], dtype=np.int64)
+        z -= np.repeat(starts - params.lo[a:b], w)
+        logw = log_negbin_kernel(
+            z, np.repeat(params.shape[a:b], w), np.repeat(params.log_p[a:b], w)
         )
-    return MassTable(lo=lo, vals=np.exp(logw - peak), offset=peak)
+        peaks = np.maximum.reduceat(logw, starts)
+        bad = ~np.isfinite(peaks)
+        if bad.any():
+            raise InfeasibilityError(
+                f"stratum {a + int(np.argmax(bad))} carries no mass anywhere "
+                "on its support"
+            )
+        logw -= np.repeat(peaks, w)
+        vals = np.split(np.exp(logw, out=logw), starts[1:])
+        tables.extend(
+            MassTable(lo=int(lo), vals=v, offset=float(peak))
+            for lo, v, peak in zip(params.lo[a:b], vals, peaks)
+        )
+        a = b
+    return tables
 
 
 def convolve_mass(
@@ -170,10 +211,14 @@ def convolve_mass(
     """One recursion step T_k = w_k * T_{k+1}, truncated above cap.
 
     Totals beyond cap (the conditioning total) can never be part of a
-    feasible draw, so the axis is cut there to keep PA-scale tables at
-    O(y_total) length. With out (at least cap + 1 long), the table's
-    values are written to a prefix of it, so a caller that rebuilds many
-    tables can reuse one buffer.
+    feasible draw, so the axis stops there. The table then spans the
+    totals whose weight is >= CUT * peak: both ends are trimmed to the
+    first and last such entry, while smaller entries between them stay
+    (kernels with shape < 1 are not log-concave, so a table need not be
+    unimodal). The kept entries are exactly those of the untrimmed step.
+    With out (at least cap + 1 long), the table's values are written to
+    a prefix of it, so a caller that rebuilds many tables can reuse one
+    buffer.
     """
     vals = np.convolve(weights.vals, table.vals)
     lo = weights.lo + table.lo
@@ -184,10 +229,13 @@ def convolve_mass(
     peak = float(vals.max())
     if peak <= 0.0:
         raise InfeasibilityError("mass table underflowed to zero")
+    big = vals >= peak * CUT
+    first = int(np.argmax(big))
+    vals = vals[first:len(vals) - int(np.argmax(big[::-1]))]
     if out is not None:
         out = out[: len(vals)]
     return MassTable(
-        lo=lo,
+        lo=lo + first,
         vals=np.divide(vals, peak, out=out),
         offset=weights.offset + table.offset + np.log(peak),
     )
@@ -224,7 +272,7 @@ def backward_pass(
     pinned at zero by degenerate kernels (n_i = 0).
     """
     size = params.size
-    weights = [stratum_weight_table(params, i) for i in range(size)]
+    weights = stratum_weight_table(params)
     checkpoints: dict[int, MassTable] = {size: delta_table()}
     running = checkpoints[size]
     for k, running in suffix_tables(weights, running, size, 0, params.y_total):

@@ -14,10 +14,12 @@ batch and keeps a checkpoint every ceil(sqrt(I)) strata. The draw then
 runs block by block: each block's tables are rebuilt once from its
 checkpoint (mechanism.suffix_tables), and its strata are drawn for every
 replicate in tiles of ROW_TILE rows, on a thread pool when threads > 1
-and there is more than one tile. Table memory stays O(sqrt(I) * y_total)
-and convolution work O(I * y_total * box_width), whatever the replicate
-count. Each draw overwrites the uniform it consumed, so a batch holds
-one (count x I) matrix.
+and there is more than one tile. A completion-mass table spans only the
+totals whose weight is >= 2^-1022 of its peak, at most y_total + 1 of
+them, so table memory stays O(sqrt(I) * y_total) and convolution work
+O(I * span * box_width), where span is the widest table's length,
+whatever the replicate count. Each draw overwrites the uniform it
+consumed, so a batch holds one (count x I) matrix.
 
 Reproducibility contract: replicate r consumes exactly one uniform per
 stratum, in order, from its own stream: PCG64 seeded by
@@ -121,7 +123,7 @@ def _draw_chunk(
             cand = np.arange(w.lo, w.lo + len(w.vals), dtype=np.int64)
             idx = rem[:, None] - cand[None, :] - nxt.lo
             valid = (idx >= 0) & (idx < len(nxt.vals))
-            mass = np.where(valid, nxt.vals[np.clip(idx, 0, len(nxt.vals) - 1)], 0.0)
+            mass = np.where(valid, np.take(nxt.vals, idx, mode="clip"), 0.0)
             mass *= w.vals[None, :]
             total = mass.sum(axis=1)
             if np.any(total <= 0.0):

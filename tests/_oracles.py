@@ -8,7 +8,11 @@ restatements of the calibration's vectorized requirements. The replicate
 CSV writer is the plain csv.writer loop that the package's templated
 writer must match byte for byte, and the age-adjusted rate is the
 per-age-group, per-vector loop that the package's one-product-per-
-selector rate must match bit for bit.
+selector rate must match bit for bit. The per-stratum kernel table is
+the one-evaluation-per-stratum form the package's grouped evaluation
+must match bit for bit, and the uncut recursion keeps every completion-
+mass table whole up to the total, against which the package's cut
+tables must give the same normalizer.
 
 The closed forms at the end (the untruncated floor, the prior-allocation
 tail, the normalizer-ratio bound and the stratum-versus-rest law) are
@@ -31,8 +35,13 @@ from scipy.special import gammaln, logsumexp
 
 from pgsynth.audit import RatioCurve
 from pgsynth.distributions import log_negbin_kernel
-from pgsynth.errors import DomainError, SchemaError, UndefinedRateError
-from pgsynth.mechanism import build_kernel_params, log_success
+from pgsynth.errors import (
+    DomainError,
+    InfeasibilityError,
+    SchemaError,
+    UndefinedRateError,
+)
+from pgsynth.mechanism import MassTable, build_kernel_params, log_success
 from pgsynth.utility import RATE_SCALE, selector_label, selector_mask
 
 mp.mp.dps = 60
@@ -479,3 +488,34 @@ def ratio_curve_bivariate(table, calib) -> RatioCurve:
     return RatioCurve(
         z=z_vals, ratio=np.exp(best), attaining_y=best_y, attaining_x=best_x
     )
+
+
+def stratum_weight_table_loop(params, i: int) -> MassTable:
+    """Kernel weights of stratum i over its support, one evaluation each."""
+    lo = int(params.lo[i])
+    z = np.arange(lo, params.hi[i] + 1, dtype=np.int64)
+    logw = log_negbin_kernel(z, float(params.shape[i]), float(params.log_p[i]))
+    peak = float(np.max(logw))
+    if not np.isfinite(peak):
+        raise InfeasibilityError(
+            f"stratum {i} carries no mass anywhere on its support"
+        )
+    return MassTable(lo=lo, vals=np.exp(logw - peak), offset=peak)
+
+
+def backward_pass_uncut(params) -> tuple[float, int]:
+    """(ln C, summed table length) of T_k = w_k * T_{k+1}, tables kept whole.
+
+    Each step keeps every total up to y_total, zeros and subnormals
+    included, and divides by its peak.
+    """
+    vals, lo, offset, length = np.ones(1), 0, 0.0, 0
+    for i in range(params.size - 1, -1, -1):
+        w = stratum_weight_table_loop(params, i)
+        lo += w.lo
+        vals = np.convolve(w.vals, vals)[: params.y_total - lo + 1]
+        peak = float(vals.max())
+        vals = vals / peak
+        offset = w.offset + offset + math.log(peak)
+        length += len(vals)
+    return float(np.log(vals[params.y_total - lo]) + offset), length

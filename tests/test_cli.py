@@ -356,6 +356,74 @@ class TestEvaluateAndFixture:
         assert run(["fixture", "--spec", str(spec),
                     "--out", str(tmp_path / "x")]) == 2
 
+    def test_inline_spec_writes_what_the_spec_file_writes(self, tmp_path):
+        # the README quick start's spec, given inline and as a file
+        inline = (
+            '{"dims": [["county",12],["age",5],["site",1],["race",3],["sex",2]],'
+            '\n "total_deaths": 26116, "state_population": 2000000,'
+            '\n "seed": 2, "urban_count": 3}'
+        )
+        spec = tmp_path / "spec.json"
+        spec.write_text(inline)
+        assert run(["fixture", "--spec", inline, "--out", str(tmp_path / "a")]) == 0
+        assert run(["fixture", "--spec", str(spec), "--out", str(tmp_path / "b")]) == 0
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+        assert len(names) == 5
+        for name in names:
+            a, b = ((tmp_path / d / name).read_text() for d in ("a", "b"))
+            if name == "manifest.json":
+                # the resolved config (and so its hash) names the spec's source
+                a, b = (
+                    {k: v for k, v in json.loads(t).items()
+                     if k not in ("config_hash", "config", "files")}
+                    for t in (a, b)
+                )
+                assert a["strata"] == 360
+            else:
+                # the first line is the config hash comment
+                assert a.startswith("# config_hash=")
+                a, b = a.split("\n", 1)[1], b.split("\n", 1)[1]
+            assert a == b
+
+    def test_inline_spec_that_is_not_json(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run(["fixture", "--spec", '{"dims": [', "--out", str(out)]) == 2
+        assert "--spec: not valid JSON" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestPrivacyBoundary:
+    @pytest.mark.parametrize("mode", ["untruncated", "truncated"])
+    def test_released_files_do_not_depend_on_the_counts(
+        self, tmp_path, monkeypatch, mode
+    ):
+        # one death moved between strata: same keys, populations and total
+        base = demo_table()
+        moved = StrataTable(
+            dim_names=base.dim_names, keys=base.keys, n=base.n,
+            y=base.y + np.array([1, -1]),
+        )
+        released = []
+        for name, table in (("x", base), ("y", moved)):
+            work = tmp_path / name
+            work.mkdir()
+            table.to_csv(work / "strata.csv")
+            demo_rates().to_csv(work / "rates.csv")
+            monkeypatch.chdir(work)
+            assert run([
+                "synthesize", "--strata", "strata.csv", "--rates", "rates.csv",
+                "--epsilon", "1.0", "--mode", mode,
+                "--replicates", "50", "--seed", "3", "--out", "run",
+            ]) == 0
+            manifest = json.loads((work / "run" / "manifest.json").read_text())
+            del manifest["timings_s"]
+            released.append((
+                (work / "run" / "calibration_report.json").read_bytes(),
+                manifest,
+            ))
+        assert released[0] == released[1]
+
 
 class TestConfigTypes:
     @pytest.mark.parametrize("command, key, value", [

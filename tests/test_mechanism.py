@@ -1,14 +1,20 @@
 """Kernel parameter assembly and log-space mass tables vs direct sums."""
 
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import pgsynth.mechanism as mechanism
 from pgsynth.calibration import MODE_TRUNCATED, MODE_UNTRUNCATED, solve_hyperparameters
+from pgsynth.distributions import log_negbin_kernel
 from pgsynth.errors import InfeasibilityError
+from pgsynth.fixtures import FixtureSpec, generate_fixture
 from pgsynth.mechanism import (
+    CUT,
     KernelParams,
     MassTable,
     backward_pass,
@@ -16,10 +22,16 @@ from pgsynth.mechanism import (
     convolve_mass,
     delta_table,
     stratum_weight_table,
+    suffix_tables,
 )
-from pgsynth.strata import PriorSpec, StrataTable, compute_bounds
+from pgsynth.strata import PriorSpec, StrataTable, build_prior, compute_bounds
 
-from _oracles import log_kernel_direct, normalizer_direct
+from _oracles import (
+    backward_pass_uncut,
+    log_kernel_direct,
+    normalizer_direct,
+    stratum_weight_table_loop,
+)
 
 
 def instance():
@@ -78,8 +90,7 @@ class TestMassTables:
         table, prior = instance()
         calib = solve_hyperparameters(table, prior, 1.0, mode=MODE_UNTRUNCATED)
         params = build_kernel_params(table.y, table, calib)
-        for i in range(3):
-            mass = stratum_weight_table(params, i)
+        for i, mass in enumerate(stratum_weight_table(params)):
             assert mass.vals.max() == pytest.approx(1.0)
             p = math.exp(params.log_p[i])
             for z in range(params.lo[i], params.hi[i] + 1):
@@ -117,6 +128,131 @@ class TestMassTables:
     def test_log_at_outside_support(self):
         t = MassTable(lo=3, vals=np.array([1.0]), offset=0.0)
         assert t.log_at(2) == -np.inf and t.log_at(4) == -np.inf
+
+
+def kernel_table(lo: int, width: int, shape: float, log_p: float) -> MassTable:
+    logw = log_negbin_kernel(np.arange(lo, lo + width), shape, log_p)
+    peak = float(logw.max())
+    return MassTable(lo=lo, vals=np.exp(logw - peak), offset=peak)
+
+
+class TestCut:
+    def test_ends_trimmed_middle_kept(self):
+        tiny = 1e-320  # below CUT of a peak of 1
+        weights = MassTable(
+            lo=0, vals=np.array([tiny, 1.0, tiny, 0.5, tiny]), offset=0.0
+        )
+        table = MassTable(lo=3, vals=np.array([1.0, 0.0]), offset=0.0)
+        got = convolve_mass(weights, table, cap=100)
+        assert got.lo == 4
+        uncut = np.convolve(weights.vals, table.vals)
+        want = uncut / uncut.max()
+        assert got.vals.tolist() == want[1:4].tolist() == [1.0, tiny, 0.5]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        lo=st.tuples(st.integers(0, 30), st.integers(0, 30)),
+        width=st.tuples(st.integers(1, 400), st.integers(1, 400)),
+        shape=st.tuples(
+            st.floats(0.01, 0.99) | st.floats(1.0, 60.0), st.floats(0.01, 60.0)
+        ),
+        log_p=st.tuples(st.floats(-9.0, -0.05), st.floats(-9.0, -0.05)),
+        cap_slack=st.integers(0, 900),
+    )
+    def test_one_step_keeps_exactly_the_entries_above_the_cut(
+        self, lo, width, shape, log_p, cap_slack
+    ):
+        weights, table = (
+            kernel_table(*args) for args in zip(lo, width, shape, log_p)
+        )
+        base = weights.lo + table.lo
+        cap = base + cap_slack
+        got = convolve_mass(weights, table, cap)
+        uncut = np.convolve(weights.vals, table.vals)[: cap - base + 1]
+        peak = uncut.max()
+        first = got.lo - base
+        last = first + len(got.vals) - 1
+        assert np.array_equal(got.vals, uncut[first:last + 1] / peak)
+        assert got.offset == weights.offset + table.offset + np.log(peak)
+        assert uncut[first] >= CUT * peak and uncut[last] >= CUT * peak
+        dropped = np.concatenate([uncut[:first], uncut[last + 1:]])
+        assert np.all(dropped < CUT * peak)
+
+    def test_long_chain_normalizer_matches_uncut_recursion(self):
+        rng = np.random.default_rng(11)
+        size, y_total = 2_000, 300
+        params = KernelParams(
+            shape=rng.uniform(0.05, 4.0, size),
+            log_p=-np.log(2.0 + rng.uniform(5.0, 400.0, size)),
+            lo=np.zeros(size, dtype=np.int64),
+            hi=np.full(size, y_total, dtype=np.int64),
+            y_total=y_total,
+        )
+        want, uncut_length = backward_pass_uncut(params)
+        _, weights, got = backward_pass(params, block=45)
+        assert got == pytest.approx(want, rel=1e-12)
+        cut_length = sum(
+            len(t.vals)
+            for _, t in suffix_tables(weights, delta_table(), size, 0, y_total)
+        )
+        assert cut_length < uncut_length
+
+
+def fixture_params(mode):
+    fixture = generate_fixture(FixtureSpec(
+        dims=(("county", 4), ("age", 3), ("site", 1), ("race", 3), ("sex", 2)),
+        total_deaths=600, state_population=60_000, seed=5, urban_count=1,
+    ))
+    table = fixture.table
+    prior = build_prior(table, fixture.rates)
+    bounds = (
+        compute_bounds(prior, table, 0.05, 1.0) if mode == MODE_TRUNCATED else None
+    )
+    calib = solve_hyperparameters(table, prior, 1.0, mode=mode, bounds=bounds)
+    params = build_kernel_params(table.y, table, calib)
+    # stratum 5 as if its population were 0: a point mass at zero
+    empty = np.arange(params.size) == 5
+    return replace(
+        params,
+        log_p=np.where(empty, -np.inf, params.log_p),
+        lo=np.where(empty, 0, params.lo),
+    )
+
+
+class TestGroupedKernel:
+    @pytest.mark.parametrize("mode", [MODE_UNTRUNCATED, MODE_TRUNCATED])
+    @pytest.mark.parametrize("group", [1, 50, 5000, None])
+    def test_matches_per_stratum_oracle_bit_for_bit(self, monkeypatch, mode, group):
+        if group is not None:
+            monkeypatch.setattr(mechanism, "KERNEL_GROUP", group)
+        params = fixture_params(mode)
+        got = stratum_weight_table(params)
+        assert len(got) == params.size
+        for i, table in enumerate(got):
+            want = stratum_weight_table_loop(params, i)
+            assert (table.lo, table.offset) == (want.lo, want.offset)
+            assert table.vals.dtype == want.vals.dtype
+            assert np.array_equal(table.vals, want.vals)
+        assert got[5].vals[0] == 1.0 and not got[5].vals[1:].any()
+
+    @pytest.mark.parametrize("group", [1, 50, None])
+    def test_infeasible_stratum_named_as_oracle_names_it(self, monkeypatch, group):
+        if group is not None:
+            monkeypatch.setattr(mechanism, "KERNEL_GROUP", group)
+        params = fixture_params(MODE_UNTRUNCATED)
+        dead = np.isin(np.arange(params.size), [17, 40])
+        params = replace(
+            params,
+            log_p=np.where(dead, -np.inf, params.log_p),
+            lo=np.where(dead, 1, params.lo),
+        )
+        with pytest.raises(InfeasibilityError) as oracle:
+            for i in range(params.size):
+                stratum_weight_table_loop(params, i)
+        with pytest.raises(InfeasibilityError) as got:
+            stratum_weight_table(params)
+        assert str(got.value) == str(oracle.value)
+        assert "stratum 17 " in str(got.value)
 
 
 class TestNormalizer:
