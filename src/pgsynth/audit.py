@@ -1,10 +1,15 @@
-"""Exact pmf evaluation and exhaustive privacy verification.
+"""Exact pmf evaluation and an exact privacy audit.
 
-On instances small enough to enumerate, this module computes the
-mechanism's law exactly and verifies the guarantee directly from its
-definition: for every dataset y with the invariant total, every neighbor
-x obtained by moving one event between two strata, and every feasible
-output z, |log p(z|y) / p(z|x)| must stay within the budget.
+On instances whose datasets can be enumerated, audit verifies the
+guarantee from its definition: for every dataset y with the invariant
+total, every neighbor x obtained by moving one event between two strata,
+and every feasible output z, |log p(z|y) / p(z|x)| must stay within the
+budget. It enumerates the datasets and their neighbors, and bounds each
+pair's outputs in closed form: the worst output sits at one of two
+corners of a polygon (see audit), so one normalizer per distinct clamped
+dataset and O(1) work per pair suffice. The test oracle
+audit_enumerated, which also walks every output, must agree with it.
+exact_joint_pmf and ratio_curve evaluate the law at every output.
 
 All ratio arithmetic is done as differences of log pmfs; tail masses
 around 1e-83 are routine here and would be garbage in linear scale.
@@ -14,15 +19,22 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from math import comb
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp
 
 from .calibration import Calibration
 from .distributions import log_negbin_kernel
 from .errors import DomainError, EnumerationCapError, InfeasibilityError
-from .mechanism import build_kernel_params
+from .mechanism import (
+    KernelParams,
+    build_kernel_params,
+    delta_table,
+    stratum_weight_table,
+    suffix_tables,
+)
 from .strata import StrataTable
 
 __all__ = [
@@ -39,6 +51,10 @@ __all__ = [
 
 DEFAULT_CAP = 10**6
 PASS_TOL = 1e-9
+
+# Neighbor pairs audit evaluates per vectorized step; it bounds the step's
+# temporaries, and no reported value depends on it.
+PAIR_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -201,14 +217,30 @@ def audit(
     epsilon: float | None = None,
     cap: int = DEFAULT_CAP,
 ) -> AuditReport:
-    """Exhaustive worst-case log-ratio over datasets, neighbors, outputs.
+    """Exact worst-case log-ratio over datasets, neighbors and outputs.
 
     Quantifies over every composition of the total, not just the observed
     one: the guarantee is a statement about all datasets. Neighboring acts
     on raw counts; clamping happens inside the mechanism, so neighbors
     that clamp identically contribute ratio zero, which is exactly how
-    the truncated bound gains its slack.
+    the truncated bound gains its slack. cap bounds the datasets.
+
+    No output is enumerated. For y and x = y - e_i + e_j the other
+    kernels cancel: log p(z|y) - log p(z|x) = g(z_i, z_j) - D, with
+    D = ln C(y) - ln C(x) and g_k = lnGamma(z_k + s_k(y)) - lnGamma(z_k + s_k(x)).
+    The clamp moves each shape s_k = clamp(count_k) + a_k by 0 or 1, so
+    g_i is 0 or log(z_i + s_i(x)), nondecreasing, and g_j is 0 or
+    -log(z_j + s_j(y)), nonincreasing. Every (z_i, z_j) in box_i x box_j
+    with A <= z_i + z_j <= B, A = Y - sum_{k!=i,j} hi_k and
+    B = Y - sum_{k!=i,j} lo_k, is the pair of some output, and each output
+    has positive mass. So g is largest at z_i = min(hi_i, B - lo_j),
+    z_j = max(lo_j, A - z_i), smallest at z_i = max(lo_i, A - hi_j),
+    z_j = min(hi_j, B - z_i), and |g - D| peaks at one of these corners.
+    Each distinct clamped dataset costs one mass-table recursion for ln C
+    and each pair O(1), in chunks of PAIR_CHUNK pairs.
     """
+    if cap < 1:
+        raise DomainError(f"the dataset cap must be at least 1, got {cap}")
     if epsilon is None:
         epsilon = calib.epsilon
     y_total = table.y_total
@@ -218,37 +250,198 @@ def audit(
         raise EnumerationCapError(
             f"{n_comps} datasets to enumerate exceeds the cap {cap}"
         )
+    if y_total < 1:
+        raise DomainError("no neighbor pairs exist for this instance")
     params = build_kernel_params(table.y, table, calib)
-    support = enumerate_feasible(params.lo, params.hi, y_total, cap)
+    if np.isneginf(params.log_p).any():
+        raise DomainError(
+            "the exact audit needs mass on every box output; "
+            "a stratum with population 0 has none"
+        )
+    comps = np.array(list(_compositions(y_total, size)), dtype=np.int64)
+    bound = _PairBound(comps, params, calib)
 
     best = -1.0
-    best_pair: NeighborPair | None = None
-    best_z: tuple = ()
-    for y, x, i, j, logp_y, logp_x in _neighbor_log_pmfs(table, calib, support):
-        diff = np.abs(logp_y - logp_x)
-        k = int(np.argmax(diff))
-        if diff[k] > best:
-            best = float(diff[k])
-            best_pair = NeighborPair(y, x, i, j)
-            best_z = tuple(support[k].tolist())
-    if best_pair is None:
-        raise DomainError("no neighbor pairs exist for this instance")
+    best_at = None
+    for rows, i, j in _pair_chunks(comps):
+        x, value, z_i, z_j = bound(rows, i, j)
+        k = int(np.argmax(value))
+        if value[k] > best:
+            best = float(value[k])
+            best_at = (
+                tuple(comps[rows[k]].tolist()), tuple(x[k].tolist()),
+                int(i[k]), int(j[k]), int(z_i[k]), int(z_j[k]),
+            )
+    y, x, i, j, z_i, z_j = best_at
     return AuditReport(
         epsilon_target=float(epsilon),
         max_abs_log_ratio=best,
-        argmax_pair=best_pair,
-        argmax_z=best_z,
+        argmax_pair=NeighborPair(y, x, i, j),
+        argmax_z=_fill_output(params.lo, params.hi, y_total, {i: z_i, j: z_j}),
         passed=bool(best <= epsilon + PASS_TOL),
         instance_size=(size, y_total),
         checked_datasets=n_comps,
-        checked_outputs=len(support),
+        checked_outputs=_count_feasible(params.lo, params.hi, y_total),
         exchange_rule_applied=calib.exchange_rule_applied,
     )
 
 
-def _composition_count(total: int, parts: int) -> int:
-    from math import comb
+class _PairBound:
+    """Worst |log p(z|y) - log p(z|x)| over all outputs z, pair by pair.
 
+    Holds ln C of every dataset row of comps; params are the instance's
+    kernel parameters, whose boxes and total every dataset shares. A call
+    takes unit transfers (rows, i, j), x = comps[rows] - e_i + e_j, and
+    returns x, the worst value and the corner (z_i, z_j) attaining it
+    (see audit).
+    """
+
+    def __init__(self, comps: np.ndarray, params: KernelParams, calib: Calibration):
+        self.comps = comps
+        self.log_c = _log_normalizers(comps, params, calib)
+        self.rank = _CompositionRank(params.y_total, params.size)
+        self.bounds = calib.bounds
+        self.a = calib.a
+        self.lo, self.hi, self.y_total = params.lo, params.hi, params.y_total
+
+    def shapes(self, counts: np.ndarray) -> np.ndarray:
+        if self.bounds is not None:
+            counts = np.clip(counts, self.bounds.L, self.bounds.U)
+        return counts.astype(np.float64) + self.a
+
+    def __call__(self, rows: np.ndarray, i: np.ndarray, j: np.ndarray):
+        pos = np.arange(len(rows))
+        y = self.comps[rows]
+        x = y.copy()
+        x[pos, i] -= 1
+        x[pos, j] += 1
+        delta = self.log_c[rows] - self.log_c[self.rank(x)]
+        sy, sx = self.shapes(y), self.shapes(x)
+        lo, hi = self.lo, self.hi
+        # A and B of audit's docstring: the range of z_i + z_j
+        low = self.y_total - (hi.sum() - hi[i] - hi[j])
+        high = self.y_total - (lo.sum() - lo[i] - lo[j])
+
+        def g(z_i, z_j):
+            return (
+                gammaln(z_i + sy[pos, i]) - gammaln(z_i + sx[pos, i])
+                + gammaln(z_j + sy[pos, j]) - gammaln(z_j + sx[pos, j])
+            )
+
+        up_i = np.minimum(hi[i], high - lo[j])
+        up_j = np.maximum(lo[j], low - up_i)
+        down_i = np.maximum(lo[i], low - hi[j])
+        down_j = np.minimum(hi[j], high - down_i)
+        up = np.abs(g(up_i, up_j) - delta)
+        down = np.abs(g(down_i, down_j) - delta)
+        at_up = up >= down
+        return (
+            x, np.where(at_up, up, down),
+            np.where(at_up, up_i, down_i), np.where(at_up, up_j, down_j),
+        )
+
+
+def _log_normalizers(comps: np.ndarray, params: KernelParams, calib: Calibration):
+    """ln C of every dataset row, one recursion per distinct clamped dataset.
+
+    A stratum's kernel table depends on the dataset only through its
+    clamped count (the shape), so the tables are built once per distinct
+    clamped value, for all strata at once, and shared by every recursion.
+    """
+    keys = comps
+    if calib.bounds is not None:
+        keys = np.clip(comps, calib.bounds.L, calib.bounds.U)
+    keys, inverse = np.unique(keys, axis=0, return_inverse=True)
+    values, index = np.unique(keys, return_inverse=True)
+    index = index.reshape(keys.shape)
+    tables = [
+        stratum_weight_table(replace(params, shape=float(v) + calib.a))
+        for v in values.tolist()
+    ]
+    y_total = params.y_total
+    log_c = np.empty(len(keys))
+    for n, row in enumerate(index.tolist()):
+        weights = [tables[v][k] for k, v in enumerate(row)]
+        running = delta_table()
+        for _, running in suffix_tables(weights, running, len(row), 0, y_total):
+            pass
+        log_c[n] = running.log_at(y_total)
+    if not np.isfinite(log_c).all():
+        raise InfeasibilityError("the invariant total is unreachable")
+    return log_c[inverse.ravel()]
+
+
+class _CompositionRank:
+    """Position of a composition in _compositions(total, parts) order.
+
+    The compositions before v are those that agree with it up to stratum
+    k and put less than v_k there; with r the total left at k, there are
+    count(r, parts - k) - count(r - v_k, parts - k) of them, where
+    count(t, m) = C(t + m - 1, m - 1) compositions of t into m parts.
+    """
+
+    def __init__(self, total: int, parts: int):
+        self.total = total
+        self.counts = np.array(
+            [[comb(t + m - 1, m - 1) for t in range(total + 1)]
+             for m in range(parts, 1, -1)],
+            dtype=np.int64,
+        )
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        rank = np.zeros(len(v), dtype=np.int64)
+        rem = np.full(len(v), self.total, dtype=np.int64)
+        for k, count in enumerate(self.counts):
+            rank += count[rem] - count[rem - v[:, k]]
+            rem -= v[:, k]
+        return rank
+
+
+def _pair_chunks(comps: np.ndarray):
+    """Yield (rows, i, j) for every unit transfer, PAIR_CHUNK at a time.
+
+    The order is the walk order: dataset rows first, then the source i
+    (only where comps[row, i] > 0), then the destination j != i.
+    """
+    size = comps.shape[1]
+    src, dst = np.array(
+        [(i, j) for i in range(size) for j in range(size) if j != i]
+    ).T
+    ends = np.cumsum((comps > 0).sum(axis=1) * (size - 1))
+    for start in range(0, int(ends[-1]), PAIR_CHUNK):
+        stop = min(start + PAIR_CHUNK, int(ends[-1]))
+        r0 = int(np.searchsorted(ends, start, side="right"))
+        r1 = int(np.searchsorted(ends, stop - 1, side="right")) + 1
+        rows, k = np.nonzero(comps[r0:r1, src] > 0)
+        skip = start - (int(ends[r0 - 1]) if r0 else 0)
+        take = slice(skip, skip + stop - start)
+        yield rows[take] + r0, src[k[take]], dst[k[take]]
+
+
+def _fill_output(lo, hi, total: int, fixed: dict) -> tuple:
+    """The output with the fixed strata given, the others filled from lo
+    upward in stratum order until the total is reached."""
+    z = lo.copy()
+    for k, v in fixed.items():
+        z[k] = v
+    extra = total - int(z.sum())
+    for k in range(len(z)):
+        if k not in fixed:
+            step = min(extra, int(hi[k] - lo[k]))
+            z[k] += step
+            extra -= step
+    return tuple(z.tolist())
+
+
+def _count_feasible(lo, hi, total: int) -> int:
+    """Number of integer vectors in the box [lo, hi] summing to total."""
+    ways = np.ones(1, dtype=np.int64)
+    for width in (np.asarray(hi) - np.asarray(lo) + 1).tolist():
+        ways = np.convolve(ways, np.ones(width, dtype=np.int64))[: total + 1]
+    return int(ways[total - int(np.sum(lo))])
+
+
+def _composition_count(total: int, parts: int) -> int:
     return comb(total + parts - 1, parts - 1)
 
 
@@ -270,7 +463,8 @@ def ratio_curve(table: StrataTable, calib: Calibration) -> RatioCurve:
 
     Two-stratum instances only; this is the plottable form of the
     worst-case analysis, one point per output value. It walks the same
-    pairs and joint laws as audit, keeping the signed maximum per output.
+    pairs as audit, with the joint law at every output, keeping the
+    signed maximum per output.
     """
     if table.size != 2:
         raise DomainError("ratio curves are defined for two-stratum instances")

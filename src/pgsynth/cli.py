@@ -344,6 +344,8 @@ def cmd_audit(args) -> int:
         cap=merged.get("cap"),
         paths={k: merged[k] for k in ("strata", "rates", "out")},
     )
+    if cfg.cap is not None and cfg.cap < 1:
+        raise SchemaError(f"cap must be at least 1, got {cfg.cap}")
     table, prior = _load_instance(cfg)
     epsilon = cfg.epsilon[0]
     calib = _calibrate_once(table, prior, cfg, epsilon)
@@ -582,7 +584,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="exhaustively verify the privacy bound")
     _add_common(p, many_eps=False)
-    p.add_argument("--cap", type=int, help="output-enumeration size cap")
+    p.add_argument("--cap", type=int,
+                   help="most datasets to enumerate (default 10^6)")
     p.add_argument("--out", help="audit report JSON path")
     p.set_defaults(func=cmd_audit)
 

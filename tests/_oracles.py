@@ -20,6 +20,11 @@ checked by the acceptance criteria but called by no pipeline stage, so
 they live here rather than in the package. ratio_curve_bivariate is the
 ratio curve on that law and its own pair loop, which the package's curve
 over the joint law must reproduce exactly.
+
+audit_enumerated is the exhaustive audit by definition: every dataset,
+every neighbor and every feasible output, one log pmf per distinct
+clamped dataset. The package's audit bounds each pair's outputs in closed
+form and must report the same worst ratio.
 """
 
 from __future__ import annotations
@@ -33,10 +38,20 @@ import mpmath as mp
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from pgsynth.audit import RatioCurve
+from pgsynth.audit import (
+    DEFAULT_CAP,
+    PASS_TOL,
+    AuditReport,
+    NeighborPair,
+    RatioCurve,
+    _composition_count,
+    _neighbor_log_pmfs,
+    enumerate_feasible,
+)
 from pgsynth.distributions import log_negbin_kernel
 from pgsynth.errors import (
     DomainError,
+    EnumerationCapError,
     InfeasibilityError,
     SchemaError,
     UndefinedRateError,
@@ -519,3 +534,48 @@ def backward_pass_uncut(params) -> tuple[float, int]:
         offset = w.offset + offset + math.log(peak)
         length += len(vals)
     return float(np.log(vals[params.y_total - lo]) + offset), length
+
+
+def audit_enumerated(table, calib, *, epsilon=None, cap: int = DEFAULT_CAP) -> AuditReport:
+    """Worst |log p(z|y) - log p(z|x)| by enumerating every output z.
+
+    Walks every composition y of the total, every unit transfer
+    x = y - e_i + e_j and every feasible output, keeping the first pair
+    (in that order) and the first output at which the maximum occurs.
+    cap bounds both the datasets and the outputs.
+    """
+    if epsilon is None:
+        epsilon = calib.epsilon
+    y_total = table.y_total
+    size = table.size
+    n_comps = _composition_count(y_total, size)
+    if n_comps > cap:
+        raise EnumerationCapError(
+            f"{n_comps} datasets to enumerate exceeds the cap {cap}"
+        )
+    params = build_kernel_params(table.y, table, calib)
+    support = enumerate_feasible(params.lo, params.hi, y_total, cap)
+
+    best = -1.0
+    best_pair = None
+    best_z: tuple = ()
+    for y, x, i, j, logp_y, logp_x in _neighbor_log_pmfs(table, calib, support):
+        diff = np.abs(logp_y - logp_x)
+        k = int(np.argmax(diff))
+        if diff[k] > best:
+            best = float(diff[k])
+            best_pair = NeighborPair(y, x, i, j)
+            best_z = tuple(support[k].tolist())
+    if best_pair is None:
+        raise DomainError("no neighbor pairs exist for this instance")
+    return AuditReport(
+        epsilon_target=float(epsilon),
+        max_abs_log_ratio=best,
+        argmax_pair=best_pair,
+        argmax_z=best_z,
+        passed=bool(best <= epsilon + PASS_TOL),
+        instance_size=(size, y_total),
+        checked_datasets=n_comps,
+        checked_outputs=len(support),
+        exchange_rule_applied=calib.exchange_rule_applied,
+    )

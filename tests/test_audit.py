@@ -1,10 +1,13 @@
-"""Exhaustive privacy verification against enumeration oracles."""
+"""Exact privacy verification against enumeration oracles."""
 
+import importlib
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from pgsynth.audit import audit, enumerate_feasible, exact_joint_pmf, ratio_curve
 from pgsynth.calibration import (
@@ -13,10 +16,24 @@ from pgsynth.calibration import (
     MODE_UNTRUNCATED,
     solve_hyperparameters,
 )
-from pgsynth.errors import DomainError, EnumerationCapError
-from pgsynth.strata import PriorSpec, StrataTable, compute_bounds
+from pgsynth.errors import (
+    CalibrationError,
+    DomainError,
+    DominanceError,
+    EnumerationCapError,
+)
+from pgsynth.fixtures import demo_rates, demo_table
+from pgsynth.mechanism import backward_pass, build_kernel_params
+from pgsynth.strata import (
+    PriorSpec,
+    RatesTable,
+    StrataTable,
+    build_prior,
+    compute_bounds,
+)
 
 from _oracles import (
+    audit_enumerated,
     conditioned_law_direct,
     dirichlet_multinomial_pmf,
     exact_bivariate_pmf,
@@ -26,6 +43,10 @@ from _oracles import (
     theorem1_bound_check,
     total_variation,
 )
+
+
+# the module, not the audit function that pgsynth re-exports under its name
+audit_mod = importlib.import_module("pgsynth.audit")
 
 
 def het3(y=(1, 3, 2)):
@@ -51,6 +72,65 @@ def pair40_160(y_total):
     table = StrataTable(dim_names=("g",), keys=(("s0",), ("s1",)), n=n, y=y)
     prior = PriorSpec(lambda0=w * y_total / n, rescale_factor=1.0, source=None)
     return table, prior
+
+
+def weighted(n, weights, y_total):
+    """Instance whose expected counts follow weights (criterion 03's form)."""
+    n = np.asarray(n)
+    w = np.asarray(weights, dtype=np.float64)
+    y = np.floor(w * y_total).astype(np.int64)
+    y[0] += y_total - y.sum()
+    keys = tuple((f"s{i}",) for i in range(len(n)))
+    table = StrataTable(dim_names=("g",), keys=keys, n=n, y=y)
+    prior = PriorSpec(lambda0=w * y_total / n, rescale_factor=1.0, source=None)
+    return table, prior
+
+
+def calibrated(table, prior, epsilon, mode, alpha=0.05):
+    bounds = (
+        compute_bounds(prior, table, alpha, 1.0) if mode == MODE_TRUNCATED else None
+    )
+    return solve_hyperparameters(table, prior, epsilon, mode=mode, bounds=bounds)
+
+
+def scaled(calib, factor):
+    """The calibration with a and b multiplied by factor (same prior mean)."""
+    return replace(calib, a=calib.a * factor, b=calib.b * factor)
+
+
+def criterion_03_grid():
+    for n, w in (((40, 160), (0.3, 0.7)), ((40, 160, 90), (2 / 9, 3 / 9, 4 / 9))):
+        for y_total in range(2, 11):
+            table, prior = weighted(n, w, y_total)
+            for epsilon in (0.5, 1.0, 2.0):
+                for mode in (MODE_UNTRUNCATED, MODE_TRUNCATED):
+                    yield table, calibrated(table, prior, epsilon, mode)
+
+
+def log_ratio_at(report, table, calib):
+    """|log p(z|y) - log p(z|x)| at the reported point, from the enumerated law."""
+    z = np.asarray(report.argmax_z)
+    out = []
+    for counts in (report.argmax_pair.y, report.argmax_pair.x):
+        support, logp = exact_joint_pmf(counts, calib, table)
+        out.append(float(logp[np.flatnonzero((support == z).all(axis=1))[0]]))
+    return abs(out[0] - out[1])
+
+
+def assert_matches_oracle(table, calib, tol):
+    got = audit(table, calib)
+    want = audit_enumerated(table, calib)
+    assert abs(got.max_abs_log_ratio - want.max_abs_log_ratio) <= tol
+    assert got.passed == want.passed
+    params = build_kernel_params(table.y, table, calib)
+    assert got.checked_outputs == want.checked_outputs == len(
+        enumerate_feasible(params.lo, params.hi, table.y_total)
+    )
+    assert got.checked_datasets == want.checked_datasets
+    assert log_ratio_at(got, table, calib) == pytest.approx(
+        got.max_abs_log_ratio, abs=1e-9
+    )
+    return got, want
 
 
 def assert_same_curve(got, want):
@@ -210,6 +290,179 @@ class TestAudit:
         calib = solve_hyperparameters(table, prior, 1.0, mode=MODE_UNTRUNCATED)
         with pytest.raises(EnumerationCapError):
             audit(table, calib, epsilon=1.0, cap=10)
+
+
+def benchmark_instance(n, weights, y_total):
+    """An instance the way the benchmark writes it: rates weights / n."""
+    y = [int(y_total * w) for w in weights]
+    y[0] += y_total - sum(y)
+    keys = tuple((f"s{i}",) for i in range(len(n)))
+    table = StrataTable(dim_names=("g",), keys=keys, n=n, y=y)
+    rates = RatesTable(
+        dim_names=("g",), rates={k: w / m for k, w, m in zip(keys, weights, n)}
+    )
+    return table, build_prior(table, rates)
+
+
+TRI100 = ((40, 160, 90), (2 / 9, 3 / 9, 4 / 9), 100)
+QUAD24 = ((40, 160, 90, 70), (0.22, 0.24, 0.26, 0.28), 24)
+
+
+class TestAgainstEnumeration:
+    def test_criterion_03_grid_matches_oracle(self):
+        # the closed-form corners against every output, on all 108
+        # instances; the winning pair may come back as its symmetric twin
+        checked = 0
+        for table, calib in criterion_03_grid():
+            got, want = assert_matches_oracle(table, calib, 1e-12)
+            assert {got.argmax_pair.y, got.argmax_pair.x} == {
+                want.argmax_pair.y, want.argmax_pair.x
+            }
+            checked += 1
+        assert checked == 108
+
+    @pytest.mark.parametrize("mode", [MODE_UNTRUNCATED, MODE_TRUNCATED])
+    def test_weakened_grid_matches_oracle(self, mode):
+        # a third of the calibrated a and b: most of these audits fail,
+        # so the worst pair is no longer pinned by the calibration
+        failed = 0
+        for y_total in range(2, 9):
+            table, prior = weighted((40, 160, 90), (2 / 9, 3 / 9, 4 / 9), y_total)
+            calib = scaled(calibrated(table, prior, 1.0, mode), 1 / 3)
+            got, _ = assert_matches_oracle(table, calib, 1e-12)
+            failed += not got.passed
+        assert failed >= 4
+
+    @pytest.mark.parametrize("mode", [MODE_UNTRUNCATED, MODE_TRUNCATED])
+    @pytest.mark.parametrize("factor", [1.0, 0.3])
+    def test_every_pair_matches_its_enumerated_worst(self, mode, factor):
+        # the walk holds each pair and its reverse, whose corners swap, so
+        # the overall maximum hides a lost corner; each pair's own does not
+        table, prior = weighted((40, 160, 90), (2 / 9, 3 / 9, 4 / 9), 7)
+        calib = scaled(calibrated(table, prior, 1.0, mode), factor)
+        params = build_kernel_params(table.y, table, calib)
+        support = enumerate_feasible(params.lo, params.hi, 7)
+        comps = np.array(list(audit_mod._compositions(7, 3)))
+        bound = audit_mod._PairBound(comps, params, calib)
+        got = [
+            (tuple(x), v, zi, zj)
+            for rows, i, j in audit_mod._pair_chunks(comps)
+            for x, v, zi, zj in zip(*bound(rows, i, j))
+        ]
+        walk = list(audit_mod._neighbor_log_pmfs(table, calib, support))
+        assert len(got) == len(walk) > 0
+        for (x, value, z_i, z_j), (_, want_x, i, j, lp_y, lp_x) in zip(got, walk):
+            assert x == want_x
+            diff = np.abs(lp_y - lp_x)
+            assert value == pytest.approx(diff.max(), abs=1e-12)
+            at = (support[:, i] == z_i) & (support[:, j] == z_j)
+            assert at.any()
+            np.testing.assert_allclose(diff[at], value, rtol=0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        size=st.integers(2, 4),
+        y_total=st.integers(2, 12),
+        log_weights=st.lists(st.floats(0.0, 3.0), min_size=4, max_size=4),
+        n=st.lists(st.integers(20, 500), min_size=4, max_size=4),
+        epsilon=st.sampled_from([0.5, 1.0, 2.0]),
+        mode=st.sampled_from([MODE_UNTRUNCATED, MODE_TRUNCATED]),
+        factor=st.floats(0.2, 1.0),
+    )
+    def test_random_instances_match_oracle(
+        self, size, y_total, log_weights, n, epsilon, mode, factor
+    ):
+        # expected-count ratios up to 10^3, calibrations scaled down so
+        # that passing and failing audits both occur
+        w = 10.0 ** np.asarray(log_weights[:size])
+        table, prior = weighted(n[:size], w / w.sum(), y_total)
+        try:
+            calib = calibrated(table, prior, epsilon, mode)
+        except (DominanceError, CalibrationError):
+            assume(False)
+        assert_matches_oracle(table, scaled(calib, factor), 1e-10)
+
+
+class TestPairChunks:
+    @pytest.mark.parametrize("mode", [MODE_UNTRUNCATED, MODE_TRUNCATED])
+    def test_chunk_size_does_not_change_report(self, monkeypatch, mode):
+        table, prior = weighted((40, 160, 90, 70), (0.22, 0.24, 0.26, 0.28), 9)
+        calib = scaled(calibrated(table, prior, 1.0, mode), 0.5)
+        reference = audit(table, calib)
+        for chunk in (1, 7):
+            monkeypatch.setattr(audit_mod, "PAIR_CHUNK", chunk)
+            assert audit(table, calib) == reference
+
+
+class TestNormalizers:
+    def test_shared_weight_tables_give_backward_pass_normalizers(self):
+        # one kernel table per (stratum, clamped count), shared by all
+        # datasets, must give each dataset's own ln C bit for bit
+        table, prior = weighted((40, 160, 90), (2 / 9, 3 / 9, 4 / 9), 12)
+        for mode in (MODE_UNTRUNCATED, MODE_TRUNCATED):
+            calib = calibrated(table, prior, 1.0, mode)
+            comps = np.array(list(audit_mod._compositions(12, 3)))
+            params = build_kernel_params(table.y, table, calib)
+            got = audit_mod._log_normalizers(comps, params, calib)
+            want = [
+                backward_pass(build_kernel_params(y, table, calib), 3)[2]
+                for y in comps
+            ]
+            assert got.tolist() == want
+
+    def test_composition_rank_is_walk_order(self):
+        for total, parts in ((0, 3), (7, 1), (9, 2), (6, 4)):
+            comps = np.array(list(audit_mod._compositions(total, parts)))
+            rank = audit_mod._CompositionRank(total, parts)
+            assert rank(comps).tolist() == list(range(len(comps)))
+
+
+class TestBenchmarkPins:
+    # max |log ratio| of the benchmark's four audits at epsilon = 1
+    @pytest.mark.parametrize("instance, mode, pinned", [
+        (None, MODE_UNTRUNCATED, 0.9641015704123674),
+        (TRI100, MODE_UNTRUNCATED, 0.8873956148727302),
+        (TRI100, MODE_TRUNCATED, 0.4910748634355855),
+        (QUAD24, MODE_TRUNCATED, 0.899338411334675),
+        (QUAD24, MODE_UNTRUNCATED, 1.013076369582052),
+    ], ids=["demo", "tri100u", "tri100t", "quad24t", "quad24u"])
+    def test_pinned_ratio(self, instance, mode, pinned):
+        if instance is None:
+            table = demo_table()
+            prior = build_prior(table, demo_rates())
+        else:
+            table, prior = benchmark_instance(*instance)
+        calib = calibrated(table, prior, 1.0, mode)
+        report = audit(table, calib)
+        assert report.max_abs_log_ratio == pytest.approx(pinned, abs=1e-9)
+        assert report.passed == (pinned <= 1.0)
+        assert log_ratio_at(report, table, calib) == pytest.approx(pinned, abs=1e-9)
+
+
+class TestAuditDomain:
+    def test_cap_below_one_is_a_domain_error(self, demo):
+        table, prior = demo
+        calib = solve_hyperparameters(table, prior, 1.0, mode=MODE_UNTRUNCATED)
+        for cap in (0, -5):
+            with pytest.raises(DomainError):
+                audit(table, calib, cap=cap)
+
+    def test_cap_counts_datasets(self, demo):
+        # the demo has 101 datasets and 101 outputs
+        table, prior = demo
+        calib = solve_hyperparameters(table, prior, 1.0, mode=MODE_UNTRUNCATED)
+        assert audit(table, calib, cap=101).checked_datasets == 101
+        with pytest.raises(EnumerationCapError):
+            audit(table, calib, cap=100)
+
+    def test_empty_stratum_is_refused(self):
+        # n = 0 makes a stratum a point mass at 0, so the box outputs
+        # above 0 carry no mass and the corner bound does not apply
+        table, prior = weighted((40, 160, 90), (2 / 9, 3 / 9, 4 / 9), 6)
+        calib = calibrated(table, prior, 1.0, MODE_UNTRUNCATED)
+        empty = replace(table, n=np.array([40, 160, 0]))
+        with pytest.raises(DomainError):
+            audit(empty, calib)
 
 
 class TestEnumerateFeasible:

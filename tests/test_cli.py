@@ -269,6 +269,30 @@ class TestAudit:
         ])
         assert code == 1
 
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_cap_below_one_is_usage_error(self, demo_files, tmp_path, capsys, cap):
+        out = tmp_path / "x.json"
+        code = run([
+            "audit", "--strata", demo_files["strata"],
+            "--rates", demo_files["rates"],
+            "--epsilon", "1.0", "--mode", "untruncated",
+            "--cap", cap, "--out", str(out),
+        ])
+        assert code == 2
+        assert "cap must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_cap_below_one_is_usage_error(self, demo_files, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "strata": demo_files["strata"], "rates": demo_files["rates"],
+            "epsilon": 1.0, "cap": 0, "out": str(out),
+        }))
+        assert run(["audit", "--config", str(cfg)]) == 2
+        assert "cap must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEvaluateAndFixture:
     def test_fixture_synthesize_evaluate_pipeline(self, tmp_path):
