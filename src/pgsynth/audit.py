@@ -11,6 +11,10 @@ dataset and O(1) work per pair suffice. The test oracle
 audit_enumerated, which also walks every output, must agree with it.
 exact_joint_pmf and ratio_curve evaluate the law at every output.
 
+Datasets and outputs alike come from enumerate_feasible, in
+lexicographic order, and audit and ratio_curve walk the same neighbor
+pairs in vectorized chunks (_pair_chunks).
+
 All ratio arithmetic is done as differences of log pmfs; tail masses
 around 1e-83 are routine here and would be garbage in linear scale.
 """
@@ -107,46 +111,37 @@ class AuditReport:
         }
 
 
-def _compositions(total: int, parts: int):
-    """Yield every tuple of nonnegative ints of given length summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
 def enumerate_feasible(lo, hi, total: int, cap: int = DEFAULT_CAP) -> np.ndarray:
-    """All integer vectors in the box [lo, hi] summing to total.
+    """All integer vectors in the box [lo, hi] summing to total, in
+    lexicographic order.
 
-    Depth-first with remaining-sum pruning; raises once more than cap
-    vectors have been collected.
+    Built one stratum at a time: each prefix is extended by every value
+    that leaves the strata after it a feasible remainder, so every prefix
+    has a completion and no level is wider than the result. Raises before
+    building a level of more than cap vectors.
     """
     lo = np.asarray(lo, dtype=np.int64)
     hi = np.asarray(hi, dtype=np.int64)
-    parts = len(lo)
     suffix_lo = np.concatenate([np.cumsum(lo[::-1])[::-1], [0]])
     suffix_hi = np.concatenate([np.cumsum(hi[::-1])[::-1], [0]])
-    out: list[tuple] = []
-    stack = [((), total)]
-    while stack:
-        prefix, rem = stack.pop()
-        k = len(prefix)
-        if k == parts:
-            out.append(prefix)
-            if len(out) > cap:
-                raise EnumerationCapError(
-                    f"more than {cap} feasible outputs; raise the cap to proceed"
-                )
-            continue
-        v_lo = max(int(lo[k]), rem - int(suffix_hi[k + 1]))
-        v_hi = min(int(hi[k]), rem - int(suffix_lo[k + 1]))
-        for v in range(v_hi, v_lo - 1, -1):
-            stack.append((prefix + (v,), rem - v))
-    if not out:
+    # an empty box leaves no prefix to extend
+    out = np.zeros((int((lo <= hi).all()), 0), dtype=np.int64)
+    rem = np.full(len(out), total, dtype=np.int64)
+    for k in range(len(lo)):
+        v_lo = np.maximum(lo[k], rem - suffix_hi[k + 1])
+        width = np.maximum(np.minimum(hi[k], rem - suffix_lo[k + 1]) - v_lo + 1, 0)
+        rows = int(width.sum())
+        if rows > cap:
+            raise EnumerationCapError(
+                f"more than {cap} vectors to enumerate; raise the cap to proceed"
+            )
+        parent = np.repeat(np.arange(len(out)), width)
+        v = v_lo[parent] + np.arange(rows) - (np.cumsum(width) - width)[parent]
+        out = np.column_stack([out[parent], v])
+        rem = rem[parent] - v
+    if not len(out):
         raise InfeasibilityError("no feasible output vectors")
-    return np.array(out, dtype=np.int64)
+    return out
 
 
 def _log_pmf_on_support(
@@ -173,41 +168,6 @@ def exact_joint_pmf(
     params = build_kernel_params(counts, table, calib)
     support = enumerate_feasible(params.lo, params.hi, params.y_total, cap)
     return support, _log_pmf_on_support(counts, table, calib, support)
-
-
-def _neighbor_log_pmfs(table: StrataTable, calib: Calibration, support: np.ndarray):
-    """Yield (y, x, i, j, log p(.|y), log p(.|x)) over every neighbor pair.
-
-    y runs over every composition of the total and x = y - e_i + e_j over
-    its unit transfers. Each log pmf on support is computed once per
-    distinct clamped dataset, since the mechanism only sees the clamp.
-    """
-    cache: dict[tuple, np.ndarray] = {}
-
-    def log_pmf(raw: tuple) -> np.ndarray:
-        arr = np.asarray(raw, dtype=np.int64)
-        key = raw
-        if calib.bounds is not None:
-            key = tuple(np.clip(arr, calib.bounds.L, calib.bounds.U).tolist())
-        got = cache.get(key)
-        if got is None:
-            got = cache[key] = _log_pmf_on_support(arr, table, calib, support)
-        return got
-
-    size = table.size
-    for y in _compositions(table.y_total, size):
-        logp_y = log_pmf(y)
-        for i in range(size):
-            if y[i] == 0:
-                continue
-            for j in range(size):
-                if j == i:
-                    continue
-                x = list(y)
-                x[i] -= 1
-                x[j] += 1
-                x = tuple(x)
-                yield y, x, i, j, logp_y, log_pmf(x)
 
 
 def audit(
@@ -245,11 +205,7 @@ def audit(
         epsilon = calib.epsilon
     y_total = table.y_total
     size = table.size
-    n_comps = _composition_count(y_total, size)
-    if n_comps > cap:
-        raise EnumerationCapError(
-            f"{n_comps} datasets to enumerate exceeds the cap {cap}"
-        )
+    comps = enumerate_feasible([0] * size, [y_total] * size, y_total, cap)
     if y_total < 1:
         raise DomainError("no neighbor pairs exist for this instance")
     params = build_kernel_params(table.y, table, calib)
@@ -258,13 +214,12 @@ def audit(
             "the exact audit needs mass on every box output; "
             "a stratum with population 0 has none"
         )
-    comps = np.array(list(_compositions(y_total, size)), dtype=np.int64)
     bound = _PairBound(comps, params, calib)
 
     best = -1.0
     best_at = None
-    for rows, i, j in _pair_chunks(comps):
-        x, value, z_i, z_j = bound(rows, i, j)
+    for rows, x, x_rows, i, j in _pair_chunks(comps, PAIR_CHUNK):
+        value, z_i, z_j = bound(rows, x, x_rows, i, j)
         k = int(np.argmax(value))
         if value[k] > best:
             best = float(value[k])
@@ -280,7 +235,7 @@ def audit(
         argmax_z=_fill_output(params.lo, params.hi, y_total, {i: z_i, j: z_j}),
         passed=bool(best <= epsilon + PASS_TOL),
         instance_size=(size, y_total),
-        checked_datasets=n_comps,
+        checked_datasets=len(comps),
         checked_outputs=_count_feasible(params.lo, params.hi, y_total),
         exchange_rule_applied=calib.exchange_rule_applied,
     )
@@ -291,32 +246,26 @@ class _PairBound:
 
     Holds ln C of every dataset row of comps; params are the instance's
     kernel parameters, whose boxes and total every dataset shares. A call
-    takes unit transfers (rows, i, j), x = comps[rows] - e_i + e_j, and
-    returns x, the worst value and the corner (z_i, z_j) attaining it
-    (see audit).
+    takes a chunk of _pair_chunks and returns each pair's worst value and
+    the corner (z_i, z_j) attaining it (see audit).
     """
 
     def __init__(self, comps: np.ndarray, params: KernelParams, calib: Calibration):
         self.comps = comps
         self.log_c = _log_normalizers(comps, params, calib)
-        self.rank = _CompositionRank(params.y_total, params.size)
-        self.bounds = calib.bounds
-        self.a = calib.a
+        self.calib = calib
         self.lo, self.hi, self.y_total = params.lo, params.hi, params.y_total
 
     def shapes(self, counts: np.ndarray) -> np.ndarray:
-        if self.bounds is not None:
-            counts = np.clip(counts, self.bounds.L, self.bounds.U)
-        return counts.astype(np.float64) + self.a
+        bounds = self.calib.bounds
+        if bounds is not None:
+            counts = np.clip(counts, bounds.L, bounds.U)
+        return counts.astype(np.float64) + self.calib.a
 
-    def __call__(self, rows: np.ndarray, i: np.ndarray, j: np.ndarray):
+    def __call__(self, rows, x, x_rows, i, j):
         pos = np.arange(len(rows))
-        y = self.comps[rows]
-        x = y.copy()
-        x[pos, i] -= 1
-        x[pos, j] += 1
-        delta = self.log_c[rows] - self.log_c[self.rank(x)]
-        sy, sx = self.shapes(y), self.shapes(x)
+        delta = self.log_c[rows] - self.log_c[x_rows]
+        sy, sx = self.shapes(self.comps[rows]), self.shapes(x)
         lo, hi = self.lo, self.hi
         # A and B of audit's docstring: the range of z_i + z_j
         low = self.y_total - (hi.sum() - hi[i] - hi[j])
@@ -336,9 +285,19 @@ class _PairBound:
         down = np.abs(g(down_i, down_j) - delta)
         at_up = up >= down
         return (
-            x, np.where(at_up, up, down),
+            np.where(at_up, up, down),
             np.where(at_up, up_i, down_i), np.where(at_up, up_j, down_j),
         )
+
+
+def _distinct_clamped(comps: np.ndarray, calib: Calibration):
+    """The distinct clamped datasets among comps' rows, and each row's
+    index into them; the mechanism sees a dataset only through its clamp."""
+    keys = comps
+    if calib.bounds is not None:
+        keys = np.clip(comps, calib.bounds.L, calib.bounds.U)
+    keys, inverse = np.unique(keys, axis=0, return_inverse=True)
+    return keys, inverse.ravel()
 
 
 def _log_normalizers(comps: np.ndarray, params: KernelParams, calib: Calibration):
@@ -348,10 +307,7 @@ def _log_normalizers(comps: np.ndarray, params: KernelParams, calib: Calibration
     clamped count (the shape), so the tables are built once per distinct
     clamped value, for all strata at once, and shared by every recursion.
     """
-    keys = comps
-    if calib.bounds is not None:
-        keys = np.clip(comps, calib.bounds.L, calib.bounds.U)
-    keys, inverse = np.unique(keys, axis=0, return_inverse=True)
+    keys, inverse = _distinct_clamped(comps, calib)
     values, index = np.unique(keys, return_inverse=True)
     index = index.reshape(keys.shape)
     tables = [
@@ -368,11 +324,11 @@ def _log_normalizers(comps: np.ndarray, params: KernelParams, calib: Calibration
         log_c[n] = running.log_at(y_total)
     if not np.isfinite(log_c).all():
         raise InfeasibilityError("the invariant total is unreachable")
-    return log_c[inverse.ravel()]
+    return log_c[inverse]
 
 
 class _CompositionRank:
-    """Position of a composition in _compositions(total, parts) order.
+    """Position of a composition in enumerate_feasible's lexicographic order.
 
     The compositions before v are those that agree with it up to stratum
     k and put less than v_k there; with r the total left at k, there are
@@ -397,25 +353,33 @@ class _CompositionRank:
         return rank
 
 
-def _pair_chunks(comps: np.ndarray):
-    """Yield (rows, i, j) for every unit transfer, PAIR_CHUNK at a time.
+def _pair_chunks(comps: np.ndarray, chunk: int):
+    """Yield (rows, x, x_rows, i, j) for every unit transfer, chunk at a time.
 
-    The order is the walk order: dataset rows first, then the source i
-    (only where comps[row, i] > 0), then the destination j != i.
+    comps holds every composition of one total, in order; each pair is
+    comps[rows] and x = comps[rows] - e_i + e_j = comps[x_rows]. The
+    order is the walk order: dataset rows first, then the source i (only
+    where comps[row, i] > 0), then the destination j != i.
     """
     size = comps.shape[1]
+    rank = _CompositionRank(int(comps[0].sum()), size)
     src, dst = np.array(
         [(i, j) for i in range(size) for j in range(size) if j != i]
     ).T
     ends = np.cumsum((comps > 0).sum(axis=1) * (size - 1))
-    for start in range(0, int(ends[-1]), PAIR_CHUNK):
-        stop = min(start + PAIR_CHUNK, int(ends[-1]))
+    for start in range(0, int(ends[-1]), chunk):
+        stop = min(start + chunk, int(ends[-1]))
         r0 = int(np.searchsorted(ends, start, side="right"))
         r1 = int(np.searchsorted(ends, stop - 1, side="right")) + 1
         rows, k = np.nonzero(comps[r0:r1, src] > 0)
         skip = start - (int(ends[r0 - 1]) if r0 else 0)
         take = slice(skip, skip + stop - start)
-        yield rows[take] + r0, src[k[take]], dst[k[take]]
+        rows, i, j = rows[take] + r0, src[k[take]], dst[k[take]]
+        x = comps[rows]
+        pos = np.arange(len(rows))
+        x[pos, i] -= 1
+        x[pos, j] += 1
+        yield rows, x, rank(x), i, j
 
 
 def _fill_output(lo, hi, total: int, fixed: dict) -> tuple:
@@ -441,10 +405,6 @@ def _count_feasible(lo, hi, total: int) -> int:
     return int(ways[total - int(np.sum(lo))])
 
 
-def _composition_count(total: int, parts: int) -> int:
-    return comb(total + parts - 1, parts - 1)
-
-
 @dataclass(frozen=True)
 class RatioCurve:
     """Worst-case privacy ratio per output value for a two-stratum instance."""
@@ -462,27 +422,35 @@ def ratio_curve(table: StrataTable, calib: Calibration) -> RatioCurve:
     """For each z_1, the maximal p(z|y)/p(z|x) over all neighbor pairs.
 
     Two-stratum instances only; this is the plottable form of the
-    worst-case analysis, one point per output value. It walks the same
-    pairs as audit, with the joint law at every output, keeping the
-    signed maximum per output.
+    worst-case analysis, one point per output value. It walks audit's
+    pair chunks with the joint law at every output, one log pmf per
+    distinct clamped dataset, and keeps the signed maximum per output
+    and the first pair in walk order that attains it.
     """
     if table.size != 2:
         raise DomainError("ratio curves are defined for two-stratum instances")
+    y_total = table.y_total
     params = build_kernel_params(table.y, table, calib)
-    support = enumerate_feasible(params.lo, params.hi, table.y_total)
+    support = enumerate_feasible(params.lo, params.hi, y_total)
+    comps = enumerate_feasible([0, 0], [y_total, y_total], y_total)
+    keys, inverse = _distinct_clamped(comps, calib)
+    logp = np.array([_log_pmf_on_support(k, table, calib, support) for k in keys])
     best = np.full(len(support), -np.inf)
-    best_y = [None] * len(support)
-    best_x = [None] * len(support)
-    for y, x, _, _, logp_y, logp_x in _neighbor_log_pmfs(table, calib, support):
-        d = logp_y - logp_x
-        better = d > best
-        best[better] = d[better]
-        for k in np.flatnonzero(better):
-            best_y[k] = y
-            best_x[k] = x
+    best_at = np.full((2, len(support)), -1)  # rows of the attaining y and x
+    chunk = max(1, PAIR_CHUNK // len(support))
+    for rows, _, x_rows, _, _ in _pair_chunks(comps, chunk):
+        d = logp[inverse[rows]] - logp[inverse[x_rows]]
+        k, top = d.argmax(axis=0), d.max(axis=0)
+        better = top > best
+        best[better] = top[better]
+        best_at[:, better] = rows[k[better]], x_rows[k[better]]
+    attaining_y, attaining_x = (
+        [tuple(comps[r].tolist()) if r >= 0 else None for r in at]
+        for at in best_at.tolist()
+    )
     return RatioCurve(
         z=support[:, 0].copy(), ratio=np.exp(best),
-        attaining_y=best_y, attaining_x=best_x,
+        attaining_y=attaining_y, attaining_x=attaining_x,
     )
 
 

@@ -179,19 +179,15 @@ def solve_hyperparameters(
     epsilon: float,
     mode: str,
     bounds: TruncationBounds | None = None,
-    *,
-    a_floor: float = A_FLOOR,
-    tol: float = CONVERGENCE_TOL,
-    max_sweeps: int = MAX_SWEEPS,
 ) -> Calibration:
     """Solve the coupled per-stratum requirements to a fixed point.
 
     Jacobi-style sweeps: every stratum's requirement is evaluated from the
-    previous iterate, then a_i = max(required_i, a_floor). A damping factor
+    previous iterate, then a_i = max(required_i, A_FLOOR). A damping factor
     of 0.5 is applied to strata whose update direction oscillates.
     Convergence means the largest relative change in a sweep fell below
-    tol; the final vector is then re-verified against all requirements and
-    must hold with slack >= -1e-9.
+    CONVERGENCE_TOL within MAX_SWEEPS sweeps; the final vector is then
+    re-verified against all requirements and must hold with slack >= -1e-9.
 
     Truncated mode needs bounds and, for three or more strata, a passing
     dominance report. With exactly two strata dominance necessarily fails,
@@ -255,9 +251,9 @@ def solve_hyperparameters(
     prev_delta = np.zeros(size)
     converged = False
     sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
+    for sweeps in range(1, MAX_SWEEPS + 1):
         req = required(a)
-        proposal = np.maximum(req, a_floor)
+        proposal = np.maximum(req, A_FLOOR)
         # An infeasible requirement at this iterate (e^eps <= nu) means the
         # aggregate shapes are still too small; grow and retry.
         infeasible = ~np.isfinite(proposal)
@@ -269,14 +265,14 @@ def solve_hyperparameters(
         rel = np.max(np.abs(delta) / np.maximum(np.abs(a), 1e-300))
         a = proposal
         prev_delta = delta
-        if rel < tol:
+        if rel < CONVERGENCE_TOL:
             converged = True
             break
 
     if not converged:
         resid = float(np.max(np.abs(a - required(a))))
         raise CalibrationError(
-            f"no fixed point within {max_sweeps} sweeps (residual {resid:.3e})",
+            f"no fixed point within {MAX_SWEEPS} sweeps (residual {resid:.3e})",
             residual=resid,
         )
 

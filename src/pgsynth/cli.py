@@ -273,7 +273,8 @@ def cmd_synthesize(args) -> int:
     t1 = time.perf_counter()
     matrix = sample_counts_matrix(
         table, calib,
-        count=cfg.replicates, base_seed=cfg.seed, threads=cfg.threads,
+        count=cfg.replicates, base_seed=cfg.seed,
+        threads=1 if cfg.threads is None else cfg.threads,
     )
     t2 = time.perf_counter()
 
@@ -577,8 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, many_eps=False)
     p.add_argument("--replicates", type=int, help="number of replicates")
     p.add_argument("--seed", type=int, help="base seed")
-    p.add_argument("--threads", type=int,
-                   help="worker threads (default: PGSYNTH_THREADS or 1)")
+    p.add_argument("--threads", type=int, help="worker threads (default: 1)")
     p.add_argument("--out", help="output directory")
     p.set_defaults(func=cmd_synthesize)
 

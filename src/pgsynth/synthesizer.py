@@ -34,7 +34,6 @@ choice never shows in any output.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
@@ -57,8 +56,6 @@ __all__ = [
     "read_replicates_csv",
 ]
 
-THREADS_ENV_VAR = "PGSYNTH_THREADS"
-
 # Rows per tile, for the draw's (rows x candidates) temporaries and the
 # stream arithmetic; with threads, each worker holds one tile's
 # temporaries. A row's value never depends on it.
@@ -74,20 +71,6 @@ _U32, _LOW32 = np.uint64(32), np.uint64(_MASK32)
 _PCG_MULT_HI = np.uint64(0x2360ED051FC65DA4)
 _PCG_MULT_LO = np.uint64(0x4385DF649FCCF645)
 _PCG_MULT_LO0, _PCG_MULT_LO1 = _PCG_MULT_LO & _LOW32, _PCG_MULT_LO >> _U32
-
-
-def default_thread_count() -> int:
-    """Worker count from the PGSYNTH_THREADS variable, else 1."""
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise DomainError(f"{THREADS_ENV_VAR}={raw!r} is not an integer") from None
-    if value < 1:
-        raise DomainError(f"{THREADS_ENV_VAR} must be at least 1")
-    return value
 
 
 def _draw_chunk(
@@ -272,12 +255,12 @@ def sample_counts_matrix(
     *,
     count: int,
     base_seed: int,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> np.ndarray:
     """Count-by-stratum matrix of exact mechanism draws.
 
     Row r is replicate r, drawn from the stream (base_seed, r). The
-    truncation boxes are calib.bounds. threads=None reads PGSYNTH_THREADS.
+    truncation boxes are calib.bounds.
     """
     if table.size < 2:
         raise DomainError("synthesis needs at least two strata")
@@ -285,9 +268,7 @@ def sample_counts_matrix(
         raise DomainError("replicate count must be nonnegative")
     if base_seed < 0:
         raise DomainError("base_seed must be nonnegative")
-    if threads is None:
-        threads = default_thread_count()
-    elif threads < 1:
+    if threads < 1:
         raise DomainError("threads must be at least 1")
     params = build_kernel_params(table.y, table, calib)
     if count == 0:

@@ -23,8 +23,10 @@ over the joint law must reproduce exactly.
 
 audit_enumerated is the exhaustive audit by definition: every dataset,
 every neighbor and every feasible output, one log pmf per distinct
-clamped dataset. The package's audit bounds each pair's outputs in closed
-form and must report the same worst ratio.
+clamped dataset. It walks its own neighbor_pairs and takes each law from
+the public exact_joint_pmf, so it shares no dataset enumeration or pair
+walk with the package's audit, which bounds each pair's outputs in closed form and
+must report the same worst ratio.
 """
 
 from __future__ import annotations
@@ -44,9 +46,7 @@ from pgsynth.audit import (
     AuditReport,
     NeighborPair,
     RatioCurve,
-    _composition_count,
-    _neighbor_log_pmfs,
-    enumerate_feasible,
+    exact_joint_pmf,
 )
 from pgsynth.distributions import log_negbin_kernel
 from pgsynth.errors import (
@@ -200,7 +200,11 @@ def total_variation(pmf_a: dict, pmf_b: dict) -> float:
 
 
 def neighbor_pairs(total: int, size: int):
-    """All ordered dataset pairs differing by one unit transfer."""
+    """All ordered dataset pairs (y, x, i, j) with x = y - e_i + e_j.
+
+    y runs over the compositions of total in lexicographic order, then i,
+    then j.
+    """
     datasets = [
         z for z in itertools.product(range(total + 1), repeat=size)
         if sum(z) == total
@@ -212,7 +216,33 @@ def neighbor_pairs(total: int, size: int):
                     x = list(y)
                     x[i] -= 1
                     x[j] += 1
-                    yield y, tuple(x)
+                    yield y, tuple(x), i, j
+
+
+def neighbor_log_pmfs(table, calib, cap: int = DEFAULT_CAP):
+    """(support, [(y, x, i, j, log p(.|y), log p(.|x))]) over every pair.
+
+    Each log pmf comes from exact_joint_pmf, once per distinct clamped
+    dataset, since the mechanism only sees the clamp; cap bounds the
+    outputs. support is None when there is no pair.
+    """
+    cache: dict[tuple, np.ndarray] = {}
+    support = None
+
+    def log_pmf(raw):
+        nonlocal support
+        key = raw
+        if calib.bounds is not None:
+            key = tuple(clamp(raw, calib.bounds.L.tolist(), calib.bounds.U.tolist()))
+        if key not in cache:
+            support, cache[key] = exact_joint_pmf(raw, calib, table, cap=cap)
+        return cache[key]
+
+    walk = [
+        (y, x, i, j, log_pmf(y), log_pmf(x))
+        for y, x, i, j in neighbor_pairs(table.y_total, table.size)
+    ]
+    return support, walk
 
 
 def clamp(values, lo, hi):
@@ -548,18 +578,17 @@ def audit_enumerated(table, calib, *, epsilon=None, cap: int = DEFAULT_CAP) -> A
         epsilon = calib.epsilon
     y_total = table.y_total
     size = table.size
-    n_comps = _composition_count(y_total, size)
+    n_comps = math.comb(y_total + size - 1, size - 1)
     if n_comps > cap:
         raise EnumerationCapError(
             f"{n_comps} datasets to enumerate exceeds the cap {cap}"
         )
-    params = build_kernel_params(table.y, table, calib)
-    support = enumerate_feasible(params.lo, params.hi, y_total, cap)
+    support, walk = neighbor_log_pmfs(table, calib, cap)
 
     best = -1.0
     best_pair = None
     best_z: tuple = ()
-    for y, x, i, j, logp_y, logp_x in _neighbor_log_pmfs(table, calib, support):
+    for y, x, i, j, logp_y, logp_x in walk:
         diff = np.abs(logp_y - logp_x)
         k = int(np.argmax(diff))
         if diff[k] > best:

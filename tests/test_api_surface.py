@@ -3,7 +3,8 @@
 A name in a pgsynth module's __all__ must be used by another module of
 the package (re-exports in __init__ do not count), or be listed in
 ENTRY_POINTS with the caller it serves. Test-only helpers belong in
-tests/_oracles.py, not in the package.
+tests/_oracles.py, not in the package, and the oracles there import no
+private package name.
 """
 
 import ast
@@ -81,3 +82,20 @@ def test_entry_points_and_reexports_are_module_exports():
     exported = {n for tree in _modules().values() for n in _exports(tree)}
     assert set(ENTRY_POINTS) <= exported
     assert set(pgsynth.__all__) - {"__version__"} <= exported
+
+
+def test_oracles_import_no_private_package_names():
+    # an oracle that borrows the package's internals checks them against
+    # themselves
+    tree = ast.parse(
+        (Path(__file__).parent / "_oracles.py").read_text(encoding="utf-8")
+    )
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").split(".")[0] == "pgsynth"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private, f"tests/_oracles.py imports package internals: {private}"

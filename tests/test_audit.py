@@ -21,6 +21,7 @@ from pgsynth.errors import (
     DomainError,
     DominanceError,
     EnumerationCapError,
+    InfeasibilityError,
 )
 from pgsynth.fixtures import demo_rates, demo_table
 from pgsynth.mechanism import backward_pass, build_kernel_params
@@ -34,10 +35,12 @@ from pgsynth.strata import (
 
 from _oracles import (
     audit_enumerated,
+    boxed_compositions,
     conditioned_law_direct,
     dirichlet_multinomial_pmf,
     exact_bivariate_pmf,
     multinomial_log_pmf,
+    neighbor_log_pmfs,
     prior_allocation_log_pmf,
     ratio_curve_bivariate,
     theorem1_bound_check,
@@ -341,15 +344,14 @@ class TestAgainstEnumeration:
         table, prior = weighted((40, 160, 90), (2 / 9, 3 / 9, 4 / 9), 7)
         calib = scaled(calibrated(table, prior, 1.0, mode), factor)
         params = build_kernel_params(table.y, table, calib)
-        support = enumerate_feasible(params.lo, params.hi, 7)
-        comps = np.array(list(audit_mod._compositions(7, 3)))
+        comps = enumerate_feasible([0, 0, 0], [7, 7, 7], 7)
         bound = audit_mod._PairBound(comps, params, calib)
         got = [
             (tuple(x), v, zi, zj)
-            for rows, i, j in audit_mod._pair_chunks(comps)
-            for x, v, zi, zj in zip(*bound(rows, i, j))
+            for rows, xs, x_rows, i, j in audit_mod._pair_chunks(comps, 7)
+            for x, v, zi, zj in zip(xs, *bound(rows, xs, x_rows, i, j))
         ]
-        walk = list(audit_mod._neighbor_log_pmfs(table, calib, support))
+        support, walk = neighbor_log_pmfs(table, calib)
         assert len(got) == len(walk) > 0
         for (x, value, z_i, z_j), (_, want_x, i, j, lp_y, lp_x) in zip(got, walk):
             assert x == want_x
@@ -393,6 +395,31 @@ class TestPairChunks:
             monkeypatch.setattr(audit_mod, "PAIR_CHUNK", chunk)
             assert audit(table, calib) == reference
 
+    @pytest.mark.parametrize("mode", [MODE_UNTRUNCATED, MODE_TRUNCATED])
+    def test_chunk_size_does_not_change_curve(self, monkeypatch, mode):
+        # a step holds PAIR_CHUNK // outputs pairs, at least one; chunks of
+        # 1 or 7 pairs split the walk mid-dataset, and each output must
+        # still keep the first pair in walk order that attains it
+        table, prior = pair40_160(12)
+        calib = scaled(calibrated(table, prior, 1.0, mode), 0.5)
+        reference = ratio_curve(table, calib)
+        for chunk in (1, 7, 7 * len(reference.z)):
+            monkeypatch.setattr(audit_mod, "PAIR_CHUNK", chunk)
+            assert_same_curve(ratio_curve(table, calib), reference)
+
+    def test_ties_keep_the_first_pair_in_walk_order(self, monkeypatch):
+        # point boxes leave one output, where every pair's ratio is 1, so
+        # every chunking must report the walk's first pair
+        table, prior = pair40_160(6)
+        calib = calibrated(table, prior, 1.0, MODE_TRUNCATED)
+        point = replace(calib, bounds=replace(calib.bounds, L=[2, 4], U=[2, 4]))
+        for chunk in (1, 7, audit_mod.PAIR_CHUNK):
+            monkeypatch.setattr(audit_mod, "PAIR_CHUNK", chunk)
+            curve = ratio_curve(table, point)
+            assert curve.ratio.tolist() == [1.0]
+            assert curve.attaining_y == [(0, 6)]
+            assert curve.attaining_x == [(1, 5)]
+
 
 class TestNormalizers:
     def test_shared_weight_tables_give_backward_pass_normalizers(self):
@@ -401,7 +428,7 @@ class TestNormalizers:
         table, prior = weighted((40, 160, 90), (2 / 9, 3 / 9, 4 / 9), 12)
         for mode in (MODE_UNTRUNCATED, MODE_TRUNCATED):
             calib = calibrated(table, prior, 1.0, mode)
-            comps = np.array(list(audit_mod._compositions(12, 3)))
+            comps = enumerate_feasible([0, 0, 0], [12, 12, 12], 12)
             params = build_kernel_params(table.y, table, calib)
             got = audit_mod._log_normalizers(comps, params, calib)
             want = [
@@ -412,7 +439,7 @@ class TestNormalizers:
 
     def test_composition_rank_is_walk_order(self):
         for total, parts in ((0, 3), (7, 1), (9, 2), (6, 4)):
-            comps = np.array(list(audit_mod._compositions(total, parts)))
+            comps = enumerate_feasible([0] * parts, [total] * parts, total)
             rank = audit_mod._CompositionRank(total, parts)
             assert rank(comps).tolist() == list(range(len(comps)))
 
@@ -474,6 +501,30 @@ class TestEnumerateFeasible:
         assert np.all(boxed[:, 0] >= 1) and np.all(boxed[:, 0] <= 2)
         assert np.all(boxed.sum(axis=1) == 4)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lo=st.lists(st.integers(0, 5), min_size=1, max_size=4),
+        widths=st.lists(st.integers(-1, 6), min_size=4, max_size=4),
+        total=st.integers(0, 20),
+    )
+    def test_matches_boxed_compositions_in_order(self, lo, widths, total):
+        hi = [v + w for v, w in zip(lo, widths)]
+        want = list(boxed_compositions(total, lo, hi))
+        if not want:
+            with pytest.raises(InfeasibilityError):
+                enumerate_feasible(lo, hi, total)
+            return
+        got = enumerate_feasible(lo, hi, total, cap=len(want))
+        assert [tuple(row) for row in got.tolist()] == want
+        with pytest.raises(EnumerationCapError):
+            enumerate_feasible(lo, hi, total, cap=len(want) - 1)
+
+    def test_empty_box_is_infeasible(self):
+        # the strata before the empty box still have 2 prefixes, more
+        # than the cap; the box, not the cap, must decide the outcome
+        with pytest.raises(InfeasibilityError):
+            enumerate_feasible([0, 0, 3], [9, 9, 2], 4, cap=1)
+
 
 class TestRatioCurve:
     def test_demo_curve_properties(self, demo):
@@ -514,6 +565,17 @@ class TestRatioCurve:
                     assert_same_curve(
                         ratio_curve(table, calib), ratio_curve_bivariate(table, calib)
                     )
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_outputs_without_mass_have_no_attaining_pair(self):
+        # n = 0 puts stratum 1 at 0, so every other output has mass under
+        # no dataset: its difference is undefined and must not win
+        table, prior = pair40_160(6)
+        calib = calibrated(table, prior, 1.0, MODE_UNTRUNCATED)
+        curve = ratio_curve(replace(table, n=np.array([40, 0])), calib)
+        assert curve.ratio.tolist() == [0.0] * 6 + [1.0]
+        assert curve.attaining_y == [None] * 6 + [(0, 6)]
+        assert curve.attaining_x == [None] * 6 + [(1, 5)]
 
     def test_three_strata_refused(self):
         table, prior = het3()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pgsynth.calibration as calibration
 from pgsynth.audit import exact_joint_pmf
 from pgsynth.calibration import (
     Calibration,
@@ -275,6 +276,14 @@ class TestGates:
         with pytest.raises(DomainError):
             solve_hyperparameters(table, prior, 1.0, mode=MODE_UNTRUNCATED)
 
+    def test_sweep_cap_raises_with_residual(self, demo, monkeypatch):
+        # one sweep from the prior-expected start cannot reach the fixed
+        # point; the cap is read when the solver runs
+        table, prior = demo
+        monkeypatch.setattr(calibration, "MAX_SWEEPS", 1)
+        with pytest.raises(CalibrationError, match="within 1 sweeps") as err:
+            solve_hyperparameters(table, prior, 1.0, mode=MODE_UNTRUNCATED)
+        assert err.value.residual > 0.0
 
     def test_mode_and_bounds_must_agree(self, demo):
         table, prior = demo

@@ -26,7 +26,6 @@ from pgsynth.mechanism import (
 )
 from pgsynth.strata import StrataTable, TruncationBounds, compute_bounds
 from pgsynth.synthesizer import (
-    default_thread_count,
     read_replicates_csv,
     sample_counts_matrix,
     write_replicates_csv,
@@ -314,19 +313,6 @@ class TestCsvRoundtrip:
 
 
 class TestThreadConfig:
-    def test_env_variable_controls_default(self, monkeypatch):
-        monkeypatch.delenv(synth.THREADS_ENV_VAR, raising=False)
-        assert default_thread_count() == 1
-        monkeypatch.setenv(synth.THREADS_ENV_VAR, "6")
-        assert default_thread_count() == 6
-
-    @pytest.mark.parametrize("bad", ["zero", "0", "-3", "1.5"])
-    def test_bad_env_values_rejected(self, monkeypatch, bad):
-        monkeypatch.setenv(synth.THREADS_ENV_VAR, bad)
-        with pytest.raises(DomainError):
-            default_thread_count()
-
-
     @pytest.mark.parametrize("threads", [0, -5])
     def test_nonpositive_threads_rejected(self, tiny3, threads):
         table, calib, _ = calibrated(tiny3, MODE_UNTRUNCATED)
