@@ -35,6 +35,7 @@ from .errors import DomainError, EnumerationCapError, InfeasibilityError
 from .mechanism import (
     KernelParams,
     build_kernel_params,
+    clamp_counts,
     delta_table,
     stratum_weight_table,
     suffix_tables,
@@ -257,10 +258,7 @@ class _PairBound:
         self.lo, self.hi, self.y_total = params.lo, params.hi, params.y_total
 
     def shapes(self, counts: np.ndarray) -> np.ndarray:
-        bounds = self.calib.bounds
-        if bounds is not None:
-            counts = np.clip(counts, bounds.L, bounds.U)
-        return counts.astype(np.float64) + self.calib.a
+        return clamp_counts(counts, self.calib.bounds).astype(np.float64) + self.calib.a
 
     def __call__(self, rows, x, x_rows, i, j):
         pos = np.arange(len(rows))
@@ -293,10 +291,9 @@ class _PairBound:
 def _distinct_clamped(comps: np.ndarray, calib: Calibration):
     """The distinct clamped datasets among comps' rows, and each row's
     index into them; the mechanism sees a dataset only through its clamp."""
-    keys = comps
-    if calib.bounds is not None:
-        keys = np.clip(comps, calib.bounds.L, calib.bounds.U)
-    keys, inverse = np.unique(keys, axis=0, return_inverse=True)
+    keys, inverse = np.unique(
+        clamp_counts(comps, calib.bounds), axis=0, return_inverse=True
+    )
     return keys, inverse.ravel()
 
 

@@ -7,11 +7,19 @@ settings never share a hash. Exit codes are a stable contract: 0 for
 success, 1 for runtime or numeric failure (non-convergence, dominance
 rejection, infeasible boxes, enumeration caps), 2 for input or schema
 problems.
+
+Every setting is declared once, as a row of SETTINGS: its config key,
+its converter and its help. Its flag is the key with "-" for "_".
+COMMANDS gives each subcommand its settings and the required ones; the
+parser, the config-key check and RunConfig all come from these two
+tables. Flags are parsed as plain strings, so a flag value and a config
+value go through the same converter.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -19,6 +27,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,18 +38,14 @@ from .calibration import (
     solve_hyperparameters,
     write_report,
 )
-from .errors import (
-    CalibrationError,
-    DomainError,
-    PgsynthError,
-    SchemaError,
-)
+from .errors import CalibrationError, DomainError, PgsynthError, SchemaError
 from .fixtures import (
     POPULATION_KEY_DIMS,
     FixtureSpec,
     generate_fixture,
     write_fixture_files,
 )
+from .mechanism import build_kernel_params
 from .strata import RatesTable, StrataTable, build_prior, compute_bounds
 from .synthesizer import (
     read_replicates_csv,
@@ -60,30 +65,26 @@ from .utility import (
 
 __all__ = ["main"]
 
-DEFAULT_ALPHA = 1e-4
-DEFAULT_C = 1.0
-DEFAULT_URBAN_THRESHOLD = 280.0
-
 
 @dataclass(frozen=True)
 class RunConfig:
     """One subcommand invocation, fully resolved and serializable.
 
     epsilon always holds a tuple; only calibrate accepts more than one
-    value. paths collects every file location the command touches so the
-    echoed config pins the run completely.
+    value. paths holds every file the command touches, so the echoed
+    config pins the run. The field defaults are the CLI's; --help quotes them.
     """
 
     command: str
     mode: str | None = None
     epsilon: tuple[float, ...] = ()
-    alpha: float = DEFAULT_ALPHA
-    c: float = DEFAULT_C
+    alpha: float = 1e-4
+    c: float = 1.0
     replicates: int | None = None
     seed: int | None = None
     threads: int | None = None
     cap: int | None = None
-    urban_threshold: float = DEFAULT_URBAN_THRESHOLD
+    urban_threshold: float = 280.0
     age_dim: str = "age"
     geo_dim: str = "county"
     group_dim: str = "race"
@@ -93,10 +94,8 @@ class RunConfig:
     paths: dict = field(default_factory=dict)
 
     def to_doc(self) -> dict:
+        # tuples serialize as JSON lists
         doc = asdict(self)
-        doc["epsilon"] = list(self.epsilon)
-        if self.population_key_dims is not None:
-            doc["population_key_dims"] = list(self.population_key_dims)
         doc["paths"] = {k: str(v) for k, v in sorted(self.paths.items())}
         return doc
 
@@ -150,34 +149,7 @@ def _dims(value) -> tuple[str, ...]:
     return tuple(_text(d) for d in value)
 
 
-def _merge(args, config_keys: dict) -> dict:
-    """Config-file values overridden by any flag that was actually given.
-
-    Every value goes through its key's converter in config_keys; a value
-    it refuses is a SchemaError. A null config value counts as unset.
-    """
-    merged: dict = {}
-    if getattr(args, "config", None):
-        raw = _load_config(args.config)
-        unknown = set(raw) - set(config_keys)
-        if unknown:
-            raise SchemaError(f"unknown config keys {sorted(unknown)}")
-        merged.update((k, v) for k, v in raw.items() if v is not None)
-    for key in config_keys:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    for key, value in merged.items():
-        try:
-            merged[key] = config_keys[key](value)
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"setting {key!r}: {exc}") from None
-    return merged
-
-
-def _epsilon_tuple(eps: tuple[float, ...] | None, *, many: bool) -> tuple[float, ...]:
-    if eps is None:
-        raise SchemaError("epsilon is required (flag or config)")
+def _epsilon_tuple(eps: tuple[float, ...], *, many: bool) -> tuple[float, ...]:
     if not eps:
         raise SchemaError("epsilon list is empty")
     if not many and len(eps) != 1:
@@ -188,17 +160,56 @@ def _epsilon_tuple(eps: tuple[float, ...] | None, *, many: bool) -> tuple[float,
     return eps
 
 
-def _require(merged: dict, keys: list[str], command: str) -> None:
-    missing = [k for k in keys if merged.get(k) in (None, "")]
-    if missing:
-        raise SchemaError(f"{command}: missing required settings {missing}")
-
-
 def _mode(merged) -> str:
     mode = merged.get("mode") or MODE_UNTRUNCATED
     if mode not in (MODE_UNTRUNCATED, MODE_TRUNCATED):
         raise SchemaError(f"mode must be untruncated or truncated, got {mode!r}")
     return mode
+
+
+def _resolve(args) -> RunConfig:
+    """The invocation's RunConfig: config-file values overridden by any
+    flag that was actually given, then checked.
+
+    Every value goes through its setting's converter; a value it refuses
+    is a SchemaError. A null config value counts as unset, and an unset
+    setting keeps the field's default. A setting that names a RunConfig
+    field (through _FIELD) sets it; any other names a file and goes into
+    paths when non-empty.
+    """
+    command = COMMANDS[args.command]
+    merged: dict = {}
+    if args.config:
+        raw = _load_config(args.config)
+        unknown = set(raw) - set(command.settings)
+        if unknown:
+            raise SchemaError(f"unknown config keys {sorted(unknown)}")
+        merged.update((k, v) for k, v in raw.items() if v is not None)
+    for key in command.settings:
+        if getattr(args, key) is not None:
+            merged[key] = getattr(args, key)
+    for key, value in merged.items():
+        try:
+            merged[key] = SETTINGS[key][0](value)
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"setting {key!r}: {exc}") from None
+    missing = [k for k in command.required if merged.get(k) in (None, "")]
+    if missing:
+        raise SchemaError(f"{args.command}: missing required settings {missing}")
+    if "mode" in command.settings:
+        merged["mode"] = _mode(merged)
+    if "epsilon" in command.settings:
+        merged["epsilon"] = _epsilon_tuple(
+            merged["epsilon"], many=args.command == "calibrate"
+        )
+    values, paths = {}, {}
+    for key, value in merged.items():
+        name = _FIELD.get(key, key)
+        if name in _FIELD_DEFAULTS:
+            values[name] = value
+        elif value:
+            paths[key] = value
+    return RunConfig(command=args.command, paths=paths, **values)
 
 
 def _load_instance(cfg: RunConfig):
@@ -225,22 +236,17 @@ def _eps_path(out: Path, epsilon: float, many: bool) -> Path:
 
 
 def cmd_calibrate(args) -> int:
-    merged = _merge(args, CALIBRATE_KEYS)
-    _require(merged, ["strata", "rates", "out"], "calibrate")
-    eps = _epsilon_tuple(merged.get("epsilon"), many=True)
-    cfg = RunConfig(
-        command="calibrate",
-        mode=_mode(merged),
-        epsilon=eps,
-        alpha=merged.get("alpha", DEFAULT_ALPHA),
-        c=merged.get("c", DEFAULT_C),
-        paths={k: merged[k] for k in ("strata", "rates", "out")},
-    )
+    cfg = _resolve(args)
+    out, many = Path(cfg.paths["out"]), len(cfg.epsilon) > 1
+    reports = {_eps_path(out, e, many): e for e in cfg.epsilon}
+    if len(reports) < len(cfg.epsilon):
+        raise SchemaError(
+            f"epsilon values {list(cfg.epsilon)} do not all get their own "
+            f"report file (named by {{epsilon:g}}); no file written"
+        )
     table, prior = _load_instance(cfg)
-    out = Path(cfg.paths["out"])
-    for epsilon in cfg.epsilon:
+    for path, epsilon in reports.items():
         calib = _calibrate_once(table, prior, cfg, epsilon)
-        path = _eps_path(out, epsilon, len(cfg.epsilon) > 1)
         write_report(
             calib, table, path,
             extra={"config_hash": cfg.config_hash(), "config": cfg.to_doc()},
@@ -250,19 +256,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
-    merged = _merge(args, SYNTHESIZE_KEYS)
-    _require(merged, ["strata", "rates", "replicates", "seed", "out"], "synthesize")
-    cfg = RunConfig(
-        command="synthesize",
-        mode=_mode(merged),
-        epsilon=_epsilon_tuple(merged.get("epsilon"), many=False),
-        alpha=merged.get("alpha", DEFAULT_ALPHA),
-        c=merged.get("c", DEFAULT_C),
-        replicates=merged["replicates"],
-        seed=merged["seed"],
-        threads=merged.get("threads"),
-        paths={k: merged[k] for k in ("strata", "rates", "out")},
-    )
+    cfg = _resolve(args)
     if cfg.replicates < 1:
         raise DomainError("need at least one replicate")
     table, prior = _load_instance(cfg)
@@ -278,16 +272,12 @@ def cmd_synthesize(args) -> int:
     )
     t2 = time.perf_counter()
 
-    # invariant scan before any file is opened: totals always, boxes when
-    # truncated; a failure leaves the output directory untouched
+    # invariant scan before any file is opened: every total, and every
+    # count inside the boxes the sampler draws in; a failure leaves the
+    # output directory untouched
+    params = build_kernel_params(table.y, table, calib)
     sums_ok = bool(np.all(matrix.sum(axis=1) == table.y_total))
-    if cfg.mode == MODE_TRUNCATED:
-        hi = np.minimum(calib.bounds.U, table.y_total)
-        box_ok = bool(
-            np.all(matrix >= calib.bounds.L) and np.all(matrix <= hi)
-        )
-    else:
-        box_ok = bool(np.all(matrix >= 0))
+    box_ok = bool(np.all(matrix >= params.lo) and np.all(matrix <= params.hi))
     if not (sums_ok and box_ok):
         raise CalibrationError(
             "replicate invariant scan failed "
@@ -334,17 +324,7 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    merged = _merge(args, AUDIT_KEYS)
-    _require(merged, ["strata", "rates", "out"], "audit")
-    cfg = RunConfig(
-        command="audit",
-        mode=_mode(merged),
-        epsilon=_epsilon_tuple(merged.get("epsilon"), many=False),
-        alpha=merged.get("alpha", DEFAULT_ALPHA),
-        c=merged.get("c", DEFAULT_C),
-        cap=merged.get("cap"),
-        paths={k: merged[k] for k in ("strata", "rates", "out")},
-    )
+    cfg = _resolve(args)
     if cfg.cap is not None and cfg.cap < 1:
         raise SchemaError(f"cap must be at least 1, got {cfg.cap}")
     table, prior = _load_instance(cfg)
@@ -386,35 +366,18 @@ def _metric_rows(metric, selector, epsilon, truth_value, rep_values):
 
 
 def cmd_evaluate(args) -> int:
-    merged = _merge(args, EVALUATE_KEYS)
-    _require(merged, ["truth", "replicates_dir", "std", "out"], "evaluate")
-    cfg = RunConfig(
-        command="evaluate",
-        urban_threshold=merged.get("urban_threshold", DEFAULT_URBAN_THRESHOLD),
-        age_dim=merged.get("age_dim", "age"),
-        geo_dim=merged.get("geo_dim", "county"),
-        group_dim=merged.get("group_dim", "race"),
-        numerator_level=merged.get("numerator", "black"),
-        denominator_level=merged.get("denominator", "white"),
-        population_key_dims=merged.get("population_dims"),
-        paths={
-            k: merged[k]
-            for k in ("truth", "replicates_dir", "std", "density", "out")
-            if merged.get(k)
-        },
-    )
+    cfg = _resolve(args)
     table = StrataTable.from_csv(cfg.paths["truth"])
     std = StandardPopulation.from_csv(cfg.paths["std"])
     rep_dir = Path(cfg.paths["replicates_dir"])
     rep_csv = rep_dir / "replicates.csv" if rep_dir.is_dir() else rep_dir
-    if not Path(rep_csv).exists():
+    if not rep_csv.exists():
         raise SchemaError(f"no replicates file at {rep_csv}")
     matrix = read_replicates_csv(rep_csv, table)
 
     epsilon: float | str = ""
-    manifest_path = (rep_dir / "manifest.json") if rep_dir.is_dir() else None
-    if manifest_path and manifest_path.exists():
-        epsilon = _load_config(manifest_path).get("epsilon", "")
+    if (rep_dir / "manifest.json").is_file():
+        epsilon = _load_config(rep_dir / "manifest.json").get("epsilon", "")
 
     opts = {
         "age_dim": cfg.age_dim,
@@ -486,12 +449,8 @@ def _parse_fixture_spec(doc: dict) -> FixtureSpec:
 
 
 def cmd_fixture(args) -> int:
-    merged = _merge(args, FIXTURE_KEYS)
-    _require(merged, ["spec", "out"], "fixture")
-    cfg = RunConfig(
-        command="fixture", paths={"spec": merged["spec"], "out": merged["out"]}
-    )
-    source = merged["spec"]
+    cfg = _resolve(args)
+    source, out = cfg.paths["spec"], cfg.paths["out"]
     if source.lstrip().startswith("{"):
         doc = _json_object(source, "--spec")
     else:
@@ -499,9 +458,7 @@ def cmd_fixture(args) -> int:
     spec = _parse_fixture_spec(doc)
     fixture = generate_fixture(spec)
     h = cfg.config_hash()
-    paths = write_fixture_files(
-        fixture, merged["out"], header_comment=f"config_hash={h}"
-    )
+    paths = write_fixture_files(fixture, out, header_comment=f"config_hash={h}")
     urban = sorted(
         g for g, d in fixture.densities.items() if d > spec.density_threshold
     )
@@ -519,46 +476,84 @@ def cmd_fixture(args) -> int:
         "population_key_dims": list(POPULATION_KEY_DIMS),
         "files": {k: str(v) for k, v in paths.items()},
     }
-    with open(Path(merged["out"]) / "manifest.json", "w", encoding="utf-8") as fh:
+    with open(Path(out) / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
-    print(f"wrote fixture to {merged['out']} ({fixture.table.size} strata)")
+    print(f"wrote fixture to {out} ({fixture.table.size} strata)")
     return 0
 
 
-# each command's settings and the converter a value goes through
-CALIBRATE_KEYS = {
-    "strata": _text, "rates": _text, "epsilon": _epsilons, "mode": _text,
-    "alpha": _real, "c": _real, "out": _text,
+# Every setting, once: config key -> (converter, help). Its flag is --key
+# with "-" for "_", except evaluate's replicates_dir, which is
+# --replicates. A key that names no RunConfig field (after _FIELD) names a
+# file and goes into RunConfig.paths.
+SETTINGS: dict[str, tuple[Callable, str | None]] = {
+    "strata": (_text, "strata CSV (dims..., population, count)"),
+    "rates": (_text, "reference rates CSV (dims..., rate)"),
+    "epsilon": (_epsilons, "privacy budget (calibrate: one or more, one report each)"),
+    "mode": (_text, "untruncated (default) or truncated"),
+    "alpha": (_real, "truncation tail level"),
+    "c": (_real, "truncation dispersion factor"),
+    "replicates": (_integer, "number of replicates"),
+    "seed": (_integer, "base seed"),
+    "threads": (_integer, "worker threads (default: 1)"),
+    "cap": (_integer, "most datasets to enumerate (default 10^6)"),
+    "truth": (_text, "true strata CSV"),
+    "replicates_dir": (_text, "synthesize output directory (or replicates CSV)"),
+    "std": (_text, "standard population CSV (age_group, weight)"),
+    "density": (_text, "density CSV (geo, density)"),
+    "urban_threshold": (_real, "urban density cutoff"),
+    "age_dim": (_text, "dimension holding the age group"),
+    "geo_dim": (_text, "dimension holding the county"),
+    "group_dim": (_text, "dimension holding the disparity groups"),
+    "numerator": (_text, "group level for disparity numerators"),
+    "denominator": (_text, "group level for disparity denominators"),
+    "population_dims": (_dims, "comma-separated dims identifying one person-cell"),
+    "spec": (_text, "fixture spec: a JSON object inline, or a JSON file path"),
+    "out": (_text, None),  # each command has its own help
 }
-SYNTHESIZE_KEYS = {
-    **CALIBRATE_KEYS, "replicates": _integer, "seed": _integer,
-    "threads": _integer,
-}
-AUDIT_KEYS = {**CALIBRATE_KEYS, "cap": _integer}
-EVALUATE_KEYS = {
-    "truth": _text, "replicates_dir": _text, "std": _text,
-    "density": _text, "urban_threshold": _real, "out": _text,
-    "age_dim": _text, "geo_dim": _text, "group_dim": _text,
-    "numerator": _text, "denominator": _text, "population_dims": _dims,
-}
-FIXTURE_KEYS = {"spec": _text, "out": _text}
+_FIELD = {"numerator": "numerator_level", "denominator": "denominator_level",
+          "population_dims": "population_key_dims"}
+_FIELD_DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunConfig)
+                   if f.name not in ("command", "paths")}
 
 
-def _add_common(p, *, many_eps: bool):
-    p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--strata", help="strata CSV (dims..., population, count)")
-    p.add_argument("--rates", help="reference rates CSV (dims..., rate)")
-    if many_eps:
-        p.add_argument("--epsilon", type=float, nargs="+",
-                       help="privacy budget(s); one report per value")
-    else:
-        p.add_argument("--epsilon", type=float, help="privacy budget")
-    p.add_argument("--mode", choices=[MODE_UNTRUNCATED, MODE_TRUNCATED])
-    p.add_argument("--alpha", type=float,
-                   help=f"truncation tail level (default {DEFAULT_ALPHA})")
-    p.add_argument("--c", type=float,
-                   help=f"truncation dispersion factor (default {DEFAULT_C})")
+class Command(NamedTuple):
+    run: Callable
+    help: str
+    out: str  # the --out help
+    settings: tuple[str, ...]  # in --help order
+    required: tuple[str, ...]
+
+
+_INSTANCE = ("strata", "rates", "epsilon", "mode", "alpha", "c")
+_REQUIRED = ("strata", "rates", "epsilon", "out")
+COMMANDS = {
+    "calibrate": Command(
+        cmd_calibrate, "solve minimal prior hyperparameters",
+        "calibration report JSON path", (*_INSTANCE, "out"), _REQUIRED,
+    ),
+    "synthesize": Command(
+        cmd_synthesize, "draw seeded synthetic replicates", "output directory",
+        (*_INSTANCE, "replicates", "seed", "threads", "out"),
+        (*_REQUIRED, "replicates", "seed"),
+    ),
+    "audit": Command(
+        cmd_audit, "exhaustively verify the privacy bound",
+        "audit report JSON path", (*_INSTANCE, "cap", "out"), _REQUIRED,
+    ),
+    "evaluate": Command(
+        cmd_evaluate, "utility metrics over replicates", "metrics CSV path",
+        ("truth", "replicates_dir", "std", "density", "urban_threshold",
+         "age_dim", "geo_dim", "group_dim", "numerator", "denominator",
+         "population_dims", "out"),
+        ("truth", "replicates_dir", "std", "out"),
+    ),
+    "fixture": Command(
+        cmd_fixture, "generate a seeded test instance", "output directory",
+        ("spec", "out"), ("spec", "out"),
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -568,54 +563,19 @@ def build_parser() -> argparse.ArgumentParser:
         "Poisson-gamma posterior predictive with an exact total.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("calibrate", help="solve minimal prior hyperparameters")
-    _add_common(p, many_eps=True)
-    p.add_argument("--out", help="calibration report JSON path")
-    p.set_defaults(func=cmd_calibrate)
-
-    p = sub.add_parser("synthesize", help="draw seeded synthetic replicates")
-    _add_common(p, many_eps=False)
-    p.add_argument("--replicates", type=int, help="number of replicates")
-    p.add_argument("--seed", type=int, help="base seed")
-    p.add_argument("--threads", type=int, help="worker threads (default: 1)")
-    p.add_argument("--out", help="output directory")
-    p.set_defaults(func=cmd_synthesize)
-
-    p = sub.add_parser("audit", help="exhaustively verify the privacy bound")
-    _add_common(p, many_eps=False)
-    p.add_argument("--cap", type=int,
-                   help="most datasets to enumerate (default 10^6)")
-    p.add_argument("--out", help="audit report JSON path")
-    p.set_defaults(func=cmd_audit)
-
-    p = sub.add_parser("evaluate", help="utility metrics over replicates")
-    p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--truth", help="true strata CSV")
-    p.add_argument("--replicates", dest="replicates_dir",
-                   help="synthesize output directory (or replicates CSV)")
-    p.add_argument("--std", help="standard population CSV (age_group, weight)")
-    p.add_argument("--density", help="density CSV (geo, density)")
-    p.add_argument("--urban-threshold", dest="urban_threshold", type=float,
-                   help=f"urban density cutoff (default {DEFAULT_URBAN_THRESHOLD})")
-    p.add_argument("--age-dim", dest="age_dim")
-    p.add_argument("--geo-dim", dest="geo_dim")
-    p.add_argument("--group-dim", dest="group_dim")
-    p.add_argument("--numerator", help="group level for disparity numerators")
-    p.add_argument("--denominator", help="group level for disparity denominators")
-    p.add_argument("--population-dims", dest="population_dims",
-                   help="comma-separated dims identifying one person-cell")
-    p.add_argument("--out", help="metrics CSV path")
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("fixture", help="generate a seeded test instance")
-    p.add_argument("--config", help=argparse.SUPPRESS)
-    p.add_argument(
-        "--spec", help="fixture spec: a JSON object inline, or a JSON file path"
-    )
-    p.add_argument("--out", help="output directory")
-    p.set_defaults(func=cmd_fixture)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.set_defaults(func=command.run)
+        p.add_argument("--config", help=argparse.SUPPRESS if name == "fixture"
+                       else "JSON config file; flags override it")
+        for key in command.settings:
+            text = command.out if key == "out" else SETTINGS[key][1]
+            default = _FIELD_DEFAULTS.get(_FIELD.get(key, key))
+            flag = "replicates" if key == "replicates_dir" else key.replace("_", "-")
+            p.add_argument(
+                f"--{flag}", dest=key, nargs="+" if key == "epsilon" else None,
+                help=f"{text} (default {default})" if default else text,
+            )
     return parser
 
 

@@ -39,6 +39,7 @@ from .strata import StrataTable, TruncationBounds
 __all__ = [
     "KernelParams",
     "MassTable",
+    "clamp_counts",
     "build_kernel_params",
     "stratum_weight_table",
     "convolve_mass",
@@ -97,6 +98,14 @@ def log_success(b, n) -> np.ndarray:
         return -np.log(2.0 + ratio)
 
 
+def clamp_counts(counts, bounds: TruncationBounds | None) -> np.ndarray:
+    """Counts as the mechanism sees them: clipped into the boxes when
+    truncated (bounds given), unchanged when untruncated."""
+    if bounds is None:
+        return counts
+    return np.clip(counts, bounds.L, bounds.U)
+
+
 def build_kernel_params(counts, table: StrataTable, calib) -> KernelParams:
     """Kernel parameters for the mechanism run on a raw count vector.
 
@@ -111,15 +120,13 @@ def build_kernel_params(counts, table: StrataTable, calib) -> KernelParams:
     y_total = int(counts.sum())
     bounds: TruncationBounds | None = calib.bounds
     if bounds is not None:
-        clamped = np.clip(counts, bounds.L, bounds.U)
         lo = bounds.L.copy()
         hi = np.minimum(bounds.U, y_total)
     else:
-        clamped = counts
         lo = np.zeros(table.size, dtype=np.int64)
         hi = np.full(table.size, y_total, dtype=np.int64)
     return KernelParams(
-        shape=clamped.astype(np.float64) + calib.a,
+        shape=clamp_counts(counts, bounds).astype(np.float64) + calib.a,
         log_p=log_success(calib.b, table.n),
         lo=lo,
         hi=hi,

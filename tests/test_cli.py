@@ -1,16 +1,31 @@
 """End-to-end command line checks, run in process via main(argv)."""
 
+import dataclasses
 import hashlib
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pgsynth.cli import main
+from pgsynth.cli import (
+    _FIELD,
+    COMMANDS,
+    SETTINGS,
+    RunConfig,
+    _dims,
+    _epsilons,
+    _integer,
+    _real,
+    _resolve,
+    _text,
+    build_parser,
+    main,
+)
 from pgsynth.fixtures import demo_rates, demo_table
 from pgsynth.strata import RatesTable, StrataTable
 
@@ -515,3 +530,204 @@ class TestConfigHash:
             hashes.append(json.loads(out.read_text())["config_hash"])
         assert hashes[0] != hashes[1]
         assert all(len(h) == 64 for h in hashes)
+
+
+class TestEpsilonCollisions:
+    @pytest.mark.parametrize("eps", [[0.1, 0.10000001], [1.0, 1.0]])
+    @pytest.mark.parametrize("via", ["flags", "config"])
+    def test_colliding_report_files_are_refused(
+        self, demo_files, tmp_path, capsys, monkeypatch, eps, via
+    ):
+        # both values would write dup_eps0p1.json (or dup_eps1.json): the
+        # second report would silently replace the first
+        monkeypatch.setattr(
+            "pgsynth.cli._calibrate_once", lambda *a: pytest.fail("calibration ran")
+        )
+        out = tmp_path / "dup.json"
+        settings = {"strata": demo_files["strata"], "rates": demo_files["rates"]}
+        if via == "flags":
+            argv = [
+                "calibrate", "--strata", settings["strata"],
+                "--rates", settings["rates"],
+                "--epsilon", *map(repr, eps), "--out", str(out),
+            ]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({**settings, "epsilon": eps, "out": str(out)}))
+            argv = ["calibrate", "--config", str(cfg)]
+        assert run(argv) == 2
+        assert "own report file" in capsys.readouterr().err
+        assert not list(tmp_path.glob("dup*"))
+
+    def test_distinct_tags_still_write_one_file_each(self, demo_files, tmp_path):
+        out = tmp_path / "grid.json"
+        assert run([
+            "calibrate", "--strata", demo_files["strata"],
+            "--rates", demo_files["rates"],
+            "--epsilon", "0.1", "0.11", "--out", str(out),
+        ]) == 0
+        assert sorted(p.name for p in tmp_path.glob("grid*")) == [
+            "grid_eps0p1.json", "grid_eps0p11.json",
+        ]
+
+
+# Hashes each invocation below wrote before the settings table existed: the
+# table must resolve every run to the same config, so every stamp stays.
+PINNED_HASHES = {
+    "fixture": "a7454922f1c7eb1e00de397731f48e48ef33d828a036f5a38f10c40b1ad9354f",
+    "calibrate": "328705d8446e08d28b04b1dbc11d11f5558c67e8465f93dcb89606fe0602c460",
+    "calibrate_grid": "94fd816618c57a3ece19649711ac168a73cfad87f45c871886c0408f4f4fac4a",
+    "synthesize": "9802e1ad5348e8eab07ad0e56f6781e3b8a6bc92ca287b482978cd229c10dc42",
+    "synthesize_threads": "7a95cad1e1ac6540585dd858f7aa63844f30636635061c158d33918e8ca19fbb",
+    "audit": "4c9b46daa527896b480fb8166ccbb4117ff04a1f89f02273e064917d439a04fd",
+    "evaluate": "57f874890dfd7fc4bc92af6c84a2fc005e064dc26baa64a3c506195f30531c21",
+}
+
+
+def test_config_hashes_are_pinned(tmp_path, monkeypatch):
+    # relative paths keep the hashes independent of where the test runs
+    monkeypatch.chdir(tmp_path)
+    demo_table().to_csv("strata.csv")
+    demo_rates().to_csv("rates.csv")
+    Path("spec.json").write_text(json.dumps({
+        "dims": [["county", 2], ["age", 2], ["site", 1], ["race", 3], ["sex", 2]],
+        "total_deaths": 40, "state_population": 5_000, "seed": 0, "urban_count": 1,
+    }))
+    demo = ["--strata", "strata.csv", "--rates", "rates.csv"]
+    fix = [
+        "--strata", "fix/strata.csv", "--rates", "fix/rates.csv", "--epsilon", "2.0",
+        "--mode", "truncated", "--replicates", "5", "--seed", "1",
+    ]
+    runs = {
+        "fixture": (["fixture", "--spec", "spec.json", "--out", "fix"], "fix/manifest.json"),
+        "calibrate": (
+            ["calibrate", *demo, "--epsilon", "1.0", "--mode", "truncated",
+             "--out", "calib.json"],
+            "calib.json",
+        ),
+        "calibrate_grid": (
+            ["calibrate", *demo, "--epsilon", "0.5", "2", "--out", "grid.json"],
+            "grid_eps0p5.json",
+        ),
+        "synthesize": (["synthesize", *fix, "--out", "run"], "run/manifest.json"),
+        "synthesize_threads": (
+            ["synthesize", *fix, "--threads", "2", "--out", "run2"], "run2/manifest.json",
+        ),
+        "audit": (["audit", *demo, "--epsilon", "1.0", "--out", "audit.json"], "audit.json"),
+        "evaluate": (
+            ["evaluate", "--truth", "fix/strata.csv", "--replicates", "run",
+             "--std", "fix/standard.csv", "--density", "fix/densities.csv",
+             "--population-dims", "county,age,race,sex", "--out", "metrics.csv"],
+            "metrics.csv",
+        ),
+    }
+    hashes = {}
+    for name, (argv, written) in runs.items():
+        assert run(argv) == 0, name
+        text = Path(written).read_text()
+        if written.endswith(".json"):
+            hashes[name] = json.loads(text)["config_hash"]
+        else:
+            hashes[name] = text.split("\n", 1)[0].removeprefix("# config_hash=")
+    assert hashes == PINNED_HASHES
+
+
+def _flag(key):
+    return "--replicates" if key == "replicates_dir" else "--" + key.replace("_", "-")
+
+
+# one value per converter: (as a flag, as a config value)
+SAMPLES = {
+    _text: ("v.csv", "v.csv"),
+    _real: ("0.25", 0.25),
+    _integer: ("7", 7),
+    _epsilons: ("0.5", 0.5),
+    _dims: ("a, b", ["a", "b"]),
+}
+
+
+def _sample(key):
+    return ("truncated", "truncated") if key == "mode" else SAMPLES[SETTINGS[key][0]]
+
+
+class TestSettingsTable:
+    def resolve(self, tmp_path, command, argv, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        args = build_parser().parse_args([command, "--config", str(cfg), *argv])
+        return _resolve(args).to_doc()
+
+    @pytest.mark.parametrize("command, key", [
+        (command, key) for command, spec in COMMANDS.items() for key in spec.settings
+    ])
+    def test_flag_and_config_value_resolve_alike(self, tmp_path, command, key):
+        spec = COMMANDS[command]
+        # the rest of a valid invocation, from the config file both times
+        base = {
+            k: _sample(k)[1] for k in (*spec.required, "epsilon")
+            if k in spec.settings and k != key
+        }
+        flag, value = _sample(key)
+        by_flag = self.resolve(tmp_path, command, [_flag(key), flag], base)
+        by_config = self.resolve(tmp_path, command, [], {**base, key: value})
+        assert by_flag == by_config
+        name = _FIELD.get(key, key)
+        got = by_flag[name] if name in by_flag else by_flag["paths"][key]
+        assert got == SETTINGS[key][0](value)
+
+    def test_epsilon_grid_flag_and_config_resolve_alike(self, tmp_path):
+        base = {"strata": "s.csv", "rates": "r.csv", "out": "o.json"}
+        by_flag = self.resolve(
+            tmp_path, "calibrate", ["--epsilon", "0.5", "2"], base
+        )
+        by_config = self.resolve(
+            tmp_path, "calibrate", [], {**base, "epsilon": [0.5, 2]}
+        )
+        assert by_flag == by_config
+        assert by_flag["epsilon"] == (0.5, 2.0)
+
+    def test_every_runconfig_field_is_set_by_exactly_one_setting(self):
+        fields = {f.name for f in dataclasses.fields(RunConfig)} - {"command", "paths"}
+        named = Counter(_FIELD.get(k, k) for k in SETTINGS)
+        assert {name: named[name] for name in fields} == dict.fromkeys(fields, 1)
+        assert set(_FIELD) <= set(SETTINGS)
+
+    def test_every_setting_serves_a_command(self):
+        used = {key for spec in COMMANDS.values() for key in spec.settings}
+        assert used == set(SETTINGS)
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_required_settings_are_the_commands_own(self, command):
+        spec = COMMANDS[command]
+        assert set(spec.required) <= set(spec.settings)
+        assert len(set(spec.settings)) == len(spec.settings)
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_help_lists_every_flag(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        words = capsys.readouterr().out.split()
+        for key in COMMANDS[command].settings:
+            assert _flag(key) in words, key
+
+
+class TestMistypedFlags:
+    @pytest.mark.parametrize("extra, named", [
+        (["--replicates", "ten"], "'replicates'"),
+        (["--threads", "1.5"], "'threads'"),
+        (["--mode", "bogus"], "mode"),
+        (["--epsilon", "1", "2"], "epsilon"),
+    ])
+    def test_mistyped_flag_is_usage_error(
+        self, demo_files, tmp_path, capsys, extra, named
+    ):
+        out = tmp_path / "run"
+        code = run([
+            "synthesize", "--strata", demo_files["strata"],
+            "--rates", demo_files["rates"], "--epsilon", "1.0",
+            "--replicates", "4", "--seed", "1", "--out", str(out), *extra,
+        ])
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
