@@ -9,9 +9,11 @@ restricting counts to public Poisson-quantile boxes.
 
 Typical flow: load a StrataTable and RatesTable, build_prior, optionally
 compute_bounds, solve_hyperparameters, then sample_counts_matrix for a
-(replicates, strata) matrix and write_replicates_csv to store it. audit()
-exhaustively verifies the privacy bound on enumerable instances; the
-utility module scores replicates against the confidential table.
+(replicates, strata) matrix and write_replicates_csv to store it.
+pgsynth.audit.audit exhaustively verifies the privacy bound on enumerable
+instances; the utility module scores replicates against the confidential
+table. No name exported here is also a submodule's name, so
+`import pgsynth.audit` always binds the module.
 """
 
 from .calibration import (
@@ -34,7 +36,6 @@ from .errors import (
 )
 from .audit import (
     AuditReport,
-    audit,
     exact_joint_pmf,
     ratio_curve,
 )
@@ -80,7 +81,6 @@ __all__ = [
     "EnumerationCapError",
     "UndefinedRateError",
     "AuditReport",
-    "audit",
     "exact_joint_pmf",
     "ratio_curve",
     "FixtureSpec",

@@ -33,6 +33,8 @@ the prior-predictive boxes shrink with the expected count.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -63,6 +65,11 @@ A_FLOOR = 1e-3
 CONVERGENCE_TOL = 1e-10
 SLACK_TOL = 1e-9
 MAX_SWEEPS = 10**5
+
+# Strata entries per write in write_report.
+REPORT_ROWS = 10_000
+# json's spelling of the floats whose repr it does not write
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,6 +316,20 @@ def solve_hyperparameters(
     )
 
 
+def _report_doc(calib: Calibration, strata: list) -> dict:
+    bounds = calib.bounds
+    return {
+        "mode": calib.mode,
+        "epsilon": calib.epsilon,
+        "alpha": bounds.alpha if bounds is not None else None,
+        "c": bounds.c if bounds is not None else None,
+        "strata": strata,
+        "converged": calib.converged,
+        "iterations": calib.iterations,
+        "exchange_rule_applied": calib.exchange_rule_applied,
+    }
+
+
 def calibration_report(calib: Calibration, table: StrataTable) -> dict:
     """Releasable JSON-ready description of a solved calibration."""
     bounds = calib.bounds
@@ -323,23 +344,58 @@ def calibration_report(calib: Calibration, table: StrataTable) -> dict:
             "slack": float(calib.slack[i]),
         }
         strata.append(entry)
-    return {
-        "mode": calib.mode,
-        "epsilon": calib.epsilon,
-        "alpha": bounds.alpha if bounds is not None else None,
-        "c": bounds.c if bounds is not None else None,
-        "strata": strata,
-        "converged": calib.converged,
-        "iterations": calib.iterations,
-        "exchange_rule_applied": calib.exchange_rule_applied,
-    }
+    return _report_doc(calib, strata)
+
+
+def _json_floats(values: np.ndarray) -> list[str]:
+    """Each float as json writes it: its repr, or NaN / Infinity / -Infinity."""
+    text = list(map(float.__repr__, values.tolist()))
+    if not np.isfinite(values).all():
+        text = [_JSON_NONFINITE.get(t, t) for t in text]
+    return text
 
 
 def write_report(calib: Calibration, table: StrataTable, path, extra: dict | None = None) -> None:
-    doc = calibration_report(calib, table)
+    """calibration_report(calib, table), updated with extra, as indented JSON.
+
+    The file is json.dump(doc, fh, indent=2) followed by a newline. The
+    json module writes everything but the per-stratum entries; those,
+    most of the file, are filled into one template, each scalar spelled
+    as json spells it, and written REPORT_ROWS entries at a time.
+    """
+    placeholder: list = []
+    doc = _report_doc(calib, placeholder)
     if extra:
         doc.update(extra)
+    text = json.dumps(doc, indent=2)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=False)
-        fh.write("\n")
-
+        if doc["strata"] is not placeholder:  # extra replaced the entries
+            fh.write(text + "\n")
+            return
+        # the top-level key, alone at two spaces of indent
+        head, tail = text.split('\n  "strata": []', 1)
+        fh.write(head + '\n  "strata": [\n')
+        spell = functools.lru_cache(maxsize=None)(json.dumps)
+        columns = (map(spell, column) for column in zip(*table.keys))
+        keys = map((",\n" + " " * 8).join, zip(*columns))
+        if calib.bounds is None:
+            lo = hi = itertools.repeat("null")
+        else:
+            lo = map(str, calib.bounds.L.tolist())
+            hi = map(str, calib.bounds.U.tolist())
+        template = (
+            "    {{\n"
+            '      "key": [\n        {}\n      ],\n'
+            '      "a": {},\n      "b": {},\n      "L": {},\n      "U": {},\n'
+            '      "slack": {}\n'
+            "    }}"
+        ).format
+        entries = map(
+            template, keys, _json_floats(calib.a), _json_floats(calib.b), lo, hi,
+            _json_floats(calib.slack),
+        )
+        sep = ""
+        while chunk := ",\n".join(itertools.islice(entries, REPORT_ROWS)):
+            fh.write(sep + chunk)
+            sep = ",\n"
+        fh.write("\n  ]" + tail + "\n")

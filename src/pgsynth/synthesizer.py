@@ -14,12 +14,14 @@ batch and keeps a checkpoint every ceil(sqrt(I)) strata. The draw then
 runs block by block: each block's tables are rebuilt once from its
 checkpoint (mechanism.suffix_tables), and its strata are drawn for every
 replicate in tiles of ROW_TILE rows, on a thread pool when threads > 1
-and there is more than one tile. A completion-mass table spans only the
-totals whose weight is >= 2^-1022 of its peak, at most y_total + 1 of
-them, so table memory stays O(sqrt(I) * y_total) and convolution work
-O(I * span * box_width), where span is the widest table's length,
-whatever the replicate count. Each draw overwrites the uniform it
-consumed, so a batch holds one (count x I) matrix.
+and there is more than one tile; the replicate streams are computed in
+the same tiles on the same pool.
+A completion-mass table spans only the totals whose weight is
+>= 2^-1022 of its peak, at most y_total + 1 of them, so table memory
+stays O(sqrt(I) * y_total) and convolution work O(I * span * box_width),
+where span is the widest table's length, whatever the replicate count.
+Each draw overwrites the uniform it consumed, so a batch holds one
+(count x I) matrix.
 
 Reproducibility contract: replicate r consumes exactly one uniform per
 stratum, in order, from its own stream: PCG64 seeded by
@@ -30,10 +32,22 @@ shape: batches with more replicates than strata run SeedSequence and
 PCG64 across all rows at once in uint32/uint64 numpy arithmetic, wider
 batches seed one numpy generator per row. Both give the same bits, so the
 choice never shows in any output.
+
+The replicate CSV is written and read at array speed. write_replicates_csv
+renders slices of lines in numpy (_render): each stratum's ",key...,"
+segment comes from csv.writer once, and the replicate and count digits
+are filled around it. read_replicates_csv decodes a file in exactly
+that layout in numpy and proves each slice by rendering it again; a file
+in any other layout goes to a csv.reader row parser, which reads the
+same matrix and raises every SchemaError, so the fast path never changes
+a result or a message.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import itertools
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
@@ -61,8 +75,18 @@ __all__ = [
 # temporaries. A row's value never depends on it.
 ROW_TILE = 1 << 15
 
-# CSV lines per write in write_replicates_csv.
+# CSV lines per slice that write_replicates_csv renders at once.
 WRITE_ROWS = 200_000
+
+# Bytes per read when read_replicates_csv decodes write_replicates_csv's text
+# (more when one replicate's lines are longer).
+READ_BYTES = 1 << 21
+
+# 10^0 .. 10^18, the place values of an int64's decimal digits
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+_CRLF = np.frombuffer(b"\r\n", dtype=np.uint8)
+# Padding in _render's line layout: a byte that UTF-8 text never holds
+_PAD = 0xFF
 
 _MASK32 = 0xFFFFFFFF
 _U32, _LOW32 = np.uint64(32), np.uint64(_MASK32)
@@ -79,7 +103,7 @@ def _draw_chunk(
     weights: list[MassTable],
     block: int,
     uniforms: np.ndarray,
-    threads: int = 1,
+    run=map,
 ) -> np.ndarray:
     """Sequential conditional draws, written over the uniforms they consume.
 
@@ -87,8 +111,8 @@ def _draw_chunk(
     per stratum; row r is consumed left to right, one value per stratum.
     Blocks of strata are the outer loop: a block's tables are rebuilt once
     into a buffer every block reuses, then each tile of ROW_TILE rows
-    draws the block's strata, on a thread pool when threads > 1 and there
-    are several tiles. The returned int64 matrix is a view of uniforms.
+    draws the block's strata, the tiles mapped through run (map, or a
+    thread pool's map). The returned int64 matrix is a view of uniforms.
     """
     count, size = uniforms.shape
     y_total = params.y_total
@@ -121,16 +145,13 @@ def _draw_chunk(
             z[rows, i] = draw
             rem -= draw
 
-    # an executor starts no thread until something is submitted to it
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        run = pool.map if threads > 1 and len(tiles) > 1 else map
-        for start in range(0, size, block):
-            end = min(start + block, size)
-            tables = {end: checkpoints[end]}
-            tables.update(
-                suffix_tables(weights, tables[end], end, start + 1, y_total, out=buf)
-            )
-            list(run(partial(draw_tile, start, end, tables), tiles))
+    for start in range(0, size, block):
+        end = min(start + block, size)
+        tables = {end: checkpoints[end]}
+        tables.update(
+            suffix_tables(weights, tables[end], end, start + 1, y_total, out=buf)
+        )
+        list(run(partial(draw_tile, start, end, tables), tiles))
     if np.any(remaining != 0):
         raise InfeasibilityError("a draw failed to exhaust the invariant total")
     return z
@@ -215,6 +236,8 @@ def _pcg64_uniforms(base_seed: int, first: int, out: np.ndarray) -> None:
     inc_lo = (s3 << np.uint64(1)) | np.uint64(1)
     lo = inc_lo + s1
     hi, lo = _pcg64_step(inc_hi + s0 + (lo < s1), lo, inc_hi, inc_lo)
+    # each pool worker holds one tile: keep only the generator state from here
+    del s0, s1, s2, s3, entropy, r
     for j in range(size):
         hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
         # XSL-RR output, then the 53-bit double of Generator.random
@@ -224,12 +247,16 @@ def _pcg64_uniforms(base_seed: int, first: int, out: np.ndarray) -> None:
         out[:, j] = (x >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
-def _chunk_uniforms(base_seed: int, first: int, count: int, size: int) -> np.ndarray:
+def _chunk_uniforms(
+    base_seed: int, first: int, count: int, size: int, run=map
+) -> np.ndarray:
     """Row k: the first size uniforms of replicate first + k's stream.
 
     Blocks of rows taller than they are wide compute the streams across
-    rows, in tiles that never straddle 2^32 (where the index gains a
-    word); wide ones seed one generator per row. Both give the same bits.
+    rows, in tiles of at most ROW_TILE rows that never straddle 2^32
+    (where the index gains a word), mapped through run (map, or a thread
+    pool's map); wide ones seed one generator per row. Both give the
+    same bits.
     """
     u = np.empty((count, size), dtype=np.float64)
     if count <= size:
@@ -239,13 +266,15 @@ def _chunk_uniforms(base_seed: int, first: int, count: int, size: int) -> np.nda
             )
             u[offset] = stream.random(size)
         return u
-    a, end = first, first + count
+    starts, tiles, a, end = [], [], first, first + count
     while a < end:
         b = min(end, a + ROW_TILE)
         if a <= _MASK32 < b - 1:
             b = _MASK32 + 1
-        _pcg64_uniforms(base_seed, a, u[a - first:b - first])
+        starts.append(a)
+        tiles.append(u[a - first:b - first])
         a = b
+    list(run(partial(_pcg64_uniforms, base_seed), starts, tiles))
     return u
 
 
@@ -275,37 +304,101 @@ def sample_counts_matrix(
         return np.empty((0, table.size), dtype=np.int64)
     block = max(1, int(np.ceil(np.sqrt(params.size))))
     checkpoints, weights, _ = backward_pass(params, block)
-    uniforms = _chunk_uniforms(base_seed, 0, count, params.size)
-    return _draw_chunk(params, checkpoints, weights, block, uniforms, threads)
+    # an executor starts no thread until something is submitted to it, and
+    # a batch of one row tile has nothing to run beside it
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        run = pool.map if threads > 1 and count > ROW_TILE else map
+        uniforms = _chunk_uniforms(base_seed, 0, count, params.size, run)
+        return _draw_chunk(params, checkpoints, weights, block, uniforms, run)
+
+
+def _digits(values: np.ndarray) -> np.ndarray:
+    """Right-aligned ASCII decimal digits of a nonempty int64 array, all >= 0.
+
+    The result has shape values.shape + (width,), width being the digit
+    count of the largest value; each value's leading padding is _PAD.
+    """
+    width = len(str(values.max()))
+    place = _POW10[width - 1::-1]
+    digits = (values[..., None] // place % 10).astype(np.uint8) + ord("0")
+    pad = values[..., None] < place
+    pad[..., -1] = False
+    digits[pad] = _PAD
+    return digits
+
+
+def _csv_layout(table: StrataTable) -> tuple[bytes, np.ndarray]:
+    """The header line and each stratum's ",key...," segment, by csv.writer.
+
+    Returns the header bytes and the UTF-8 segments as a (strata, width)
+    uint8 array padded on the right with _PAD. Each segment is cut from
+    the csv.writer line of ["0", *key, "0"], so quoting and escaping are
+    csv.writer's own.
+    """
+    text = io.StringIO()
+    writer = csv.writer(text)
+    at = head = writer.writerow(["replicate", *table.dim_names, "z"])
+    lengths = [writer.writerow(["0", *map(str, key), "0"]) for key in table.keys]
+    lines = text.getvalue()
+    segments = []
+    for n in lengths:
+        segments.append(lines[at + 1:at + n - 3].encode())
+        at += n
+    width = np.fromiter(map(len, segments), dtype=np.int64, count=len(segments))
+    mask = np.arange(width.max()) < width[:, None]
+    seg = np.full(mask.shape, _PAD, dtype=np.uint8)
+    seg[mask] = np.frombuffer(b"".join(segments), dtype=np.uint8)
+    return lines[:head].encode(), seg
+
+
+def _render(first: int, z: np.ndarray, seg: np.ndarray) -> np.ndarray:
+    """The CSV lines of replicates first, first + 1, ... with counts z, as uint8.
+
+    Line (r, i) is r's digits, stratum i's segment, z[r, i]'s digits and
+    CRLF. The lines are laid out as a (rows, strata, width) array with
+    every field at a fixed column, then the _PAD bytes are dropped.
+    """
+    rows, size = z.shape
+    r_digits = _digits(np.arange(first, first + rows, dtype=np.int64))
+    z_digits = _digits(z)
+    a = r_digits.shape[1]
+    b = a + seg.shape[1]
+    out = np.empty((rows, size, b + z_digits.shape[2] + 2), dtype=np.uint8)
+    out[:, :, :a] = r_digits[:, None]
+    out[:, :, a:b] = seg
+    out[:, :, b:-2] = z_digits
+    out[:, :, -2:] = _CRLF
+    return out[out != _PAD]
 
 
 def write_replicates_csv(
     path, table: StrataTable, matrix: np.ndarray, header_comment: str | None = None
 ) -> None:
-    """Long-form CSV of a (replicates, strata) matrix: replicate, dims..., z.
+    """Long-form CSV of a (replicates, strata) count matrix: replicate, dims..., z.
 
-    csv.writer renders one replicate's lines once, as a str.format template
-    with the replicate index in field {0} and stratum i's count in {i+1};
-    the file is then written in slices of about WRITE_ROWS lines, so the
-    text never sits in memory whole.
+    The text is what csv.writer writes for one row [r, *key, z] per
+    replicate and stratum, CRLF-terminated, under an optional
+    "# header_comment" line. It is rendered in numpy, in slices of about
+    WRITE_ROWS lines (_render), so the text never sits in memory whole.
+    Counts must be nonnegative integers.
     """
-    import csv
-    import io
-
-    text = io.StringIO()
-    writer = csv.writer(text)
-    for i, key in enumerate(table.keys):
-        escaped = [str(v).replace("{", "{{").replace("}", "}}") for v in key]
-        writer.writerow(["{0}", *escaped, f"{{{i + 1}}}"])
-    fmt = text.getvalue().format
+    matrix = np.asarray(matrix)
+    if matrix.dtype.kind not in "iu" or matrix.shape[1:] != (table.size,):
+        raise DomainError(
+            f"{matrix.dtype} matrix of shape {matrix.shape} is not an integer "
+            "matrix with one column per stratum"
+        )
+    header, seg = _csv_layout(table)
     step = max(1, WRITE_ROWS // table.size)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open(path, "wb") as fh:
         if header_comment:
-            fh.write(f"# {header_comment}\n")
-        csv.writer(fh).writerow(["replicate", *table.dim_names, "z"])
+            fh.write(f"# {header_comment}\n".encode())
+        fh.write(header)
         for first in range(0, len(matrix), step):
-            rows = matrix[first:first + step].tolist()
-            fh.write("".join(fmt(r, *z) for r, z in enumerate(rows, start=first)))
+            z = matrix[first:first + step].astype(np.int64, copy=False)
+            if z.min() < 0:
+                raise DomainError("replicate counts must be nonnegative")
+            fh.write(_render(first, z, seg))
 
 
 def read_replicates_csv(path, table: StrataTable) -> np.ndarray:
@@ -314,10 +407,96 @@ def read_replicates_csv(path, table: StrataTable) -> np.ndarray:
     Rows must cover every stratum of the table exactly once per replicate
     index. The indices must be exactly 0..R-1, as write_replicates_csv
     writes them, so row r of the matrix is replicate r; they may appear
-    in any order.
+    in any order. A file that is exactly write_replicates_csv's text is
+    decoded in numpy (_read_written); any other goes through the row
+    parser, which alone raises SchemaError, so a malformed file gets the
+    same message either way.
     """
-    import csv
+    matrix = _read_written(path, table)
+    return _read_rows(path, table) if matrix is None else matrix
 
+
+def _read_written(path, table: StrataTable) -> np.ndarray | None:
+    """The matrix whose write_replicates_csv text the file is, or None.
+
+    The file may start with one "#" comment line free of quotes and CR,
+    then must hold the header and, in slices of whole replicates read
+    about READ_BYTES at a time, lines that equal _render of the counts
+    decoded from them, replicate 0 first. Tables whose labels the row
+    parser would not read back unchanged (not str, or changed by strip())
+    are left to it.
+    """
+    labels = {*table.dim_names, *itertools.chain.from_iterable(table.keys)}
+    if not all(type(v) is str and v == v.strip() for v in labels):
+        return None
+    header, seg = _csv_layout(table)
+    # a key may hold newlines: these are the ones that end a replicate's lines
+    breaks = 1 + np.count_nonzero(seg == ord("\n"), axis=1)
+    per_rep, line_ends = int(breaks.sum()), np.cumsum(breaks) - 1
+    parts, first = [], 0
+    with open(path, "rb") as fh:
+        data = fh.readline()
+        if data.startswith(b"#"):
+            if not data.endswith(b"\n") or b'"' in data or b"\r" in data:
+                return None
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError:
+                return None
+            data = b""
+        data += fh.read(len(header))
+        if not data.startswith(header):
+            return None
+        data = data[len(header):]
+        while True:
+            buf = np.frombuffer(data, dtype=np.uint8)
+            breaks_at = np.flatnonzero(buf == ord("\n"))
+            reps = len(breaks_at) // per_rep
+            if reps:
+                ends = breaks_at[:reps * per_rep].reshape(reps, per_rep)[:, line_ends]
+                n = int(ends[-1, -1]) + 1
+                z = _parse_counts(buf[:n], ends.ravel())
+                if z is None:
+                    return None
+                z = z.reshape(reps, table.size)
+                if not np.array_equal(_render(first, z, seg), buf[:n]):
+                    return None
+                parts.append(z)
+                first += reps
+                data = data[n:]
+            # doubling: a replicate longer than READ_BYTES costs O(its length)
+            more = fh.read(max(READ_BYTES, len(data)))
+            if not more:
+                break
+            data += more
+    if data or not parts:
+        return None
+    return np.concatenate(parts)
+
+
+def _parse_counts(buf: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
+    """The number between each line's last comma and the CR before its LF.
+
+    ends holds the LF positions. None when a line has no comma, or the
+    span is empty, longer than 18 bytes or not all digits.
+    """
+    commas = np.flatnonzero(buf == ord(","))
+    last = np.searchsorted(commas, ends) - 1
+    if last.min() < 0:
+        return None
+    width = ends - commas[last] - 2
+    if width.min() < 1 or width.max() > 18:
+        return None
+    k = int(width.max())
+    digits = buf[np.maximum(ends[:, None] - 1 - k + np.arange(k), 0)] - ord("0")
+    digits[np.arange(k) < k - width[:, None]] = 0
+    if digits.max() > 9:
+        return None
+    return digits @ _POW10[k - 1::-1]
+
+
+def _read_rows(path, table: StrataTable) -> np.ndarray:
+    """read_replicates_csv by csv.reader records; every SchemaError is raised here."""
     index = {key: i for i, key in enumerate(table.keys)}
     per_rep: dict[int, np.ndarray] = {}
     filled: dict[int, np.ndarray] = {}

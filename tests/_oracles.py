@@ -5,10 +5,12 @@ summation/enumeration, deliberately avoiding the package's own numerics
 (scipy special functions, log-space convolutions) so agreement is
 evidence rather than tautology. The nu factors are scalar, per-stratum
 restatements of the calibration's vectorized requirements. The replicate
-CSV writer is the plain csv.writer loop that the package's templated
-writer must match byte for byte, and the age-adjusted rate is the
-per-age-group, per-vector loop that the package's one-product-per-
-selector rate must match bit for bit. The per-stratum kernel table is
+CSV writer is the plain csv.writer loop that the package's numpy
+renderer must match byte for byte; the report writer is json.dump with
+indent=2, which the package's templated report must match byte for
+byte; and the age-adjusted rate is the per-age-group, per-vector loop
+that the package's one-product-per-selector rate must match bit for
+bit. The per-stratum kernel table is
 the one-evaluation-per-stratum form the package's grouped evaluation
 must match bit for bit, and the uncut recursion keeps every completion-
 mass table whole up to the total, against which the package's cut
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import json
 import math
 import warnings
 
@@ -48,6 +51,7 @@ from pgsynth.audit import (
     RatioCurve,
     exact_joint_pmf,
 )
+from pgsynth.calibration import calibration_report
 from pgsynth.distributions import log_negbin_kernel
 from pgsynth.errors import (
     DomainError,
@@ -308,6 +312,16 @@ def write_replicates_csv_rows(path, table, matrix, header_comment=None) -> None:
         for r, z in enumerate(matrix):
             for key, value in zip(table.keys, z.tolist()):
                 writer.writerow([r, *key, value])
+
+
+def write_report_json(calib, table, path, extra=None) -> None:
+    """The calibration report through json.dump's own indented encoder."""
+    doc = calibration_report(calib, table)
+    if extra:
+        doc.update(extra)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
 def dedup_population_loop(table, mask, key_dims) -> float:

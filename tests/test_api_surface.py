@@ -8,6 +8,7 @@ private package name.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import pgsynth
@@ -99,3 +100,16 @@ def test_oracles_import_no_private_package_names():
         if alias.name.startswith("_")
     ]
     assert not private, f"tests/_oracles.py imports package internals: {private}"
+
+
+def test_no_export_shadows_a_submodule():
+    # `import pgsynth.audit as m` binds pgsynth's attribute `audit`; a
+    # re-exported function of that name would hide the module
+    import pgsynth.audit as audit_module
+
+    assert inspect.ismodule(audit_module)
+    submodules = {p.stem for p in SRC.glob("*.py")}
+    assert all(
+        inspect.ismodule(getattr(pgsynth, name))
+        for name in submodules & set(vars(pgsynth))
+    )

@@ -1,6 +1,5 @@
 """Exact privacy verification against enumeration oracles."""
 
-import importlib
 import math
 from dataclasses import replace
 
@@ -9,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import pgsynth.audit as audit_mod
 from pgsynth.audit import audit, enumerate_feasible, exact_joint_pmf, ratio_curve
 from pgsynth.calibration import (
     Calibration,
@@ -46,10 +46,6 @@ from _oracles import (
     theorem1_bound_check,
     total_variation,
 )
-
-
-# the module, not the audit function that pgsynth re-exports under its name
-audit_mod = importlib.import_module("pgsynth.audit")
 
 
 def het3(y=(1, 3, 2)):

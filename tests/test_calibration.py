@@ -17,6 +17,7 @@ from pgsynth.calibration import (
     _required_untruncated,
     calibration_report,
     solve_hyperparameters,
+    write_report,
 )
 from pgsynth.errors import (
     CalibrationError,
@@ -38,6 +39,7 @@ from _oracles import (
     nu_truncated,
     nu_untruncated,
     untruncated_floor,
+    write_report_json,
 )
 
 
@@ -352,3 +354,38 @@ class TestReport:
         assert all(s["slack"] >= -1e-9 for s in doc["strata"])
         # nothing confidential: y never appears
         assert "y" not in doc and all("y" not in s for s in doc["strata"])
+
+    @pytest.mark.parametrize("mode", [MODE_UNTRUNCATED, MODE_TRUNCATED])
+    @pytest.mark.parametrize("extra", [
+        None,
+        {"config_hash": "ab12", "config": {"paths": {"out": 'r"un\\'}, "eps": [1.0]}},
+        # a replaced entry list is json's to write
+        {"strata": []},
+    ])
+    def test_written_report_is_json_dump(self, tmp_path, monkeypatch, mode, extra):
+        keys = (
+            ("plain", "1"), ('quo"te', "back\\slash"), ("é", "\u2028"),
+            ("tab\t", "nul\x00"), ("", "{0}"),
+        )
+        size = len(keys)
+        table = StrataTable(
+            dim_names=("g", "h"), keys=keys, n=np.full(size, 10), y=np.zeros(size),
+        )
+        bounds = (
+            TruncationBounds(
+                L=np.arange(size), U=np.arange(size) * 10**6, alpha=1e-4, c=1.5
+            )
+            if mode == MODE_TRUNCATED else None
+        )
+        a = np.array([1e-3, 0.1, 1 / 3, 1e22, 2.5])
+        calib = Calibration(
+            mode=mode, epsilon=0.5, a=a, b=a / 7.0, lambda0=np.full(size, 7.0),
+            slack=np.array([0.0, -0.0, np.nan, np.inf, -np.inf]),
+            converged=False, iterations=3, bounds=bounds,
+        )
+        want, got = tmp_path / "want.json", tmp_path / "got.json"
+        write_report_json(calib, table, want, extra)
+        # slices of two entries, so the write loop runs more than once
+        monkeypatch.setattr(calibration, "REPORT_ROWS", 2)
+        write_report(calib, table, got, extra)
+        assert got.read_bytes() == want.read_bytes()

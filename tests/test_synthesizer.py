@@ -2,9 +2,14 @@
 
 import hashlib
 import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pgsynth.mechanism as mechanism
 import pgsynth.synthesizer as synth
@@ -104,6 +109,15 @@ class TestStreams:
         want = reference_uniforms(7, 0, 23, 2)
         monkeypatch.setattr(synth, "ROW_TILE", 4)
         assert np.array_equal(synth._chunk_uniforms(7, 0, 23, 2), want)
+
+    def test_tiles_on_a_thread_pool_do_not_change_streams(self, monkeypatch):
+        monkeypatch.setattr(synth, "ROW_TILE", 4)
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            for first in (0, 2**32 - 9):
+                assert np.array_equal(
+                    synth._chunk_uniforms(7, first, 23, 2, pool.map),
+                    reference_uniforms(7, first, 23, 2),
+                )
 
     @pytest.mark.parametrize("mode, digest", [
         (MODE_UNTRUNCATED,
@@ -257,6 +271,71 @@ class TestExactness:
         assert np.all(draws == table.y)
 
 
+# Each turns a written file's lines (without line ends) into a malformed one.
+MALFORMED = [
+    (lambda lines: [lines[0].replace(",z", ",count"), *lines[1:]],
+     "header"),
+    (lambda lines: [*lines, "4,qq,1"], "unknown stratum"),
+    (lambda lines: [*lines, lines[-1]], "duplicate"),
+    (lambda lines: [lines[0], *lines[2:]], "missing"),
+    (lambda lines: [lines[0],
+                    lines[1].rsplit(",", 1)[0] + ",-2", *lines[2:]],
+     "negative"),
+    # replicate 1 relabelled 5: indices {0, 5} are not 0..R-1
+    (lambda lines: [lines[0], *(
+        "5" + line[1:] if line.startswith("1,") else line
+        for line in lines[1:])],
+     "indices"),
+]
+
+# labels csv.writer has to quote or escape, braces, non-ASCII and empty
+AWKWARD = (
+    "plain", "com,ma", 'quo"te', "{0}", "}{", "{{x}}", "new\nline", "cr\rx",
+    "", "{", "é", "#x",
+)
+
+
+def key_table(keys, dims):
+    """A table of these keys; a single stratum, below StrataTable's
+    minimum, gets a stand-in with the three attributes the CSV code reads."""
+    dim_names = tuple(f"d{j}" for j in range(dims))
+    if len(keys) == 1:
+        return SimpleNamespace(dim_names=dim_names, keys=tuple(keys), size=1)
+    zeros = np.zeros(len(keys), dtype=np.int64)
+    return StrataTable(dim_names=dim_names, keys=keys, n=zeros, y=zeros)
+
+
+@st.composite
+def csv_cases(draw):
+    dims = draw(st.integers(1, 3))
+    label = st.sampled_from(AWKWARD) | st.text(
+        st.characters(codec="utf-8"), max_size=3
+    )
+    keys = draw(st.lists(
+        st.tuples(*[label] * dims),
+        min_size=1, max_size=draw(st.sampled_from([1, 2, 12])), unique=True,
+    ))
+    # counts that cross a digit width, so slices do too
+    reps = draw(st.sampled_from([1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001]))
+    top = draw(st.sampled_from([0, 1, 9, 10, 99, 100, 10**6, 10**18 - 1, 2**63 - 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrix = rng.integers(0, top, size=(reps, len(keys)), endpoint=True)
+    matrix[rng.integers(reps), rng.integers(len(keys))] = top
+    return key_table(tuple(keys), dims), matrix, draw(st.integers(1, 40))
+
+
+def read_outcome(read, path, table):
+    """The matrix a reader returns, or the message of the SchemaError it raises."""
+    try:
+        return read(path, table).tolist()
+    except SchemaError as exc:
+        return str(exc)
+
+
+def write_lines(path, lines, newline):
+    path.write_bytes((newline.join(lines) + newline).encode())
+
+
 class TestCsvRoundtrip:
     def test_write_then_read(self, tmp_path, tiny3):
         table, calib, _ = calibrated(tiny3, MODE_UNTRUNCATED)
@@ -264,6 +343,16 @@ class TestCsvRoundtrip:
         path = tmp_path / "reps.csv"
         write_replicates_csv(path, table, matrix, header_comment="config_hash=ab12")
         assert path.read_text().startswith("# config_hash=ab12\nreplicate,g,z\n")
+        assert np.array_equal(read_replicates_csv(path, table), matrix)
+
+    def test_written_file_is_decoded_without_the_row_parser(
+        self, tmp_path, tiny3, monkeypatch
+    ):
+        table, calib, _ = calibrated(tiny3, MODE_UNTRUNCATED)
+        matrix = sample_counts_matrix(table, calib, count=300, base_seed=9)
+        path = tmp_path / "reps.csv"
+        write_replicates_csv(path, table, matrix, header_comment="config_hash=ab12")
+        monkeypatch.setattr(synth, "_read_rows", None)
         assert np.array_equal(read_replicates_csv(path, table), matrix)
 
     @pytest.mark.parametrize("header_comment", [None, "config_hash=ab12"])
@@ -286,21 +375,38 @@ class TestCsvRoundtrip:
         assert got.read_bytes() == want.read_bytes()
         assert np.array_equal(read_replicates_csv(got, table), matrix)
 
-    @pytest.mark.parametrize("mutate, message", [
-        (lambda lines: [lines[0].replace(",z", ",count"), *lines[1:]],
-         "header"),
-        (lambda lines: [*lines, "4,qq,1"], "unknown stratum"),
-        (lambda lines: [*lines, lines[-1]], "duplicate"),
-        (lambda lines: [lines[0], *lines[2:]], "missing"),
-        (lambda lines: [lines[0],
-                        lines[1].rsplit(",", 1)[0] + ",-2", *lines[2:]],
-         "negative"),
-        # replicate 1 relabelled 5: indices {0, 5} are not 0..R-1
-        (lambda lines: [lines[0], *(
-            "5" + line[1:] if line.startswith("1,") else line
-            for line in lines[1:])],
-         "indices"),
-    ])
+    @settings(max_examples=60, deadline=None)
+    @given(case=csv_cases())
+    def test_renderer_and_decode_match_row_loop(self, case):
+        table, matrix, rows = case
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            want, got = Path(tmp, "want.csv"), Path(tmp, "got.csv")
+            write_replicates_csv_rows(want, table, matrix, "config_hash=ab12")
+            # slices of `rows` lines, read back a few lines at a time
+            mp.setattr(synth, "WRITE_ROWS", rows)
+            mp.setattr(synth, "READ_BYTES", 8 * rows)
+            write_replicates_csv(got, table, matrix, "config_hash=ab12")
+            assert got.read_bytes() == want.read_bytes()
+            decoded = synth._read_written(got, table)
+            labels = {*table.dim_names, *(v for key in table.keys for v in key)}
+            if matrix.max() < 10**18 and all(v == v.strip() for v in labels):
+                assert np.array_equal(decoded, matrix)
+            else:
+                # surrounding spaces or 19-digit counts: the row parser's call
+                assert decoded is None
+            assert read_outcome(read_replicates_csv, got, table) == read_outcome(
+                synth._read_rows, got, table
+            )
+
+    def test_negative_counts_are_refused(self, tmp_path, tiny3):
+        table, _ = tiny3
+        with pytest.raises(DomainError, match="nonnegative"):
+            write_replicates_csv(tmp_path / "r.csv", table, np.array([[1, -1, 6]]))
+        for bad in (np.zeros((2, 2), int), np.zeros((2, 3))):
+            with pytest.raises(DomainError, match="integer matrix"):
+                write_replicates_csv(tmp_path / "r.csv", table, bad)
+
+    @pytest.mark.parametrize("mutate, message", MALFORMED)
     def test_malformed_rows_rejected(self, tmp_path, tiny3, mutate, message):
         table, calib, _ = calibrated(tiny3, MODE_UNTRUNCATED)
         matrix = sample_counts_matrix(table, calib, count=2, base_seed=9)
@@ -310,6 +416,64 @@ class TestCsvRoundtrip:
         path.write_text("\n".join(mutate(lines)) + "\n")
         with pytest.raises(SchemaError, match=message):
             read_replicates_csv(path, table)
+
+    @pytest.mark.parametrize("mutate, message", MALFORMED)
+    def test_malformed_crlf_rows_get_the_row_parser_message(
+        self, tmp_path, tiny3, mutate, message
+    ):
+        # written line ends, so only the mutated line is off the layout
+        table, calib, _ = calibrated(tiny3, MODE_UNTRUNCATED)
+        matrix = sample_counts_matrix(table, calib, count=2, base_seed=9)
+        path = tmp_path / "reps.csv"
+        write_replicates_csv(path, table, matrix, header_comment="config_hash=ab12")
+        lines = path.read_text().strip().split("\n")
+        write_lines(path, [lines[0], *mutate(lines[1:])], "\r\n")
+        assert synth._read_written(path, table) is None
+        with pytest.raises(SchemaError, match=message) as raised:
+            read_replicates_csv(path, table)
+        assert str(raised.value) == read_outcome(synth._read_rows, path, table)
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda lines: [lines[0], *lines[1:][::-1]], id="reversed"),
+        pytest.param(lambda lines: [lines[0], *sorted(lines[1:], key=lambda
+                     line: line.split(",")[1])], id="by-stratum"),
+        pytest.param(lambda lines: [*lines[:5], "# interior", *lines[5:]],
+                     id="comment"),
+        pytest.param(lambda lines: [*lines[:5], "", *lines[5:]], id="blank"),
+        pytest.param(lambda lines: [lines[0], *(
+            f"0{line}" for line in lines[1:])], id="zero-padded"),
+        pytest.param(lambda lines: [lines[0], *(
+            line.replace(",", ", ") for line in lines[1:])], id="spaced"),
+        pytest.param(lambda lines: ['# quote " in the comment', *lines],
+                     id="quoted-comment"),
+    ])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_other_layouts_read_through_the_row_parser(
+        self, tmp_path, tiny3, edit, newline
+    ):
+        table, calib, _ = calibrated(tiny3, MODE_UNTRUNCATED)
+        matrix = sample_counts_matrix(table, calib, count=12, base_seed=9)
+        path = tmp_path / "reps.csv"
+        write_replicates_csv(path, table, matrix)
+        write_lines(path, edit(path.read_text().strip().split("\n")), newline)
+        assert synth._read_written(path, table) is None
+        assert np.array_equal(read_replicates_csv(path, table), matrix)
+
+    @pytest.mark.parametrize("keys", [
+        ((" x",), ("y",), ("z ",)),  # unknown once stripped
+        ((" x",), ("x",), ("z",)),  # " x" is read as stratum "x"
+    ])
+    def test_labels_that_strip_changes_behave_as_the_row_parser(
+        self, tmp_path, keys
+    ):
+        table = key_table(keys, 1)
+        matrix = np.array([[1, 2, 3], [4, 5, 6]])
+        path = tmp_path / "reps.csv"
+        write_replicates_csv(path, table, matrix)
+        assert synth._read_written(path, table) is None
+        want = read_outcome(synth._read_rows, path, table)
+        assert isinstance(want, str)
+        assert read_outcome(read_replicates_csv, path, table) == want
 
 
 class TestThreadConfig:
