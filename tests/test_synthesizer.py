@@ -22,6 +22,7 @@ from pgsynth.calibration import (
     solve_hyperparameters,
 )
 from pgsynth.errors import DomainError, InfeasibilityError, SchemaError
+from pgsynth.fixtures import FixtureSpec, generate_fixture
 from pgsynth.mechanism import (
     KernelParams,
     MassTable,
@@ -29,7 +30,12 @@ from pgsynth.mechanism import (
     build_kernel_params,
     delta_table,
 )
-from pgsynth.strata import StrataTable, TruncationBounds, compute_bounds
+from pgsynth.strata import (
+    StrataTable,
+    TruncationBounds,
+    build_prior,
+    compute_bounds,
+)
 from pgsynth.synthesizer import (
     read_replicates_csv,
     sample_counts_matrix,
@@ -129,6 +135,52 @@ class TestStreams:
         # values drawn with one numpy generator per replicate
         table, calib, _ = calibrated(tiny3, mode)
         m = sample_counts_matrix(table, calib, count=10_000, base_seed=20260823)
+        raw = np.ascontiguousarray(m, "<i8").tobytes()
+        assert hashlib.sha256(raw).hexdigest() == digest
+
+
+def mid_size(mode, deaths):
+    """A fixture of 2,106 (untruncated) or 2,808 (truncated) strata: enough
+    for 46- and 53-stratum blocks whose tables are rebuilt from checkpoints,
+    and totals at which the backward pass trims tables at both ends."""
+    counties = 4 if mode == MODE_TRUNCATED else 3
+    fixture = generate_fixture(FixtureSpec(
+        dims=(("county", counties), ("age", 13), ("site", 9), ("race", 3),
+              ("sex", 2)),
+        total_deaths=deaths, state_population=600_000, seed=3, urban_count=2,
+    ))
+    table = fixture.table
+    prior = build_prior(table, fixture.rates)
+    bounds = (
+        compute_bounds(prior, table, 0.05, 1.0) if mode == MODE_TRUNCATED else None
+    )
+    return table, solve_hyperparameters(table, prior, 1.0, mode=mode, bounds=bounds)
+
+
+class TestMidSizePins:
+    @pytest.mark.parametrize("mode, deaths, digest", [
+        (MODE_TRUNCATED, 5_000,
+         "c983db1318506db09345ea2d5a56ed6ddc678975bb58fea19f54883be100fb05"),
+        (MODE_UNTRUNCATED, 900,
+         "2e63fe5ae108d2fce98c2c25b176334a6e2947500bca929e12a7f4b7a3ad26fb"),
+    ])
+    def test_pinned_draws(self, mode, deaths, digest):
+        table, calib = mid_size(mode, deaths)
+        params = build_kernel_params(table.y, table, calib)
+        weights = mechanism.stratum_weight_table(params)
+        # the pin covers steps that trim each end of a table
+        front = back = 0
+        tables = mechanism.suffix_tables(
+            weights, delta_table(), params.size, 0, params.y_total
+        )
+        nxt = delta_table()
+        for k, got in tables:
+            base = weights[k].lo + nxt.lo
+            front += got.lo > base
+            back += got.hi < min(params.y_total, weights[k].hi + nxt.hi)
+            nxt = got
+        assert front > 0 and back > 0
+        m = sample_counts_matrix(table, calib, count=5, base_seed=5)
         raw = np.ascontiguousarray(m, "<i8").tobytes()
         assert hashlib.sha256(raw).hexdigest() == digest
 
