@@ -17,6 +17,8 @@ pairs in vectorized chunks (_pair_chunks).
 
 All ratio arithmetic is done as differences of log pmfs; tail masses
 around 1e-83 are routine here and would be garbage in linear scale.
+scipy.special is imported where it is called, as in distributions, so
+importing this module (the CLI does) does not load scipy.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from dataclasses import dataclass, field, replace
 from math import comb
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .calibration import Calibration
 from .distributions import log_negbin_kernel
@@ -149,6 +150,8 @@ def _log_pmf_on_support(
     counts, table: StrataTable, calib: Calibration, support: np.ndarray
 ) -> np.ndarray:
     """Log mechanism pmf of each support row, given raw counts."""
+    from scipy.special import logsumexp
+
     params = build_kernel_params(counts, table, calib)
     logw = log_negbin_kernel(
         support, params.shape[None, :], params.log_p[None, :]
@@ -261,6 +264,8 @@ class _PairBound:
         return clamp_counts(counts, self.calib.bounds).astype(np.float64) + self.calib.a
 
     def __call__(self, rows, x, x_rows, i, j):
+        from scipy.special import gammaln
+
         pos = np.arange(len(rows))
         delta = self.log_c[rows] - self.log_c[x_rows]
         sy, sx = self.shapes(self.comps[rows]), self.shapes(x)

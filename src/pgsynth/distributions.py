@@ -5,13 +5,14 @@ two operations here: an exact vectorized Poisson quantile, which sets the
 truncation boxes, and the log-scale negative binomial kernel, which is
 the one place the mechanism's per-stratum law is written out. All
 probability-mass arithmetic is carried out in log space, so kernels
-involving terms like Gamma(z + 26116)/z! never overflow.
+involving terms like Gamma(z + 26116)/z! never overflow. scipy.special is
+imported inside the functions that call it, so a process that never does
+(pgsynth evaluate, pgsynth fixture) never loads scipy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError
 
@@ -37,6 +38,8 @@ def poisson_quantile_vec(p, mu) -> np.ndarray:
     Raises:
         DomainError: p outside (0, 1) or mu negative.
     """
+    from scipy import special
+
     p = np.asarray(p, dtype=np.float64)
     mu = np.asarray(mu, dtype=np.float64)
     if np.any(p <= 0.0) or np.any(p >= 1.0):
@@ -96,6 +99,8 @@ def log_negbin_kernel(z, shape, log_ratio_term):
     Returns:
         Log-weight array (or scalar for scalar input).
     """
+    from scipy import special
+
     z_arr = np.asarray(z, dtype=np.float64)
     shape_arr = np.asarray(shape, dtype=np.float64)
     if np.any(shape_arr <= 0.0):

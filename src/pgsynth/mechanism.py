@@ -18,10 +18,13 @@ A table spans the totals whose weight is >= 2^-1022 times its peak (at
 most y_total + 1 of them); below that an entry would be subnormal or zero
 once divided by the peak. T_0 evaluated at y_total is the normalizer; the
 tables also drive the sequential exact sampler. suffix_tables is the one
-recursion loop: backward_pass runs it over all strata once and keeps
-every block-th table, and the sampler runs it again over one block at a
-time, from that block's checkpoint, just before drawing the block's
-strata for every replicate. All strata's kernel tables come from one
+recursion loop: backward_pass runs it over all strata once, keeps every
+block-th table and records every table's span (its lo, its length and
+the peak its values were divided by), and the sampler runs it again over
+one block at a time, from that block's checkpoint, just before drawing
+the block's strata for every replicate. The rebuild convolves the same
+inputs as the backward pass, so it replays the recorded spans instead of
+searching for the cut again. All strata's kernel tables come from one
 kernel evaluation per group of strata (stratum_weight_table).
 """
 
@@ -142,11 +145,14 @@ class MassTable:
     is log(vals[t - lo]) + offset. vals.max() == 1 after every rebuild.
     A completion-mass table spans only the totals from its first to its
     last weight >= CUT * peak; totals outside [lo, hi] carry mass 0.
+    peak is the raw maximum that convolve_mass divided the values by (1.0
+    for a table made otherwise).
     """
 
     lo: int
     vals: np.ndarray
     offset: float
+    peak: float = 1.0
 
     @property
     def hi(self) -> int:
@@ -162,6 +168,15 @@ class MassTable:
 # A completion-mass table keeps the span from its first to its last
 # weight >= CUT * peak (see convolve_mass).
 CUT = 2.0**-1022
+
+# Entries at each end of a convolution that convolve_mass searches for the
+# cut before it falls back to the whole table; at the published scale no
+# step trims more than 29 entries from either end.
+END_WINDOW = 64
+
+# The span of one table T_k as backward_pass records it: its lo, its
+# length and the raw peak its values were divided by.
+SPAN = np.dtype([("lo", np.int64), ("length", np.int64), ("peak", np.float64)])
 
 # Summed support widths per kernel evaluation in stratum_weight_table; it
 # bounds that function's temporaries, and no table depends on it.
@@ -213,7 +228,12 @@ def stratum_weight_table(params: KernelParams) -> list[MassTable]:
 
 
 def convolve_mass(
-    weights: MassTable, table: MassTable, cap: int, out: np.ndarray | None = None
+    weights: MassTable,
+    table: MassTable,
+    cap: int,
+    out: np.ndarray | None = None,
+    *,
+    span: tuple[int, int, float] | None = None,
 ) -> MassTable:
     """One recursion step T_k = w_k * T_{k+1}, truncated above cap.
 
@@ -223,29 +243,52 @@ def convolve_mass(
     first and last such entry, while smaller entries between them stay
     (kernels with shape < 1 are not log-concave, so a table need not be
     unimodal). The kept entries are exactly those of the untrimmed step.
+    The ends are searched for in END_WINDOW entries at each end of the
+    convolution, and in all of it when a window holds no kept entry.
+    With span = (lo, length, peak), recorded from the same step on the
+    same inputs (backward_pass), the step is replayed: the convolution is
+    sliced at the recorded span and divided by the recorded peak, which
+    gives the trimmed table bit for bit without searching for it.
     With out (at least cap + 1 long), the table's values are written to
     a prefix of it, so a caller that rebuilds many tables can reuse one
     buffer.
     """
     vals = np.convolve(weights.vals, table.vals)
     lo = weights.lo + table.lo
-    keep = cap - lo + 1
-    if keep <= 0:
-        raise InfeasibilityError("mass table slid entirely above the total")
-    vals = vals[:keep]
-    peak = float(vals.max())
-    if peak <= 0.0:
-        raise InfeasibilityError("mass table underflowed to zero")
-    big = vals >= peak * CUT
-    first = int(np.argmax(big))
-    vals = vals[first:len(vals) - int(np.argmax(big[::-1]))]
+    if span is None:
+        keep = cap - lo + 1
+        if keep <= 0:
+            raise InfeasibilityError("mass table slid entirely above the total")
+        vals = vals[:keep]
+        first, stop, peak = _cut_span(vals)
+    else:
+        first, stop, peak = span[0] - lo, span[0] - lo + span[1], span[2]
+    vals = vals[first:stop]
     if out is not None:
         out = out[: len(vals)]
     return MassTable(
         lo=lo + first,
         vals=np.divide(vals, peak, out=out),
         offset=weights.offset + table.offset + np.log(peak),
+        peak=peak,
     )
+
+
+def _cut_span(vals: np.ndarray) -> tuple[int, int, float]:
+    """(first, stop, peak): vals[first:stop] runs from the first to the last
+    entry >= CUT * peak, peak being vals' maximum."""
+    peak = float(vals.max())
+    if peak <= 0.0:
+        raise InfeasibilityError("mass table underflowed to zero")
+    cut = peak * CUT
+    head = vals[:END_WINDOW] >= cut
+    first = int(head.argmax())
+    tail = vals[-END_WINDOW:][::-1] >= cut
+    back = int(tail.argmax())
+    if not (head[first] and tail[back]):
+        big = vals >= cut
+        first, back = int(big.argmax()), int(big[::-1].argmax())
+    return first, len(vals) - back, peak
 
 
 def suffix_tables(
@@ -255,37 +298,44 @@ def suffix_tables(
     start: int,
     cap: int,
     out: np.ndarray | None = None,
+    spans: np.ndarray | None = None,
 ) -> Iterator[tuple[int, MassTable]]:
     """Yield (k, T_k) for k = stop - 1 down to start, from table = T_stop.
 
     With out, T_k is written to row k - start of it, so a caller that
-    rebuilds the same span of tables many times reuses one buffer.
+    rebuilds the same span of tables many times reuses one buffer. With
+    spans (backward_pass's record, indexed by k), each step replays its
+    recorded span (see convolve_mass).
     """
     for k in range(stop - 1, start - 1, -1):
         row = None if out is None else out[k - start]
-        table = convolve_mass(weights[k], table, cap, out=row)
+        span = None if spans is None else spans[k].item()
+        table = convolve_mass(weights[k], table, cap, out=row, span=span)
         yield k, table
 
 
 def backward_pass(
     params: KernelParams, block: int
-) -> tuple[dict[int, MassTable], list[MassTable], float]:
+) -> tuple[dict[int, MassTable], list[MassTable], float, np.ndarray]:
     """Run the recursion T_k = w_k * T_{k+1} from T_I down to T_0.
 
     Returns the checkpoint map (T_I, and T_k at every k divisible by
-    block), the per-stratum weight tables, and ln C = log T_0(y_total),
-    the log of the total kernel mass on the box-and-total slice. The
-    reachability check sees what the box-sum check alone cannot: strata
-    pinned at zero by degenerate kernels (n_i = 0).
+    block), the per-stratum weight tables, ln C = log T_0(y_total), the
+    log of the total kernel mass on the box-and-total slice, and every
+    T_k's span as a SPAN array indexed by k, for suffix_tables to replay.
+    The reachability check sees what the box-sum check alone cannot:
+    strata pinned at zero by degenerate kernels (n_i = 0).
     """
     size = params.size
     weights = stratum_weight_table(params)
     checkpoints: dict[int, MassTable] = {size: delta_table()}
+    spans = np.empty(size, dtype=SPAN)
     running = checkpoints[size]
     for k, running in suffix_tables(weights, running, size, 0, params.y_total):
+        spans[k] = running.lo, len(running.vals), running.peak
         if k % block == 0:
             checkpoints[k] = running
     log_c = running.log_at(params.y_total)
     if not np.isfinite(log_c):
         raise InfeasibilityError("the invariant total is unreachable")
-    return checkpoints, weights, log_c
+    return checkpoints, weights, log_c, spans

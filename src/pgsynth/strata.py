@@ -15,6 +15,7 @@ CSV schemas:
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,14 +121,21 @@ class StrataTable:
 
     @classmethod
     def from_csv(cls, path) -> "StrataTable":
-        dim_names, rows = _read_table(path, trailing=("population", "count"))
-        keys = []
-        n = []
-        y = []
-        for lineno, dims, tail in rows:
-            keys.append(dims)
-            n.append(_parse_nonneg_int(tail[0], "population", path, lineno))
-            y.append(_parse_nonneg_int(tail[1], "count", path, lineno))
+        """Read a strata CSV, column by column when every row is well formed.
+
+        A file with anything to report goes through _read_table's row loop,
+        so every SchemaError carries the same line number and text.
+        """
+        columns = _read_strata_columns(path)
+        if columns is not None:
+            dim_names, keys, n, y = columns
+        else:
+            dim_names, rows = _read_table(path, trailing=STRATA_TRAILING)
+            keys, n, y = [], [], []
+            for lineno, dims, tail in rows:
+                keys.append(dims)
+                n.append(_parse_nonneg_int(tail[0], "population", path, lineno))
+                y.append(_parse_nonneg_int(tail[1], "count", path, lineno))
         return cls(dim_names=dim_names, keys=tuple(keys), n=n, y=y)
 
     def to_csv(self, path, header_comment: str | None = None) -> None:
@@ -331,6 +339,51 @@ def joint_feasible_bounds(bounds: TruncationBounds, y_total: int) -> TruncationB
     if np.any(lower > upper):
         raise InfeasibilityError("joint feasibility reduction produced an empty box")
     return TruncationBounds(L=lower, U=upper, alpha=bounds.alpha, c=bounds.c)
+
+
+STRATA_TRAILING = ("population", "count")
+
+
+def _read_strata_columns(path):
+    """(dim_names, keys, n, y) of a strata CSV, or None unless the file is
+    plain and every row well formed.
+
+    Plain means no quote, CR other than in CRLF, or NUL: csv.reader then
+    splits fields at commas and records at line ends, so the text is
+    split the same way here, into one flat list of fields whose columns
+    are strided slices. Labels are stripped with one map per column and
+    counts parsed with np.fromiter, so no Python code runs per row, and
+    no per-row list is built for the garbage collector to walk. int()
+    ignores the whitespace that _read_table strips, so a count parses to
+    the same value either way.
+    """
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        text = fh.read().replace("\r\n", "\n")
+    if any(c in text for c in '"\r\0'):
+        return None
+    lines = [ln for ln in text.split("\n") if ln and not ln.startswith("#")]
+    if len(lines) < 2:
+        return None
+    header = [h.strip() for h in lines[0].split(",")]
+    width = len(header)
+    k = width - len(STRATA_TRAILING)
+    body = lines[1:]
+    if k < 1 or tuple(header[k:]) != STRATA_TRAILING:
+        return None
+    if set(map(str.count, body, itertools.repeat(","))) != {width - 1}:
+        return None
+    fields = ",".join(body).split(",")
+    keys = list(zip(*(map(str.strip, fields[j::width]) for j in range(k))))
+    try:
+        n, y = (
+            np.fromiter(map(int, fields[j::width]), np.int64, len(body))
+            for j in (k, k + 1)
+        )
+    except (ValueError, OverflowError):
+        return None
+    if n.min() < 0 or y.min() < 0:
+        return None
+    return tuple(header[:k]), keys, n, y
 
 
 def _read_table(path, trailing: tuple[str, ...]):

@@ -10,12 +10,16 @@ order and each count is sampled from its exact conditional
 
 where T_{i+1} is the completion-mass table of the remaining strata
 (mechanism.MassTable). mechanism.backward_pass builds the tables once per
-batch and keeps a checkpoint every ceil(sqrt(I)) strata. The draw then
-runs block by block: each block's tables are rebuilt once from its
-checkpoint (mechanism.suffix_tables), and its strata are drawn for every
-replicate in tiles of ROW_TILE rows, on a thread pool when threads > 1
-and there is more than one tile; the replicate streams are computed in
-the same tiles on the same pool.
+batch, keeps a checkpoint every ceil(sqrt(I)) strata and records every
+table's span. The draw then runs block by block: each block's tables are
+rebuilt once from its checkpoint (mechanism.suffix_tables), replaying the
+recorded spans, so a rebuild convolves and divides but never searches
+for the cut again; then the block's strata are drawn for every replicate
+in tiles of ROW_TILE rows, on a thread pool when threads > 1 and there is
+more than one tile; the replicate streams are computed in the same tiles
+on the same pool. A draw step indexes the next table from one shared
+arange of candidate offsets and counts the cdf entries at or below the
+target, with no per-stratum candidate array.
 A completion-mass table spans only the totals whose weight is
 >= 2^-1022 of its peak, at most y_total + 1 of them, so table memory
 stays O(sqrt(I) * y_total) and convolution work O(I * span * box_width),
@@ -104,22 +108,26 @@ def _draw_chunk(
     block: int,
     uniforms: np.ndarray,
     run=map,
+    spans: np.ndarray | None = None,
 ) -> np.ndarray:
     """Sequential conditional draws, written over the uniforms they consume.
 
     uniforms is a float64 array with one row per replicate and one column
     per stratum; row r is consumed left to right, one value per stratum.
     Blocks of strata are the outer loop: a block's tables are rebuilt once
-    into a buffer every block reuses, then each tile of ROW_TILE rows
-    draws the block's strata, the tiles mapped through run (map, or a
-    thread pool's map). The returned int64 matrix is a view of uniforms.
+    into a buffer every block reuses, replaying backward_pass's spans when
+    given, then each tile of ROW_TILE rows draws the block's strata, the
+    tiles mapped through run (map, or a thread pool's map). The returned
+    int64 matrix is a view of uniforms.
     """
     count, size = uniforms.shape
     y_total = params.y_total
     z = uniforms.view(np.int64)
-    remaining = np.full(count, y_total, dtype=np.int64)
+    # a column, so each tile's (rows, 1) view broadcasts over candidates
+    remaining = np.full((count, 1), y_total, dtype=np.int64)
     buf = np.empty((block, y_total + 1))
     tiles = range(0, count, ROW_TILE)
+    steps = np.arange(max(len(w.vals) for w in weights), dtype=np.int64)
 
     def draw_tile(start: int, end: int, tables: dict[int, MassTable], a: int):
         rows = slice(a, a + ROW_TILE)
@@ -127,30 +135,37 @@ def _draw_chunk(
         for i in range(start, end):
             nxt = tables[i + 1]
             w = weights[i]
-            cand = np.arange(w.lo, w.lo + len(w.vals), dtype=np.int64)
-            idx = rem[:, None] - cand[None, :] - nxt.lo
-            valid = (idx >= 0) & (idx < len(nxt.vals))
-            mass = np.where(valid, np.take(nxt.vals, idx, mode="clip"), 0.0)
-            mass *= w.vals[None, :]
-            total = mass.sum(axis=1)
-            if np.any(total <= 0.0):
+            m = len(w.vals)
+            # idx[r, j]: where candidate w.lo + j leaves row r in nxt; an
+            # index below 0 wraps to a huge unsigned one, so one compare
+            # finds the indices inside nxt
+            idx = rem - (w.lo + nxt.lo) - steps[:m]
+            mass = nxt.vals.take(idx, mode="clip")
+            mass *= idx.view(np.uint64) < len(nxt.vals)
+            mass *= w.vals
+            total = mass.sum(axis=1, keepdims=True)
+            if total.min() <= 0.0:
                 raise InfeasibilityError(
                     f"conditional mass of stratum {i} underflowed to zero; "
                     "no exact draw exists"
                 )
-            cdf = np.cumsum(mass, axis=1)
-            target = uniforms[rows, i] * total
-            pick = (cdf <= target[:, None]).sum(axis=1)
-            draw = cand[np.minimum(pick, len(cand) - 1)]
-            z[rows, i] = draw
+            # the cdf never decreases, so counting its first m - 1 entries
+            # at or below the target gives min(pick, m - 1), pick being
+            # the count over all m
+            cdf = mass[:, :-1].cumsum(axis=1)
+            draw = (cdf <= uniforms[rows, i:i + 1] * total).sum(
+                axis=1, keepdims=True
+            )
+            draw += w.lo
+            z[rows, i:i + 1] = draw
             rem -= draw
 
     for start in range(0, size, block):
         end = min(start + block, size)
         tables = {end: checkpoints[end]}
-        tables.update(
-            suffix_tables(weights, tables[end], end, start + 1, y_total, out=buf)
-        )
+        tables.update(suffix_tables(
+            weights, tables[end], end, start + 1, y_total, out=buf, spans=spans
+        ))
         list(run(partial(draw_tile, start, end, tables), tiles))
     if np.any(remaining != 0):
         raise InfeasibilityError("a draw failed to exhaust the invariant total")
@@ -303,13 +318,15 @@ def sample_counts_matrix(
     if count == 0:
         return np.empty((0, table.size), dtype=np.int64)
     block = max(1, int(np.ceil(np.sqrt(params.size))))
-    checkpoints, weights, _ = backward_pass(params, block)
+    checkpoints, weights, _, spans = backward_pass(params, block)
     # an executor starts no thread until something is submitted to it, and
     # a batch of one row tile has nothing to run beside it
     with ThreadPoolExecutor(max_workers=threads) as pool:
         run = pool.map if threads > 1 and count > ROW_TILE else map
         uniforms = _chunk_uniforms(base_seed, 0, count, params.size, run)
-        return _draw_chunk(params, checkpoints, weights, block, uniforms, run)
+        return _draw_chunk(
+            params, checkpoints, weights, block, uniforms, run, spans
+        )
 
 
 def _digits(values: np.ndarray) -> np.ndarray:

@@ -500,20 +500,34 @@ class TestConfigTypes:
         assert not (tmp_path / "run").exists()
 
 
+def run_python(*args):
+    """A fresh interpreter with this checkout's pgsynth on its path."""
+    import pgsynth
+
+    src = str(Path(pgsynth.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return subprocess.run(
+        [sys.executable, *args],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
 class TestModuleEntry:
     def test_python_m_pgsynth_help(self):
-        import pgsynth
-
-        src = str(Path(pgsynth.__file__).resolve().parents[1])
-        path = os.environ.get("PYTHONPATH")
-        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-        proc = subprocess.run(
-            [sys.executable, "-m", "pgsynth", "--help"],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
+        proc = run_python("-m", "pgsynth", "--help")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("usage: pgsynth")
         assert "evaluate" in proc.stdout
+
+    def test_import_loads_no_scipy(self):
+        # evaluate and fixture never evaluate a kernel or a quantile, so
+        # starting the CLI must not pay for loading scipy
+        proc = run_python(
+            "-c", "import sys, pgsynth.cli; print('scipy' in sys.modules)"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
 
 class TestConfigHash:

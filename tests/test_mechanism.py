@@ -15,6 +15,7 @@ from pgsynth.errors import InfeasibilityError
 from pgsynth.fixtures import FixtureSpec, generate_fixture
 from pgsynth.mechanism import (
     CUT,
+    END_WINDOW,
     KernelParams,
     MassTable,
     backward_pass,
@@ -149,6 +150,22 @@ class TestCut:
         want = uncut / uncut.max()
         assert got.vals.tolist() == want[1:4].tolist() == [1.0, tiny, 0.5]
 
+    @pytest.mark.parametrize("front, back", [
+        (0, 0), (END_WINDOW - 1, END_WINDOW - 1), (END_WINDOW, 0),
+        (0, END_WINDOW), (END_WINDOW + 5, 3 * END_WINDOW),
+    ])
+    def test_ends_found_inside_and_beyond_the_window(self, front, back):
+        # the kept entries start at index front and end back entries
+        # before the end; beyond the window the search covers everything
+        body = [0.5, 1e-320, 1.0, 0.25]
+        weights = MassTable(
+            lo=0, vals=np.concatenate([np.zeros(front), body, np.zeros(back)]),
+            offset=0.0,
+        )
+        got = convolve_mass(weights, delta_table(), cap=10**6)
+        assert got.lo == front
+        assert got.vals.tolist() == body
+
     @settings(max_examples=150, deadline=None)
     @given(
         lo=st.tuples(st.integers(0, 30), st.integers(0, 30)),
@@ -157,16 +174,26 @@ class TestCut:
             st.floats(0.01, 0.99) | st.floats(1.0, 60.0), st.floats(0.01, 60.0)
         ),
         log_p=st.tuples(st.floats(-9.0, -0.05), st.floats(-9.0, -0.05)),
-        cap_slack=st.integers(0, 900),
+        cap_slack=st.integers(0, 1300),
+        pad=st.tuples(*[st.integers(0, 3 * END_WINDOW)] * 2),
     )
     def test_one_step_keeps_exactly_the_entries_above_the_cut(
-        self, lo, width, shape, log_p, cap_slack
+        self, lo, width, shape, log_p, cap_slack, pad
     ):
         weights, table = (
             kernel_table(*args) for args in zip(lo, width, shape, log_p)
         )
+        # zeros around the kernel, so the kept entries may start or end
+        # beyond END_WINDOW and the search falls back to the whole table
+        weights = MassTable(
+            lo=weights.lo - pad[0],
+            vals=np.concatenate(
+                [np.zeros(pad[0]), weights.vals, np.zeros(pad[1])]
+            ),
+            offset=weights.offset,
+        )
         base = weights.lo + table.lo
-        cap = base + cap_slack
+        cap = base + pad[0] + cap_slack
         got = convolve_mass(weights, table, cap)
         uncut = np.convolve(weights.vals, table.vals)[: cap - base + 1]
         peak = uncut.max()
@@ -189,13 +216,73 @@ class TestCut:
             y_total=y_total,
         )
         want, uncut_length = backward_pass_uncut(params)
-        _, weights, got = backward_pass(params, block=45)
+        _, weights, got, _ = backward_pass(params, block=45)
         assert got == pytest.approx(want, rel=1e-12)
         cut_length = sum(
             len(t.vals)
             for _, t in suffix_tables(weights, delta_table(), size, 0, y_total)
         )
         assert cut_length < uncut_length
+
+
+def random_params(mode, seed):
+    """Random kernels at least 32 wide whose tables get trimmed at both ends.
+
+    Truncated: sharp kernels (large shapes) with means of 10-40 in boxes
+    from 35 below the mean to 60-160 above it. Untruncated: the full
+    range [0, total], with the total near the kernels' summed means.
+    """
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(30, 60))
+    if mode == MODE_TRUNCATED:
+        mean = rng.uniform(10.0, 40.0, size)
+        shape = rng.uniform(500.0, 2000.0, size)
+        lo = np.maximum(0, mean - 35.0).astype(np.int64)
+        hi = (mean + rng.uniform(60.0, 160.0, size)).astype(np.int64)
+        y_total = int(mean.sum())
+    else:
+        shape = rng.uniform(0.05, 150.0, size)
+        mean = shape * rng.uniform(0.05, 0.5, size)
+        y_total = max(31, int(mean.sum()))
+        lo = np.zeros(size, dtype=np.int64)
+        hi = np.full(size, y_total)
+    odds = mean / shape  # p / (1 - p)
+    return KernelParams(
+        shape=shape, log_p=np.log(odds / (1.0 + odds)),
+        lo=lo, hi=hi, y_total=y_total,
+    )
+
+
+class TestReplay:
+    @pytest.mark.parametrize("mode", [MODE_TRUNCATED, MODE_UNTRUNCATED])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_replayed_rebuilds_equal_trimmed_tables(self, mode, seed):
+        params = random_params(mode, seed)
+        size, y_total = params.size, params.y_total
+        block = 2 + seed
+        checkpoints, weights, _, spans = backward_pass(params, block)
+        trimmed = dict(suffix_tables(weights, delta_table(), size, 0, y_total))
+        # the recorded spans cover steps that trimmed each end
+        nxt_lo = np.append(spans["lo"][1:], 0)
+        nxt_hi = nxt_lo + np.append(spans["length"][1:], 1) - 1
+        w_lo = np.array([w.lo for w in weights])
+        w_hi = np.array([w.hi for w in weights])
+        assert np.any(spans["lo"] > w_lo + nxt_lo)
+        assert np.any(
+            spans["lo"] + spans["length"] - 1 < np.minimum(y_total, w_hi + nxt_hi)
+        )
+        buf = np.empty((block, y_total + 1))
+        for start in range(0, size, block):
+            end = min(start + block, size)
+            for k, got in suffix_tables(
+                weights, checkpoints[end], end, start, y_total, out=buf,
+                spans=spans,
+            ):
+                want = trimmed[k]
+                assert (got.lo, got.offset, got.peak) == (
+                    want.lo, want.offset, want.peak
+                )
+                assert np.array_equal(got.vals, want.vals)
 
 
 def fixture_params(mode):
@@ -266,7 +353,7 @@ class TestNormalizer:
         )
         calib = solve_hyperparameters(table, prior, 1.0, mode=mode, bounds=bounds)
         params = build_kernel_params(table.y, table, calib)
-        checkpoints, _, got = backward_pass(params, block=2)
+        checkpoints, _, got, _ = backward_pass(params, block=2)
         assert sorted(checkpoints) == [0, 2, 3]
         assert checkpoints[0].log_at(params.y_total) == got
         want = normalizer_direct(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pgsynth.strata as strata
 from pgsynth.errors import (
     DegeneratePriorError,
     DomainError,
@@ -84,6 +85,64 @@ class TestStrataTable:
         path.write_text("county,age,pop,count\nc1,a1,10,1\n")
         with pytest.raises(SchemaError, match="population,count"):
             StrataTable.from_csv(path)
+
+
+HEAD = "county,age,population,count\n"
+# Strata files the column reader takes (the first two) or leaves to the row
+# loop, which must then read the same table or raise the same error.
+STRATA_FILES = [
+    "county,age,population,count\r\nc1,a1,10,1\r\nc1,a2,20,2\r\n",
+    "# provenance\n\ncounty , age,population, count\n c1 ,a1, 10 ,1\n\n"
+    "#c3,a1,1,1\nc1,a2,20,\u20092\n",
+    HEAD + '"c,1",a1,10,1\nc1,a2,20,2\n',
+    HEAD + "c1,a1,10,notanint\nc1,a2,20,2\n",
+    HEAD + "c1,a1,10,1\nc1,a2,-20,2\n",
+    HEAD + "c1,a1,10,1,9\nc1,a2,20,2\n",
+    HEAD + "c1,a1,10,1\nc1,a1,20,2\n",
+    HEAD + "c1,a1,1_0,+1\nc1,a2,20,2\n",
+    HEAD + "c1,a1,99999999999999999999,1\nc1,a2,20,2\n",
+    HEAD + "c1,a1,10,1\n",
+    HEAD,
+    "",
+    "county,age,pop,count\nc1,a1,10,1\nc1,a2,20,2\n",
+    "population,count\n10,1\n20,2\n",
+    "county,age,population,count\rc1,a1,10,1\rc1,a2,20,2\r",
+    HEAD + "c1,a1,10,1\nc1,a2\0,20,2\n",
+]
+
+
+def read_outcome(path):
+    try:
+        t = StrataTable.from_csv(path)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return t.dim_names, t.keys, t.n.tolist(), t.y.tolist()
+
+
+class TestStrataColumns:
+    @pytest.mark.parametrize("text", STRATA_FILES)
+    def test_columns_read_what_the_row_loop_reads(
+        self, tmp_path, monkeypatch, text
+    ):
+        path = tmp_path / "s.csv"
+        path.write_bytes(text.encode())
+        got = read_outcome(path)
+        monkeypatch.setattr(strata, "_read_strata_columns", lambda path: None)
+        assert got == read_outcome(path)
+
+    @pytest.mark.parametrize("text", STRATA_FILES[:2])
+    def test_plain_files_are_read_by_column(self, tmp_path, text):
+        path = tmp_path / "s.csv"
+        path.write_bytes(text.encode())
+        assert strata._read_strata_columns(path) is not None
+
+    def test_written_table_is_read_by_column(self, tmp_path):
+        path = tmp_path / "s.csv"
+        small_table().to_csv(path, header_comment="roundtrip")
+        dim_names, keys, n, y = strata._read_strata_columns(path)
+        t = small_table()
+        assert (dim_names, tuple(keys)) == (t.dim_names, t.keys)
+        assert n.tolist() == t.n.tolist() and y.tolist() == t.y.tolist()
 
 
 class TestRatesTable:

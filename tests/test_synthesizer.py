@@ -57,10 +57,12 @@ def solo_draw(table, calib, base_seed, r):
     """Replicate r rebuilt alone from its own stream via the draw core."""
     params = build_kernel_params(table.y, table, calib)
     block = 2  # the checkpoint spacing changes memory use, never the draw
-    checkpoints, weights, _ = backward_pass(params, block)
+    checkpoints, weights, _, spans = backward_pass(params, block)
     stream = np.random.default_rng(np.random.SeedSequence((base_seed, r)))
     u = stream.random(params.size).reshape(1, -1)
-    return synth._draw_chunk(params, checkpoints, weights, block, u)[0]
+    return synth._draw_chunk(
+        params, checkpoints, weights, block, u, spans=spans
+    )[0]
 
 
 class TestSoloBatchEquivalence:
