@@ -262,7 +262,9 @@ def convolve_mass(
         vals = vals[:keep]
         first, stop, peak = _cut_span(vals)
     else:
-        first, stop, peak = span[0] - lo, span[0] - lo + span[1], span[2]
+        span_lo, length, peak = span
+        first = span_lo - lo
+        stop = first + length
     vals = vals[first:stop]
     if out is not None:
         out = out[: len(vals)]

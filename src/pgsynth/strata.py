@@ -352,10 +352,11 @@ def _read_strata_columns(path):
     splits fields at commas and records at line ends, so the text is
     split the same way here, into one flat list of fields whose columns
     are strided slices. Labels are stripped with one map per column and
-    counts parsed with np.fromiter, so no Python code runs per row, and
-    no per-row list is built for the garbage collector to walk. int()
-    ignores the whitespace that _read_table strips, so a count parses to
-    the same value either way.
+    counts parsed with np.fromiter: the only Python step per row is the
+    filter that drops comments and blank lines, and no per-row list is
+    built for the garbage collector to walk. int() ignores the whitespace
+    that _read_table strips, so a count parses to the same value either
+    way.
     """
     with open(path, "r", newline="", encoding="utf-8") as fh:
         text = fh.read().replace("\r\n", "\n")
