@@ -20,12 +20,18 @@ once divided by the peak. T_0 evaluated at y_total is the normalizer; the
 tables also drive the sequential exact sampler. suffix_tables is the one
 recursion loop: backward_pass runs it over all strata once, keeps every
 block-th table and records every table's span (its lo, its length and
-the peak its values were divided by), and the sampler runs it again over
-one block at a time, from that block's checkpoint, just before drawing
-the block's strata for every replicate. The rebuild convolves the same
-inputs as the backward pass, so it replays the recorded spans instead of
-searching for the cut again. All strata's kernel tables come from one
-kernel evaluation per group of strata (stratum_weight_table).
+the peak its values were divided by). rebuild_block runs it again over
+one block at a time, from that block's checkpoint, just before the
+sampler draws the block's strata for every replicate. A rebuild computes
+each table only on the window of totals that the block's draws can read
+from their remaining totals, widened by the block's widest kernel and
+cut to the recorded span, and replays the recorded peak, so it never
+searches for the cut again. Its entries equal the backward pass's bit
+for bit. Memory is the checkpoints, O(sqrt(I) * span), plus one block of
+windows, O(block * (row spread + block box widths)); rebuild work is
+O(I * window * box_width) where the backward pass's is
+O(I * span * box_width). All strata's kernel tables come from one kernel
+evaluation per group of strata (stratum_weight_table).
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ __all__ = [
     "convolve_mass",
     "suffix_tables",
     "backward_pass",
+    "rebuild_block",
 ]
 
 
@@ -142,9 +149,11 @@ class MassTable:
     """Linear-scale weight table with max-normalization.
 
     vals[t - lo] holds the (scaled) weight of total t; the true log weight
-    is log(vals[t - lo]) + offset. vals.max() == 1 after every rebuild.
+    is log(vals[t - lo]) + offset. vals.max() == 1 for a whole table.
     A completion-mass table spans only the totals from its first to its
-    last weight >= CUT * peak; totals outside [lo, hi] carry mass 0.
+    last weight >= CUT * peak; totals outside [lo, hi] carry mass 0. A
+    table that rebuild_block cuts to a window holds its span's entries on
+    that window only.
     peak is the raw maximum that convolve_mass divided the values by (1.0
     for a table made otherwise).
     """
@@ -231,7 +240,6 @@ def convolve_mass(
     weights: MassTable,
     table: MassTable,
     cap: int,
-    out: np.ndarray | None = None,
     *,
     span: tuple[int, int, float] | None = None,
 ) -> MassTable:
@@ -248,10 +256,9 @@ def convolve_mass(
     With span = (lo, length, peak), recorded from the same step on the
     same inputs (backward_pass), the step is replayed: the convolution is
     sliced at the recorded span and divided by the recorded peak, which
-    gives the trimmed table bit for bit without searching for it.
-    With out (at least cap + 1 long), the table's values are written to
-    a prefix of it, so a caller that rebuilds many tables can reuse one
-    buffer.
+    gives the trimmed table bit for bit without searching for it. A
+    recorded span may also be a window inside the step's span (see
+    rebuild_block), as long as the convolution covers it.
     """
     vals = np.convolve(weights.vals, table.vals)
     lo = weights.lo + table.lo
@@ -265,12 +272,9 @@ def convolve_mass(
         span_lo, length, peak = span
         first = span_lo - lo
         stop = first + length
-    vals = vals[first:stop]
-    if out is not None:
-        out = out[: len(vals)]
     return MassTable(
         lo=lo + first,
-        vals=np.divide(vals, peak, out=out),
+        vals=vals[first:stop] / peak,
         offset=weights.offset + table.offset + np.log(peak),
         peak=peak,
     )
@@ -299,20 +303,16 @@ def suffix_tables(
     stop: int,
     start: int,
     cap: int,
-    out: np.ndarray | None = None,
     spans: np.ndarray | None = None,
 ) -> Iterator[tuple[int, MassTable]]:
     """Yield (k, T_k) for k = stop - 1 down to start, from table = T_stop.
 
-    With out, T_k is written to row k - start of it, so a caller that
-    rebuilds the same span of tables many times reuses one buffer. With
-    spans (backward_pass's record, indexed by k), each step replays its
-    recorded span (see convolve_mass).
+    With spans, a SPAN array whose row k - start is T_k's span, each step
+    replays its span (see convolve_mass).
     """
     for k in range(stop - 1, start - 1, -1):
-        row = None if out is None else out[k - start]
-        span = None if spans is None else spans[k].item()
-        table = convolve_mass(weights[k], table, cap, out=row, span=span)
+        span = None if spans is None else spans[k - start].item()
+        table = convolve_mass(weights[k], table, cap, span=span)
         yield k, table
 
 
@@ -324,9 +324,14 @@ def backward_pass(
     Returns the checkpoint map (T_I, and T_k at every k divisible by
     block), the per-stratum weight tables, ln C = log T_0(y_total), the
     log of the total kernel mass on the box-and-total slice, and every
-    T_k's span as a SPAN array indexed by k, for suffix_tables to replay.
-    The reachability check sees what the box-sum check alone cannot:
-    strata pinned at zero by degenerate kernels (n_i = 0).
+    T_k's span as a SPAN array indexed by k, for rebuild_block to replay.
+    When T_0 holds no entry at y_total, the error tells two causes apart.
+    The total is unreachable when the box sums miss it once strata pinned
+    at zero by degenerate kernels (n_i = 0, so log_p = -inf) count at lo
+    only, which the box-sum check alone cannot see. Otherwise the boxes
+    admit it, but its weight is below CUT times T_0's peak, where a
+    max-normalized table holds no entry. Neither message names a count
+    or a span.
     """
     size = params.size
     weights = stratum_weight_table(params)
@@ -339,5 +344,78 @@ def backward_pass(
             checkpoints[k] = running
     log_c = running.log_at(params.y_total)
     if not np.isfinite(log_c):
+        reach = np.where(np.isneginf(params.log_p), params.lo, params.hi)
+        if params.lo.sum() <= params.y_total <= reach.sum():
+            raise InfeasibilityError(
+                "the invariant total's weight is below 2^-1022 of the "
+                "completion table's peak, so a max-normalized table cannot "
+                "represent it"
+            )
         raise InfeasibilityError("the invariant total is unreachable")
     return checkpoints, weights, log_c, spans
+
+
+def rebuild_block(
+    weights: list[MassTable],
+    checkpoint: MassTable,
+    spans: np.ndarray | None,
+    start: int,
+    stop: int,
+    low: int,
+    high: int,
+) -> dict[int, MassTable]:
+    """T_{start+1}, ..., T_stop on the totals that draws of strata
+    start..stop-1 can read, the draws starting from remaining totals in
+    [low, high]; checkpoint is T_stop and spans backward_pass's record.
+
+    A draw of stratum i from remaining total r reads T_{i+1} at r - v for
+    v in [lo_i, hi_i], so every read of T_k lies in [low - H_k, high - L_k],
+    H_k and L_k being the sums of hi_l and lo_l over start <= l < k. T_k
+    is rebuilt on that range widened by d, the width of the block's widest
+    kernel, and cut to T_k's span; T_stop is sliced from the checkpoint.
+    Each rebuilt entry is the sum the backward pass's step computes, over
+    the same terms, divided by the same recorded peak. The margin d makes
+    every window either the whole span or longer than every kernel of the
+    block, so np.convolve puts its operands in the same order as in the
+    full step and the entries are equal bit for bit. A window that is
+    neither (empty included) can only come from a row whose reads all miss
+    the span, a row no exact draw exists for, and raises
+    InfeasibilityError. A block of one stratum reads only its checkpoint,
+    and needs no spans.
+    """
+    if stop - start == 1:
+        return {stop: checkpoint}
+    kernel_lo = np.array([w.lo for w in weights[start:stop]], dtype=np.int64)
+    width = np.array([len(w.vals) for w in weights[start:stop]], dtype=np.int64)
+    margin = int(width.max())
+    # row j is T_{start + 1 + j}: its window, then cut to its span
+    first = low - margin - np.cumsum(kernel_lo + width - 1)
+    last = high + margin - np.cumsum(kernel_lo)
+    span_lo = np.append(spans["lo"][start + 1:stop], checkpoint.lo)
+    span_len = np.append(spans["length"][start + 1:stop], len(checkpoint.vals))
+    span_hi = span_lo + span_len - 1
+    whole = (first <= span_lo) & (last >= span_hi)
+    first = np.maximum(first, span_lo)
+    length = np.minimum(last, span_hi) - first + 1
+    short = ~whole & (length <= margin)
+    if short.any():
+        k = start + 1 + int(np.argmax(short))
+        raise InfeasibilityError(
+            f"no remaining total reaches the completion mass of strata {k} "
+            "onward; no exact draw exists"
+        )
+    windows = np.empty(stop - start - 1, dtype=SPAN)
+    windows["lo"] = first[:-1]
+    windows["length"] = length[:-1]
+    windows["peak"] = spans["peak"][start + 1:stop]
+    at = int(first[-1]) - checkpoint.lo
+    table = MassTable(
+        lo=int(first[-1]),
+        vals=checkpoint.vals[at:at + int(length[-1])],
+        offset=checkpoint.offset,
+        peak=checkpoint.peak,
+    )
+    tables = {stop: table}
+    # no total above high is ever read, and a replayed step ignores its cap
+    tables.update(suffix_tables(weights, table, stop, start + 1, high, windows))
+    return tables

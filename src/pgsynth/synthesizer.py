@@ -12,18 +12,25 @@ where T_{i+1} is the completion-mass table of the remaining strata
 (mechanism.MassTable). mechanism.backward_pass builds the tables once per
 batch, keeps a checkpoint every ceil(sqrt(I)) strata and records every
 table's span. The draw then runs block by block: each block's tables are
-rebuilt once from its checkpoint (mechanism.suffix_tables), replaying the
-recorded spans, so a rebuild convolves and divides but never searches
-for the cut again; then the block's strata are drawn for every replicate
-in tiles of ROW_TILE rows, on a thread pool when threads > 1 and there is
+rebuilt once from its checkpoint (mechanism.rebuild_block), only on the
+totals that the block's draws can read from the rows' smallest and
+largest remaining totals (with a margin of the block's widest kernel),
+replaying the recorded spans, so a rebuild convolves and divides but
+never searches for the cut again; its entries equal the backward pass's
+bit for bit. Then the block's strata are drawn for every replicate in
+tiles of ROW_TILE rows, on a thread pool when threads > 1 and there is
 more than one tile; the replicate streams are computed in the same tiles
-on the same pool. A draw step indexes the next table from one shared
-arange of candidate offsets and counts the cdf entries at or below the
-target, with no per-stratum candidate array.
+on the same pool. The windows come from all rows at once, so tiles and
+threads never change them. A draw step indexes the next table from one
+shared arange of candidate offsets and counts the cdf entries at or
+below the target, with no per-stratum candidate array.
 A completion-mass table spans only the totals whose weight is
->= 2^-1022 of its peak, at most y_total + 1 of them, so table memory
-stays O(sqrt(I) * y_total) and convolution work O(I * span * box_width),
-where span is the widest table's length, whatever the replicate count.
+>= 2^-1022 of its peak, at most y_total + 1 of them. Table memory is the
+checkpoints, O(sqrt(I) * span), plus one block of windows,
+O(block * (row spread + block box widths)); convolution work is
+O(I * span * box_width) in the backward pass and
+O(I * window * box_width) in the rebuilds, span being the widest table's
+length and window the widest window's, whatever the replicate count.
 Each draw overwrites the uniform it consumed, so a batch holds one
 (count x I) matrix.
 
@@ -64,7 +71,7 @@ from .mechanism import (
     MassTable,
     backward_pass,
     build_kernel_params,
-    suffix_tables,
+    rebuild_block,
 )
 from .strata import StrataTable
 
@@ -114,18 +121,17 @@ def _draw_chunk(
 
     uniforms is a float64 array with one row per replicate and one column
     per stratum; row r is consumed left to right, one value per stratum.
-    Blocks of strata are the outer loop: a block's tables are rebuilt once
-    into a buffer every block reuses, replaying backward_pass's spans when
-    given, then each tile of ROW_TILE rows draws the block's strata, the
-    tiles mapped through run (map, or a thread pool's map). The returned
-    int64 matrix is a view of uniforms.
+    Blocks of strata are the outer loop: a block's tables are rebuilt once,
+    on the windows that the rows' remaining totals can reach
+    (mechanism.rebuild_block, which replays backward_pass's spans; a block
+    of one stratum needs none), then each tile of ROW_TILE rows draws the
+    block's strata, the tiles mapped through run (map, or a thread pool's
+    map). The returned int64 matrix is a view of uniforms.
     """
     count, size = uniforms.shape
-    y_total = params.y_total
     z = uniforms.view(np.int64)
     # a column, so each tile's (rows, 1) view broadcasts over candidates
-    remaining = np.full((count, 1), y_total, dtype=np.int64)
-    buf = np.empty((block, y_total + 1))
+    remaining = np.full((count, 1), params.y_total, dtype=np.int64)
     tiles = range(0, count, ROW_TILE)
     steps = np.arange(max(len(w.vals) for w in weights), dtype=np.int64)
 
@@ -162,10 +168,10 @@ def _draw_chunk(
 
     for start in range(0, size, block):
         end = min(start + block, size)
-        tables = {end: checkpoints[end]}
-        tables.update(suffix_tables(
-            weights, tables[end], end, start + 1, y_total, out=buf, spans=spans
-        ))
+        tables = rebuild_block(
+            weights, checkpoints[end], spans, start, end,
+            int(remaining.min()), int(remaining.max()),
+        )
         list(run(partial(draw_tile, start, end, tables), tiles))
     if np.any(remaining != 0):
         raise InfeasibilityError("a draw failed to exhaust the invariant total")

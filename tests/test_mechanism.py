@@ -22,6 +22,7 @@ from pgsynth.mechanism import (
     build_kernel_params,
     convolve_mass,
     delta_table,
+    rebuild_block,
     stratum_weight_table,
     suffix_tables,
 )
@@ -85,6 +86,31 @@ class TestKernelParams:
                 y_total=5,
             )
 
+    def test_total_beyond_the_effective_boxes_is_unreachable(self):
+        # the boxes sum to 5 >= 4, but stratum 0 (n = 0) only ever emits 0
+        params = KernelParams(
+            shape=np.ones(2), log_p=np.array([-np.inf, -1.0]),
+            lo=np.zeros(2), hi=np.array([3, 2]), y_total=4,
+        )
+        with pytest.raises(
+            InfeasibilityError, match="^the invariant total is unreachable$"
+        ):
+            backward_pass(params, block=1)
+
+    def test_total_below_the_cut_is_not_called_unreachable(self):
+        # w(z) = exp(-40 z): the boxes admit 100, but its weight is about
+        # e^-4000 of T_0's peak, far below what a max-normalized table holds
+        params = KernelParams(
+            shape=np.ones(2), log_p=np.full(2, -40.0),
+            lo=np.zeros(2), hi=np.full(2, 60), y_total=100,
+        )
+        with pytest.raises(InfeasibilityError) as err:
+            backward_pass(params, block=1)
+        assert str(err.value) == (
+            "the invariant total's weight is below 2^-1022 of the completion "
+            "table's peak, so a max-normalized table cannot represent it"
+        )
+
 
 class TestMassTables:
     def test_weight_table_matches_direct_kernel(self):
@@ -115,16 +141,6 @@ class TestMassTables:
         a = MassTable(lo=0, vals=np.ones(5), offset=0.0)
         out = convolve_mass(a, delta_table(), cap=2)
         assert out.hi == 2
-
-    def test_convolution_into_buffer(self):
-        a = MassTable(lo=1, vals=np.array([0.5, 1.0]), offset=0.0)
-        b = MassTable(lo=2, vals=np.array([1.0, 0.25]), offset=math.log(2.0))
-        buf = np.full(11, np.nan)
-        got = convolve_mass(a, b, cap=10, out=buf)
-        want = convolve_mass(a, b, cap=10)
-        assert (got.lo, got.offset) == (want.lo, want.offset)
-        assert np.array_equal(got.vals, want.vals)
-        assert np.shares_memory(got.vals, buf)
 
     def test_log_at_outside_support(self):
         t = MassTable(lo=3, vals=np.array([1.0]), offset=0.0)
@@ -271,18 +287,88 @@ class TestReplay:
         assert np.any(
             spans["lo"] + spans["length"] - 1 < np.minimum(y_total, w_hi + nxt_hi)
         )
-        buf = np.empty((block, y_total + 1))
         for start in range(0, size, block):
             end = min(start + block, size)
             for k, got in suffix_tables(
-                weights, checkpoints[end], end, start, y_total, out=buf,
-                spans=spans,
+                weights, checkpoints[end], end, start, y_total,
+                spans=spans[start:end],
             ):
                 want = trimmed[k]
                 assert (got.lo, got.offset, got.peak) == (
                     want.lo, want.offset, want.peak
                 )
                 assert np.array_equal(got.vals, want.vals)
+
+
+class TestWindowedRebuild:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        mode=st.sampled_from([MODE_TRUNCATED, MODE_UNTRUNCATED]),
+        seed=st.integers(0, 5),
+        block=st.integers(1, 7),
+        rows=st.sampled_from(["one", "many", "ends"]),
+        data=st.data(),
+    )
+    def test_windows_equal_the_replayed_tables(
+        self, mode, seed, block, rows, data
+    ):
+        # every span is trimmed at both ends (TestReplay); the rows start
+        # from one kept total of T_start, several, or its span's two ends
+        params = random_params(mode, seed)
+        size, y_total = params.size, params.y_total
+        checkpoints, weights, _, spans = backward_pass(params, block)
+        for start in range(0, size, block):
+            stop = min(start + block, size)
+            full = dict(suffix_tables(
+                weights, checkpoints[stop], stop, start + 1, y_total,
+                spans=spans[start + 1:stop],
+            ))
+            full[stop] = checkpoints[stop]
+            below = checkpoints[start]
+            kept = (below.lo + np.flatnonzero(below.vals > 0)).tolist()
+            if rows == "ends":
+                remaining = [kept[0], kept[-1]]
+            else:
+                remaining = data.draw(st.lists(
+                    st.sampled_from(kept), min_size=1,
+                    max_size=1 if rows == "one" else 20,
+                ))
+            low, high = min(remaining), max(remaining)
+            got = rebuild_block(
+                weights, checkpoints[stop], spans, start, stop, low, high
+            )
+            assert sorted(got) == list(range(start + 1, stop + 1))
+            margin = max(len(w.vals) for w in weights[start:stop])
+            top = bottom = 0  # summed his and los of strata start..k-1
+            for k in range(start + 1, stop + 1):
+                top += weights[k - 1].hi
+                bottom += weights[k - 1].lo
+                want = full[k]
+                lo = max(low - margin - top, want.lo)
+                hi = min(high + margin - bottom, want.hi)
+                if stop - start == 1:  # a block of one keeps its checkpoint
+                    lo, hi = want.lo, want.hi
+                table = got[k]
+                assert (table.lo, table.hi) == (lo, hi)
+                assert (table.offset, table.peak) == (want.offset, want.peak)
+                assert np.array_equal(
+                    table.vals, want.vals[lo - want.lo:hi - want.lo + 1]
+                )
+
+    @pytest.mark.parametrize("reach", ["far below", "just below", "far above"])
+    def test_a_window_no_row_reaches_raises(self, reach):
+        params = random_params(MODE_TRUNCATED, 0)
+        block = 4
+        checkpoints, weights, _, spans = backward_pass(params, block)
+        total = {
+            "far below": 0,
+            # every total the row reads from T_1 is T_1's lo - 1 or less,
+            # so the window left after the span cut is shorter than the margin
+            "just below": spans["lo"][1] + weights[0].lo - 1,
+            "far above": 10 * params.y_total,
+        }[reach]
+        with pytest.raises(InfeasibilityError, match="of strata 1 onward"):
+            rebuild_block(weights, checkpoints[block], spans, 0, block, total, total)
 
 
 def fixture_params(mode):

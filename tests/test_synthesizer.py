@@ -271,6 +271,36 @@ class TestRecursionWork:
         block = int(np.ceil(np.sqrt(size)))
         assert len(calls) == 2 * size - int(np.ceil(size / block))
 
+    @pytest.mark.parametrize("mode, deaths", [
+        (MODE_TRUNCATED, 5_000), (MODE_UNTRUNCATED, 900),
+    ])
+    def test_rebuilds_cover_only_the_reachable_totals(
+        self, monkeypatch, mode, deaths
+    ):
+        # summed table lengths: the backward pass's spans, the rebuilds'
+        # windows; both are counts, so they repeat exactly
+        table, calib = mid_size(mode, deaths)
+        params = build_kernel_params(table.y, table, calib)
+        block = int(np.ceil(np.sqrt(params.size)))
+        spans = backward_pass(params, block)[3]
+        real = mechanism.convolve_mass
+        lengths = {"backward": 0, "rebuild": 0}
+
+        def counted(weights, table, cap, *, span=None):
+            got = real(weights, table, cap, span=span)
+            lengths["backward" if span is None else "rebuild"] += len(got.vals)
+            return got
+
+        monkeypatch.setattr(mechanism, "convolve_mass", counted)
+        sample_counts_matrix(table, calib, count=5, base_seed=5)
+        assert lengths["backward"] == spans["length"].sum()
+        if mode == MODE_TRUNCATED:
+            assert lengths == {"backward": 3_627_525, "rebuild": 269_096}
+        else:
+            # kernels span [0, y_total], so each window is its whole span
+            rebuilt = np.arange(params.size) % block != 0
+            assert lengths["rebuild"] == spans["length"][rebuilt].sum()
+
 
 class TestExactness:
     @pytest.mark.parametrize("mode", [MODE_UNTRUNCATED, MODE_TRUNCATED])
