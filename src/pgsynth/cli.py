@@ -48,6 +48,7 @@ from .fixtures import (
 from .mechanism import build_kernel_params
 from .strata import RatesTable, StrataTable, build_prior, compute_bounds
 from .synthesizer import (
+    SAMPLER,
     read_replicates_csv,
     sample_counts_matrix,
     write_replicates_csv,
@@ -94,9 +95,12 @@ class RunConfig:
     paths: dict = field(default_factory=dict)
 
     def to_doc(self) -> dict:
-        # tuples serialize as JSON lists
+        # tuples serialize as JSON lists; synthesize also names the sampler
+        # version, so a change of draws changes the hash
         doc = asdict(self)
         doc["paths"] = {k: str(v) for k, v in sorted(self.paths.items())}
+        if self.command == "synthesize":
+            doc["sampler"] = SAMPLER
         return doc
 
     def config_hash(self) -> str:

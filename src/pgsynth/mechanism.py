@@ -51,6 +51,7 @@ __all__ = [
     "clamp_counts",
     "build_kernel_params",
     "stratum_weight_table",
+    "tilt",
     "convolve_mass",
     "suffix_tables",
     "backward_pass",
@@ -187,27 +188,33 @@ END_WINDOW = 64
 # length and the raw peak its values were divided by.
 SPAN = np.dtype([("lo", np.int64), ("length", np.int64), ("peak", np.float64)])
 
-# Summed support widths per kernel evaluation in stratum_weight_table; it
-# bounds that function's temporaries, and no table depends on it.
+# Summed support widths per kernel evaluation in stratum_weight_table and
+# tilt; it bounds their temporaries, and no table depends on it.
 KERNEL_GROUP = 1 << 16
+
+# tilt's Newton iteration: at most TILT_STEPS steps, stopping once the
+# tilted means sum to within TILT_TOL of the total, with |tau| at most
+# TILT_LIMIT (beyond it theta^z underflows at z = 1).
+TILT_STEPS = 100
+TILT_TOL = 1e-6
+TILT_LIMIT = 745.0
 
 
 def delta_table() -> MassTable:
     return MassTable(lo=0, vals=np.ones(1), offset=0.0)
 
 
-def stratum_weight_table(params: KernelParams) -> list[MassTable]:
-    """Kernel weights of every stratum i over its support [lo_i, hi_i].
+def _kernel_groups(params: KernelParams):
+    """Yield (widths, starts, z, logw, peaks) per group of strata.
 
-    Strata are evaluated in groups whose summed support widths stay
-    under KERNEL_GROUP entries (a wider stratum is a group of its own):
-    each group's supports are laid end to end, the kernel is evaluated
-    once over them, and the result is split back into one max-normalized
-    table per stratum, as views of the group's array.
+    Groups are consecutive strata whose summed support widths stay under
+    KERNEL_GROUP entries (a wider stratum is a group of its own); each
+    group's supports are laid end to end (starts), z holds the support
+    values and logw the log kernel there, evaluated once, and peaks each
+    stratum's largest log weight.
     """
     widths = params.hi - params.lo + 1
     ends = np.cumsum(widths)
-    tables: list[MassTable] = []
     a = 0
     while a < params.size:
         limit = ends[a] - widths[a] + KERNEL_GROUP
@@ -226,14 +233,84 @@ def stratum_weight_table(params: KernelParams) -> list[MassTable]:
                 f"stratum {a + int(np.argmax(bad))} carries no mass anywhere "
                 "on its support"
             )
+        yield w, starts, z, logw, peaks
+        a = b
+
+
+def stratum_weight_table(params: KernelParams) -> list[MassTable]:
+    """Kernel weights of every stratum i over its support [lo_i, hi_i].
+
+    The kernel is evaluated once per group of strata (_kernel_groups),
+    and the result is split back into one max-normalized table per
+    stratum, as views of the group's array.
+    """
+    tables: list[MassTable] = []
+    for w, starts, z, logw, peaks in _kernel_groups(params):
         logw -= np.repeat(peaks, w)
         vals = np.split(np.exp(logw, out=logw), starts[1:])
         tables.extend(
             MassTable(lo=int(lo), vals=v, offset=float(peak))
-            for lo, v, peak in zip(params.lo[a:b], vals, peaks)
+            for lo, v, peak in zip(z[starts], vals, peaks)
         )
-        a = b
     return tables
+
+
+def tilt(params: KernelParams) -> tuple[float, np.ndarray]:
+    """(tau, var): the exponential tilt that centres the kernels on the total.
+
+    Tilting every kernel by theta^z, tau = log theta, leaves the law on
+    the slice sum(z) = y_total unchanged, since theta^sum(z) = theta^y_total
+    there; on a finite box it is exactly p -> p * theta, so the tilted
+    kernels are KernelParams with log_p + tau (an n = 0 stratum keeps
+    log_p = -inf). tau solves sum_i E_tau[z_i] = y_total by Newton's
+    method, kept inside the bracket [-TILT_LIMIT, TILT_LIMIT] by
+    bisection, from tau = 0. It stops once the sum is within TILT_TOL of
+    the total, once the bracket is narrower than TILT_TOL (a total at an
+    end of the boxes has its root at infinity), or after TILT_STEPS
+    steps. var holds each stratum's variance under the returned tau.
+    Any tau gives the same law; it only moves where the completion-mass
+    tables keep their mass.
+    """
+    # each group's log kernel and its strata's lows; the support values
+    # are laid out again per step rather than kept
+    groups = [
+        (w, starts, z[starts], logw - np.repeat(peaks, w))
+        for w, starts, z, logw, peaks in _kernel_groups(params)
+    ]
+
+    def moments(tau: float) -> tuple[np.ndarray, np.ndarray]:
+        means, variances = [], []
+        for w, starts, lo, logw in groups:
+            z = np.arange(len(logw), dtype=np.float64)
+            z -= np.repeat(starts - lo, w)
+            e = logw + tau * z
+            e -= np.repeat(np.maximum.reduceat(e, starts), w)
+            np.exp(e, out=e)
+            mass = np.add.reduceat(e, starts)
+            e *= z
+            mean = np.add.reduceat(e, starts) / mass
+            e *= z
+            means.append(mean)
+            variances.append(
+                np.maximum(np.add.reduceat(e, starts) / mass - mean * mean, 0.0)
+            )
+        return np.concatenate(means), np.concatenate(variances)
+
+    tau, below, above = 0.0, -TILT_LIMIT, TILT_LIMIT
+    mean, var = moments(tau)
+    for _ in range(TILT_STEPS):
+        gap = float(mean.sum()) - params.y_total
+        if abs(gap) <= TILT_TOL or above - below <= TILT_TOL:
+            break
+        if gap < 0.0:
+            below = tau
+        else:
+            above = tau
+        slope = float(var.sum())
+        step = tau - gap / slope if slope > 0.0 else np.nan
+        tau = step if below < step < above else 0.5 * (below + above)
+        mean, var = moments(tau)
+    return tau, var
 
 
 def convolve_mass(
@@ -317,31 +394,39 @@ def suffix_tables(
 
 
 def backward_pass(
-    params: KernelParams, block: int
-) -> tuple[dict[int, MassTable], list[MassTable], float, np.ndarray]:
-    """Run the recursion T_k = w_k * T_{k+1} from T_I down to T_0.
+    params: KernelParams, block: int, start: int = 0
+) -> tuple[dict[int, MassTable], list[MassTable], float | None, np.ndarray]:
+    """Run the recursion T_k = w_k * T_{k+1} from T_I down to T_start.
 
-    Returns the checkpoint map (T_I, and T_k at every k divisible by
-    block), the per-stratum weight tables, ln C = log T_0(y_total), the
-    log of the total kernel mass on the box-and-total slice, and every
-    T_k's span as a SPAN array indexed by k, for rebuild_block to replay.
+    Returns the checkpoint map (T_I, and T_k at every k with k - start
+    divisible by block, so T_start among them), every stratum's weight
+    table, ln C = log T_0(y_total), the log of the total kernel mass on
+    the box-and-total slice, and every T_k's span as a SPAN array indexed
+    by k (rows below start are zero), for rebuild_block to replay.
+    A suffix (start > 0) is read at many totals, one per draw of the
+    strata before it, so it has no single-total lookup: ln C is None.
     When T_0 holds no entry at y_total, the error tells two causes apart.
     The total is unreachable when the box sums miss it once strata pinned
     at zero by degenerate kernels (n_i = 0, so log_p = -inf) count at lo
     only, which the box-sum check alone cannot see. Otherwise the boxes
     admit it, but its weight is below CUT times T_0's peak, where a
-    max-normalized table holds no entry. Neither message names a count
-    or a span.
+    max-normalized table holds no entry (tilting the kernels, see tilt,
+    moves the peak to the total). Neither message names a count or a
+    span.
     """
     size = params.size
     weights = stratum_weight_table(params)
     checkpoints: dict[int, MassTable] = {size: delta_table()}
-    spans = np.empty(size, dtype=SPAN)
+    spans = np.zeros(size, dtype=SPAN)
     running = checkpoints[size]
-    for k, running in suffix_tables(weights, running, size, 0, params.y_total):
+    for k, running in suffix_tables(
+        weights, running, size, start, params.y_total
+    ):
         spans[k] = running.lo, len(running.vals), running.peak
-        if k % block == 0:
+        if (k - start) % block == 0:
             checkpoints[k] = running
+    if start:
+        return checkpoints, weights, None, spans
     log_c = running.log_at(params.y_total)
     if not np.isfinite(log_c):
         reach = np.where(np.isneginf(params.log_p), params.lo, params.hi)

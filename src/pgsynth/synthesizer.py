@@ -59,7 +59,9 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import logging
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -72,19 +74,39 @@ from .mechanism import (
     backward_pass,
     build_kernel_params,
     rebuild_block,
+    tilt,
 )
 from .strata import StrataTable
 
 __all__ = [
+    "SAMPLER",
     "sample_counts_matrix",
     "write_replicates_csv",
     "read_replicates_csv",
 ]
 
+# The version of the draw: how a replicate's values follow from its
+# streams. It enters the synthesize config hash.
+SAMPLER = "tilted-split-1"
+
 # Rows per tile, for the draw's (rows x candidates) temporaries and the
 # stream arithmetic; with threads, each worker holds one tile's
 # temporaries. A row's value never depends on it.
 ROW_TILE = 1 << 15
+
+# Instances with fewer strata than SPLIT_MIN have no head: every stratum
+# is drawn by the exact chain. Larger ones give the chain the shortest
+# suffix of strata holding at least TAIL_SHARE of the summed tilted
+# variance, and propose the strata before it independently; a replicate
+# then needs about TAIL_SHARE^-1/2 proposals. On the published fixture
+# (2 threads) shares of 0.05-0.10 were fastest at 20 and at 1,000
+# replicates, and the split beat the chain from a few hundred strata on.
+SPLIT_MIN = 256
+TAIL_SHARE = 0.1
+
+# Cells, rows times head strata, per tile of head proposals; it bounds
+# their temporaries. A row's value never depends on it.
+HEAD_CELLS = 1 << 19
 
 # CSV lines per slice that write_replicates_csv renders at once.
 WRITE_ROWS = 200_000
@@ -107,6 +129,8 @@ _PCG_MULT_HI = np.uint64(0x2360ED051FC65DA4)
 _PCG_MULT_LO = np.uint64(0x4385DF649FCCF645)
 _PCG_MULT_LO0, _PCG_MULT_LO1 = _PCG_MULT_LO & _LOW32, _PCG_MULT_LO >> _U32
 
+_log = logging.getLogger(__name__)
+
 
 def _draw_chunk(
     params: KernelParams,
@@ -116,29 +140,36 @@ def _draw_chunk(
     uniforms: np.ndarray,
     run=map,
     spans: np.ndarray | None = None,
+    start: int = 0,
+    remaining: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Sequential conditional draws, written over the uniforms they consume.
+    """Sequential conditional draws of strata start..I-1, written over the
+    uniforms they consume.
 
     uniforms is a float64 array with one row per replicate and one column
-    per stratum; row r is consumed left to right, one value per stratum.
-    Blocks of strata are the outer loop: a block's tables are rebuilt once,
-    on the windows that the rows' remaining totals can reach
-    (mechanism.rebuild_block, which replays backward_pass's spans; a block
-    of one stratum needs none), then each tile of ROW_TILE rows draws the
-    block's strata, the tiles mapped through run (map, or a thread pool's
-    map). The returned int64 matrix is a view of uniforms.
+    per stratum; row r's columns start..I-1 are consumed left to right,
+    one value per stratum, starting from its remaining total (a column;
+    y_total for every row when None). Blocks of strata from start are
+    the outer loop: a block's tables are rebuilt once, on the windows
+    that the rows' remaining totals can reach (mechanism.rebuild_block,
+    which replays backward_pass's spans; a block of one stratum needs
+    none), then each tile of ROW_TILE rows draws the block's strata, the
+    tiles mapped through run (map, or a thread pool's map). The returned
+    int64 matrix is a view of uniforms; columns before start are left
+    as they are.
     """
     count, size = uniforms.shape
     z = uniforms.view(np.int64)
-    # a column, so each tile's (rows, 1) view broadcasts over candidates
-    remaining = np.full((count, 1), params.y_total, dtype=np.int64)
+    if remaining is None:
+        # a column, so each tile's (rows, 1) view broadcasts over candidates
+        remaining = np.full((count, 1), params.y_total, dtype=np.int64)
     tiles = range(0, count, ROW_TILE)
-    steps = np.arange(max(len(w.vals) for w in weights), dtype=np.int64)
+    steps = np.arange(max(len(w.vals) for w in weights[start:]), dtype=np.int64)
 
-    def draw_tile(start: int, end: int, tables: dict[int, MassTable], a: int):
+    def draw_tile(first: int, end: int, tables: dict[int, MassTable], a: int):
         rows = slice(a, a + ROW_TILE)
         rem = remaining[rows]
-        for i in range(start, end):
+        for i in range(first, end):
             nxt = tables[i + 1]
             w = weights[i]
             m = len(w.vals)
@@ -166,13 +197,13 @@ def _draw_chunk(
             z[rows, i:i + 1] = draw
             rem -= draw
 
-    for start in range(0, size, block):
-        end = min(start + block, size)
+    for first in range(start, size, block):
+        end = min(first + block, size)
         tables = rebuild_block(
-            weights, checkpoints[end], spans, start, end,
+            weights, checkpoints[end], spans, first, end,
             int(remaining.min()), int(remaining.max()),
         )
-        list(run(partial(draw_tile, start, end, tables), tiles))
+        list(run(partial(draw_tile, first, end, tables), tiles))
     if np.any(remaining != 0):
         raise InfeasibilityError("a draw failed to exhaust the invariant total")
     return z
@@ -239,18 +270,22 @@ def _uint32_words(n: int) -> list[int]:
     return words
 
 
-def _pcg64_uniforms(base_seed: int, first: int, out: np.ndarray) -> None:
-    """Fill out[k] with default_rng(SeedSequence((base_seed, first + k))).random.
+def _pcg64_uniforms(
+    base_seed: int, reps: np.ndarray, out: np.ndarray, *key: int
+) -> None:
+    """Fill out[k] with default_rng(SeedSequence((base_seed, reps[k], *key))).random.
 
-    The replicate indices must all lie below 2^32 or all at or above it,
-    so that each has the same number of 32-bit words.
+    reps (uint64) must all lie below 2^32 or all at or above it, so that
+    each has the same number of 32-bit words.
     """
     count, size = out.shape
-    r = np.arange(count, dtype=np.uint64) + np.uint64(first)
     entropy = [np.full(count, w, dtype=np.uint32) for w in _uint32_words(base_seed)]
-    entropy.append((r & _LOW32).astype(np.uint32))
-    if first > _MASK32:
-        entropy.append((r >> _U32).astype(np.uint32))
+    entropy.append((reps & _LOW32).astype(np.uint32))
+    if reps[0] > _MASK32:
+        entropy.append((reps >> _U32).astype(np.uint32))
+    entropy += [
+        np.full(count, w, dtype=np.uint32) for k in key for w in _uint32_words(k)
+    ]
     s0, s1, s2, s3 = _seed_state(entropy)
     # pcg64_set_seed: inc = (s2:s3 << 1) | 1; state = (inc + s0:s1) * M + inc
     inc_hi = (s2 << np.uint64(1)) | (s3 >> np.uint64(63))
@@ -258,7 +293,7 @@ def _pcg64_uniforms(base_seed: int, first: int, out: np.ndarray) -> None:
     lo = inc_lo + s1
     hi, lo = _pcg64_step(inc_hi + s0 + (lo < s1), lo, inc_hi, inc_lo)
     # each pool worker holds one tile: keep only the generator state from here
-    del s0, s1, s2, s3, entropy, r
+    del s0, s1, s2, s3, entropy
     for j in range(size):
         hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
         # XSL-RR output, then the 53-bit double of Generator.random
@@ -268,35 +303,163 @@ def _pcg64_uniforms(base_seed: int, first: int, out: np.ndarray) -> None:
         out[:, j] = (x >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
-def _chunk_uniforms(
-    base_seed: int, first: int, count: int, size: int, run=map
+def _uniforms(
+    base_seed: int, reps, size: int, run=map, key: tuple[int, ...] = (),
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Row k: the first size uniforms of replicate first + k's stream.
+    """Row k: the first size uniforms of stream (base_seed, reps[k], *key).
 
-    Blocks of rows taller than they are wide compute the streams across
-    rows, in tiles of at most ROW_TILE rows that never straddle 2^32
-    (where the index gains a word), mapped through run (map, or a thread
-    pool's map); wide ones seed one generator per row. Both give the
-    same bits.
+    reps is ascending. Blocks of rows taller than they are wide compute
+    the streams across rows, in tiles of at most ROW_TILE rows that never
+    straddle 2^32 (where the index gains a word), mapped through run
+    (map, or a thread pool's map); wide ones seed one generator per row.
+    Both give the same bits. The rows are written to out when given.
     """
-    u = np.empty((count, size), dtype=np.float64)
-    if count <= size:
-        for offset in range(count):
+    reps = np.asarray(reps, dtype=np.uint64)
+    u = np.empty((len(reps), size), dtype=np.float64) if out is None else out
+    if len(reps) <= size:
+        for k, r in enumerate(reps.tolist()):
             stream = np.random.default_rng(
-                np.random.SeedSequence((base_seed, first + offset))
+                np.random.SeedSequence((base_seed, r, *key))
             )
-            u[offset] = stream.random(size)
+            stream.random(out=u[k])
         return u
-    starts, tiles, a, end = [], [], first, first + count
-    while a < end:
-        b = min(end, a + ROW_TILE)
-        if a <= _MASK32 < b - 1:
-            b = _MASK32 + 1
-        starts.append(a)
-        tiles.append(u[a - first:b - first])
-        a = b
-    list(run(partial(_pcg64_uniforms, base_seed), starts, tiles))
+    cut = int(np.searchsorted(reps, _MASK32 + 1))
+    edges = sorted({*range(0, len(reps), ROW_TILE), cut, len(reps)})
+    tiles = [(a, b) for a, b in zip(edges, edges[1:]) if a < b]
+    list(run(
+        lambda ab: _pcg64_uniforms(
+            base_seed, reps[ab[0]:ab[1]], u[ab[0]:ab[1]], *key
+        ),
+        tiles,
+    ))
     return u
+
+
+def _plan(params: KernelParams) -> tuple[KernelParams, int, int]:
+    """(tilted params, start, block): the kernels tilted onto the total
+    (mechanism.tilt), the tail's first stratum (_tail_start) and the
+    tail's checkpoint spacing, ceil(sqrt(tail strata))."""
+    tau, var = tilt(params)
+    _log.debug("tilt %.6g", tau)
+    start = _tail_start(var)
+    block = max(1, int(np.ceil(np.sqrt(params.size - start))))
+    return replace(params, log_p=params.log_p + tau), start, block
+
+
+def _tail_start(var: np.ndarray) -> int:
+    """The first stratum of the tail, which the exact chain draws.
+
+    0 (no head) below SPLIT_MIN strata or when no stratum varies;
+    otherwise the start of the shortest suffix whose summed variance is
+    at least TAIL_SHARE of all of it. var holds the tilted variances, so
+    the split depends on the instance alone.
+    """
+    size = len(var)
+    total = float(var.sum())
+    if size < SPLIT_MIN or not total > 0.0:
+        return 0
+    suffix = np.cumsum(var[::-1])
+    return size - 1 - int(np.searchsorted(suffix, TAIL_SHARE * total))
+
+
+def _segment_cumsum(vals: np.ndarray, starts: np.ndarray, widths: np.ndarray):
+    """np.cumsum of each segment vals[starts[i]:starts[i] + widths[i]], in
+    place of it; the same sums in the same order, so the same bits."""
+    out = vals.copy()
+    for k in range(1, int(widths.max())):
+        at = starts[widths > k] + k
+        out[at] += out[at - 1]
+    return out
+
+
+def _draw_head(
+    weights: list[MassTable],
+    tail: MassTable,
+    y_total: int,
+    base_seed: int,
+    z: np.ndarray,
+    run=map,
+) -> tuple[np.ndarray, int]:
+    """Head counts by independent proposals accepted on the tail's mass.
+
+    weights are the head strata's (tilted) kernel tables and tail the
+    completion-mass table T_s of the strata after them. Proposal j >= 1
+    of replicate r reads |head| + 1 uniforms from the stream
+    (base_seed, r, j): stratum i's count is its kernel's inverse cdf at
+    the i-th, the cumulative sums running from the table's low end, and
+    the proposal h is accepted when the last uniform is below
+    tail.vals at y_total - sum(h), which is T_s(y_total - sum(h)) / max T_s
+    (0 outside the table). An accepted h has the law of the head's counts
+    under the conditioned product. Rejected rows propose again, with no
+    limit on the rounds: a limit would bias the law. Rows go in tiles of
+    about HEAD_CELLS cells mapped through run. Accepted counts are
+    written to z's head columns; returns each row's remaining total (a
+    column) and the number of proposals made.
+    """
+    size = len(weights)
+    lo = np.fromiter((w.lo for w in weights), dtype=np.int64, count=size)
+    width = np.fromiter((len(w.vals) for w in weights), dtype=np.int64, count=size)
+    vals = np.concatenate([w.vals for w in weights])
+    starts = np.cumsum(width) - width
+    # the head sums a proposal can reach, from each kernel's first and last
+    # entry with mass
+    at = np.arange(len(vals))
+    first = np.minimum.reduceat(np.where(vals > 0.0, at, len(vals)), starts)
+    last = np.maximum.reduceat(np.where(vals > 0.0, at, -1), starts)
+    if (
+        y_total - int((lo + last - starts).sum()) > tail.hi
+        or y_total - int((lo + first - starts).sum()) < tail.lo
+    ):
+        raise InfeasibilityError(
+            "the completion mass of the tail strata misses every total the "
+            "head strata can leave; no exact draw exists"
+        )
+    cdf = _segment_cumsum(vals, starts, width)
+    # strata with two or more entries, widest first; column k - 1 holds
+    # the k-th cdf entry of those wider than k, a prefix of them
+    live = np.argsort(-width, kind="stable")
+    live = live[width[live] > 1]
+    total = cdf[(starts + width - 1)[live]]
+    wide = width[live]
+    columns = []
+    for k in range(1, int(wide.max(initial=1))):
+        columns.append(cdf[starts[live[:np.count_nonzero(wide > k)]] + k - 1])
+    # where each head stratum's count sits among the live strata's; a
+    # stratum of one entry reads the zero column after them
+    place = np.full(size, len(live))
+    place[live] = np.arange(len(live))
+    pick_type = np.min_scalar_type(len(columns))
+    least = y_total - int(lo.sum())
+    remaining = np.empty((len(z), 1), dtype=np.int64)
+    rows = max(1, HEAD_CELLS // (size + 1))
+
+    def propose(j: int, reps: np.ndarray) -> np.ndarray:
+        u = _uniforms(base_seed, reps, size + 1, key=(j,))
+        # the inverse cdf: the count of cdf entries, but the last, at or
+        # below the target
+        target = np.take(u, live, axis=1)
+        target *= total
+        pick = np.zeros((len(reps), len(live) + 1), dtype=pick_type)
+        for col in columns:
+            n = len(col)
+            pick[:, :n] += target[:, :n] >= col
+        left = least - pick.sum(axis=1, dtype=np.int64)
+        idx = left - tail.lo
+        mass = tail.vals.take(idx, mode="clip")
+        mass *= idx.view(np.uint64) < len(tail.vals)
+        ok = u[:, size] < mass
+        z[reps[ok], :size] = np.take(pick[ok], place, axis=1) + lo
+        remaining[reps[ok], 0] = left[ok]
+        return reps[~ok]
+
+    pending, proposals, j = np.arange(len(z)), 0, 0
+    while len(pending):
+        j += 1
+        proposals += len(pending)
+        tiles = [pending[a:a + rows] for a in range(0, len(pending), rows)]
+        pending = np.concatenate(list(run(partial(propose, j), tiles)))
+    return remaining, proposals
 
 
 def sample_counts_matrix(
@@ -323,15 +486,31 @@ def sample_counts_matrix(
     params = build_kernel_params(table.y, table, calib)
     if count == 0:
         return np.empty((0, table.size), dtype=np.int64)
-    block = max(1, int(np.ceil(np.sqrt(params.size))))
-    checkpoints, weights, _, spans = backward_pass(params, block)
+    params, start, block = _plan(params)
+    checkpoints, weights, _, spans = backward_pass(params, block, start)
+    buf = np.empty((count, params.size), dtype=np.float64)
+    z = buf.view(np.int64)
     # an executor starts no thread until something is submitted to it, and
     # a batch of one row tile has nothing to run beside it
     with ThreadPoolExecutor(max_workers=threads) as pool:
         run = pool.map if threads > 1 and count > ROW_TILE else map
-        uniforms = _chunk_uniforms(base_seed, 0, count, params.size, run)
+        _uniforms(
+            base_seed, np.arange(count), params.size - start, run,
+            out=buf[:, start:],
+        )
+        remaining, proposals = None, 0
+        if start:
+            remaining, proposals = _draw_head(
+                weights[:start], checkpoints[start], params.y_total,
+                base_seed, z, pool.map if threads > 1 else map,
+            )
+        _log.debug(
+            "head %d strata, tail %d, %d head proposals",
+            start, params.size - start, proposals,
+        )
         return _draw_chunk(
-            params, checkpoints, weights, block, uniforms, run, spans
+            params, checkpoints, weights, block, buf, run, spans, start,
+            remaining,
         )
 
 

@@ -14,7 +14,8 @@ bit. The per-stratum kernel table is
 the one-evaluation-per-stratum form the package's grouped evaluation
 must match bit for bit, and the uncut recursion keeps every completion-
 mass table whole up to the total, against which the package's cut
-tables must give the same normalizer.
+tables must give the same normalizer. law_gap measures a batch of draws
+against the enumerated law, next to exact draws from that law.
 
 The closed forms at the end (the untruncated floor, the prior-allocation
 tail, the normalizer-ratio bound and the stratum-versus-rest law) are
@@ -621,4 +622,23 @@ def audit_enumerated(table, calib, *, epsilon=None, cap: int = DEFAULT_CAP) -> A
         checked_datasets=n_comps,
         checked_outputs=len(support),
         exchange_rule_applied=calib.exchange_rule_applied,
+    )
+
+
+def law_gap(draws, support, logp, seed: int = 0) -> tuple[float, float]:
+    """(tv, floor): the empirical total-variation distance of draws from
+    the law exp(logp) on support, and that of as many exact draws from it
+    (one multinomial sample, seeded), which is what sampling noise alone
+    gives at this count. Draws off the support are an AssertionError."""
+    p = np.exp(logp)
+    index = {row: k for k, row in enumerate(map(tuple, support.tolist()))}
+    values, counts = np.unique(draws, axis=0, return_counts=True)
+    freq = np.zeros(len(p))
+    for row, c in zip(map(tuple, values.tolist()), counts):
+        assert row in index, f"draw {row} is off the support"
+        freq[index[row]] = c / len(draws)
+    exact = np.random.default_rng(seed).multinomial(len(draws), p / p.sum())
+    return (
+        0.5 * float(np.abs(freq - p).sum()),
+        0.5 * float(np.abs(exact / len(draws) - p).sum()),
     )

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -26,7 +27,8 @@ from pgsynth.cli import (
     build_parser,
     main,
 )
-from pgsynth.fixtures import demo_rates, demo_table
+import pgsynth.synthesizer as synth
+from pgsynth.fixtures import FixtureSpec, demo_rates, demo_table, generate_fixture
 from pgsynth.strata import RatesTable, StrataTable
 
 
@@ -463,6 +465,71 @@ class TestPrivacyBoundary:
             ))
         assert released[0] == released[1]
 
+    @pytest.mark.parametrize("mode", ["untruncated", "truncated"])
+    def test_released_files_do_not_depend_on_the_counts_with_a_head(
+        self, tmp_path, monkeypatch, caplog, mode
+    ):
+        # the tilt, the split and the proposal counts follow the clamped
+        # counts: they may reach the DEBUG log, never a released file
+        monkeypatch.setattr(synth, "SPLIT_MIN", 2)
+        heads = []
+        real = synth._draw_head
+        monkeypatch.setattr(
+            synth, "_draw_head",
+            lambda weights, *args: heads.append(len(weights)) or real(weights, *args),
+        )
+        caplog.set_level(logging.DEBUG, logger="pgsynth.synthesizer")
+        base = generate_fixture(FixtureSpec(
+            dims=(("county", 2), ("age", 3), ("site", 1), ("race", 3), ("sex", 2)),
+            total_deaths=60, state_population=20_000, seed=4, urban_count=1,
+        ))
+        i, j = np.argsort(base.table.y)[[-1, -2]]
+        moved = StrataTable(
+            dim_names=base.table.dim_names, keys=base.table.keys, n=base.table.n,
+            y=base.table.y + np.eye(base.table.size, dtype=np.int64)[j]
+            - np.eye(base.table.size, dtype=np.int64)[i],
+        )
+        released, logs = [], []
+        for name, table in (("x", base.table), ("y", moved)):
+            work = tmp_path / name
+            work.mkdir()
+            table.to_csv(work / "strata.csv")
+            base.rates.to_csv(work / "rates.csv")
+            monkeypatch.chdir(work)
+            caplog.clear()
+            assert run([
+                "synthesize", "--strata", "strata.csv", "--rates", "rates.csv",
+                "--epsilon", "1.0", "--mode", mode,
+                "--replicates", "30", "--seed", "3", "--out", "run",
+            ]) == 0
+            manifest = json.loads((work / "run" / "manifest.json").read_text())
+            del manifest["timings_s"]
+            released.append((
+                (work / "run" / "calibration_report.json").read_bytes(),
+                manifest,
+            ))
+            logs.append(caplog.text)
+        assert len(heads) == 2 and min(heads) > 0
+        assert all("head proposals" in text for text in logs)
+        assert released[0] == released[1]
+
+
+class TestDefaultFixture:
+    def test_truncated_at_alpha_five_percent_draws(self, tmp_path, monkeypatch):
+        # 47,034 strata, total 26,116: at alpha = 0.05 the untilted weight
+        # of the total is below 2^-1022 of T_0's peak; the tilted split
+        # sampler draws, and the invariant scan passes
+        monkeypatch.chdir(tmp_path)
+        assert run(["fixture", "--spec", "{}", "--out", "fix"]) == 0
+        assert run([
+            "synthesize", "--strata", "fix/strata.csv", "--rates", "fix/rates.csv",
+            "--epsilon", "1.0", "--mode", "truncated", "--alpha", "0.05",
+            "--replicates", "2", "--seed", "1", "--out", "run",
+        ]) == 0
+        manifest = json.loads(Path("run/manifest.json").read_text())
+        assert manifest["strata"] == 47_034 and manifest["y_total"] == 26_116
+        assert manifest["invariants"] == {"sum_ok": True, "box_ok": True}
+
 
 class TestConfigTypes:
     @pytest.mark.parametrize("command, key, value", [
@@ -591,8 +658,8 @@ PINNED_HASHES = {
     "fixture": "a7454922f1c7eb1e00de397731f48e48ef33d828a036f5a38f10c40b1ad9354f",
     "calibrate": "328705d8446e08d28b04b1dbc11d11f5558c67e8465f93dcb89606fe0602c460",
     "calibrate_grid": "94fd816618c57a3ece19649711ac168a73cfad87f45c871886c0408f4f4fac4a",
-    "synthesize": "9802e1ad5348e8eab07ad0e56f6781e3b8a6bc92ca287b482978cd229c10dc42",
-    "synthesize_threads": "7a95cad1e1ac6540585dd858f7aa63844f30636635061c158d33918e8ca19fbb",
+    "synthesize": "3f788167ebaea93865e69ad73152bde2b6b516e748dc6d415b9ce76b186b36db",
+    "synthesize_threads": "cfacc691e11a461670ae0a9bc86e58c2dc9f62876a05babb51a80294e11647cd",
     "audit": "4c9b46daa527896b480fb8166ccbb4117ff04a1f89f02273e064917d439a04fd",
     "evaluate": "57f874890dfd7fc4bc92af6c84a2fc005e064dc26baa64a3c506195f30531c21",
 }

@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pgsynth.mechanism as mechanism
-from pgsynth.calibration import MODE_TRUNCATED, MODE_UNTRUNCATED, solve_hyperparameters
+import pgsynth.synthesizer as synth
+from pgsynth.audit import exact_joint_pmf
+from pgsynth.calibration import (
+    MODE_TRUNCATED,
+    MODE_UNTRUNCATED,
+    Calibration,
+    solve_hyperparameters,
+)
 from pgsynth.distributions import log_negbin_kernel
 from pgsynth.errors import InfeasibilityError
 from pgsynth.fixtures import FixtureSpec, generate_fixture
@@ -25,11 +32,20 @@ from pgsynth.mechanism import (
     rebuild_block,
     stratum_weight_table,
     suffix_tables,
+    tilt,
 )
-from pgsynth.strata import PriorSpec, StrataTable, build_prior, compute_bounds
+from pgsynth.strata import (
+    PriorSpec,
+    StrataTable,
+    TruncationBounds,
+    build_prior,
+    compute_bounds,
+)
+from pgsynth.synthesizer import sample_counts_matrix
 
 from _oracles import (
     backward_pass_uncut,
+    law_gap,
     log_kernel_direct,
     normalizer_direct,
     stratum_weight_table_loop,
@@ -97,19 +113,41 @@ class TestKernelParams:
         ):
             backward_pass(params, block=1)
 
-    def test_total_below_the_cut_is_not_called_unreachable(self):
-        # w(z) = exp(-40 z): the boxes admit 100, but its weight is about
-        # e^-4000 of T_0's peak, far below what a max-normalized table holds
-        params = KernelParams(
-            shape=np.ones(2), log_p=np.full(2, -40.0),
-            lo=np.zeros(2), hi=np.full(2, 60), y_total=100,
+    @pytest.mark.parametrize("split", [False, True])
+    def test_total_below_the_cut_is_not_called_unreachable(
+        self, monkeypatch, split
+    ):
+        # w(z) = Gamma(z + 21) / z! * e^-40z: the boxes admit 60, but its
+        # untilted weight is about e^-2000 of T_0's peak, far below what a
+        # max-normalized table holds; tilted onto the total it draws, with
+        # or without a head
+        table = StrataTable(
+            dim_names=("g",), keys=(("x",), ("y",), ("z",)),
+            n=np.full(3, 50), y=np.full(3, 20),
         )
+        a = np.ones(3)
+        b = 50.0 * (np.exp(40.0) - 2.0)  # log p = -log(2 + b / n) = -40
+        calib = Calibration(
+            mode=MODE_TRUNCATED, epsilon=1.0, a=a, b=np.full(3, b),
+            lambda0=a / b, slack=np.zeros(3), converged=True, iterations=0,
+            bounds=TruncationBounds(
+                L=np.zeros(3, dtype=np.int64), U=np.full(3, 40), alpha=0.05, c=1.0
+            ),
+        )
+        params = build_kernel_params(table.y, table, calib)
+        assert np.allclose(params.log_p, -40.0)
         with pytest.raises(InfeasibilityError) as err:
             backward_pass(params, block=1)
         assert str(err.value) == (
             "the invariant total's weight is below 2^-1022 of the completion "
             "table's peak, so a max-normalized table cannot represent it"
         )
+        if split:
+            monkeypatch.setattr(synth, "SPLIT_MIN", 2)
+        assert (synth._plan(params)[1] > 0) == split
+        draws = sample_counts_matrix(table, calib, count=20_000, base_seed=4)
+        tv, floor = law_gap(draws, *exact_joint_pmf(table.y, calib, table))
+        assert tv < 1.25 * floor + 0.005, (tv, floor)
 
 
 class TestMassTables:
@@ -369,6 +407,88 @@ class TestWindowedRebuild:
         }[reach]
         with pytest.raises(InfeasibilityError, match="of strata 1 onward"):
             rebuild_block(weights, checkpoints[block], spans, 0, block, total, total)
+
+
+class TestSuffixPass:
+    @pytest.mark.parametrize("mode", [MODE_TRUNCATED, MODE_UNTRUNCATED])
+    @pytest.mark.parametrize("start, block", [(1, 3), (17, 4), (29, 1)])
+    def test_suffix_tables_equal_the_whole_pass(self, mode, start, block):
+        # the same steps from T_I down, stopping at T_start, with no lookup
+        # at the total and checkpoints counted from start
+        params = random_params(mode, 2)
+        size = params.size
+        whole, weights, _, spans = backward_pass(params, 1)
+        checkpoints, _, log_c, part = backward_pass(params, block, start)
+        assert log_c is None
+        assert sorted(checkpoints) == sorted(
+            {size, *range(start, size, block)}
+        )
+        for k, table in checkpoints.items():
+            assert (table.lo, table.offset, table.peak) == (
+                whole[k].lo, whole[k].offset, whole[k].peak
+            )
+            assert np.array_equal(table.vals, whole[k].vals)
+        assert np.array_equal(part[start:], spans[start:])
+        assert not part[:start]["length"].any()
+
+
+class TestTilt:
+    @pytest.mark.parametrize("make", [
+        *(lambda m=m, s=s: random_params(m, s)
+          for m in (MODE_TRUNCATED, MODE_UNTRUNCATED) for s in range(3)),
+        lambda: fixture_params(MODE_TRUNCATED),
+        lambda: fixture_params(MODE_UNTRUNCATED),
+    ])
+    @pytest.mark.parametrize("shift", [-0.2, 0.0, 0.3])
+    def test_tilted_means_sum_to_the_total(self, make, shift):
+        # the total moved off the kernels' summed means, inside the boxes
+        params = make()
+        total = int(np.clip(
+            round(params.y_total * (1.0 + shift)),
+            params.lo.sum() + 1, params.hi.sum() - 1,
+        ))
+        params = replace(params, y_total=total)
+        tau, var = tilt(params)
+        tilted = replace(params, log_p=params.log_p + tau)
+        means, variances = [], []
+        for i in range(params.size):
+            w = stratum_weight_table_loop(tilted, i)
+            z = np.arange(w.lo, w.hi + 1)
+            p = w.vals / w.vals.sum()
+            means.append(p @ z)
+            variances.append(p @ (z - means[-1]) ** 2)
+        assert sum(means) == pytest.approx(total, abs=1e-5)
+        np.testing.assert_allclose(var, variances, rtol=1e-6, atol=1e-9)
+        # an empty stratum stays a point mass at zero
+        assert np.array_equal(np.isneginf(tilted.log_p), np.isneginf(params.log_p))
+
+    @pytest.mark.parametrize("mode", [MODE_TRUNCATED, MODE_UNTRUNCATED])
+    def test_tilting_keeps_the_law(self, mode):
+        # theta^z over the slice multiplies every weight by theta^y_total,
+        # so ln C moves by exactly tau * y_total
+        table, prior = instance()
+        bounds = compute_bounds(prior, table, 0.05, 1.0) if mode == MODE_TRUNCATED else None
+        calib = solve_hyperparameters(table, prior, 1.0, mode=mode, bounds=bounds)
+        params = build_kernel_params(table.y, table, calib)
+        for tau in (tilt(params)[0], -1.5, 2.0):
+            tilted = replace(params, log_p=params.log_p + tau)
+            got = backward_pass(tilted, block=2)[2] - tau * params.y_total
+            assert got == pytest.approx(backward_pass(params, block=2)[2], abs=1e-9)
+
+    def test_totals_at_the_box_ends(self):
+        # the root is at -inf or +inf: tau runs out until the means are
+        # within TILT_TOL of the total, and the tilted tables hold the
+        # total (a single vector)
+        base = dict(
+            shape=np.array([0.5, 3.0, 40.0]), log_p=np.array([-1.0, -2.0, -0.5]),
+            lo=np.array([1, 2, 0]), hi=np.array([5, 5, 7]),
+        )
+        for total, sign in ((3, -1.0), (17, 1.0)):
+            params = KernelParams(**base, y_total=total)
+            tau, var = tilt(params)
+            assert sign * tau > 10.0 and var.sum() < mechanism.TILT_TOL
+            tilted = replace(params, log_p=params.log_p + tau)
+            assert np.isfinite(backward_pass(tilted, block=2)[2])
 
 
 def fixture_params(mode):
