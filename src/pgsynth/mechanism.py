@@ -18,9 +18,11 @@ A table spans the totals whose weight is >= 2^-1022 times its peak (at
 most y_total + 1 of them); below that an entry would be subnormal or zero
 once divided by the peak. T_0 evaluated at y_total is the normalizer; the
 tables also drive the sequential exact sampler. suffix_tables is the one
-recursion loop: backward_pass runs it over all strata once, keeps every
-block-th table and records every table's span (its lo, its length and
-the peak its values were divided by). rebuild_block runs it again over
+recursion loop: backward_pass runs it once from T_I down to T_start
+(T_0, or the first table of the sampler's tail, which is read at many
+totals and so has no single-total lookup), keeps every block-th table
+and records every table's span (its lo, its length and the peak its
+values were divided by). rebuild_block runs it again over
 one block at a time, from that block's checkpoint, just before the
 sampler draws the block's strata for every replicate. A rebuild computes
 each table only on the window of totals that the block's draws can read
@@ -30,8 +32,18 @@ searches for the cut again. Its entries equal the backward pass's bit
 for bit. Memory is the checkpoints, O(sqrt(I) * span), plus one block of
 windows, O(block * (row spread + block box widths)); rebuild work is
 O(I * window * box_width) where the backward pass's is
-O(I * span * box_width). All strata's kernel tables come from one kernel
-evaluation per group of strata (stratum_weight_table).
+O(I * span * box_width), I counting the strata the pass covers. All
+strata's kernel tables come from one kernel evaluation per group of
+strata (stratum_weight_table).
+
+Multiplying every kernel by theta^z (exponential tilting) multiplies
+every weight on the slice by theta^y_total, so the conditioned law is
+unchanged while the tables' peak moves. tilt finds the theta whose
+tilted kernel means sum to y_total, by Newton's method on the same
+grouped kernel evaluation, in O(summed box widths) per step; on a finite
+box the tilted kernel is the kernel formula with log_p + log theta. A
+table cut at its peak then holds the total even where the untilted
+table would leave it below the cut.
 """
 
 from __future__ import annotations

@@ -3,46 +3,78 @@
 The target law is the product of per-stratum negative-binomial kernels
 conditioned on the invariant total (and, in truncated mode, on the
 per-stratum boxes). The gamma rates are integrated out in closed form, so
-a draw never passes through a rate vector: strata are visited in input
-order and each count is sampled from its exact conditional
+a draw never passes through a rate vector.
+
+Tilt. Every kernel is first multiplied by theta^z, tau = log theta
+chosen by mechanism.tilt so that the tilted means sum to the total
+(Daniels 1954). On the slice sum(z) = y_total that multiplies every
+weight by theta^y_total, so the law does not change, but the tables
+below are centred on the total: a total whose untilted weight lies below
+2^-1022 of the completion table's peak (truncated mode at alpha = 0.05 on
+the published fixture) is drawn instead of refused.
+
+Split. The strata are split, in input order, into a head and a tail
+suffix (_tail_start): below SPLIT_MIN strata the head is empty; otherwise
+the tail is the shortest suffix holding at least TAIL_SHARE of the summed
+tilted variance. The split depends on the tilted kernels alone, never on
+the replicate count, threads or tiles.
+
+Head (_draw_head). Each replicate proposes the head's counts
+independently from the tilted kernels, by inverse cdf, and accepts the
+proposal h with probability T_s(y_total - sum(h)) / max T_s, T_s being
+the tail's completion-mass table (0 outside its span); a rejected row
+proposes again, with no limit on the rounds (rejective sampling, Hajek
+1964). An accepted h has exactly the head's marginal law. At the
+published shape a replicate needs about TAIL_SHARE^-1/2 ~ 3 proposals.
+The proposals run vectorized over rows and head strata, in tiles of
+about HEAD_CELLS (rows x head strata) cells, on the thread pool when
+threads > 1.
+
+Tail (_draw_chunk). The tail strata are visited in input order and each
+count is sampled from its exact conditional
 
     P(z_i = v | remaining total t) propto w_i(v) * T_{i+1}(t - v),
 
-where T_{i+1} is the completion-mass table of the remaining strata
-(mechanism.MassTable). mechanism.backward_pass builds the tables once per
-batch, keeps a checkpoint every ceil(sqrt(I)) strata and records every
-table's span. The draw then runs block by block: each block's tables are
-rebuilt once from its checkpoint (mechanism.rebuild_block), only on the
-totals that the block's draws can read from the rows' smallest and
-largest remaining totals (with a margin of the block's widest kernel),
-replaying the recorded spans, so a rebuild convolves and divides but
-never searches for the cut again; its entries equal the backward pass's
-bit for bit. Then the block's strata are drawn for every replicate in
-tiles of ROW_TILE rows, on a thread pool when threads > 1 and there is
-more than one tile; the replicate streams are computed in the same tiles
-on the same pool. The windows come from all rows at once, so tiles and
-threads never change them. A draw step indexes the next table from one
-shared arange of candidate offsets and counts the cdf entries at or
-below the target, with no per-stratum candidate array.
-A completion-mass table spans only the totals whose weight is
->= 2^-1022 of its peak, at most y_total + 1 of them. Table memory is the
-checkpoints, O(sqrt(I) * span), plus one block of windows,
-O(block * (row spread + block box widths)); convolution work is
-O(I * span * box_width) in the backward pass and
-O(I * window * box_width) in the rebuilds, span being the widest table's
-length and window the widest window's, whatever the replicate count.
-Each draw overwrites the uniform it consumed, so a batch holds one
-(count x I) matrix.
+from the total the head left. mechanism.backward_pass builds T_I down to
+T_s once per batch, keeps a checkpoint every ceil(sqrt(tail)) strata and
+records every table's span. The draw then runs block by block: each
+block's tables are rebuilt once from its checkpoint
+(mechanism.rebuild_block), only on the totals that the block's draws can
+read from the rows' smallest and largest remaining totals (with a margin
+of the block's widest kernel), replaying the recorded spans, so a
+rebuild convolves and divides but never searches for the cut again; its
+entries equal the backward pass's bit for bit. Then the block's strata
+are drawn for every replicate in tiles of ROW_TILE rows, on a thread
+pool when threads > 1 and there is more than one tile; the replicate
+streams are computed in the same tiles on the same pool. The windows
+come from all rows at once, so tiles and threads never change them. A
+draw step indexes the next table from one shared arange of candidate
+offsets and counts the cdf entries at or below the target, with no
+per-stratum candidate array.
 
-Reproducibility contract: replicate r consumes exactly one uniform per
-stratum, in order, from its own stream: PCG64 seeded by
-SeedSequence((base_seed, r)), read through Generator.random. Batch
-size, row tiling, and thread count therefore never change any
-replicate's value. How the streams are generated is picked by batch
-shape: batches with more replicates than strata run SeedSequence and
-PCG64 across all rows at once in uint32/uint64 numpy arithmetic, wider
-batches seed one numpy generator per row. Both give the same bits, so the
-choice never shows in any output.
+Memory and work. A completion-mass table spans only the totals whose
+weight is >= 2^-1022 of its peak, at most y_total + 1 of them. Table
+memory is the tail's checkpoints, O(sqrt(tail) * span), plus one block
+of windows, O(block * (row spread + block box widths)); convolution work
+is O(tail * span * box_width) in the backward pass and
+O(tail * window * box_width) in the rebuilds, whatever the replicate
+count. A head proposal costs O(head strata + summed head box widths) per
+row, and a tile's temporaries O(HEAD_CELLS). Each draw overwrites the
+uniform it consumed, and the head's counts go to the same matrix, so a
+batch holds one (count x I) matrix.
+
+Reproducibility contract (SAMPLER, which enters the synthesize config
+hash). Replicate r's tail strata consume exactly one uniform each, in
+order, from its own stream: PCG64 seeded by SeedSequence((base_seed, r)),
+read through Generator.random. Its head proposal j = 1, 2, ... reads
+|head| + 1 uniforms from SeedSequence((base_seed, r, j)): one per head
+stratum in input order, then the acceptance uniform. Batch size, row
+tiling, head tiling and thread count therefore never change any
+replicate's value. How a stream is generated is picked by shape: blocks
+with more rows than uniforms per row run SeedSequence and PCG64 across
+all rows at once in uint32/uint64 numpy arithmetic, others seed one
+numpy generator per row. Both give the same bits, so the choice never
+shows in any output.
 
 The replicate CSV is written and read at array speed. write_replicates_csv
 renders slices of lines in numpy (_render): each stratum's ",key...,"
@@ -105,8 +137,9 @@ SPLIT_MIN = 256
 TAIL_SHARE = 0.1
 
 # Cells, rows times head strata, per tile of head proposals; it bounds
-# their temporaries. A row's value never depends on it.
-HEAD_CELLS = 1 << 19
+# their temporaries (about 25 bytes a cell). A row's value never depends
+# on it.
+HEAD_CELLS = 1 << 17
 
 # CSV lines per slice that write_replicates_csv renders at once.
 WRITE_ROWS = 200_000
@@ -373,6 +406,23 @@ def _segment_cumsum(vals: np.ndarray, starts: np.ndarray, widths: np.ndarray):
     return out
 
 
+def _with_mass(tables: list[MassTable]):
+    """(lo, width, vals): each table cut to its first to last entry with
+    mass, the cuts laid end to end. A zero below them is counted by every
+    inverse cdf and one above by none (the target stays below the total),
+    so a draw from a cut table is the draw from the whole one."""
+    width = np.fromiter((len(t.vals) for t in tables), np.int64, len(tables))
+    begin = np.cumsum(width) - width
+    vals = np.concatenate([t.vals for t in tables])
+    mass = np.flatnonzero(vals)
+    first = mass[np.searchsorted(mass, begin)]
+    width = mass[np.searchsorted(mass, begin + width) - 1] - first + 1
+    starts = np.cumsum(width) - width
+    keep = np.arange(width.sum()) + np.repeat(first - starts, width)
+    lo = np.fromiter((t.lo for t in tables), np.int64, len(tables))
+    return lo + first - begin, width, vals[keep]
+
+
 def _draw_head(
     weights: list[MassTable],
     tail: MassTable,
@@ -398,18 +448,18 @@ def _draw_head(
     column) and the number of proposals made.
     """
     size = len(weights)
-    lo = np.fromiter((w.lo for w in weights), dtype=np.int64, count=size)
-    width = np.fromiter((len(w.vals) for w in weights), dtype=np.int64, count=size)
-    vals = np.concatenate([w.vals for w in weights])
+    # a few tables at a time, so a wide kernel's zeros are never copied whole
+    step = max(1, HEAD_CELLS // max(len(w.vals) for w in weights))
+    lo, width, vals = (
+        np.concatenate(parts) for parts in zip(*(
+            _with_mass(weights[a:a + step]) for a in range(0, size, step)
+        ))
+    )
     starts = np.cumsum(width) - width
-    # the head sums a proposal can reach, from each kernel's first and last
-    # entry with mass
-    at = np.arange(len(vals))
-    first = np.minimum.reduceat(np.where(vals > 0.0, at, len(vals)), starts)
-    last = np.maximum.reduceat(np.where(vals > 0.0, at, -1), starts)
+    # the head sums a proposal can reach
     if (
-        y_total - int((lo + last - starts).sum()) > tail.hi
-        or y_total - int((lo + first - starts).sum()) < tail.lo
+        y_total - int((lo + width - 1).sum()) > tail.hi
+        or y_total - int(lo.sum()) < tail.lo
     ):
         raise InfeasibilityError(
             "the completion mass of the tail strata misses every total the "

@@ -467,7 +467,9 @@ class TestTilt:
         # theta^z over the slice multiplies every weight by theta^y_total,
         # so ln C moves by exactly tau * y_total
         table, prior = instance()
-        bounds = compute_bounds(prior, table, 0.05, 1.0) if mode == MODE_TRUNCATED else None
+        bounds = (
+            compute_bounds(prior, table, 0.05, 1.0) if mode == MODE_TRUNCATED else None
+        )
         calib = solve_hyperparameters(table, prior, 1.0, mode=mode, bounds=bounds)
         params = build_kernel_params(table.y, table, calib)
         for tau in (tilt(params)[0], -1.5, 2.0):

@@ -346,10 +346,16 @@ class TestDeterminism:
         b = sample_counts_matrix(table, calib, count=64, base_seed=4)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("split", [False, True])
     def test_thread_count_and_chunking_do_not_change_draws(
-        self, tiny3, monkeypatch
+        self, tiny3, monkeypatch, split
     ):
         table, calib, _ = calibrated(tiny3, MODE_UNTRUNCATED)
+        if split:
+            # a head, proposed one row per tile
+            monkeypatch.setattr(synth, "SPLIT_MIN", 2)
+            monkeypatch.setattr(synth, "HEAD_CELLS", 1)
+            assert head_size(table, calib) > 0
         reference = sample_counts_matrix(table, calib, count=50, base_seed=7)
         # tiny row tiles give every block several tiles, so threads engage;
         # a short switch interval interleaves the workers as often as it can
