@@ -27,8 +27,9 @@ proposes again, with no limit on the rounds (rejective sampling, Hajek
 1964). An accepted h has exactly the head's marginal law. At the
 published shape a replicate needs about TAIL_SHARE^-1/2 ~ 3 proposals.
 The proposals run vectorized over rows and head strata, in tiles of
-about HEAD_CELLS (rows x head strata) cells, on the thread pool when
-threads > 1.
+about HEAD_CELLS (rows x head strata) cells, on the thread pool when a
+first round fills more tiles than there are threads. Each head kernel is
+first cut to its entries with mass, which changes no draw.
 
 Tail (_draw_chunk). The tail strata are visited in input order and each
 count is sampled from its exact conditional
@@ -137,9 +138,9 @@ SPLIT_MIN = 256
 TAIL_SHARE = 0.1
 
 # Cells, rows times head strata, per tile of head proposals; it bounds
-# their temporaries (about 25 bytes a cell). A row's value never depends
-# on it.
-HEAD_CELLS = 1 << 17
+# their temporaries (at most 16 bytes a cell). A row's value never
+# depends on it.
+HEAD_CELLS = 1 << 19
 
 # CSV lines per slice that write_replicates_csv renders at once.
 WRITE_ROWS = 200_000
@@ -486,20 +487,24 @@ def _draw_head(
 
     def propose(j: int, reps: np.ndarray) -> np.ndarray:
         u = _uniforms(base_seed, reps, size + 1, key=(j,))
+        accept = u[:, size].copy()
         # the inverse cdf: the count of cdf entries, but the last, at or
         # below the target
         target = np.take(u, live, axis=1)
+        del u
         target *= total
         pick = np.zeros((len(reps), len(live) + 1), dtype=pick_type)
         for col in columns:
             n = len(col)
             pick[:, :n] += target[:, :n] >= col
+        del target
         left = least - pick.sum(axis=1, dtype=np.int64)
         idx = left - tail.lo
         mass = tail.vals.take(idx, mode="clip")
         mass *= idx.view(np.uint64) < len(tail.vals)
-        ok = u[:, size] < mass
-        z[reps[ok], :size] = np.take(pick[ok], place, axis=1) + lo
+        ok = accept < mass
+        for r, row in zip(reps[ok], pick[ok]):
+            np.add(lo, row.take(place), out=z[r, :size])
         remaining[reps[ok], 0] = left[ok]
         return reps[~ok]
 
@@ -522,8 +527,9 @@ def sample_counts_matrix(
 ) -> np.ndarray:
     """Count-by-stratum matrix of exact mechanism draws.
 
-    Row r is replicate r, drawn from the stream (base_seed, r). The
-    truncation boxes are calib.bounds.
+    Row r is replicate r, drawn from the stream (base_seed, r) and, when
+    the instance has a head, the proposal streams (base_seed, r, j); see
+    the module docstring. The truncation boxes are calib.bounds.
     """
     if table.size < 2:
         raise DomainError("synthesis needs at least two strata")
@@ -539,7 +545,6 @@ def sample_counts_matrix(
     params, start, block = _plan(params)
     checkpoints, weights, _, spans = backward_pass(params, block, start)
     buf = np.empty((count, params.size), dtype=np.float64)
-    z = buf.view(np.int64)
     # an executor starts no thread until something is submitted to it, and
     # a batch of one row tile has nothing to run beside it
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -550,9 +555,13 @@ def sample_counts_matrix(
         )
         remaining, proposals = None, 0
         if start:
+            # the head's tiles go to the pool only when a first round fills
+            # more tiles than there are workers: a few tiles side by side
+            # save little, and each worker keeps its own heap
+            spread = threads > 1 and count * (start + 1) > threads * HEAD_CELLS
             remaining, proposals = _draw_head(
                 weights[:start], checkpoints[start], params.y_total,
-                base_seed, z, pool.map if threads > 1 else map,
+                base_seed, buf.view(np.int64), pool.map if spread else map,
             )
         _log.debug(
             "head %d strata, tail %d, %d head proposals",

@@ -748,6 +748,32 @@ class TestGuards:
         out = sample_counts_matrix(table, calib_t, count=1, base_seed=0)
         assert out.shape == (1, 3)
 
+    @pytest.mark.parametrize("tail_lo, raises", [
+        (50, True), (-30, True), (11, True), (7, True), (10, False), (8, False),
+    ])
+    def test_a_tail_no_head_total_reaches_raises(self, tail_lo, raises):
+        # head kernels that emit 0 or 1 and 5 or 6 (the zeros at their ends
+        # carry no mass), so the head leaves 8, 9 or 10 of a total of 15;
+        # a tail table missing all three accepts no proposal, and one at
+        # 10 or at 8 alone accepts a third or a sixth of them
+        weights = [
+            MassTable(lo=0, vals=np.array([1.0, 0.5, 0.0]), offset=0.0),
+            MassTable(lo=4, vals=np.array([0.0, 1.0, 1.0]), offset=0.0),
+        ]
+        tail = MassTable(
+            lo=tail_lo, vals=np.ones(3 if tail_lo < 0 else 1), offset=0.0
+        )
+        z = np.zeros((6, 3), dtype=np.int64)
+        if raises:
+            with pytest.raises(InfeasibilityError, match="misses every total"):
+                synth._draw_head(weights, tail, 15, 1, z)
+            return
+        remaining, proposals = synth._draw_head(weights, tail, 15, 1, z)
+        assert proposals >= 6
+        assert np.all(np.isin(z[:, 0], [0, 1]) & np.isin(z[:, 1], [5, 6]))
+        assert np.all(remaining[:, 0] == 15 - z[:, :2].sum(axis=1))
+        assert np.all(remaining == tail_lo)
+
     def test_zero_conditional_mass_raises(self):
         # hand-built tables whose products underflow: 1e-200 * 1e-200 is
         # 0.0 in double precision, so no candidate carries any mass
