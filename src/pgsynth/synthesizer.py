@@ -359,16 +359,15 @@ def _uniforms(
             )
             stream.random(out=u[k])
         return u
+    def fill(a: int, b: int) -> None:
+        part = reps[a:b]
+        if isinstance(part, range):
+            part = np.arange(part.start, part.stop, dtype=np.uint64)
+        _pcg64_uniforms(base_seed, np.asarray(part, dtype=np.uint64), u[a:b], *key)
+
     cut = bisect.bisect_right(reps, _MASK32)
     edges = sorted({*range(0, len(reps), ROW_TILE), cut, len(reps)})
-    tiles = [(a, b) for a, b in zip(edges, edges[1:]) if a < b]
-    list(run(
-        lambda ab: _pcg64_uniforms(
-            base_seed, np.asarray(reps[ab[0]:ab[1]], dtype=np.uint64),
-            u[ab[0]:ab[1]], *key,
-        ),
-        tiles,
-    ))
+    list(run(fill, *zip(*((a, b) for a, b in zip(edges, edges[1:]) if a < b))))
     return u
 
 
