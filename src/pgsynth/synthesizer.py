@@ -89,7 +89,6 @@ a result or a message.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import io
 import itertools
@@ -344,30 +343,27 @@ def _uniforms(
 ) -> np.ndarray:
     """Row k: the first size uniforms of stream (base_seed, reps[k], *key).
 
-    reps is an ascending range or integer array. Blocks of rows taller
-    than they are wide compute the streams across rows, in tiles of at
-    most ROW_TILE rows that never straddle 2^32 (where the index gains a
-    word), mapped through run (map, or a thread pool's map); wide ones
-    seed one generator per row. Both give the same bits. The rows are
-    written to out when given.
+    reps is ascending. Blocks of rows taller than they are wide compute
+    the streams across rows, in tiles of at most ROW_TILE rows that never
+    straddle 2^32 (where the index gains a word), mapped through run
+    (map, or a thread pool's map); wide ones seed one generator per row.
+    Both give the same bits. The rows are written to out when given.
     """
+    reps = np.asarray(reps, dtype=np.uint64)
     u = np.empty((len(reps), size), dtype=np.float64) if out is None else out
     if len(reps) <= size:
-        for k, r in enumerate(reps):
+        for k, r in enumerate(reps.tolist()):
             stream = np.random.default_rng(
-                np.random.SeedSequence((base_seed, int(r), *key))
+                np.random.SeedSequence((base_seed, r, *key))
             )
             stream.random(out=u[k])
         return u
-    def fill(a: int, b: int) -> None:
-        part = reps[a:b]
-        if isinstance(part, range):
-            part = np.arange(part.start, part.stop, dtype=np.uint64)
-        _pcg64_uniforms(base_seed, np.asarray(part, dtype=np.uint64), u[a:b], *key)
-
-    cut = bisect.bisect_right(reps, _MASK32)
+    cut = int(np.searchsorted(reps, _MASK32 + 1))
     edges = sorted({*range(0, len(reps), ROW_TILE), cut, len(reps)})
-    list(run(fill, *zip(*((a, b) for a, b in zip(edges, edges[1:]) if a < b))))
+    list(run(
+        lambda a, b: _pcg64_uniforms(base_seed, reps[a:b], u[a:b], *key),
+        edges[:-1], edges[1:],
+    ))
     return u
 
 
@@ -551,7 +547,7 @@ def sample_counts_matrix(
     with ThreadPoolExecutor(max_workers=threads) as pool:
         run = pool.map if threads > 1 and count > ROW_TILE else map
         _uniforms(
-            base_seed, range(count), params.size - start, run,
+            base_seed, np.arange(count, dtype=np.uint64), params.size - start, run,
             out=buf[:, start:],
         )
         remaining, proposals = None, 0
