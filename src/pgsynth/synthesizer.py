@@ -132,8 +132,9 @@ ROW_TILE = 1 << 15
 # suffix of strata holding at least TAIL_SHARE of the summed tilted
 # variance, and propose the strata before it independently; a replicate
 # then needs about TAIL_SHARE^-1/2 proposals. On the published fixture
-# (2 threads) shares of 0.05-0.10 were fastest at 20 and at 1,000
-# replicates, and the split beat the chain from a few hundred strata on.
+# (2 threads) a share of 0.10 was fastest at 20 and at 1,000 replicates,
+# 0.05 and 0.15 taking about a quarter longer, and on smaller fixtures
+# the split beat the chain from a few hundred strata on.
 SPLIT_MIN = 256
 TAIL_SHARE = 0.1
 
@@ -395,8 +396,9 @@ def _tail_start(var: np.ndarray) -> int:
 
 
 def _segment_cumsum(vals: np.ndarray, starts: np.ndarray, widths: np.ndarray):
-    """np.cumsum of each segment vals[starts[i]:starts[i] + widths[i]], in
-    place of it; the same sums in the same order, so the same bits."""
+    """vals with each segment vals[starts[i]:starts[i] + widths[i]]
+    replaced by its np.cumsum: the same sums in the same order, so the
+    same bits."""
     out = vals.copy()
     for k in range(1, int(widths.max())):
         at = starts[widths > k] + k
