@@ -306,16 +306,17 @@ def _log_normalizers(comps: np.ndarray, params: KernelParams, calib: Calibration
     """ln C of every dataset row, one recursion per distinct clamped dataset.
 
     A stratum's kernel table depends on the dataset only through its
-    clamped count (the shape), so the tables are built once per distinct
-    clamped value, for all strata at once, and shared by every recursion.
+    clamped count (the shape), so one bank is built per distinct clamped
+    value, for all strata at once, and its tables are shared by every
+    recursion.
     """
     keys, inverse = _distinct_clamped(comps, calib)
     values, index = np.unique(keys, return_inverse=True)
     index = index.reshape(keys.shape)
-    tables = [
-        stratum_weight_table(replace(params, shape=float(v) + calib.a))
-        for v in values.tolist()
-    ]
+    tables = []
+    for v in values.tolist():
+        bank = stratum_weight_table(replace(params, shape=float(v) + calib.a))
+        tables.append([bank[k] for k in range(params.size)])
     y_total = params.y_total
     log_c = np.empty(len(keys))
     for n, row in enumerate(index.tolist()):

@@ -24,11 +24,12 @@ When every stratum shares one rate-to-prior ratio the untruncated
 requirement is exactly sufficient for any number of strata (the joint
 ratio telescopes). Away from that case the closed form is a design rule,
 not a theorem: it holds on every enumerable configuration we audit with
-moderate heterogeneity, but strata whose expected counts differ by
-orders of magnitude can exceed the budget in untruncated mode. Verify
-such calibrations with the exhaustive audit when the instance is small
-enough to enumerate; truncated mode is robust in the same sweeps because
-the prior-predictive boxes shrink with the expected count.
+moderate heterogeneity, but strata whose expected counts differ tenfold
+or more can exceed the budget in either mode: at n = (50, 60, 70, 80,
+90), expected counts in proportion to (1, 2, 4, 8, 10), y_total = 30 and
+epsilon = 1, audit reports 1.0378 truncated (alpha = 0.05, c = 1) and
+1.2009 untruncated. Verify such calibrations with the exhaustive audit
+when the instance is small enough to enumerate.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ from .errors import DomainError
 
 __all__ = [
     "poisson_quantile_vec",
+    "log_gamma_ratio",
     "log_negbin_kernel",
 ]
 
@@ -83,7 +84,18 @@ def _z_times(z: np.ndarray, factor) -> np.ndarray:
         return np.where(z == 0, 0.0, z * factor)
 
 
-def log_negbin_kernel(z, shape, log_ratio_term):
+def log_gamma_ratio(z, shape) -> np.ndarray:
+    """log[Gamma(z + shape) / z!] for float64 z: the kernel's part that does
+    not depend on p, and its costly one (two log-gammas an entry)."""
+    from scipy import special
+
+    shape = np.asarray(shape, dtype=np.float64)
+    if np.any(shape <= 0.0):
+        raise DomainError("kernel shape must be positive")
+    return special.gammaln(z + shape) - special.gammaln(z + 1.0)
+
+
+def log_negbin_kernel(z, shape, log_ratio_term, log_gamma=None):
     """Log of the unnormalized negative binomial kernel.
 
     Computes log[Gamma(z + shape) / z!] + z * log_ratio_term, the summand
@@ -95,21 +107,16 @@ def log_negbin_kernel(z, shape, log_ratio_term):
         z: nonnegative integer(s).
         shape: positive shape(s), e.g. clamped count + hyperparameter a.
         log_ratio_term: per-unit log weight (log success ratio).
+        log_gamma: log_gamma_ratio(z, shape) when the caller has it
+            already; shape is then not read. The bits are the same.
 
     Returns:
         Log-weight array (or scalar for scalar input).
     """
-    from scipy import special
-
     z_arr = np.asarray(z, dtype=np.float64)
-    shape_arr = np.asarray(shape, dtype=np.float64)
-    if np.any(shape_arr <= 0.0):
-        raise DomainError("kernel shape must be positive")
-    out = (
-        special.gammaln(z_arr + shape_arr)
-        - special.gammaln(z_arr + 1.0)
-        + _z_times(z_arr, np.asarray(log_ratio_term, dtype=np.float64))
-    )
+    if log_gamma is None:
+        log_gamma = log_gamma_ratio(z_arr, shape)
+    out = log_gamma + _z_times(z_arr, np.asarray(log_ratio_term, dtype=np.float64))
     if out.ndim == 0:
         return float(out)
     return out

@@ -33,33 +33,36 @@ for bit. Memory is the checkpoints, O(sqrt(I) * span), plus one block of
 windows, O(block * (row spread + block box widths)); rebuild work is
 O(I * window * box_width) where the backward pass's is
 O(I * span * box_width), I counting the strata the pass covers. All
-strata's kernel tables come from one kernel evaluation per group of
-strata (stratum_weight_table).
+strata's kernel tables sit in one KernelBank (stratum_weight_table):
+per-stratum arrays into one flat value array, each table cut to the
+entries of its box with mass. The recursion reads MassTable views of it.
 
 Multiplying every kernel by theta^z (exponential tilting) multiplies
 every weight on the slice by theta^y_total, so the conditioned law is
 unchanged while the tables' peak moves. tilt finds the theta whose
-tilted kernel means sum to y_total, by Newton's method on the same
-grouped kernel evaluation, in O(summed box widths) per step; on a finite
-box the tilted kernel is the kernel formula with log_p + log theta. A
-table cut at its peak then holds the total even where the untilted
-table would leave it below the cut.
+tilted kernel means sum to y_total, by Newton's method, in O(summed box
+widths) per step; on a finite box the tilted kernel is the kernel
+formula with log_p + log theta. The kernels' log-gamma part is evaluated
+once per box entry, and every Newton step and the tilted bank add
+z * log p to it. A table cut at its peak then holds the total even where
+the untilted table would leave it below the cut.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distributions import log_negbin_kernel
+from .distributions import log_gamma_ratio, log_negbin_kernel
 from .errors import InfeasibilityError
 from .strata import StrataTable, TruncationBounds
 
 __all__ = [
     "KernelParams",
     "MassTable",
+    "KernelBank",
     "clamp_counts",
     "build_kernel_params",
     "stratum_weight_table",
@@ -200,8 +203,8 @@ END_WINDOW = 64
 # length and the raw peak its values were divided by.
 SPAN = np.dtype([("lo", np.int64), ("length", np.int64), ("peak", np.float64)])
 
-# Summed support widths per kernel evaluation in stratum_weight_table and
-# tilt; it bounds their temporaries, and no table depends on it.
+# Summed support widths per group of kernel evaluations (_log_gamma_groups);
+# it bounds their temporaries, and no table depends on it.
 KERNEL_GROUP = 1 << 16
 
 # tilt's Newton iteration: at most TILT_STEPS steps, stopping once the
@@ -216,59 +219,94 @@ def delta_table() -> MassTable:
     return MassTable(lo=0, vals=np.ones(1), offset=0.0)
 
 
-def _kernel_groups(params: KernelParams):
-    """Yield (widths, starts, z, logw, peaks) per group of strata.
+@dataclass(frozen=True)
+class KernelBank:
+    """Every stratum's max-normalized kernel table, laid end to end in
+    one array: stratum i's runs from lo[i] over vals[start[i]:start[i] +
+    width[i]], with log peak offset[i], from the first entry of its box
+    with mass to the last (the others are exact zeros). bank[i] is that
+    table as a MassTable view."""
+
+    lo: np.ndarray
+    width: np.ndarray
+    start: np.ndarray
+    offset: np.ndarray
+    vals: np.ndarray
+
+    def __getitem__(self, i: int) -> MassTable:
+        a = int(self.start[i])
+        vals = self.vals[a:a + int(self.width[i])]
+        return MassTable(int(self.lo[i]), vals, float(self.offset[i]))
+
+
+def _log_gamma_groups(params: KernelParams) -> list[tuple]:
+    """(a, widths, starts, log_gamma) per group of strata a, a + 1, ....
 
     Groups are consecutive strata whose summed support widths stay under
     KERNEL_GROUP entries (a wider stratum is a group of its own); each
-    group's supports are laid end to end (starts), z holds the support
-    values and logw the log kernel there, evaluated once, and peaks each
-    stratum's largest log weight.
+    group's supports are laid end to end (starts), and log_gamma holds
+    the kernels' log-gamma part there (distributions.log_gamma_ratio).
     """
     widths = params.hi - params.lo + 1
     ends = np.cumsum(widths)
+    groups = []
     a = 0
     while a < params.size:
         limit = ends[a] - widths[a] + KERNEL_GROUP
         b = max(a + 1, int(np.searchsorted(ends, limit, side="right")))
         w = widths[a:b]
         starts = np.cumsum(w) - w
-        z = np.arange(starts[-1] + w[-1], dtype=np.int64)
+        z = np.arange(starts[-1] + w[-1], dtype=np.float64)
         z -= np.repeat(starts - params.lo[a:b], w)
-        logw = log_negbin_kernel(
-            z, np.repeat(params.shape[a:b], w), np.repeat(params.log_p[a:b], w)
-        )
-        peaks = np.maximum.reduceat(logw, starts)
-        bad = ~np.isfinite(peaks)
-        if bad.any():
-            raise InfeasibilityError(
-                f"stratum {a + int(np.argmax(bad))} carries no mass anywhere "
-                "on its support"
-            )
-        yield w, starts, z, logw, peaks
+        shape = np.repeat(params.shape[a:b], w)
+        groups.append((a, w, starts, log_gamma_ratio(z, shape)))
         a = b
+    return groups
 
 
-def stratum_weight_table(params: KernelParams) -> list[MassTable]:
-    """Kernel weights of every stratum i over its support [lo_i, hi_i].
-
-    The kernel is evaluated once per group of strata (_kernel_groups),
-    and the result is split back into one max-normalized table per
-    stratum, as views of the group's array.
-    """
-    tables: list[MassTable] = []
-    for w, starts, z, logw, peaks in _kernel_groups(params):
-        logw -= np.repeat(peaks, w)
-        vals = np.split(np.exp(logw, out=logw), starts[1:])
-        tables.extend(
-            MassTable(lo=int(lo), vals=v, offset=float(peak))
-            for lo, v, peak in zip(z[starts], vals, peaks)
+def _log_kernel(params: KernelParams, group: tuple):
+    """(z, logw, peaks) of one group of _log_gamma_groups: the support
+    values, the log kernel there with success probability exp(log_p) less
+    its stratum's largest log weight, and those largest log weights."""
+    a, w, starts, log_gamma = group
+    b = a + len(w)
+    z = np.arange(len(log_gamma), dtype=np.float64)
+    z -= np.repeat(starts - params.lo[a:b], w)
+    log_p = np.repeat(params.log_p[a:b], w)
+    logw = log_negbin_kernel(z, None, log_p, log_gamma=log_gamma)
+    peaks = np.maximum.reduceat(logw, starts)
+    bad = np.flatnonzero(~np.isfinite(peaks))
+    if len(bad):
+        raise InfeasibilityError(
+            f"stratum {a + bad[0]} carries no mass anywhere on its support"
         )
-    return tables
+    logw -= np.repeat(peaks, w)
+    return z, logw, peaks
 
 
-def tilt(params: KernelParams) -> tuple[float, np.ndarray]:
-    """(tau, var): the exponential tilt that centres the kernels on the total.
+def stratum_weight_table(params: KernelParams, groups=None) -> KernelBank:
+    """The KernelBank of every stratum i over its support [lo_i, hi_i].
+    groups, when given, is _log_gamma_groups(params), evaluated already."""
+    if groups is None:
+        groups = _log_gamma_groups(params)
+    parts = []
+    for group in groups:
+        w, starts = group[1], group[2]
+        z, logw, peaks = _log_kernel(params, group)
+        vals = np.exp(logw, out=logw)
+        # the peak's entry is 1, so every stratum has one with mass
+        mass = np.flatnonzero(vals)
+        first = mass[np.searchsorted(mass, starts)]
+        width = mass[np.searchsorted(mass, starts + w) - 1] - first + 1
+        keep = np.repeat(first + width - np.cumsum(width), width)
+        keep += np.arange(len(keep))
+        parts.append((z[first].astype(np.int64), width, peaks, vals[keep]))
+    lo, width, offset, vals = (np.concatenate(p) for p in zip(*parts))
+    return KernelBank(lo, width, np.cumsum(width) - width, offset, vals)
+
+
+def tilt(params: KernelParams) -> tuple[float, np.ndarray, KernelBank]:
+    """(tau, var, bank): the exponential tilt that centres the kernels on the total.
 
     Tilting every kernel by theta^z, tau = log theta, leaves the law on
     the slice sum(z) = y_total unchanged, since theta^sum(z) = theta^y_total
@@ -279,23 +317,19 @@ def tilt(params: KernelParams) -> tuple[float, np.ndarray]:
     bisection, from tau = 0. It stops once the sum is within TILT_TOL of
     the total, once the bracket is narrower than TILT_TOL (a total at an
     end of the boxes has its root at infinity), or after TILT_STEPS
-    steps. var holds each stratum's variance under the returned tau.
+    steps. var holds each stratum's variance under the returned tau, and
+    bank the tilted kernels, from the Newton steps' log-gamma evaluation.
     Any tau gives the same law; it only moves where the completion-mass
     tables keep their mass.
     """
-    # each group's log kernel and its strata's lows; the support values
-    # are laid out again per step rather than kept
-    groups = [
-        (w, starts, z[starts], logw - np.repeat(peaks, w))
-        for w, starts, z, logw, peaks in _kernel_groups(params)
-    ]
+    groups = _log_gamma_groups(params)
 
     def moments(tau: float) -> tuple[np.ndarray, np.ndarray]:
         means, variances = [], []
-        for w, starts, lo, logw in groups:
-            z = np.arange(len(logw), dtype=np.float64)
-            z -= np.repeat(starts - lo, w)
-            e = logw + tau * z
+        for group in groups:
+            w, starts = group[1], group[2]
+            z, e, _ = _log_kernel(params, group)
+            e += tau * z
             e -= np.repeat(np.maximum.reduceat(e, starts), w)
             np.exp(e, out=e)
             mass = np.add.reduceat(e, starts)
@@ -322,7 +356,8 @@ def tilt(params: KernelParams) -> tuple[float, np.ndarray]:
         step = tau - gap / slope if slope > 0.0 else np.nan
         tau = step if below < step < above else 0.5 * (below + above)
         mean, var = moments(tau)
-    return tau, var
+    tilted = replace(params, log_p=params.log_p + tau)
+    return tau, var, stratum_weight_table(tilted, groups)
 
 
 def convolve_mass(
@@ -387,7 +422,7 @@ def _cut_span(vals: np.ndarray) -> tuple[int, int, float]:
 
 
 def suffix_tables(
-    weights: list[MassTable],
+    weights: KernelBank | list[MassTable],
     table: MassTable,
     stop: int,
     start: int,
@@ -406,15 +441,16 @@ def suffix_tables(
 
 
 def backward_pass(
-    params: KernelParams, block: int, start: int = 0
-) -> tuple[dict[int, MassTable], list[MassTable], float | None, np.ndarray]:
-    """Run the recursion T_k = w_k * T_{k+1} from T_I down to T_start.
+    params: KernelParams, weights: KernelBank, block: int, start: int = 0
+) -> tuple[dict[int, MassTable], float | None, np.ndarray]:
+    """Run the recursion T_k = w_k * T_{k+1} from T_I down to T_start,
+    weights being params' kernel bank (stratum_weight_table).
 
     Returns the checkpoint map (T_I, and T_k at every k with k - start
-    divisible by block, so T_start among them), every stratum's weight
-    table, ln C = log T_0(y_total), the log of the total kernel mass on
-    the box-and-total slice, and every T_k's span as a SPAN array indexed
-    by k (rows below start are zero), for rebuild_block to replay.
+    divisible by block, so T_start among them), ln C = log T_0(y_total),
+    the log of the total kernel mass on the box-and-total slice, and
+    every T_k's span as a SPAN array indexed by k (rows below start are
+    zero), for rebuild_block to replay.
     A suffix (start > 0) is read at many totals, one per draw of the
     strata before it, so it has no single-total lookup: ln C is None.
     When T_0 holds no entry at y_total, the error tells two causes apart.
@@ -427,7 +463,6 @@ def backward_pass(
     span.
     """
     size = params.size
-    weights = stratum_weight_table(params)
     checkpoints: dict[int, MassTable] = {size: delta_table()}
     spans = np.zeros(size, dtype=SPAN)
     running = checkpoints[size]
@@ -438,7 +473,7 @@ def backward_pass(
         if (k - start) % block == 0:
             checkpoints[k] = running
     if start:
-        return checkpoints, weights, None, spans
+        return checkpoints, None, spans
     log_c = running.log_at(params.y_total)
     if not np.isfinite(log_c):
         reach = np.where(np.isneginf(params.log_p), params.lo, params.hi)
@@ -449,11 +484,11 @@ def backward_pass(
                 "represent it"
             )
         raise InfeasibilityError("the invariant total is unreachable")
-    return checkpoints, weights, log_c, spans
+    return checkpoints, log_c, spans
 
 
 def rebuild_block(
-    weights: list[MassTable],
+    weights: KernelBank,
     checkpoint: MassTable,
     spans: np.ndarray | None,
     start: int,
@@ -482,8 +517,7 @@ def rebuild_block(
     """
     if stop - start == 1:
         return {stop: checkpoint}
-    kernel_lo = np.array([w.lo for w in weights[start:stop]], dtype=np.int64)
-    width = np.array([len(w.vals) for w in weights[start:stop]], dtype=np.int64)
+    kernel_lo, width = weights.lo[start:stop], weights.width[start:stop]
     margin = int(width.max())
     # row j is T_{start + 1 + j}: its window, then cut to its span
     first = low - margin - np.cumsum(kernel_lo + width - 1)

@@ -28,8 +28,9 @@ proposes again, with no limit on the rounds (rejective sampling, Hajek
 published shape a replicate needs about TAIL_SHARE^-1/2 ~ 3 proposals.
 The proposals run vectorized over rows and head strata, in tiles of
 about HEAD_CELLS (rows x head strata) cells, on the thread pool when a
-first round fills more tiles than there are threads. Each head kernel is
-first cut to its entries with mass, which changes no draw.
+first round fills more tiles than there are threads. The head reads the
+kernel bank's flat arrays (mechanism.KernelBank); only tail strata get
+MassTable views of it.
 
 Tail (_draw_chunk). The tail strata are visited in input order and each
 count is sampled from its exact conditional
@@ -50,8 +51,8 @@ pool when threads > 1 and there is more than one tile; the replicate
 streams are computed in the same tiles on the same pool. The windows
 come from all rows at once, so tiles and threads never change them. A
 draw step indexes the next table from one shared arange of candidate
-offsets and counts the cdf entries at or below the target, with no
-per-stratum candidate array.
+offsets and counts the cdf entries at or below the target, the uniform
+times the cdf's own last entry, with no per-stratum candidate array.
 
 Memory and work. A completion-mass table spans only the totals whose
 weight is >= 2^-1022 of its peak, at most y_total + 1 of them. Table
@@ -102,6 +103,7 @@ import numpy as np
 from .calibration import Calibration
 from .errors import DomainError, InfeasibilityError, SchemaError
 from .mechanism import (
+    KernelBank,
     KernelParams,
     MassTable,
     backward_pass,
@@ -170,7 +172,7 @@ _log = logging.getLogger(__name__)
 def _draw_chunk(
     params: KernelParams,
     checkpoints: dict[int, MassTable],
-    weights: list[MassTable],
+    bank: KernelBank,
     block: int,
     uniforms: np.ndarray,
     run=map,
@@ -199,14 +201,14 @@ def _draw_chunk(
         # a column, so each tile's (rows, 1) view broadcasts over candidates
         remaining = np.full((count, 1), params.y_total, dtype=np.int64)
     tiles = range(0, count, ROW_TILE)
-    steps = np.arange(max(len(w.vals) for w in weights[start:]), dtype=np.int64)
+    steps = np.arange(bank.width[start:].max(), dtype=np.int64)
 
     def draw_tile(first: int, end: int, tables: dict[int, MassTable], a: int):
         rows = slice(a, a + ROW_TILE)
         rem = remaining[rows]
         for i in range(first, end):
             nxt = tables[i + 1]
-            w = weights[i]
+            w = bank[i]
             m = len(w.vals)
             # idx[r, j]: where candidate w.lo + j leaves row r in nxt; an
             # index below 0 wraps to a huge unsigned one, so one compare
@@ -215,7 +217,10 @@ def _draw_chunk(
             mass = nxt.vals.take(idx, mode="clip")
             mass *= idx.view(np.uint64) < len(nxt.vals)
             mass *= w.vals
-            total = mass.sum(axis=1, keepdims=True)
+            # the total is the cdf's own last entry: a sum in another order
+            # may exceed it, and a target near it would pick a top with no mass
+            cdf = mass.cumsum(axis=1)
+            total = cdf[:, -1:]
             if total.min() <= 0.0:
                 raise InfeasibilityError(
                     f"conditional mass of stratum {i} underflowed to zero; "
@@ -224,8 +229,7 @@ def _draw_chunk(
             # the cdf never decreases, so counting its first m - 1 entries
             # at or below the target gives min(pick, m - 1), pick being
             # the count over all m
-            cdf = mass[:, :-1].cumsum(axis=1)
-            draw = (cdf <= uniforms[rows, i:i + 1] * total).sum(
+            draw = (cdf[:, :-1] <= uniforms[rows, i:i + 1] * total).sum(
                 axis=1, keepdims=True
             )
             draw += w.lo
@@ -235,7 +239,7 @@ def _draw_chunk(
     for first in range(start, size, block):
         end = min(first + block, size)
         tables = rebuild_block(
-            weights, checkpoints[end], spans, first, end,
+            bank, checkpoints[end], spans, first, end,
             int(remaining.min()), int(remaining.max()),
         )
         list(run(partial(draw_tile, first, end, tables), tiles))
@@ -368,15 +372,16 @@ def _uniforms(
     return u
 
 
-def _plan(params: KernelParams) -> tuple[KernelParams, int, int]:
-    """(tilted params, start, block): the kernels tilted onto the total
-    (mechanism.tilt), the tail's first stratum (_tail_start) and the
-    tail's checkpoint spacing, ceil(sqrt(tail strata))."""
-    tau, var = tilt(params)
+def _plan(params: KernelParams) -> tuple[KernelParams, int, int, KernelBank]:
+    """(tilted params, start, block, bank): the kernels tilted onto the
+    total (mechanism.tilt), the tail's first stratum (_tail_start), the
+    tail's checkpoint spacing, ceil(sqrt(tail strata)), and the tilted
+    kernels' bank."""
+    tau, var, bank = tilt(params)
     _log.debug("tilt %.6g", tau)
     start = _tail_start(var)
     block = max(1, int(np.ceil(np.sqrt(params.size - start))))
-    return replace(params, log_p=params.log_p + tau), start, block
+    return replace(params, log_p=params.log_p + tau), start, block, bank
 
 
 def _tail_start(var: np.ndarray) -> int:
@@ -395,36 +400,9 @@ def _tail_start(var: np.ndarray) -> int:
     return size - 1 - int(np.searchsorted(suffix, TAIL_SHARE * total))
 
 
-def _segment_cumsum(vals: np.ndarray, starts: np.ndarray, widths: np.ndarray):
-    """vals with each segment vals[starts[i]:starts[i] + widths[i]]
-    replaced by its np.cumsum: the same sums in the same order, so the
-    same bits."""
-    out = vals.copy()
-    for k in range(1, int(widths.max())):
-        at = starts[widths > k] + k
-        out[at] += out[at - 1]
-    return out
-
-
-def _with_mass(tables: list[MassTable]):
-    """(lo, width, vals): each table cut to its first to last entry with
-    mass, the cuts laid end to end. A zero below them is counted by every
-    inverse cdf and one above by none (the target stays below the total),
-    so a draw from a cut table is the draw from the whole one."""
-    width = np.fromiter((len(t.vals) for t in tables), np.int64, len(tables))
-    begin = np.cumsum(width) - width
-    vals = np.concatenate([t.vals for t in tables])
-    mass = np.flatnonzero(vals)
-    first = mass[np.searchsorted(mass, begin)]
-    width = mass[np.searchsorted(mass, begin + width) - 1] - first + 1
-    starts = np.cumsum(width) - width
-    keep = np.arange(width.sum()) + np.repeat(first - starts, width)
-    lo = np.fromiter((t.lo for t in tables), np.int64, len(tables))
-    return lo + first - begin, width, vals[keep]
-
-
 def _draw_head(
-    weights: list[MassTable],
+    bank: KernelBank,
+    size: int,
     tail: MassTable,
     y_total: int,
     base_seed: int,
@@ -433,9 +411,9 @@ def _draw_head(
 ) -> tuple[np.ndarray, int]:
     """Head counts by independent proposals accepted on the tail's mass.
 
-    weights are the head strata's (tilted) kernel tables and tail the
+    The head is the bank's (tilted) strata 0..size-1, and tail the
     completion-mass table T_s of the strata after them. Proposal j >= 1
-    of replicate r reads |head| + 1 uniforms from the stream
+    of replicate r reads size + 1 uniforms from the stream
     (base_seed, r, j): stratum i's count is its kernel's inverse cdf at
     the i-th, the cumulative sums running from the table's low end, and
     the proposal h is accepted when the last uniform is below
@@ -447,15 +425,7 @@ def _draw_head(
     written to z's head columns; returns each row's remaining total (a
     column) and the number of proposals made.
     """
-    size = len(weights)
-    # a few tables at a time, so a wide kernel's zeros are never copied whole
-    step = max(1, HEAD_CELLS // max(len(w.vals) for w in weights))
-    lo, width, vals = (
-        np.concatenate(parts) for parts in zip(*(
-            _with_mass(weights[a:a + step]) for a in range(0, size, step)
-        ))
-    )
-    starts = np.cumsum(width) - width
+    lo, width, starts = bank.lo[:size], bank.width[:size], bank.start[:size]
     # the head sums a proposal can reach
     if (
         y_total - int((lo + width - 1).sum()) > tail.hi
@@ -465,16 +435,19 @@ def _draw_head(
             "the completion mass of the tail strata misses every total the "
             "head strata can leave; no exact draw exists"
         )
-    cdf = _segment_cumsum(vals, starts, width)
     # strata with two or more entries, widest first; column k - 1 holds
-    # the k-th cdf entry of those wider than k, a prefix of them
+    # the k-th cdf entry of those wider than k, a prefix of them, each
+    # entry summed in np.cumsum's order, and total each one's last entry
     live = np.argsort(-width, kind="stable")
     live = live[width[live] > 1]
-    total = cdf[(starts + width - 1)[live]]
-    wide = width[live]
-    columns = []
+    wide, at = width[live], starts[live]
+    cdf, total, columns = bank.vals[at], np.empty(len(live)), []
     for k in range(1, int(wide.max(initial=1))):
-        columns.append(cdf[starts[live[:np.count_nonzero(wide > k)]] + k - 1])
+        n = np.count_nonzero(wide > k)
+        columns.append(cdf[:n])
+        cdf = cdf[:n] + bank.vals[at[:n] + k]
+        done = np.count_nonzero(wide > k + 1)
+        total[done:n] = cdf[done:]
     # where each head stratum's count sits among the live strata's; a
     # stratum of one entry reads the zero column after them
     place = np.full(size, len(live))
@@ -541,8 +514,8 @@ def sample_counts_matrix(
     params = build_kernel_params(table.y, table, calib)
     if count == 0:
         return np.empty((0, table.size), dtype=np.int64)
-    params, start, block = _plan(params)
-    checkpoints, weights, _, spans = backward_pass(params, block, start)
+    params, start, block, bank = _plan(params)
+    checkpoints, _, spans = backward_pass(params, bank, block, start)
     buf = np.empty((count, params.size), dtype=np.float64)
     # an executor starts no thread until something is submitted to it, and
     # a batch of one row tile has nothing to run beside it
@@ -559,7 +532,7 @@ def sample_counts_matrix(
             # save little, and each worker keeps its own heap
             spread = threads > 1 and count * (start + 1) > threads * HEAD_CELLS
             remaining, proposals = _draw_head(
-                weights[:start], checkpoints[start], params.y_total,
+                bank, start, checkpoints[start], params.y_total,
                 base_seed, buf.view(np.int64), pool.map if spread else map,
             )
         _log.debug(
@@ -567,7 +540,7 @@ def sample_counts_matrix(
             start, params.size - start, proposals,
         )
         return _draw_chunk(
-            params, checkpoints, weights, block, buf, run, spans, start,
+            params, checkpoints, bank, block, buf, run, spans, start,
             remaining,
         )
 

@@ -24,7 +24,7 @@ from pgsynth.errors import (
     InfeasibilityError,
 )
 from pgsynth.fixtures import demo_rates, demo_table
-from pgsynth.mechanism import backward_pass, build_kernel_params
+from pgsynth.mechanism import backward_pass, build_kernel_params, stratum_weight_table
 from pgsynth.strata import (
     PriorSpec,
     RatesTable,
@@ -255,6 +255,19 @@ class TestAudit:
         assert not report.passed
         assert report.max_abs_log_ratio > 1.0
 
+    def test_truncated_heterogeneity_corner_exceeds_the_budget(self):
+        # expected counts 10:1 apart: the closed-form calibration misses
+        # epsilon = 1 in truncated mode too (the corner calibration.py
+        # documents; untruncated mode reaches 1.2009 here)
+        table, prior = weighted(
+            (50, 60, 70, 80, 90), np.array([1, 2, 4, 8, 10]) / 25.0, 30
+        )
+        report = audit(table, calibrated(table, prior, 1.0, MODE_TRUNCATED))
+        assert not report.passed
+        assert report.max_abs_log_ratio == pytest.approx(
+            1.0377706412736591, abs=1e-9
+        )
+
     def test_worst_pair_is_reported_correctly(self, demo):
         table, prior = demo
         calib = solve_hyperparameters(table, prior, 1.0, mode=MODE_UNTRUNCATED)
@@ -427,10 +440,10 @@ class TestNormalizers:
             comps = enumerate_feasible([0, 0, 0], [12, 12, 12], 12)
             params = build_kernel_params(table.y, table, calib)
             got = audit_mod._log_normalizers(comps, params, calib)
-            want = [
-                backward_pass(build_kernel_params(y, table, calib), 3)[2]
-                for y in comps
-            ]
+            want = []
+            for y in comps:
+                params = build_kernel_params(y, table, calib)
+                want.append(backward_pass(params, stratum_weight_table(params), 3)[1])
             assert got.tolist() == want
 
     def test_composition_rank_is_walk_order(self):

@@ -476,7 +476,7 @@ class TestPrivacyBoundary:
         real = synth._draw_head
         monkeypatch.setattr(
             synth, "_draw_head",
-            lambda weights, *args: heads.append(len(weights)) or real(weights, *args),
+            lambda bank, size, *args: heads.append(size) or real(bank, size, *args),
         )
         caplog.set_level(logging.DEBUG, logger="pgsynth.synthesizer")
         base = generate_fixture(FixtureSpec(

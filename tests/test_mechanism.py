@@ -111,7 +111,7 @@ class TestKernelParams:
         with pytest.raises(
             InfeasibilityError, match="^the invariant total is unreachable$"
         ):
-            backward_pass(params, block=1)
+            backward_pass(params, stratum_weight_table(params), block=1)
 
     @pytest.mark.parametrize("split", [False, True])
     def test_total_below_the_cut_is_not_called_unreachable(
@@ -137,7 +137,7 @@ class TestKernelParams:
         params = build_kernel_params(table.y, table, calib)
         assert np.allclose(params.log_p, -40.0)
         with pytest.raises(InfeasibilityError) as err:
-            backward_pass(params, block=1)
+            backward_pass(params, stratum_weight_table(params), block=1)
         assert str(err.value) == (
             "the invariant total's weight is below 2^-1022 of the completion "
             "table's peak, so a max-normalized table cannot represent it"
@@ -270,7 +270,8 @@ class TestCut:
             y_total=y_total,
         )
         want, uncut_length = backward_pass_uncut(params)
-        _, weights, got, _ = backward_pass(params, block=45)
+        weights = stratum_weight_table(params)
+        _, got, _ = backward_pass(params, weights, block=45)
         assert got == pytest.approx(want, rel=1e-12)
         cut_length = sum(
             len(t.vals)
@@ -314,7 +315,8 @@ class TestReplay:
         params = random_params(mode, seed)
         size, y_total = params.size, params.y_total
         block = 2 + seed
-        checkpoints, weights, _, spans = backward_pass(params, block)
+        weights = stratum_weight_table(params)
+        checkpoints, _, spans = backward_pass(params, weights, block)
         trimmed = dict(suffix_tables(weights, delta_table(), size, 0, y_total))
         # the recorded spans cover steps that trimmed each end
         nxt_lo = np.append(spans["lo"][1:], 0)
@@ -354,7 +356,8 @@ class TestWindowedRebuild:
         # from one kept total of T_start, several, or its span's two ends
         params = random_params(mode, seed)
         size, y_total = params.size, params.y_total
-        checkpoints, weights, _, spans = backward_pass(params, block)
+        weights = stratum_weight_table(params)
+        checkpoints, _, spans = backward_pass(params, weights, block)
         for start in range(0, size, block):
             stop = min(start + block, size)
             full = dict(suffix_tables(
@@ -376,7 +379,7 @@ class TestWindowedRebuild:
                 weights, checkpoints[stop], spans, start, stop, low, high
             )
             assert sorted(got) == list(range(start + 1, stop + 1))
-            margin = max(len(w.vals) for w in weights[start:stop])
+            margin = int(weights.width[start:stop].max())
             top = bottom = 0  # summed his and los of strata start..k-1
             for k in range(start + 1, stop + 1):
                 top += weights[k - 1].hi
@@ -397,7 +400,8 @@ class TestWindowedRebuild:
     def test_a_window_no_row_reaches_raises(self, reach):
         params = random_params(MODE_TRUNCATED, 0)
         block = 4
-        checkpoints, weights, _, spans = backward_pass(params, block)
+        weights = stratum_weight_table(params)
+        checkpoints, _, spans = backward_pass(params, weights, block)
         total = {
             "far below": 0,
             # every total the row reads from T_1 is T_1's lo - 1 or less,
@@ -417,8 +421,9 @@ class TestSuffixPass:
         # at the total and checkpoints counted from start
         params = random_params(mode, 2)
         size = params.size
-        whole, weights, _, spans = backward_pass(params, 1)
-        checkpoints, _, log_c, part = backward_pass(params, block, start)
+        weights = stratum_weight_table(params)
+        whole, _, spans = backward_pass(params, weights, 1)
+        checkpoints, log_c, part = backward_pass(params, weights, block, start)
         assert log_c is None
         assert sorted(checkpoints) == sorted(
             {size, *range(start, size, block)}
@@ -448,8 +453,12 @@ class TestTilt:
             params.lo.sum() + 1, params.hi.sum() - 1,
         ))
         params = replace(params, y_total=total)
-        tau, var = tilt(params)
+        tau, var, bank = tilt(params)
         tilted = replace(params, log_p=params.log_p + tau)
+        # the bank tilt returns is the tilted kernels', bit for bit
+        want = stratum_weight_table(tilted)
+        for name in ("lo", "width", "start", "offset", "vals"):
+            assert np.array_equal(getattr(bank, name), getattr(want, name))
         means, variances = [], []
         for i in range(params.size):
             w = stratum_weight_table_loop(tilted, i)
@@ -474,8 +483,9 @@ class TestTilt:
         params = build_kernel_params(table.y, table, calib)
         for tau in (tilt(params)[0], -1.5, 2.0):
             tilted = replace(params, log_p=params.log_p + tau)
-            got = backward_pass(tilted, block=2)[2] - tau * params.y_total
-            assert got == pytest.approx(backward_pass(params, block=2)[2], abs=1e-9)
+            got = backward_pass(tilted, stratum_weight_table(tilted), block=2)[1]
+            want = backward_pass(params, stratum_weight_table(params), block=2)[1]
+            assert got - tau * params.y_total == pytest.approx(want, abs=1e-9)
 
     def test_totals_at_the_box_ends(self):
         # the root is at -inf or +inf: tau runs out until the means are
@@ -487,10 +497,10 @@ class TestTilt:
         )
         for total, sign in ((3, -1.0), (17, 1.0)):
             params = KernelParams(**base, y_total=total)
-            tau, var = tilt(params)
+            tau, var, bank = tilt(params)
             assert sign * tau > 10.0 and var.sum() < mechanism.TILT_TOL
             tilted = replace(params, log_p=params.log_p + tau)
-            assert np.isfinite(backward_pass(tilted, block=2)[2])
+            assert np.isfinite(backward_pass(tilted, bank, block=2)[1])
 
 
 def fixture_params(mode):
@@ -518,17 +528,29 @@ class TestGroupedKernel:
     @pytest.mark.parametrize("mode", [MODE_UNTRUNCATED, MODE_TRUNCATED])
     @pytest.mark.parametrize("group", [1, 50, 5000, None])
     def test_matches_per_stratum_oracle_bit_for_bit(self, monkeypatch, mode, group):
+        # each stratum's slice of the bank is the oracle's table on the
+        # kept range, and every oracle entry the bank dropped is exactly 0
         if group is not None:
             monkeypatch.setattr(mechanism, "KERNEL_GROUP", group)
         params = fixture_params(mode)
-        got = stratum_weight_table(params)
-        assert len(got) == params.size
-        for i, table in enumerate(got):
-            want = stratum_weight_table_loop(params, i)
-            assert (table.lo, table.offset) == (want.lo, want.offset)
+        bank = stratum_weight_table(params)
+        assert len(bank.lo) == params.size
+        assert np.array_equal(bank.start, np.cumsum(bank.width) - bank.width)
+        assert len(bank.vals) == bank.width.sum()
+        dropped = 0
+        for i in range(params.size):
+            table, want = bank[i], stratum_weight_table_loop(params, i)
+            assert table.offset == want.offset
             assert table.vals.dtype == want.vals.dtype
-            assert np.array_equal(table.vals, want.vals)
-        assert got[5].vals[0] == 1.0 and not got[5].vals[1:].any()
+            at, end = table.lo - want.lo, table.hi - want.lo + 1
+            assert 0 <= at and end <= len(want.vals)
+            assert np.array_equal(table.vals, want.vals[at:end])
+            assert table.vals[0] > 0.0 and table.vals[-1] > 0.0
+            assert not want.vals[:at].any() and not want.vals[end:].any()
+            dropped += len(want.vals) - len(table.vals)
+        # truncated boxes hold no zero; untruncated kernels are cut
+        assert (dropped > 0) == (mode == MODE_UNTRUNCATED)
+        assert bank[5].lo == 0 and bank[5].vals.tolist() == [1.0]
 
     @pytest.mark.parametrize("group", [1, 50, None])
     def test_infeasible_stratum_named_as_oracle_names_it(self, monkeypatch, group):
@@ -561,7 +583,9 @@ class TestNormalizer:
         )
         calib = solve_hyperparameters(table, prior, 1.0, mode=mode, bounds=bounds)
         params = build_kernel_params(table.y, table, calib)
-        checkpoints, _, got, _ = backward_pass(params, block=2)
+        checkpoints, got, _ = backward_pass(
+            params, stratum_weight_table(params), block=2
+        )
         assert sorted(checkpoints) == [0, 2, 3]
         assert checkpoints[0].log_at(params.y_total) == got
         want = normalizer_direct(
@@ -595,4 +619,6 @@ class TestNormalizer:
         )
         params = build_kernel_params(table.y, table, calib)
         assert params.log_p[0] == -np.inf
-        assert np.isfinite(backward_pass(params, block=1)[2])
+        assert np.isfinite(
+            backward_pass(params, stratum_weight_table(params), block=1)[1]
+        )

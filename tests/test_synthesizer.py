@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pgsynth.distributions as distributions
 import pgsynth.mechanism as mechanism
 import pgsynth.synthesizer as synth
 from _oracles import law_gap, write_replicates_csv_rows
+from test_mechanism import random_params
 from pgsynth.audit import exact_joint_pmf
 from pgsynth.calibration import (
     Calibration,
@@ -25,6 +27,7 @@ from pgsynth.calibration import (
 from pgsynth.errors import DomainError, InfeasibilityError, SchemaError
 from pgsynth.fixtures import FixtureSpec, generate_fixture
 from pgsynth.mechanism import (
+    KernelBank,
     KernelParams,
     MassTable,
     backward_pass,
@@ -63,9 +66,11 @@ def solo_draw(table, calib, base_seed, r):
     the last uniform falls below the tail table at the total left; the
     tail is then drawn by the draw core from stream (base_seed, r).
     """
-    params, start, _ = synth._plan(build_kernel_params(table.y, table, calib))
+    params, start, _, weights = synth._plan(
+        build_kernel_params(table.y, table, calib)
+    )
     block = 2  # the checkpoint spacing changes memory use, never the draw
-    checkpoints, weights, _, spans = backward_pass(params, block, start)
+    checkpoints, _, spans = backward_pass(params, weights, block, start)
     row = np.empty((1, params.size))
     left = params.y_total
     if start:
@@ -75,7 +80,8 @@ def solo_draw(table, calib, base_seed, r):
                 np.random.SeedSequence((base_seed, r, j))
             ).random(start + 1)
             head = []
-            for i, w in enumerate(weights[:start]):
+            for i in range(start):
+                w = weights[i]
                 cdf = np.cumsum(w.vals)
                 head.append(w.lo + np.count_nonzero(cdf[:-1] <= u[i] * cdf[-1]))
             left = params.y_total - sum(head)
@@ -89,6 +95,17 @@ def solo_draw(table, calib, base_seed, r):
         params, checkpoints, weights, block, row, spans=spans, start=start,
         remaining=np.array([[left]]),
     )[0]
+
+
+def bank_of(*tables):
+    """The KernelBank holding tables, in order."""
+    width = np.array([len(t.vals) for t in tables])
+    return KernelBank(
+        lo=np.array([t.lo for t in tables]), width=width,
+        start=np.cumsum(width) - width,
+        offset=np.array([t.offset for t in tables]),
+        vals=np.concatenate([t.vals for t in tables]),
+    )
 
 
 def weighted(n, weights, y_total, mode, scale=1.0):
@@ -313,8 +330,9 @@ class TestMidSizePins:
     ])
     def test_pinned_draws(self, mode, deaths, digest):
         table, calib = mid_size(mode, deaths)
-        params, start, _ = synth._plan(build_kernel_params(table.y, table, calib))
-        weights = mechanism.stratum_weight_table(params)
+        params, start, _, weights = synth._plan(
+            build_kernel_params(table.y, table, calib)
+        )
         # the pin covers a head and tail steps that trim each end of a table
         assert start > 0
         front = back = 0
@@ -438,9 +456,11 @@ class TestRecursionWork:
         # summed table lengths: the backward pass's spans over the tail,
         # the rebuilds' windows; both are counts, so they repeat exactly
         table, calib = mid_size(mode, deaths)
-        params, start, block = synth._plan(build_kernel_params(table.y, table, calib))
+        params, start, block, bank = synth._plan(
+            build_kernel_params(table.y, table, calib)
+        )
         assert start > 0
-        spans = backward_pass(params, block, start)[3]
+        spans = backward_pass(params, bank, block, start)[2]
         real = mechanism.convolve_mass
         lengths = {"backward": 0, "rebuild": 0}
 
@@ -455,10 +475,100 @@ class TestRecursionWork:
         if mode == MODE_TRUNCATED:
             assert lengths == {"backward": 1_586_793, "rebuild": 180_578}
         else:
-            # kernels span [0, y_total], so each window is its whole span
-            k = np.arange(params.size)
-            rebuilt = (k > start) & ((k - start) % block != 0)
-            assert lengths["rebuild"] == spans["length"][rebuilt].sum()
+            # the bank cuts each [0, y_total] kernel to its entries with
+            # mass (at most 260 of 901 on the tail), so the windows are
+            # about half the rebuilt spans (122,857)
+            assert lengths == {"backward": 130_848, "rebuild": 60_914}
+
+    @pytest.mark.parametrize("split", [False, True])
+    @pytest.mark.parametrize("mode", [MODE_UNTRUNCATED, MODE_TRUNCATED])
+    def test_kernels_evaluated_once_per_batch(
+        self, monkeypatch, tiny3, mode, split
+    ):
+        # the tilt and the tilted bank share one log-gamma evaluation:
+        # one entry per box value of every stratum, in several groups
+        if split:
+            monkeypatch.setattr(synth, "SPLIT_MIN", 2)
+        monkeypatch.setattr(mechanism, "KERNEL_GROUP", 4)
+        table, calib, _ = calibrated(tiny3, mode)
+        assert (head_size(table, calib) > 0) == split
+        entries = []
+        real = distributions.log_gamma_ratio
+
+        def counted(z, shape):
+            entries.append(np.size(z))
+            return real(z, shape)
+
+        monkeypatch.setattr(distributions, "log_gamma_ratio", counted)
+        monkeypatch.setattr(mechanism, "log_gamma_ratio", counted)
+        sample_counts_matrix(table, calib, count=50, base_seed=1)
+        params = build_kernel_params(table.y, table, calib)
+        assert len(entries) > 1
+        assert sum(entries) == (params.hi - params.lo + 1).sum()
+
+
+# Uniforms at the ends of Generator.random's range and between them
+EDGE_UNIFORMS = (0.0, 0.5, 1.0 - 2.0**-53)
+
+
+def c05(mode):
+    """Criterion 05's instance (Y = 8), truncated at alpha = 1e-4."""
+    table = StrataTable(
+        dim_names=("g",), keys=(("x",), ("y",), ("z",)),
+        n=np.array([40, 160, 90]), y=np.array([3, 2, 3]),
+    )
+    w = np.array([2.0, 3.0, 4.0]) / 9.0
+    prior = PriorSpec(lambda0=w * 8 / table.n, rescale_factor=1.0, source=None)
+    bounds = (
+        compute_bounds(prior, table, 1e-4, 1.0) if mode == MODE_TRUNCATED else None
+    )
+    return table, solve_hyperparameters(table, prior, 1.0, mode=mode, bounds=bounds)
+
+
+def assert_draws_carry_mass(params, uniforms):
+    """Every step of _draw_chunk's draw at these uniforms picks a value
+    whose conditional mass w_i(v) * T_{i+1}(t - v) is positive."""
+    params, _, _, bank = synth._plan(params)
+    size, y_total = params.size, params.y_total
+    checkpoints, _, spans = backward_pass(params, bank, 2)
+    z = synth._draw_chunk(
+        params, checkpoints, bank, 2, uniforms.copy(), spans=spans
+    )
+    tables = dict(mechanism.suffix_tables(bank, delta_table(), size, 0, y_total))
+    tables[size] = delta_table()
+    for row in z.tolist():
+        left = y_total
+        for i, v in enumerate(row):
+            assert bank[i].log_at(v) > -np.inf, (row, i)
+            left -= v
+            assert tables[i + 1].log_at(left) > -np.inf, (row, i)
+
+
+class TestEdgeUniforms:
+    # the draw's total is its cdf's last entry; a total summed in another
+    # order could exceed it, and a target near it would then pick the top
+    # value even where it has no mass
+
+    @pytest.mark.parametrize("mode", [MODE_UNTRUNCATED, MODE_TRUNCATED])
+    def test_c05_every_dataset(self, mode):
+        table, calib = c05(mode)
+        uniforms = np.array(list(itertools.product(EDGE_UNIFORMS, repeat=3)))
+        for y in itertools.product(range(9), repeat=2):
+            if sum(y) <= 8:
+                counts = np.array([*y, 8 - sum(y)])
+                params = build_kernel_params(counts, table, calib)
+                assert_draws_carry_mass(params, uniforms)
+
+    @pytest.mark.parametrize("mode", [MODE_UNTRUNCATED, MODE_TRUNCATED])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_instances(self, mode, seed):
+        params = random_params(mode, seed)
+        rng = np.random.default_rng(seed)
+        uniforms = np.vstack([
+            np.repeat(np.array(EDGE_UNIFORMS)[:, None], params.size, axis=1),
+            rng.choice(EDGE_UNIFORMS, size=(20, params.size)),
+        ])
+        assert_draws_carry_mass(params, uniforms)
 
 
 class TestExactness:
@@ -752,23 +862,23 @@ class TestGuards:
         (50, True), (-30, True), (11, True), (7, True), (10, False), (8, False),
     ])
     def test_a_tail_no_head_total_reaches_raises(self, tail_lo, raises):
-        # head kernels that emit 0 or 1 and 5 or 6 (the zeros at their ends
-        # carry no mass), so the head leaves 8, 9 or 10 of a total of 15;
-        # a tail table missing all three accepts no proposal, and one at
-        # 10 or at 8 alone accepts a third or a sixth of them
-        weights = [
-            MassTable(lo=0, vals=np.array([1.0, 0.5, 0.0]), offset=0.0),
-            MassTable(lo=4, vals=np.array([0.0, 1.0, 1.0]), offset=0.0),
-        ]
+        # head kernels that emit 0 or 1 and 5 or 6, so the head leaves 8, 9
+        # or 10 of a total of 15; a tail table missing all three accepts
+        # no proposal, and one at 10 or at 8 alone accepts a third or a
+        # sixth of them
+        bank = bank_of(
+            MassTable(lo=0, vals=np.array([1.0, 0.5]), offset=0.0),
+            MassTable(lo=5, vals=np.array([1.0, 1.0]), offset=0.0),
+        )
         tail = MassTable(
             lo=tail_lo, vals=np.ones(3 if tail_lo < 0 else 1), offset=0.0
         )
         z = np.zeros((6, 3), dtype=np.int64)
         if raises:
             with pytest.raises(InfeasibilityError, match="misses every total"):
-                synth._draw_head(weights, tail, 15, 1, z)
+                synth._draw_head(bank, 2, tail, 15, 1, z)
             return
-        remaining, proposals = synth._draw_head(weights, tail, 15, 1, z)
+        remaining, proposals = synth._draw_head(bank, 2, tail, 15, 1, z)
         assert proposals >= 6
         assert np.all(np.isin(z[:, 0], [0, 1]) & np.isin(z[:, 1], [5, 6]))
         assert np.all(remaining[:, 0] == 15 - z[:, :2].sum(axis=1))
@@ -785,5 +895,6 @@ class TestGuards:
         checkpoints = {0: tiny, 1: tiny, 2: delta_table()}
         with pytest.raises(InfeasibilityError):
             synth._draw_chunk(
-                params, checkpoints, [tiny, tiny], 1, np.full((4, 2), 0.5)
+                params, checkpoints, bank_of(tiny, tiny), 1,
+                np.full((4, 2), 0.5),
             )
