@@ -46,7 +46,7 @@ from .fixtures import (
     write_fixture_files,
 )
 from .mechanism import build_kernel_params
-from .strata import RatesTable, StrataTable, build_prior, compute_bounds
+from .strata import RatesTable, StrataTable, build_prior, compute_bounds, open_input
 from .synthesizer import (
     SAMPLER,
     read_replicates_csv,
@@ -119,7 +119,7 @@ def _json_object(text: str, source) -> dict:
 
 
 def _load_config(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path) as fh:
         return _json_object(fh.read(), path)
 
 

@@ -20,22 +20,17 @@ once divided by the peak. T_0 evaluated at y_total is the normalizer; the
 tables also drive the sequential exact sampler. suffix_tables is the one
 recursion loop: backward_pass runs it once from T_I down to T_start
 (T_0, or the first table of the sampler's tail, which is read at many
-totals and so has no single-total lookup), keeps every block-th table
-and records every table's span (its lo, its length and the peak its
-values were divided by). rebuild_block runs it again over
-one block at a time, from that block's checkpoint, just before the
-sampler draws the block's strata for every replicate. A rebuild computes
-each table only on the window of totals that the block's draws can read
-from their remaining totals, widened by the block's widest kernel and
-cut to the recorded span, and replays the recorded peak, so it never
-searches for the cut again. Its entries equal the backward pass's bit
-for bit. Memory is the checkpoints, O(sqrt(I) * span), plus one block of
-windows, O(block * (row spread + block box widths)); rebuild work is
-O(I * window * box_width) where the backward pass's is
-O(I * span * box_width), I counting the strata the pass covers. All
-strata's kernel tables sit in one KernelBank (stratum_weight_table):
-per-stratum arrays into one flat value array, each table cut to the
-entries of its box with mass. The recursion reads MassTable views of it.
+totals and so has no single-total lookup) and keeps every block-th
+table. The sampler runs it again over one block at a time, from that
+block's checkpoint, just before it draws the block's strata for every
+replicate. Each rebuilt step is the backward pass's own step on the same
+inputs, so its entries equal the backward pass's bit for bit. Memory is
+the checkpoints plus one block of tables, O(sqrt(I) * span); the
+rebuilds' work is the backward pass's, O(I * span * box_width), I
+counting the strata the pass covers. All strata's kernel tables sit in
+one KernelBank (stratum_weight_table): per-stratum arrays into one flat
+value array, each table cut to the entries of its box with mass. The
+recursion reads MassTable views of it.
 
 Multiplying every kernel by theta^z (exponential tilting) multiplies
 every weight on the slice by theta^y_total, so the conditioned law is
@@ -70,7 +65,6 @@ __all__ = [
     "convolve_mass",
     "suffix_tables",
     "backward_pass",
-    "rebuild_block",
 ]
 
 
@@ -167,17 +161,12 @@ class MassTable:
     vals[t - lo] holds the (scaled) weight of total t; the true log weight
     is log(vals[t - lo]) + offset. vals.max() == 1 for a whole table.
     A completion-mass table spans only the totals from its first to its
-    last weight >= CUT * peak; totals outside [lo, hi] carry mass 0. A
-    table that rebuild_block cuts to a window holds its span's entries on
-    that window only.
-    peak is the raw maximum that convolve_mass divided the values by (1.0
-    for a table made otherwise).
+    last weight >= CUT * peak; totals outside [lo, hi] carry mass 0.
     """
 
     lo: int
     vals: np.ndarray
     offset: float
-    peak: float = 1.0
 
     @property
     def hi(self) -> int:
@@ -193,15 +182,6 @@ class MassTable:
 # A completion-mass table keeps the span from its first to its last
 # weight >= CUT * peak (see convolve_mass).
 CUT = 2.0**-1022
-
-# Entries at each end of a convolution that convolve_mass searches for the
-# cut before it falls back to the whole table; at the published scale no
-# step trims more than 29 entries from either end.
-END_WINDOW = 64
-
-# The span of one table T_k as backward_pass records it: its lo, its
-# length and the raw peak its values were divided by.
-SPAN = np.dtype([("lo", np.int64), ("length", np.int64), ("peak", np.float64)])
 
 # Summed support widths per group of kernel evaluations (_log_gamma_groups);
 # it bounds their temporaries, and no table depends on it.
@@ -360,13 +340,7 @@ def tilt(params: KernelParams) -> tuple[float, np.ndarray, KernelBank]:
     return tau, var, stratum_weight_table(tilted, groups)
 
 
-def convolve_mass(
-    weights: MassTable,
-    table: MassTable,
-    cap: int,
-    *,
-    span: tuple[int, int, float] | None = None,
-) -> MassTable:
+def convolve_mass(weights: MassTable, table: MassTable, cap: int) -> MassTable:
     """One recursion step T_k = w_k * T_{k+1}, truncated above cap.
 
     Totals beyond cap (the conditioning total) can never be part of a
@@ -375,50 +349,22 @@ def convolve_mass(
     first and last such entry, while smaller entries between them stay
     (kernels with shape < 1 are not log-concave, so a table need not be
     unimodal). The kept entries are exactly those of the untrimmed step.
-    The ends are searched for in END_WINDOW entries at each end of the
-    convolution, and in all of it when a window holds no kept entry.
-    With span = (lo, length, peak), recorded from the same step on the
-    same inputs (backward_pass), the step is replayed: the convolution is
-    sliced at the recorded span and divided by the recorded peak, which
-    gives the trimmed table bit for bit without searching for it. A
-    recorded span may also be a window inside the step's span (see
-    rebuild_block), as long as the convolution covers it.
     """
-    vals = np.convolve(weights.vals, table.vals)
     lo = weights.lo + table.lo
-    if span is None:
-        keep = cap - lo + 1
-        if keep <= 0:
-            raise InfeasibilityError("mass table slid entirely above the total")
-        vals = vals[:keep]
-        first, stop, peak = _cut_span(vals)
-    else:
-        span_lo, length, peak = span
-        first = span_lo - lo
-        stop = first + length
+    keep = cap - lo + 1
+    if keep <= 0:
+        raise InfeasibilityError("mass table slid entirely above the total")
+    vals = np.convolve(weights.vals, table.vals)[:keep]
+    peak = float(vals.max())
+    if peak <= 0.0:
+        raise InfeasibilityError("mass table underflowed to zero")
+    big = vals >= peak * CUT
+    first, stop = int(big.argmax()), len(vals) - int(big[::-1].argmax())
     return MassTable(
         lo=lo + first,
         vals=vals[first:stop] / peak,
         offset=weights.offset + table.offset + np.log(peak),
-        peak=peak,
     )
-
-
-def _cut_span(vals: np.ndarray) -> tuple[int, int, float]:
-    """(first, stop, peak): vals[first:stop] runs from the first to the last
-    entry >= CUT * peak, peak being vals' maximum."""
-    peak = float(vals.max())
-    if peak <= 0.0:
-        raise InfeasibilityError("mass table underflowed to zero")
-    cut = peak * CUT
-    head = vals[:END_WINDOW] >= cut
-    first = int(head.argmax())
-    tail = vals[-END_WINDOW:][::-1] >= cut
-    back = int(tail.argmax())
-    if not (head[first] and tail[back]):
-        big = vals >= cut
-        first, back = int(big.argmax()), int(big[::-1].argmax())
-    return first, len(vals) - back, peak
 
 
 def suffix_tables(
@@ -427,30 +373,22 @@ def suffix_tables(
     stop: int,
     start: int,
     cap: int,
-    spans: np.ndarray | None = None,
 ) -> Iterator[tuple[int, MassTable]]:
-    """Yield (k, T_k) for k = stop - 1 down to start, from table = T_stop.
-
-    With spans, a SPAN array whose row k - start is T_k's span, each step
-    replays its span (see convolve_mass).
-    """
+    """Yield (k, T_k) for k = stop - 1 down to start, from table = T_stop."""
     for k in range(stop - 1, start - 1, -1):
-        span = None if spans is None else spans[k - start].item()
-        table = convolve_mass(weights[k], table, cap, span=span)
+        table = convolve_mass(weights[k], table, cap)
         yield k, table
 
 
 def backward_pass(
     params: KernelParams, weights: KernelBank, block: int, start: int = 0
-) -> tuple[dict[int, MassTable], float | None, np.ndarray]:
+) -> tuple[dict[int, MassTable], float | None]:
     """Run the recursion T_k = w_k * T_{k+1} from T_I down to T_start,
     weights being params' kernel bank (stratum_weight_table).
 
     Returns the checkpoint map (T_I, and T_k at every k with k - start
-    divisible by block, so T_start among them), ln C = log T_0(y_total),
-    the log of the total kernel mass on the box-and-total slice, and
-    every T_k's span as a SPAN array indexed by k (rows below start are
-    zero), for rebuild_block to replay.
+    divisible by block, so T_start among them) and ln C = log T_0(y_total),
+    the log of the total kernel mass on the box-and-total slice.
     A suffix (start > 0) is read at many totals, one per draw of the
     strata before it, so it has no single-total lookup: ln C is None.
     When T_0 holds no entry at y_total, the error tells two causes apart.
@@ -464,16 +402,14 @@ def backward_pass(
     """
     size = params.size
     checkpoints: dict[int, MassTable] = {size: delta_table()}
-    spans = np.zeros(size, dtype=SPAN)
     running = checkpoints[size]
     for k, running in suffix_tables(
         weights, running, size, start, params.y_total
     ):
-        spans[k] = running.lo, len(running.vals), running.peak
         if (k - start) % block == 0:
             checkpoints[k] = running
     if start:
-        return checkpoints, None, spans
+        return checkpoints, None
     log_c = running.log_at(params.y_total)
     if not np.isfinite(log_c):
         reach = np.where(np.isneginf(params.log_p), params.lo, params.hi)
@@ -484,69 +420,4 @@ def backward_pass(
                 "represent it"
             )
         raise InfeasibilityError("the invariant total is unreachable")
-    return checkpoints, log_c, spans
-
-
-def rebuild_block(
-    weights: KernelBank,
-    checkpoint: MassTable,
-    spans: np.ndarray | None,
-    start: int,
-    stop: int,
-    low: int,
-    high: int,
-) -> dict[int, MassTable]:
-    """T_{start+1}, ..., T_stop on the totals that draws of strata
-    start..stop-1 can read, the draws starting from remaining totals in
-    [low, high]; checkpoint is T_stop and spans backward_pass's record.
-
-    A draw of stratum i from remaining total r reads T_{i+1} at r - v for
-    v in [lo_i, hi_i], so every read of T_k lies in [low - H_k, high - L_k],
-    H_k and L_k being the sums of hi_l and lo_l over start <= l < k. T_k
-    is rebuilt on that range widened by d, the width of the block's widest
-    kernel, and cut to T_k's span; T_stop is sliced from the checkpoint.
-    Each rebuilt entry is the sum the backward pass's step computes, over
-    the same terms, divided by the same recorded peak. The margin d makes
-    every window either the whole span or longer than every kernel of the
-    block, so np.convolve puts its operands in the same order as in the
-    full step and the entries are equal bit for bit. A window that is
-    neither (empty included) can only come from a row whose reads all miss
-    the span, a row no exact draw exists for, and raises
-    InfeasibilityError. A block of one stratum reads only its checkpoint,
-    and needs no spans.
-    """
-    if stop - start == 1:
-        return {stop: checkpoint}
-    kernel_lo, width = weights.lo[start:stop], weights.width[start:stop]
-    margin = int(width.max())
-    # row j is T_{start + 1 + j}: its window, then cut to its span
-    first = low - margin - np.cumsum(kernel_lo + width - 1)
-    last = high + margin - np.cumsum(kernel_lo)
-    span_lo = np.append(spans["lo"][start + 1:stop], checkpoint.lo)
-    span_len = np.append(spans["length"][start + 1:stop], len(checkpoint.vals))
-    span_hi = span_lo + span_len - 1
-    whole = (first <= span_lo) & (last >= span_hi)
-    first = np.maximum(first, span_lo)
-    length = np.minimum(last, span_hi) - first + 1
-    short = ~whole & (length <= margin)
-    if short.any():
-        k = start + 1 + int(np.argmax(short))
-        raise InfeasibilityError(
-            f"no remaining total reaches the completion mass of strata {k} "
-            "onward; no exact draw exists"
-        )
-    windows = np.empty(stop - start - 1, dtype=SPAN)
-    windows["lo"] = first[:-1]
-    windows["length"] = length[:-1]
-    windows["peak"] = spans["peak"][start + 1:stop]
-    at = int(first[-1]) - checkpoint.lo
-    table = MassTable(
-        lo=int(first[-1]),
-        vals=checkpoint.vals[at:at + int(length[-1])],
-        offset=checkpoint.offset,
-        peak=checkpoint.peak,
-    )
-    tables = {stop: table}
-    # no total above high is ever read, and a replayed step ignores its cap
-    tables.update(suffix_tables(weights, table, stop, start + 1, high, windows))
-    return tables
+    return checkpoints, log_c

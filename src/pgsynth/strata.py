@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -358,7 +359,7 @@ def _read_strata_columns(path):
     that _read_table strips, so a count parses to the same value either
     way.
     """
-    with open(path, "r", newline="", encoding="utf-8") as fh:
+    with open_input(path) as fh:
         text = fh.read().replace("\r\n", "\n")
     if any(c in text for c in '"\r\0'):
         return None
@@ -387,6 +388,17 @@ def _read_strata_columns(path):
     return tuple(header[:k]), keys, n, y
 
 
+@contextmanager
+def open_input(path):
+    """path opened as UTF-8 text with line ends untranslated; a byte that
+    is not UTF-8 raises SchemaError naming the file."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _read_table(path, trailing: tuple[str, ...]):
     """Parse a CSV with dimension columns followed by fixed trailing columns.
 
@@ -394,7 +406,7 @@ def _read_table(path, trailing: tuple[str, ...]):
     (dim_names, rows) where each row is (lineno, dim_tuple, tail_values).
     Raises SchemaError with line-numbered diagnostics.
     """
-    with open(path, "r", newline="", encoding="utf-8") as fh:
+    with open_input(path) as fh:
         reader = csv.reader(fh)
         header = None
         lineno = 0
@@ -433,4 +445,6 @@ def _parse_nonneg_int(text: str, what: str, path, lineno: int) -> int:
         raise SchemaError(f"{path}:{lineno}: {what} {text!r} is not an integer") from None
     if value < 0:
         raise SchemaError(f"{path}:{lineno}: {what} must be nonnegative")
+    if value >= 2**63:
+        raise SchemaError(f"{path}:{lineno}: {what} {text!r} is 2^63 or more")
     return value

@@ -38,32 +38,28 @@ count is sampled from its exact conditional
     P(z_i = v | remaining total t) propto w_i(v) * T_{i+1}(t - v),
 
 from the total the head left. mechanism.backward_pass builds T_I down to
-T_s once per batch, keeps a checkpoint every ceil(sqrt(tail)) strata and
-records every table's span. The draw then runs block by block: each
-block's tables are rebuilt once from its checkpoint
-(mechanism.rebuild_block), only on the totals that the block's draws can
-read from the rows' smallest and largest remaining totals (with a margin
-of the block's widest kernel), replaying the recorded spans, so a
-rebuild convolves and divides but never searches for the cut again; its
-entries equal the backward pass's bit for bit. Then the block's strata
-are drawn for every replicate in tiles of ROW_TILE rows, on a thread
-pool when threads > 1 and there is more than one tile; the replicate
-streams are computed in the same tiles on the same pool. The windows
-come from all rows at once, so tiles and threads never change them. A
-draw step indexes the next table from one shared arange of candidate
-offsets and counts the cdf entries at or below the target, the uniform
-times the cdf's own last entry, with no per-stratum candidate array.
+T_s once per batch and keeps a checkpoint every ceil(sqrt(tail)) strata.
+The draw then runs block by block: each block's tables are rebuilt once
+from its checkpoint by the backward pass's own steps
+(mechanism.suffix_tables), so its entries equal the backward pass's bit
+for bit. Then the block's strata are drawn for every replicate in tiles
+of ROW_TILE rows, on a thread pool when threads > 1 and there is more
+than one tile; the replicate streams are computed in the same tiles on
+the same pool. A rebuild never depends on the rows, so tiles and threads
+never change it. A draw step indexes the next table from one shared
+arange of candidate offsets and counts the cdf entries at or below the
+target, the uniform times the cdf's own last entry, with no per-stratum
+candidate array.
 
 Memory and work. A completion-mass table spans only the totals whose
 weight is >= 2^-1022 of its peak, at most y_total + 1 of them. Table
-memory is the tail's checkpoints, O(sqrt(tail) * span), plus one block
-of windows, O(block * (row spread + block box widths)); convolution work
-is O(tail * span * box_width) in the backward pass and
-O(tail * window * box_width) in the rebuilds, whatever the replicate
-count. A head proposal costs O(head strata + summed head box widths) per
-row, and a tile's temporaries O(HEAD_CELLS). Each draw overwrites the
-uniform it consumed, and the head's counts go to the same matrix, so a
-batch holds one (count x I) matrix.
+memory is the tail's checkpoints plus one block of tables,
+O(sqrt(tail) * span); convolution work is O(tail * span * box_width) in
+the backward pass and as much again in the rebuilds, whatever the
+replicate count. A head proposal costs O(head strata + summed head box
+widths) per row, and a tile's temporaries O(HEAD_CELLS). Each draw
+overwrites the uniform it consumed, and the head's counts go to the same
+matrix, so a batch holds one (count x I) matrix.
 
 Reproducibility contract (SAMPLER, which enters the synthesize config
 hash). Replicate r's tail strata consume exactly one uniform each, in
@@ -108,10 +104,10 @@ from .mechanism import (
     MassTable,
     backward_pass,
     build_kernel_params,
-    rebuild_block,
+    suffix_tables,
     tilt,
 )
-from .strata import StrataTable
+from .strata import StrataTable, open_input
 
 __all__ = [
     "SAMPLER",
@@ -176,7 +172,6 @@ def _draw_chunk(
     block: int,
     uniforms: np.ndarray,
     run=map,
-    spans: np.ndarray | None = None,
     start: int = 0,
     remaining: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -187,13 +182,11 @@ def _draw_chunk(
     per stratum; row r's columns start..I-1 are consumed left to right,
     one value per stratum, starting from its remaining total (a column;
     y_total for every row when None). Blocks of strata from start are
-    the outer loop: a block's tables are rebuilt once, on the windows
-    that the rows' remaining totals can reach (mechanism.rebuild_block,
-    which replays backward_pass's spans; a block of one stratum needs
-    none), then each tile of ROW_TILE rows draws the block's strata, the
-    tiles mapped through run (map, or a thread pool's map). The returned
-    int64 matrix is a view of uniforms; columns before start are left
-    as they are.
+    the outer loop: a block's tables are rebuilt once from its checkpoint
+    (mechanism.suffix_tables), then each tile of ROW_TILE rows draws the
+    block's strata, the tiles mapped through run (map, or a thread pool's
+    map). The returned int64 matrix is a view of uniforms; columns before
+    start are left as they are.
     """
     count, size = uniforms.shape
     z = uniforms.view(np.int64)
@@ -238,9 +231,9 @@ def _draw_chunk(
 
     for first in range(start, size, block):
         end = min(first + block, size)
-        tables = rebuild_block(
-            bank, checkpoints[end], spans, first, end,
-            int(remaining.min()), int(remaining.max()),
+        tables = {end: checkpoints[end]}
+        tables.update(
+            suffix_tables(bank, tables[end], end, first + 1, params.y_total)
         )
         list(run(partial(draw_tile, first, end, tables), tiles))
     if np.any(remaining != 0):
@@ -515,7 +508,7 @@ def sample_counts_matrix(
     if count == 0:
         return np.empty((0, table.size), dtype=np.int64)
     params, start, block, bank = _plan(params)
-    checkpoints, _, spans = backward_pass(params, bank, block, start)
+    checkpoints, _ = backward_pass(params, bank, block, start)
     buf = np.empty((count, params.size), dtype=np.float64)
     # an executor starts no thread until something is submitted to it, and
     # a batch of one row tile has nothing to run beside it
@@ -540,8 +533,7 @@ def sample_counts_matrix(
             start, params.size - start, proposals,
         )
         return _draw_chunk(
-            params, checkpoints, bank, block, buf, run, spans, start,
-            remaining,
+            params, checkpoints, bank, block, buf, run, start, remaining
         )
 
 
@@ -733,7 +725,7 @@ def _read_rows(path, table: StrataTable) -> np.ndarray:
     index = {key: i for i, key in enumerate(table.keys)}
     per_rep: dict[int, np.ndarray] = {}
     filled: dict[int, np.ndarray] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_input(path) as fh:
         header = None
         for lineno, record in enumerate(csv.reader(fh), start=1):
             if not record or record[0].lstrip().startswith("#"):

@@ -164,6 +164,46 @@ class TestCalibrate:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("name", ["strata", "rates", "config"])
+    def test_input_that_is_not_utf8_is_usage_error(
+        self, demo_files, tmp_path, capsys, name
+    ):
+        paths = {**demo_files, "config": tmp_path / "config.json"}
+        paths["config"].write_text('{"mode": "untruncated"}')
+        bad = Path(paths[name])
+        bad.write_bytes(b"\xff" + bad.read_bytes())
+        code = run([
+            "calibrate", "--strata", str(paths["strata"]),
+            "--rates", str(paths["rates"]), "--config", str(paths["config"]),
+            "--epsilon", "1.0", "--out", str(tmp_path / "x.json"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("pgsynth: error: ") and "not UTF-8" in err
+        assert str(bad) in err
+
+    @pytest.mark.parametrize("column, value", [
+        ("population", 2**63), ("count", 2**63), ("count", 10**30),
+    ])
+    def test_count_of_2_63_or_more_is_usage_error(
+        self, demo_files, tmp_path, capsys, column, value
+    ):
+        big = tmp_path / "big.csv"
+        field = 1 if column == "population" else 2
+        cells = ["a", "1000", "3"]
+        cells[field] = str(value)
+        big.write_text(f"group,population,count\n{','.join(cells)}\nb,900,4\n")
+        code = run([
+            "calibrate", "--strata", str(big),
+            "--rates", demo_files["rates"],
+            "--epsilon", "1.0", "--mode", "untruncated",
+            "--out", str(tmp_path / "x.json"),
+        ])
+        assert code == 2
+        assert f"big.csv:2: {column} '{value}' is 2^63 or more" in (
+            capsys.readouterr().err
+        )
+
 
 class TestSynthesize:
     def synth(self, demo_files, out, mode="untruncated", extra=()):
@@ -390,6 +430,43 @@ class TestEvaluateAndFixture:
             "--out", str(tmp_path / "m.csv"),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("name", [
+        "strata.csv", "standard.csv", "densities.csv", "replicates.csv",
+    ])
+    def test_evaluate_input_that_is_not_utf8(self, tmp_path, capsys, name):
+        # the byte sits in each file's leading comment line
+        fix_dir = tmp_path / "fix"
+        assert run([
+            "fixture", "--out", str(fix_dir), "--spec", json.dumps({
+                "dims": [["county", 2], ["age", 2], ["site", 1],
+                         ["race", 3], ["sex", 2]],
+                "total_deaths": 40, "state_population": 5_000,
+                "seed": 0, "urban_count": 1,
+            }),
+        ]) == 0
+        run_dir = tmp_path / "run"
+        assert run([
+            "synthesize", "--strata", str(fix_dir / "strata.csv"),
+            "--rates", str(fix_dir / "rates.csv"), "--epsilon", "1.0",
+            "--mode", "truncated", "--replicates", "3", "--seed", "1",
+            "--out", str(run_dir),
+        ]) == 0
+        bad = (run_dir if name == "replicates.csv" else fix_dir) / name
+        text = bad.read_bytes()
+        assert text.startswith(b"#")
+        bad.write_bytes(b"#\xff" + text[1:])
+        code = run([
+            "evaluate", "--truth", str(fix_dir / "strata.csv"),
+            "--replicates", str(run_dir),
+            "--std", str(fix_dir / "standard.csv"),
+            "--density", str(fix_dir / "densities.csv"),
+            "--population-dims", "county,age,race,sex",
+            "--out", str(tmp_path / "m.csv"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: not UTF-8 text" in err
 
     def test_fixture_bad_spec(self, tmp_path):
         spec = tmp_path / "spec.json"

@@ -22,14 +22,12 @@ from pgsynth.errors import InfeasibilityError
 from pgsynth.fixtures import FixtureSpec, generate_fixture
 from pgsynth.mechanism import (
     CUT,
-    END_WINDOW,
     KernelParams,
     MassTable,
     backward_pass,
     build_kernel_params,
     convolve_mass,
     delta_table,
-    rebuild_block,
     stratum_weight_table,
     suffix_tables,
     tilt,
@@ -205,12 +203,11 @@ class TestCut:
         assert got.vals.tolist() == want[1:4].tolist() == [1.0, tiny, 0.5]
 
     @pytest.mark.parametrize("front, back", [
-        (0, 0), (END_WINDOW - 1, END_WINDOW - 1), (END_WINDOW, 0),
-        (0, END_WINDOW), (END_WINDOW + 5, 3 * END_WINDOW),
+        (0, 0), (63, 63), (64, 0), (0, 64), (69, 192),
     ])
     def test_ends_found_inside_and_beyond_the_window(self, front, back):
         # the kept entries start at index front and end back entries
-        # before the end; beyond the window the search covers everything
+        # before the end, however long the runs of zeros around them
         body = [0.5, 1e-320, 1.0, 0.25]
         weights = MassTable(
             lo=0, vals=np.concatenate([np.zeros(front), body, np.zeros(back)]),
@@ -229,7 +226,7 @@ class TestCut:
         ),
         log_p=st.tuples(st.floats(-9.0, -0.05), st.floats(-9.0, -0.05)),
         cap_slack=st.integers(0, 1300),
-        pad=st.tuples(*[st.integers(0, 3 * END_WINDOW)] * 2),
+        pad=st.tuples(*[st.integers(0, 192)] * 2),
     )
     def test_one_step_keeps_exactly_the_entries_above_the_cut(
         self, lo, width, shape, log_p, cap_slack, pad
@@ -238,7 +235,7 @@ class TestCut:
             kernel_table(*args) for args in zip(lo, width, shape, log_p)
         )
         # zeros around the kernel, so the kept entries may start or end
-        # beyond END_WINDOW and the search falls back to the whole table
+        # far from the ends of the convolution
         weights = MassTable(
             lo=weights.lo - pad[0],
             vals=np.concatenate(
@@ -271,7 +268,7 @@ class TestCut:
         )
         want, uncut_length = backward_pass_uncut(params)
         weights = stratum_weight_table(params)
-        _, got, _ = backward_pass(params, weights, block=45)
+        _, got = backward_pass(params, weights, block=45)
         assert got == pytest.approx(want, rel=1e-12)
         cut_length = sum(
             len(t.vals)
@@ -316,101 +313,23 @@ class TestReplay:
         size, y_total = params.size, params.y_total
         block = 2 + seed
         weights = stratum_weight_table(params)
-        checkpoints, _, spans = backward_pass(params, weights, block)
+        checkpoints, _ = backward_pass(params, weights, block)
         trimmed = dict(suffix_tables(weights, delta_table(), size, 0, y_total))
-        # the recorded spans cover steps that trimmed each end
-        nxt_lo = np.append(spans["lo"][1:], 0)
-        nxt_hi = nxt_lo + np.append(spans["length"][1:], 1) - 1
-        w_lo = np.array([w.lo for w in weights])
-        w_hi = np.array([w.hi for w in weights])
-        assert np.any(spans["lo"] > w_lo + nxt_lo)
-        assert np.any(
-            spans["lo"] + spans["length"] - 1 < np.minimum(y_total, w_hi + nxt_hi)
+        # the steps trimmed each end of some table
+        nxt = [*(trimmed[k] for k in range(1, size)), delta_table()]
+        assert any(trimmed[k].lo > weights[k].lo + nxt[k].lo for k in range(size))
+        assert any(
+            trimmed[k].hi < min(y_total, weights[k].hi + nxt[k].hi)
+            for k in range(size)
         )
         for start in range(0, size, block):
             end = min(start + block, size)
             for k, got in suffix_tables(
-                weights, checkpoints[end], end, start, y_total,
-                spans=spans[start:end],
+                weights, checkpoints[end], end, start, y_total
             ):
                 want = trimmed[k]
-                assert (got.lo, got.offset, got.peak) == (
-                    want.lo, want.offset, want.peak
-                )
+                assert (got.lo, got.offset) == (want.lo, want.offset)
                 assert np.array_equal(got.vals, want.vals)
-
-
-class TestWindowedRebuild:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        mode=st.sampled_from([MODE_TRUNCATED, MODE_UNTRUNCATED]),
-        seed=st.integers(0, 5),
-        block=st.integers(1, 7),
-        rows=st.sampled_from(["one", "many", "ends"]),
-        data=st.data(),
-    )
-    def test_windows_equal_the_replayed_tables(
-        self, mode, seed, block, rows, data
-    ):
-        # every span is trimmed at both ends (TestReplay); the rows start
-        # from one kept total of T_start, several, or its span's two ends
-        params = random_params(mode, seed)
-        size, y_total = params.size, params.y_total
-        weights = stratum_weight_table(params)
-        checkpoints, _, spans = backward_pass(params, weights, block)
-        for start in range(0, size, block):
-            stop = min(start + block, size)
-            full = dict(suffix_tables(
-                weights, checkpoints[stop], stop, start + 1, y_total,
-                spans=spans[start + 1:stop],
-            ))
-            full[stop] = checkpoints[stop]
-            below = checkpoints[start]
-            kept = (below.lo + np.flatnonzero(below.vals > 0)).tolist()
-            if rows == "ends":
-                remaining = [kept[0], kept[-1]]
-            else:
-                remaining = data.draw(st.lists(
-                    st.sampled_from(kept), min_size=1,
-                    max_size=1 if rows == "one" else 20,
-                ))
-            low, high = min(remaining), max(remaining)
-            got = rebuild_block(
-                weights, checkpoints[stop], spans, start, stop, low, high
-            )
-            assert sorted(got) == list(range(start + 1, stop + 1))
-            margin = int(weights.width[start:stop].max())
-            top = bottom = 0  # summed his and los of strata start..k-1
-            for k in range(start + 1, stop + 1):
-                top += weights[k - 1].hi
-                bottom += weights[k - 1].lo
-                want = full[k]
-                lo = max(low - margin - top, want.lo)
-                hi = min(high + margin - bottom, want.hi)
-                if stop - start == 1:  # a block of one keeps its checkpoint
-                    lo, hi = want.lo, want.hi
-                table = got[k]
-                assert (table.lo, table.hi) == (lo, hi)
-                assert (table.offset, table.peak) == (want.offset, want.peak)
-                assert np.array_equal(
-                    table.vals, want.vals[lo - want.lo:hi - want.lo + 1]
-                )
-
-    @pytest.mark.parametrize("reach", ["far below", "just below", "far above"])
-    def test_a_window_no_row_reaches_raises(self, reach):
-        params = random_params(MODE_TRUNCATED, 0)
-        block = 4
-        weights = stratum_weight_table(params)
-        checkpoints, _, spans = backward_pass(params, weights, block)
-        total = {
-            "far below": 0,
-            # every total the row reads from T_1 is T_1's lo - 1 or less,
-            # so the window left after the span cut is shorter than the margin
-            "just below": spans["lo"][1] + weights[0].lo - 1,
-            "far above": 10 * params.y_total,
-        }[reach]
-        with pytest.raises(InfeasibilityError, match="of strata 1 onward"):
-            rebuild_block(weights, checkpoints[block], spans, 0, block, total, total)
 
 
 class TestSuffixPass:
@@ -422,19 +341,15 @@ class TestSuffixPass:
         params = random_params(mode, 2)
         size = params.size
         weights = stratum_weight_table(params)
-        whole, _, spans = backward_pass(params, weights, 1)
-        checkpoints, log_c, part = backward_pass(params, weights, block, start)
+        whole, _ = backward_pass(params, weights, 1)
+        checkpoints, log_c = backward_pass(params, weights, block, start)
         assert log_c is None
         assert sorted(checkpoints) == sorted(
             {size, *range(start, size, block)}
         )
         for k, table in checkpoints.items():
-            assert (table.lo, table.offset, table.peak) == (
-                whole[k].lo, whole[k].offset, whole[k].peak
-            )
+            assert (table.lo, table.offset) == (whole[k].lo, whole[k].offset)
             assert np.array_equal(table.vals, whole[k].vals)
-        assert np.array_equal(part[start:], spans[start:])
-        assert not part[:start]["length"].any()
 
 
 class TestTilt:
@@ -583,7 +498,7 @@ class TestNormalizer:
         )
         calib = solve_hyperparameters(table, prior, 1.0, mode=mode, bounds=bounds)
         params = build_kernel_params(table.y, table, calib)
-        checkpoints, got, _ = backward_pass(
+        checkpoints, got = backward_pass(
             params, stratum_weight_table(params), block=2
         )
         assert sorted(checkpoints) == [0, 2, 3]

@@ -70,7 +70,7 @@ def solo_draw(table, calib, base_seed, r):
         build_kernel_params(table.y, table, calib)
     )
     block = 2  # the checkpoint spacing changes memory use, never the draw
-    checkpoints, _, spans = backward_pass(params, weights, block, start)
+    checkpoints, _ = backward_pass(params, weights, block, start)
     row = np.empty((1, params.size))
     left = params.y_total
     if start:
@@ -92,7 +92,7 @@ def solo_draw(table, calib, base_seed, r):
     stream = np.random.default_rng(np.random.SeedSequence((base_seed, r)))
     row[0, start:] = stream.random(params.size - start)
     return synth._draw_chunk(
-        params, checkpoints, weights, block, row, spans=spans, start=start,
+        params, checkpoints, weights, block, row, start=start,
         remaining=np.array([[left]]),
     )[0]
 
@@ -450,35 +450,36 @@ class TestRecursionWork:
     @pytest.mark.parametrize("mode, deaths", [
         (MODE_TRUNCATED, 20_000), (MODE_UNTRUNCATED, 900),
     ])
-    def test_rebuilds_cover_only_the_reachable_totals(
+    def test_rebuilds_reproduce_the_backward_tables(
         self, monkeypatch, mode, deaths
     ):
-        # summed table lengths: the backward pass's spans over the tail,
-        # the rebuilds' windows; both are counts, so they repeat exactly
+        # one batch rebuilds every tail table that is not a checkpoint
+        # exactly once, each equal to the backward pass's bit for bit
         table, calib = mid_size(mode, deaths)
         params, start, block, bank = synth._plan(
             build_kernel_params(table.y, table, calib)
         )
+        size = params.size
         assert start > 0
-        spans = backward_pass(params, bank, block, start)[2]
-        real = mechanism.convolve_mass
-        lengths = {"backward": 0, "rebuild": 0}
+        backward = dict(mechanism.suffix_tables(
+            bank, delta_table(), size, start, params.y_total
+        ))
+        real = synth.suffix_tables
+        rebuilt = []
 
-        def counted(weights, table, cap, *, span=None):
-            got = real(weights, table, cap, span=span)
-            lengths["backward" if span is None else "rebuild"] += len(got.vals)
-            return got
+        def recorded(*args):
+            for k, got in real(*args):
+                rebuilt.append((k, got))
+                yield k, got
 
-        monkeypatch.setattr(mechanism, "convolve_mass", counted)
+        monkeypatch.setattr(synth, "suffix_tables", recorded)
         sample_counts_matrix(table, calib, count=5, base_seed=5)
-        assert lengths["backward"] == spans["length"].sum()
-        if mode == MODE_TRUNCATED:
-            assert lengths == {"backward": 1_586_793, "rebuild": 180_578}
-        else:
-            # the bank cuts each [0, y_total] kernel to its entries with
-            # mass (at most 260 of 901 on the tail), so the windows are
-            # about half the rebuilt spans (122,857)
-            assert lengths == {"backward": 130_848, "rebuild": 60_914}
+        inner = [k for k in range(start, size) if (k - start) % block]
+        assert sorted(k for k, _ in rebuilt) == inner
+        for k, got in rebuilt:
+            want = backward[k]
+            assert (got.lo, got.offset) == (want.lo, want.offset)
+            assert np.array_equal(got.vals, want.vals)
 
     @pytest.mark.parametrize("split", [False, True])
     @pytest.mark.parametrize("mode", [MODE_UNTRUNCATED, MODE_TRUNCATED])
@@ -530,10 +531,8 @@ def assert_draws_carry_mass(params, uniforms):
     whose conditional mass w_i(v) * T_{i+1}(t - v) is positive."""
     params, _, _, bank = synth._plan(params)
     size, y_total = params.size, params.y_total
-    checkpoints, _, spans = backward_pass(params, bank, 2)
-    z = synth._draw_chunk(
-        params, checkpoints, bank, 2, uniforms.copy(), spans=spans
-    )
+    checkpoints, _ = backward_pass(params, bank, 2)
+    z = synth._draw_chunk(params, checkpoints, bank, 2, uniforms.copy())
     tables = dict(mechanism.suffix_tables(bank, delta_table(), size, 0, y_total))
     tables[size] = delta_table()
     for row in z.tolist():
@@ -883,6 +882,27 @@ class TestGuards:
         assert np.all(np.isin(z[:, 0], [0, 1]) & np.isin(z[:, 1], [5, 6]))
         assert np.all(remaining[:, 0] == 15 - z[:, :2].sum(axis=1))
         assert np.all(remaining == tail_lo)
+
+    @pytest.mark.parametrize("reach", ["far below", "just below", "far above"])
+    def test_a_row_no_completion_table_reaches_raises(self, reach):
+        params = random_params(MODE_TRUNCATED, 0)
+        block = 4
+        bank = mechanism.stratum_weight_table(params)
+        checkpoints, _ = backward_pass(params, bank, block)
+        after = dict(mechanism.suffix_tables(
+            bank, checkpoints[block], block, 1, params.y_total
+        ))[1]
+        total = {
+            "far below": 0,
+            # every total the row reads from T_1 is T_1's lo - 1 or less
+            "just below": after.lo + bank[0].lo - 1,
+            "far above": 10 * params.y_total,
+        }[reach]
+        with pytest.raises(InfeasibilityError, match="no exact draw exists"):
+            synth._draw_chunk(
+                params, checkpoints, bank, block,
+                np.full((1, params.size), 0.5), remaining=np.array([[total]]),
+            )
 
     def test_zero_conditional_mass_raises(self):
         # hand-built tables whose products underflow: 1e-200 * 1e-200 is
