@@ -209,8 +209,8 @@ def solve_hyperparameters(
         CalibrationError: no convergence within the sweep cap, or the
             re-verification failed.
     """
-    if epsilon <= 0.0:
-        raise DomainError("epsilon must be positive")
+    if not 0.0 < epsilon < np.inf:
+        raise DomainError(f"epsilon must be positive and finite, got {epsilon}")
     if mode not in (MODE_UNTRUNCATED, MODE_TRUNCATED):
         raise DomainError(f"unknown calibration mode {mode!r}")
     if table.y_total < 1:

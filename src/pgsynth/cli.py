@@ -159,8 +159,8 @@ def _epsilon_tuple(eps: tuple[float, ...], *, many: bool) -> tuple[float, ...]:
     if not many and len(eps) != 1:
         raise SchemaError("this command takes a single epsilon")
     for e in eps:
-        if not e > 0.0:
-            raise SchemaError(f"epsilon must be positive, got {e}")
+        if not 0.0 < e < np.inf:
+            raise SchemaError(f"epsilon must be positive and finite, got {e}")
     return eps
 
 

@@ -58,8 +58,8 @@ class StrataTable:
     """The universe of groups with populations, observed counts and total.
 
     Invariants (validated on construction): y_total equals the sum of
-    counts, at least two strata, populations and counts nonnegative,
-    keys unique.
+    counts, at least two strata, populations and counts nonnegative and
+    each summing to less than 2^63 (so int64 sums never wrap), keys unique.
     """
 
     dim_names: tuple[str, ...]
@@ -80,6 +80,11 @@ class StrataTable:
             raise SchemaError("every key must have one label per dimension")
         if np.any(self.n < 0) or np.any(self.y < 0):
             raise DomainError("populations and counts must be nonnegative")
+        for name, values in (("populations", self.n), ("counts", self.y)):
+            # summed as Python ints: an int64 sum of values below 2^63 can wrap
+            total = sum(values.tolist())
+            if total >= 2**63:
+                raise DomainError(f"{name} sum to {total}, which is 2^63 or more")
         if len(set(self.keys)) != len(self.keys):
             raise SchemaError("strata keys must be unique")
 
@@ -289,8 +294,8 @@ def compute_bounds(
     """
     if not 0.0 < alpha < 0.5:
         raise DomainError("alpha must lie in (0, 1/2)")
-    if c < 1.0:
-        raise DomainError("c must be at least 1")
+    if not 1.0 <= c < np.inf:
+        raise DomainError(f"c must be finite and at least 1, got {c}")
     expected = prior.expected_counts(table)
     lower = poisson_quantile_vec(alpha / 2.0, expected / c)
     upper = poisson_quantile_vec(1.0 - 2.0 * alpha, expected * c)

@@ -44,12 +44,13 @@ from its checkpoint by the backward pass's own steps
 (mechanism.suffix_tables), so its entries equal the backward pass's bit
 for bit. Then the block's strata are drawn for every replicate in tiles
 of ROW_TILE rows, on a thread pool when threads > 1 and there is more
-than one tile; the replicate streams are computed in the same tiles on
-the same pool. A rebuild never depends on the rows, so tiles and threads
-never change it. A draw step indexes the next table from one shared
-arange of candidate offsets and counts the cdf entries at or below the
-target, the uniform times the cdf's own last entry, with no per-stratum
-candidate array.
+than one tile; the tail's uniforms are read in the same tiles on the
+same pool, and each worker writes every step's temporaries into one set
+of tile buffers. A rebuild never depends on the rows, so tiles and
+threads never change it. A draw step indexes the next table from one
+shared arange of candidate offsets and counts the cdf entries at or
+below the target, the uniform times the cdf's own last entry, with no
+per-stratum candidate array.
 
 Memory and work. A completion-mass table spans only the totals whose
 weight is >= 2^-1022 of its peak, at most y_total + 1 of them. Table
@@ -62,17 +63,16 @@ overwrites the uniform it consumed, and the head's counts go to the same
 matrix, so a batch holds one (count x I) matrix.
 
 Reproducibility contract (SAMPLER, which enters the synthesize config
-hash). Replicate r's tail strata consume exactly one uniform each, in
-order, from its own stream: PCG64 seeded by SeedSequence((base_seed, r)),
-read through Generator.random. Its head proposal j = 1, 2, ... reads
-|head| + 1 uniforms from SeedSequence((base_seed, r, j)): one per head
-stratum in input order, then the acceptance uniform. Batch size, row
-tiling, head tiling and thread count therefore never change any
-replicate's value. How a stream is generated is picked by shape: blocks
-with more rows than uniforms per row run SeedSequence and PCG64 across
-all rows at once in uint32/uint64 numpy arithmetic, others seed one
-numpy generator per row. Both give the same bits, so the choice never
-shows in any output.
+hash). A batch reads numpy streams at offsets: stream j is PCG64 seeded
+by SeedSequence((base_seed, j)), read through Generator.random, one
+64-bit output per uniform. With w tail strata, replicate r's tail strata
+consume uniforms r*w .. r*w + w - 1 of stream 0, one each, in order.
+With h head strata, its proposal in round j = 1, 2, ... reads uniforms
+r*(h + 1) .. r*(h + 1) + h of stream j: one per head stratum in input
+order, then the acceptance uniform. A reader reaches its offset by
+PCG64.advance, in O(log offset) steps (O'Neill 2014), so a replicate's
+uniforms, and its value, never depend on batch size, row tiling, head
+tiling or thread count.
 
 The replicate CSV is written and read at array speed. write_replicates_csv
 renders slices of lines in numpy (_render): each stratum's ",key...,"
@@ -90,6 +90,7 @@ import csv
 import io
 import itertools
 import logging
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from functools import partial
@@ -118,10 +119,10 @@ __all__ = [
 
 # The version of the draw: how a replicate's values follow from its
 # streams. It enters the synthesize config hash.
-SAMPLER = "tilted-split-1"
+SAMPLER = "tilted-split-2"
 
 # Rows per tile, for the draw's (rows x candidates) temporaries and the
-# stream arithmetic; with threads, each worker holds one tile's
+# tail's uniforms; with threads, each worker holds one tile's
 # temporaries. A row's value never depends on it.
 ROW_TILE = 1 << 15
 
@@ -153,14 +154,6 @@ _POW10 = 10 ** np.arange(19, dtype=np.int64)
 _CRLF = np.frombuffer(b"\r\n", dtype=np.uint8)
 # Padding in _render's line layout: a byte that UTF-8 text never holds
 _PAD = 0xFF
-
-_MASK32 = 0xFFFFFFFF
-_U32, _LOW32 = np.uint64(32), np.uint64(_MASK32)
-# PCG64's 128-bit LCG multiplier, as 64-bit halves, and the low half's
-# 32-bit limbs for the 64 x 64 -> 128-bit product
-_PCG_MULT_HI = np.uint64(0x2360ED051FC65DA4)
-_PCG_MULT_LO = np.uint64(0x4385DF649FCCF645)
-_PCG_MULT_LO0, _PCG_MULT_LO1 = _PCG_MULT_LO & _LOW32, _PCG_MULT_LO >> _U32
 
 _log = logging.getLogger(__name__)
 
@@ -195,24 +188,45 @@ def _draw_chunk(
         remaining = np.full((count, 1), params.y_total, dtype=np.int64)
     tiles = range(0, count, ROW_TILE)
     steps = np.arange(bank.width[start:].max(), dtype=np.int64)
+    # each worker's idx, mass, cdf and flag buffers, allocated once, with
+    # their (rows, m) views kept by shape; every step writes through out=.
+    # A tile's temporaries allocated afresh at every step would be mapped
+    # and returned to the system at every step.
+    scratch = threading.local()
 
     def draw_tile(first: int, end: int, tables: dict[int, MassTable], a: int):
         rows = slice(a, a + ROW_TILE)
         rem = remaining[rows]
+        n = len(rem)
+        if not hasattr(scratch, "bufs"):
+            cells = min(ROW_TILE, count) * len(steps)
+            scratch.bufs = [
+                np.empty(cells, dtype=t)
+                for t in (np.int64, np.float64, np.float64, np.bool_)
+            ]
+            scratch.views = {}
         for i in range(first, end):
             nxt = tables[i + 1]
             w = bank[i]
             m = len(w.vals)
+            views = scratch.views.get((n, m))
+            if views is None:
+                # below: flag's first cells again, contiguous, for m - 1 columns
+                views = scratch.views[n, m] = [
+                    b[:n * m].reshape(n, m) for b in scratch.bufs
+                ] + [scratch.bufs[3][:n * (m - 1)].reshape(n, m - 1)]
+            idx, mass, cdf, flag, below = views
             # idx[r, j]: where candidate w.lo + j leaves row r in nxt; an
             # index below 0 wraps to a huge unsigned one, so one compare
             # finds the indices inside nxt
-            idx = rem - (w.lo + nxt.lo) - steps[:m]
-            mass = nxt.vals.take(idx, mode="clip")
-            mass *= idx.view(np.uint64) < len(nxt.vals)
+            np.subtract(rem - (w.lo + nxt.lo), steps[:m], out=idx)
+            nxt.vals.take(idx, mode="clip", out=mass)
+            np.less(idx.view(np.uint64), len(nxt.vals), out=flag)
+            mass *= flag
             mass *= w.vals
             # the total is the cdf's own last entry: a sum in another order
             # may exceed it, and a target near it would pick a top with no mass
-            cdf = mass.cumsum(axis=1)
+            mass.cumsum(axis=1, out=cdf)
             total = cdf[:, -1:]
             if total.min() <= 0.0:
                 raise InfeasibilityError(
@@ -222,9 +236,8 @@ def _draw_chunk(
             # the cdf never decreases, so counting its first m - 1 entries
             # at or below the target gives min(pick, m - 1), pick being
             # the count over all m
-            draw = (cdf[:, :-1] <= uniforms[rows, i:i + 1] * total).sum(
-                axis=1, keepdims=True
-            )
+            np.less_equal(cdf[:, :-1], uniforms[rows, i:i + 1] * total, out=below)
+            draw = below.sum(axis=1, keepdims=True)
             draw += w.lo
             z[rows, i:i + 1] = draw
             rem -= draw
@@ -241,128 +254,16 @@ def _draw_chunk(
     return z
 
 
-def _hash_mixer(init: int, mult: int):
-    """SeedSequence's hashmix with its running multiplier, on uint32 rows."""
-    const = init
+def _stream(base_seed: int, j: int, at: int) -> np.random.Generator:
+    """Stream j of base_seed, positioned at its uniform number at.
 
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = (const * mult) & _MASK32
-        value = value * np.uint32(const)
-        return value ^ (value >> np.uint32(16))
-
-    return hashmix
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = x * np.uint32(0xCA01F9DD) - y * np.uint32(0x4973F715)
-    return out ^ (out >> np.uint32(16))
-
-
-def _seed_state(entropy: list[np.ndarray]) -> list[np.ndarray]:
-    """SeedSequence(entropy).generate_state(4, uint64), one row per replicate.
-
-    entropy lists the uint32 words (as rows) in SeedSequence's order; the
-    pool mix follows numpy.random.SeedSequence.mix_entropy word for word.
+    PCG64 seeded by SeedSequence((base_seed, j)), read through
+    Generator.random, which takes one 64-bit output per uniform, so
+    advance(at) skips exactly at uniforms, in O(log at) steps.
     """
-    hashmix = _hash_mixer(0x43B0D7E5, 0x931E8875)
-    zero = np.zeros_like(entropy[0])
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    hashmix = _hash_mixer(0x8B51F9DD, 0x58F38DED)
-    words = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
-    return [words[2 * j] | (words[2 * j + 1] << _U32) for j in range(4)]
-
-
-def _pcg64_step(hi, lo, inc_hi, inc_lo):
-    """state * PCG64 multiplier + inc mod 2^128, on uint64 halves."""
-    a0, a1 = lo & _LOW32, lo >> _U32
-    p00, p01 = a0 * _PCG_MULT_LO0, a0 * _PCG_MULT_LO1
-    p10, p11 = a1 * _PCG_MULT_LO0, a1 * _PCG_MULT_LO1
-    mid = (p00 >> _U32) + (p01 & _LOW32) + (p10 & _LOW32)
-    carry = p11 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32)
-    hi = carry + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO
-    lo = lo * _PCG_MULT_LO + inc_lo
-    return hi + inc_hi + (lo < inc_lo), lo
-
-
-def _uint32_words(n: int) -> list[int]:
-    """The little-endian 32-bit words SeedSequence reads from an int."""
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
-
-
-def _pcg64_uniforms(
-    base_seed: int, reps: np.ndarray, out: np.ndarray, *key: int
-) -> None:
-    """Fill out[k] with default_rng(SeedSequence((base_seed, reps[k], *key))).random.
-
-    reps (uint64) must all lie below 2^32 or all at or above it, so that
-    each has the same number of 32-bit words.
-    """
-    count, size = out.shape
-    entropy = [np.full(count, w, dtype=np.uint32) for w in _uint32_words(base_seed)]
-    entropy.append((reps & _LOW32).astype(np.uint32))
-    if reps[0] > _MASK32:
-        entropy.append((reps >> _U32).astype(np.uint32))
-    entropy += [
-        np.full(count, w, dtype=np.uint32) for k in key for w in _uint32_words(k)
-    ]
-    s0, s1, s2, s3 = _seed_state(entropy)
-    # pcg64_set_seed: inc = (s2:s3 << 1) | 1; state = (inc + s0:s1) * M + inc
-    inc_hi = (s2 << np.uint64(1)) | (s3 >> np.uint64(63))
-    inc_lo = (s3 << np.uint64(1)) | np.uint64(1)
-    lo = inc_lo + s1
-    hi, lo = _pcg64_step(inc_hi + s0 + (lo < s1), lo, inc_hi, inc_lo)
-    # each pool worker holds one tile: keep only the generator state from here
-    del s0, s1, s2, s3, entropy
-    for j in range(size):
-        hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
-        # XSL-RR output, then the 53-bit double of Generator.random
-        x = hi ^ lo
-        rot = hi >> np.uint64(58)
-        x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
-        out[:, j] = (x >> np.uint64(11)).astype(np.float64) * 2.0**-53
-
-
-def _uniforms(
-    base_seed: int, reps, size: int, run=map, key: tuple[int, ...] = (),
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Row k: the first size uniforms of stream (base_seed, reps[k], *key).
-
-    reps is ascending. Blocks of rows taller than they are wide compute
-    the streams across rows, in tiles of at most ROW_TILE rows that never
-    straddle 2^32 (where the index gains a word), mapped through run
-    (map, or a thread pool's map); wide ones seed one generator per row.
-    Both give the same bits. The rows are written to out when given.
-    """
-    reps = np.asarray(reps, dtype=np.uint64)
-    u = np.empty((len(reps), size), dtype=np.float64) if out is None else out
-    if len(reps) <= size:
-        for k, r in enumerate(reps.tolist()):
-            stream = np.random.default_rng(
-                np.random.SeedSequence((base_seed, r, *key))
-            )
-            stream.random(out=u[k])
-        return u
-    cut = int(np.searchsorted(reps, _MASK32 + 1))
-    edges = sorted({*range(0, len(reps), ROW_TILE), cut, len(reps)})
-    list(run(
-        lambda a, b: _pcg64_uniforms(base_seed, reps[a:b], u[a:b], *key),
-        edges[:-1], edges[1:],
-    ))
-    return u
+    bits = np.random.PCG64(np.random.SeedSequence((base_seed, j)))
+    bits.advance(at)
+    return np.random.Generator(bits)
 
 
 def _plan(params: KernelParams) -> tuple[KernelParams, int, int, KernelBank]:
@@ -405,10 +306,11 @@ def _draw_head(
     """Head counts by independent proposals accepted on the tail's mass.
 
     The head is the bank's (tilted) strata 0..size-1, and tail the
-    completion-mass table T_s of the strata after them. Proposal j >= 1
-    of replicate r reads size + 1 uniforms from the stream
-    (base_seed, r, j): stratum i's count is its kernel's inverse cdf at
-    the i-th, the cumulative sums running from the table's low end, and
+    completion-mass table T_s of the strata after them. Replicate r's
+    proposal in round j >= 1 reads the size + 1 uniforms from
+    r * (size + 1) on in stream j of base_seed (_stream): stratum i's
+    count is its kernel's inverse cdf at the i-th, the cumulative sums
+    running from the table's low end, and
     the proposal h is accepted when the last uniform is below
     tail.vals at y_total - sum(h), which is T_s(y_total - sum(h)) / max T_s
     (0 outside the table). An accepted h has the law of the head's counts
@@ -451,7 +353,9 @@ def _draw_head(
     rows = max(1, HEAD_CELLS // (size + 1))
 
     def propose(j: int, reps: np.ndarray) -> np.ndarray:
-        u = _uniforms(base_seed, reps, size + 1, key=(j,))
+        u = np.empty((len(reps), size + 1))
+        for k, r in enumerate(reps.tolist()):
+            _stream(base_seed, j, r * (size + 1)).random(out=u[k])
         accept = u[:, size].copy()
         # the inverse cdf: the count of cdf entries, but the last, at or
         # below the target
@@ -492,9 +396,9 @@ def sample_counts_matrix(
 ) -> np.ndarray:
     """Count-by-stratum matrix of exact mechanism draws.
 
-    Row r is replicate r, drawn from the stream (base_seed, r) and, when
-    the instance has a head, the proposal streams (base_seed, r, j); see
-    the module docstring. The truncation boxes are calib.bounds.
+    Row r is replicate r, drawn from its uniforms in stream 0 of base_seed
+    and, when the instance has a head, in the proposal streams j >= 1;
+    see the module docstring. The truncation boxes are calib.bounds.
     """
     if table.size < 2:
         raise DomainError("synthesis needs at least two strata")
@@ -514,10 +418,13 @@ def sample_counts_matrix(
     # a batch of one row tile has nothing to run beside it
     with ThreadPoolExecutor(max_workers=threads) as pool:
         run = pool.map if threads > 1 and count > ROW_TILE else map
-        _uniforms(
-            base_seed, np.arange(count, dtype=np.uint64), params.size - start, run,
-            out=buf[:, start:],
-        )
+        width = params.size - start
+
+        def fill(a: int) -> None:
+            b = min(a + ROW_TILE, count)
+            buf[a:b, start:] = _stream(base_seed, 0, a * width).random((b - a, width))
+
+        list(run(fill, range(0, count, ROW_TILE)))
         remaining, proposals = None, 0
         if start:
             # the head's tiles go to the pool only when a first round fills

@@ -202,7 +202,8 @@ def _level_populations(
                 "population_key_dims does not identify cells"
             )
         level, n = level[first], n[first]
-    # integer sums, exact; as float64 they stay exact below 2**53
+    # integer sums, exact: StrataTable refuses populations summing to 2**63
+    # or more, so no int64 sum wraps; as float64 they stay exact below 2**53
     pops = np.zeros(n_levels, dtype=np.int64)
     np.add.at(pops, level, n)
     return pops.astype(np.float64)

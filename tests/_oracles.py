@@ -15,7 +15,9 @@ the one-evaluation-per-stratum form the package's grouped evaluation
 must match bit for bit, and the uncut recursion keeps every completion-
 mass table whole up to the total, against which the package's cut
 tables must give the same normalizer. law_gap measures a batch of draws
-against the enumerated law, next to exact draws from that law.
+against the enumerated law, next to exact draws from that law, and
+replicate_uniforms reads a replicate's uniforms by drawing its stream
+from the start, where the package jumps to them.
 
 The closed forms at the end (the untruncated floor, the prior-allocation
 tail, the normalizer-ratio bound and the stratum-versus-rest law) are
@@ -642,3 +644,12 @@ def law_gap(draws, support, logp, seed: int = 0) -> tuple[float, float]:
         0.5 * float(np.abs(freq - p).sum()),
         0.5 * float(np.abs(exact / len(draws) - p).sum()),
     )
+
+
+def replicate_uniforms(base_seed: int, j: int, r: int, width: int) -> np.ndarray:
+    """Replicate r's width uniforms in stream j of base_seed, read from
+    the stream's start: uniforms r * width .. r * width + width - 1 of
+    default_rng(SeedSequence((base_seed, j))). It draws everything before
+    them instead of jumping, so it checks PCG64.advance rather than using it."""
+    stream = np.random.default_rng(np.random.SeedSequence((base_seed, j)))
+    return stream.random((r + 1) * width)[r * width:]

@@ -234,7 +234,7 @@ class TestMonotonicity:
 class TestGates:
     def test_epsilon_must_be_positive(self, demo):
         table, prior = demo
-        for eps in (0.0, -1.0):
+        for eps in (0.0, -1.0, np.inf, np.nan):
             with pytest.raises(DomainError):
                 solve_hyperparameters(table, prior, eps, mode=MODE_UNTRUNCATED)
 

@@ -125,14 +125,27 @@ class TestCalibrate:
         }))
         assert run(["calibrate", "--config", str(cfg)]) == 2
 
-    def test_bad_epsilon_is_usage_error(self, demo_files, tmp_path):
+    @pytest.mark.parametrize("eps", ["-1.0", "inf", "nan"])
+    def test_bad_epsilon_is_usage_error(self, demo_files, tmp_path, eps):
         code = run([
             "calibrate", "--strata", demo_files["strata"],
             "--rates", demo_files["rates"],
-            "--epsilon", "-1.0", "--mode", "untruncated",
+            "--epsilon", eps, "--mode", "untruncated",
             "--out", str(tmp_path / "x.json"),
         ])
         assert code == 2
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("c", ["inf", "nan", "0.5"])
+    def test_bad_c_is_usage_error(self, demo_files, tmp_path, capsys, c):
+        code = run([
+            "calibrate", "--strata", demo_files["strata"],
+            "--rates", demo_files["rates"],
+            "--epsilon", "1.0", "--mode", "truncated", "--c", c,
+            "--out", str(tmp_path / "x.json"),
+        ])
+        assert code == 2
+        assert "c must be finite and at least 1" in capsys.readouterr().err
 
     def test_infeasible_bounds_is_runtime_error(self, demo_files, tmp_path):
         code = run([
@@ -203,6 +216,26 @@ class TestCalibrate:
         assert f"big.csv:2: {column} '{value}' is 2^63 or more" in (
             capsys.readouterr().err
         )
+
+    @pytest.mark.parametrize("command", [
+        ["calibrate"], ["synthesize", "--replicates", "2", "--seed", "1"],
+    ], ids=["calibrate", "synthesize"])
+    def test_counts_summing_to_2_63_or_more_is_usage_error(
+        self, demo_files, tmp_path, capsys, command
+    ):
+        # each count is below 2^63, but an int64 total would wrap to -2^63
+        big = tmp_path / "big.csv"
+        big.write_text(f"group,population,count\na,1000,{2**62}\nb,900,{2**62}\n")
+        out = tmp_path / "out"
+        code = run([
+            *command, "--strata", str(big), "--rates", demo_files["rates"],
+            "--epsilon", "1.0", "--out", str(out),
+        ])
+        assert code == 2
+        assert f"counts sum to {2**63}, which is 2^63 or more" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
 
 
 class TestSynthesize:
@@ -410,7 +443,7 @@ class TestEvaluateAndFixture:
         assert raw.startswith(lines[0].encode() + b"\n")
         digest = hashlib.sha256(raw.split(b"\n", 1)[1]).hexdigest()
         assert digest == (
-            "62500c7738cc1cc56c60dbb0220b6dd399ec25bf90eae7908f6bf7d06898462c"
+            "4059b960fc5e37c7649635a53225d53f770e372ae1a65e85b8c3d467e48b7c4f"
         )
 
     def test_evaluate_missing_replicates(self, tmp_path):
@@ -732,12 +765,13 @@ class TestEpsilonCollisions:
 
 # Hashes each invocation below wrote before the settings table existed: the
 # table must resolve every run to the same config, so every stamp stays.
+# The synthesize stamps also hash synthesizer.SAMPLER and move only with it.
 PINNED_HASHES = {
     "fixture": "a7454922f1c7eb1e00de397731f48e48ef33d828a036f5a38f10c40b1ad9354f",
     "calibrate": "328705d8446e08d28b04b1dbc11d11f5558c67e8465f93dcb89606fe0602c460",
     "calibrate_grid": "94fd816618c57a3ece19649711ac168a73cfad87f45c871886c0408f4f4fac4a",
-    "synthesize": "3f788167ebaea93865e69ad73152bde2b6b516e748dc6d415b9ce76b186b36db",
-    "synthesize_threads": "cfacc691e11a461670ae0a9bc86e58c2dc9f62876a05babb51a80294e11647cd",
+    "synthesize": "bcd914cfdd72c9473371da0e192289cdb068a88b77d445c8e86fb65f5fc565f0",
+    "synthesize_threads": "05f731d73c3508c2fa9df9d3e3bcede22d9df7721eaca59ac3acadb2c536cc3b",
     "audit": "4c9b46daa527896b480fb8166ccbb4117ff04a1f89f02273e064917d439a04fd",
     "evaluate": "57f874890dfd7fc4bc92af6c84a2fc005e064dc26baa64a3c506195f30531c21",
 }

@@ -60,6 +60,20 @@ class TestStrataTable:
                 n=np.array([5, 5]), y=np.array([1, -1]),
             )
 
+    @pytest.mark.parametrize("name", ["populations", "counts"])
+    def test_rejects_sums_of_2_63_or_more(self, name):
+        # each value is below 2^63, but an int64 sum would wrap
+        big = np.array([2**62, 2**62])
+        small = np.array([5, 5])
+        n, y = (big, small) if name == "populations" else (small, big)
+        with pytest.raises(DomainError, match=f"{name} sum to {2**63}, "):
+            StrataTable(dim_names=("g",), keys=(("a",), ("b",)), n=n, y=y)
+        # just below the limit is a table
+        top = np.array([2**62, 2**62 - 1])
+        n, y = (top, small) if name == "populations" else (small, top)
+        table = StrataTable(dim_names=("g",), keys=(("a",), ("b",)), n=n, y=y)
+        assert table.y_total == int(y.sum()) > 0
+
     def test_arrays_frozen(self):
         t = small_table()
         with pytest.raises(ValueError):
@@ -231,8 +245,9 @@ class TestComputeBounds:
         table, prior = demo
         with pytest.raises(DomainError):
             compute_bounds(prior, table, 0.0, 1.0)
-        with pytest.raises(DomainError):
-            compute_bounds(prior, table, 1e-4, 0.5)
+        for c in (0.5, np.inf, np.nan):
+            with pytest.raises(DomainError, match="c must be finite"):
+                compute_bounds(prior, table, 1e-4, c)
 
 
 class TestDominance:

@@ -4,7 +4,6 @@ import hashlib
 import itertools
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -15,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import pgsynth.distributions as distributions
 import pgsynth.mechanism as mechanism
 import pgsynth.synthesizer as synth
-from _oracles import law_gap, write_replicates_csv_rows
+from _oracles import law_gap, replicate_uniforms, write_replicates_csv_rows
 from test_mechanism import random_params
 from pgsynth.audit import exact_joint_pmf
 from pgsynth.calibration import (
@@ -59,12 +58,12 @@ def calibrated(tiny3, mode):
 
 
 def solo_draw(table, calib, base_seed, r):
-    """Replicate r rebuilt alone from its own streams.
+    """Replicate r rebuilt alone from its uniforms in the batch's streams.
 
-    The head is proposed stratum by stratum from stream (base_seed, r, j),
+    The head is proposed stratum by stratum from r's uniforms in stream
     j = 1, 2, ..., each count the inverse cdf of its tilted kernel, until
     the last uniform falls below the tail table at the total left; the
-    tail is then drawn by the draw core from stream (base_seed, r).
+    tail is then drawn by the draw core from r's uniforms in stream 0.
     """
     params, start, _, weights = synth._plan(
         build_kernel_params(table.y, table, calib)
@@ -76,9 +75,7 @@ def solo_draw(table, calib, base_seed, r):
     if start:
         tail = checkpoints[start]
         for j in itertools.count(1):
-            u = np.random.default_rng(
-                np.random.SeedSequence((base_seed, r, j))
-            ).random(start + 1)
+            u = replicate_uniforms(base_seed, j, r, start + 1)
             head = []
             for i in range(start):
                 w = weights[i]
@@ -89,8 +86,7 @@ def solo_draw(table, calib, base_seed, r):
             if u[start] < (tail.vals[at] if 0 <= at < len(tail.vals) else 0.0):
                 break
         row.view(np.int64)[0, :start] = head
-    stream = np.random.default_rng(np.random.SeedSequence((base_seed, r)))
-    row[0, start:] = stream.random(params.size - start)
+    row[0, start:] = replicate_uniforms(base_seed, 0, r, params.size - start)
     return synth._draw_chunk(
         params, checkpoints, weights, block, row, start=start,
         remaining=np.array([[left]]),
@@ -175,9 +171,8 @@ class TestSoloBatchEquivalence:
     def test_rows_with_a_head_are_the_oracle_s_whatever_the_batch(
         self, monkeypatch, split_everything, n, w, y_total, scale, mode, share
     ):
-        # HEAD_CELLS = 1 proposes one row per tile, through a per-row
-        # generator; the default puts every row in one tile, through the
-        # vectorized streams. A share of None keeps TAIL_SHARE.
+        # HEAD_CELLS = 1 proposes one row per tile; the default puts every
+        # row in one tile. A share of None keeps TAIL_SHARE.
         if share is not None:
             monkeypatch.setattr(synth, "TAIL_SHARE", share)
         table, calib = weighted(n, w, y_total, mode, scale)
@@ -185,6 +180,7 @@ class TestSoloBatchEquivalence:
         want = [solo_draw(table, calib, 9, r) for r in range(24)]
         for count, threads, row_tile, cells in [
             (24, 1, None, None), (24, 3, 5, 1), (24, 2, None, 7), (7, 1, 2, None),
+            (24, 4, 3, 2),
         ]:
             with monkeypatch.context() as patch:
                 if row_tile is not None:
@@ -229,72 +225,32 @@ class TestSplitLaw:
         self.check(table, calib)
 
 
-def reference_uniforms(base_seed, reps, size, key=()):
-    """The streams spelled out: one numpy generator per row."""
-    return np.stack([
-        np.random.default_rng(
-            np.random.SeedSequence((base_seed, r, *key))
-        ).random(size)
-        for r in reps
-    ]).reshape(len(reps), size)
-
-
 class TestStreams:
-    """Both stream methods give exactly the per-row numpy generator's bits."""
+    """A stream advanced to an offset gives exactly the uniforms found
+    there by drawing the stream from its start."""
 
-    # 2**96 and above fill the four-word pool with the seed alone, so the
-    # replicate index goes through SeedSequence's extra-entropy mixing
+    # 2**96 and above fill SeedSequence's four-word pool with the seed
+    # alone, so j goes through its extra-entropy mixing
     SEEDS = [0, 5, 2**32 - 1, 2**32, 2**40 + 3, 2**96, 2**100 + 9]
 
     @pytest.mark.parametrize("base_seed", SEEDS)
-    @pytest.mark.parametrize("reps, size", [
-        (range(40), 3), (range(3, 12), 8), (range(3, 11), 8),
-        (range(3, 10), 8), (range(11, 12), 5), ([0, 2, 3, 9, 40, 41], 2),
+    @pytest.mark.parametrize("j", [0, 1, 7, 2**32 + 5])
+    # offsets 0, one row's width, gaps, and 10^6 or more
+    @pytest.mark.parametrize("width, r", [
+        (3, 0), (3, 1), (8, 37), (40, 2), (1, 1_000_000), (2, 500_001),
+        (3, 333_334),
     ])
-    @pytest.mark.parametrize("key", [(), (1,), (7,), (2**32 + 5,)])
-    def test_uniforms_match_reference(self, base_seed, reps, size, key):
-        # key (j,) is head proposal j's stream, one more entropy word
-        reps = np.array(reps)
-        want = reference_uniforms(base_seed, reps.tolist(), size, key)
-        assert np.array_equal(synth._uniforms(base_seed, reps, size, key=key), want)
-        # the vectorized method alone, whatever the shape would pick
-        out = np.empty((len(reps), size))
-        synth._pcg64_uniforms(base_seed, reps.astype(np.uint64), out, *key)
-        assert np.array_equal(out, want)
-
-    @pytest.mark.parametrize("base_seed", [0, 2**32, 2**96])
-    @pytest.mark.parametrize("key", [(), (3,)])
-    def test_index_crossing_two_to_the_32(self, base_seed, key):
-        # replicate indices gain a second 32-bit word at 2**32
-        reps = np.array([2**32 - 3, 2**32 - 1, 2**32, 2**32 + 1, 2**32 + 9])
-        assert np.array_equal(
-            synth._uniforms(base_seed, reps, 2, key=key),
-            reference_uniforms(base_seed, reps.tolist(), 2, key),
-        )
-
-    def test_row_tiles_do_not_change_streams(self, monkeypatch):
-        want = reference_uniforms(7, range(23), 2)
-        monkeypatch.setattr(synth, "ROW_TILE", 4)
-        assert np.array_equal(synth._uniforms(7, np.arange(23), 2), want)
-
-    def test_tiles_on_a_thread_pool_do_not_change_streams(self, monkeypatch):
-        monkeypatch.setattr(synth, "ROW_TILE", 4)
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            for first in (0, 2**32 - 9):
-                reps = np.arange(first, first + 23)
-                assert np.array_equal(
-                    synth._uniforms(7, reps, 2, pool.map),
-                    reference_uniforms(7, reps.tolist(), 2),
-                )
+    def test_advanced_stream_matches_the_oracle(self, base_seed, j, width, r):
+        got = synth._stream(base_seed, j, r * width).random(width)
+        assert np.array_equal(got, replicate_uniforms(base_seed, j, r, width))
 
     @pytest.mark.parametrize("mode, digest", [
         (MODE_UNTRUNCATED,
-         "d4afdd789f08d17648129811eebf32f5df199f233181e38877e08d6c158a9593"),
+         "fda82dd058741d57b88f18ea2659d234effa9b888667b79d59ee58deb65da507"),
         (MODE_TRUNCATED,
-         "76a2d483e7bff74409700c705e5b245f23ea9e73a5b2ae93af70da751da95dbc"),
+         "968b6c3b0a472622601c33c0208685a4287fe53f3a76db5f2ffa2d1745573e22"),
     ])
     def test_pinned_draws(self, tiny3, mode, digest):
-        # values drawn with one numpy generator per replicate
         table, calib, _ = calibrated(tiny3, mode)
         m = sample_counts_matrix(table, calib, count=10_000, base_seed=20260823)
         raw = np.ascontiguousarray(m, "<i8").tobytes()
@@ -324,9 +280,9 @@ def mid_size(mode, deaths):
 class TestMidSizePins:
     @pytest.mark.parametrize("mode, deaths, digest", [
         (MODE_TRUNCATED, 20_000,
-         "dff41120ea1938a0016212fe3277c85025c3230089fa0008970226250e9c8c29"),
+         "fe206dea2144ecb719dbac4d42fa314237a5785f6c2a644d41914ae91e532e48"),
         (MODE_UNTRUNCATED, 900,
-         "c5866c831af53c8f4fbbde932e71b49fd992b491c5d124f3f0fa79c4b77aae66"),
+         "d4e1f0e09b0b61fe28ca4f2214b69017ac73aa5cbaa2527b90e4e72942614dcd"),
     ])
     def test_pinned_draws(self, mode, deaths, digest):
         table, calib = mid_size(mode, deaths)
