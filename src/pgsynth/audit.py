@@ -23,7 +23,6 @@ importing this module (the CLI does) does not load scipy.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field, replace
 from math import comb
@@ -41,7 +40,7 @@ from .mechanism import (
     stratum_weight_table,
     suffix_tables,
 )
-from .strata import StrataTable
+from .strata import StrataTable, write_csv
 
 __all__ = [
     "NeighborPair",
@@ -467,10 +466,5 @@ def write_audit_report(report: AuditReport, path, extra: dict | None = None) -> 
 
 
 def write_ratio_curve(curve: RatioCurve, path, comment: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["z", "ratio"])
-        for z, r in zip(curve.z.tolist(), curve.ratio.tolist()):
-            writer.writerow([z, repr(float(r))])
+    rows = zip(curve.z.tolist(), curve.ratio.tolist())
+    write_csv(path, ["z", "ratio"], ([z, repr(float(r))] for z, r in rows), comment)

@@ -1,4 +1,4 @@
-"""Data model for the strata universe.
+"""Data model for the strata universe, and the CSV dialect of pgsynth's tables.
 
 A StrataTable holds the groups i = 1..I with populations n_i, observed
 counts y_i, and the invariant total. Prior rates come from public
@@ -7,9 +7,17 @@ exactly; truncation bounds are Poisson quantile intervals around the
 prior expected counts. All derived artifacts are immutable after
 construction and safe to share across threads.
 
-CSV schemas:
-    strata:  dim_1,...,dim_k,population,count
-    rates:   dim_a,...,dim_m,rate     (dimension subset, excludes geography)
+Input tables, each a header row then one row per key:
+    strata:     dim_1,...,dim_k,population,count
+    rates:      dim_a,...,dim_m,rate  (dimension subset, excludes geography)
+    standard:   age_group,weight
+    densities:  geo,density
+Every table is written by write_csv (an optional "# comment" line, then
+csv.writer rows) and read by _read_table: a blank record or one whose
+first field starts with "#" is a comment wherever it stands, fields are
+stripped, and errors name the file and line. So write_csv refuses a
+first field starting with "#". read_floats refuses rates, weights and
+densities that are not finite and nonnegative.
 """
 
 from __future__ import annotations
@@ -38,6 +46,8 @@ __all__ = [
     "compute_bounds",
     "check_dominance",
     "joint_feasible_bounds",
+    "read_floats",
+    "write_csv",
 ]
 
 
@@ -136,22 +146,19 @@ class StrataTable:
         if columns is not None:
             dim_names, keys, n, y = columns
         else:
-            dim_names, rows = _read_table(path, trailing=STRATA_TRAILING)
+            rows = _read_table(path, STRATA_TRAILING)
+            dim_names = next(rows)
             keys, n, y = [], [], []
-            for lineno, dims, tail in rows:
+            for lineno, dims, (population, count) in rows:
                 keys.append(dims)
-                n.append(_parse_nonneg_int(tail[0], "population", path, lineno))
-                y.append(_parse_nonneg_int(tail[1], "count", path, lineno))
+                n.append(_parse_nonneg_int(population, "population", path, lineno))
+                y.append(_parse_nonneg_int(count, "count", path, lineno))
         return cls(dim_names=dim_names, keys=tuple(keys), n=n, y=y)
 
     def to_csv(self, path, header_comment: str | None = None) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
-            writer = csv.writer(fh)
-            writer.writerow(list(self.dim_names) + ["population", "count"])
-            for key, ni, yi in zip(self.keys, self.n.tolist(), self.y.tolist()):
-                writer.writerow(list(key) + [ni, yi])
+        rows = zip(self.keys, self.n.tolist(), self.y.tolist())
+        write_csv(path, [*self.dim_names, *STRATA_TRAILING],
+                  ([*key, ni, yi] for key, ni, yi in rows), header_comment)
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,27 +181,12 @@ class RatesTable:
 
     @classmethod
     def from_csv(cls, path) -> "RatesTable":
-        dim_names, rows = _read_table(path, trailing=("rate",))
-        rates: dict[tuple[str, ...], float] = {}
-        for lineno, dims, tail in rows:
-            if dims in rates:
-                raise SchemaError(f"{path}:{lineno}: duplicate rate cell {dims}")
-            try:
-                rates[dims] = float(tail[0])
-            except ValueError:
-                raise SchemaError(
-                    f"{path}:{lineno}: rate {tail[0]!r} is not a number"
-                ) from None
-        return cls(dim_names=dim_names, rates=rates)
+        return cls(*read_floats(path, "rate"))
 
     def to_csv(self, path, header_comment: str | None = None) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
-            writer = csv.writer(fh)
-            writer.writerow(list(self.dim_names) + ["rate"])
-            for key in sorted(self.rates):
-                writer.writerow(list(key) + [repr(self.rates[key])])
+        write_csv(path, [*self.dim_names, "rate"],
+                  ([*key, repr(self.rates[key])] for key in sorted(self.rates)),
+                  header_comment)
 
 
 @dataclass(frozen=True, eq=False)
@@ -404,43 +396,69 @@ def open_input(path):
             raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def _read_table(path, trailing: tuple[str, ...]):
-    """Parse a CSV with dimension columns followed by fixed trailing columns.
+def write_csv(path, header, rows, comment: str | None = None) -> None:
+    """Write a table in the dialect of the module docstring. A header or row
+    whose first field starts with "#" raises SchemaError naming the label
+    (the rows before it are written): it would read back as a comment."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        if comment:
+            fh.write(f"# {comment}\n")
+        writer = csv.writer(fh)
+        for row in itertools.chain([header], rows):
+            if str(row[0]).startswith("#"):
+                raise SchemaError(f"{path}: label {row[0]!r} would read as a comment")
+            writer.writerow(row)
 
-    Lines starting with '#' are provenance comments and skipped. Returns
-    (dim_names, rows) where each row is (lineno, dim_tuple, tail_values).
-    Raises SchemaError with line-numbered diagnostics.
+
+def _read_table(path, trailing: tuple[str, ...], dims: tuple[str, ...] | None = None):
+    """Yield a table's dimension names, then (lineno, labels, values) per
+    data row, as tuples of stripped fields, reading the file as it goes.
+
+    The header must be dims (any, if None) followed by trailing.
     """
     with open_input(path) as fh:
-        reader = csv.reader(fh)
         header = None
-        lineno = 0
-        rows = []
-        for record in reader:
-            lineno += 1
-            if not record or (record[0].startswith("#") and header is None):
+        for lineno, record in enumerate(csv.reader(fh), start=1):
+            if not record or record[0].startswith("#"):
                 continue
             if header is None:
-                header = [h.strip() for h in record]
+                header = tuple(map(str.strip, record))
                 k = len(header) - len(trailing)
-                if k < 1 or tuple(header[k:]) != trailing:
-                    raise SchemaError(
-                        f"{path}:{lineno}: header must end with {','.join(trailing)}"
-                    )
-                dim_names = tuple(header[:k])
-                continue
-            if record and record[0].startswith("#"):
+                if k < 1 or header[k:] != trailing or dims not in (None, header[:k]):
+                    want = ",".join((*(dims or ("...",)), *trailing))
+                    raise SchemaError(f"{path}:{lineno}: expected header {want}")
+                yield header[:k]
                 continue
             if len(record) != len(header):
                 raise SchemaError(
                     f"{path}:{lineno}: expected {len(header)} fields, got {len(record)}"
                 )
-            k = len(header) - len(trailing)
-            rows.append((lineno, tuple(v.strip() for v in record[:k]),
-                         [v.strip() for v in record[k:]]))
+            fields = tuple(map(str.strip, record))
+            yield lineno, fields[:k], fields[k:]
         if header is None:
             raise SchemaError(f"{path}: empty file, expected a header row")
-    return dim_names, rows
+
+
+def read_floats(path, column: str, dims: tuple[str, ...] | None = None):
+    """(dim_names, {labels: number}) of a table of labels then one number
+    column. A repeated key, or a number that is not finite and
+    nonnegative, raises SchemaError naming the line."""
+    rows = _read_table(path, (column,), dims)
+    dim_names = next(rows)
+    values: dict[tuple[str, ...], float] = {}
+    for lineno, key, (text,) in rows:
+        if key in values:
+            raise SchemaError(f"{path}:{lineno}: duplicate key {key}")
+        try:
+            value = float(text)
+        except ValueError:
+            value = np.nan
+        if not 0.0 <= value < np.inf:
+            raise SchemaError(
+                f"{path}:{lineno}: {column} {text!r} is not a finite nonnegative number"
+            )
+        values[key] = value
+    return dim_names, values
 
 
 def _parse_nonneg_int(text: str, what: str, path, lineno: int) -> int:

@@ -79,9 +79,9 @@ renders slices of lines in numpy (_render): each stratum's ",key...,"
 segment comes from csv.writer once, and the replicate and count digits
 are filled around it. read_replicates_csv decodes a file in exactly
 that layout in numpy and proves each slice by rendering it again; a file
-in any other layout goes to a csv.reader row parser, which reads the
-same matrix and raises every SchemaError, so the fast path never changes
-a result or a message.
+in any other layout goes to the row parser, which reads it through the
+table reader (strata._read_table) to the same matrix and raises every
+SchemaError, so the fast path never changes a result or a message.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ from .mechanism import (
     suffix_tables,
     tilt,
 )
-from .strata import StrataTable, open_input
+from .strata import StrataTable, _parse_nonneg_int, _read_table
 
 __all__ = [
     "SAMPLER",
@@ -628,54 +628,35 @@ def _parse_counts(buf: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
 
 
 def _read_rows(path, table: StrataTable) -> np.ndarray:
-    """read_replicates_csv by csv.reader records; every SchemaError is raised here."""
+    """read_replicates_csv row by row; every SchemaError is raised here.
+
+    The file is read as a table (strata._read_table) whose dimensions are
+    replicate and the strata's and whose value is z; the replicate index
+    and z are nonnegative integers below 2^63.
+    """
     index = {key: i for i, key in enumerate(table.keys)}
-    per_rep: dict[int, np.ndarray] = {}
-    filled: dict[int, np.ndarray] = {}
-    with open_input(path) as fh:
-        header = None
-        for lineno, record in enumerate(csv.reader(fh), start=1):
-            if not record or record[0].lstrip().startswith("#"):
-                continue
-            if header is None:
-                header = [f.strip() for f in record]
-                if tuple(header) != ("replicate", *table.dim_names, "z"):
-                    raise SchemaError(
-                        f"{path}:{lineno}: header does not match the strata table"
-                    )
-                continue
-            if len(record) != len(header):
-                raise SchemaError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(record)}"
-                )
-            try:
-                rep = int(record[0])
-                z = int(record[-1])
-            except ValueError:
-                raise SchemaError(
-                    f"{path}:{lineno}: replicate and z must be integers"
-                ) from None
-            if z < 0:
-                raise SchemaError(f"{path}:{lineno}: negative count")
-            key = tuple(v.strip() for v in record[1:-1])
-            pos = index.get(key)
-            if pos is None:
-                raise SchemaError(f"{path}:{lineno}: unknown stratum {key}")
-            if rep not in per_rep:
-                per_rep[rep] = np.zeros(table.size, dtype=np.int64)
-                filled[rep] = np.zeros(table.size, dtype=bool)
-            if filled[rep][pos]:
-                raise SchemaError(
-                    f"{path}:{lineno}: duplicate stratum {key} in replicate {rep}"
-                )
-            per_rep[rep][pos] = z
-            filled[rep][pos] = True
-    if header is None:
-        raise SchemaError(f"{path}: empty file, expected a header row")
+    per_rep: dict[int, np.ndarray] = {}  # -1 marks a stratum not yet read
+    rows = _read_table(path, ("z",), ("replicate", *table.dim_names))
+    next(rows)
+    for lineno, dims, (text,) in rows:
+        rep = _parse_nonneg_int(dims[0], "replicate", path, lineno)
+        z = _parse_nonneg_int(text, "count", path, lineno)
+        key = dims[1:]
+        pos = index.get(key)
+        if pos is None:
+            raise SchemaError(f"{path}:{lineno}: unknown stratum {key}")
+        counts = per_rep.get(rep)
+        if counts is None:
+            counts = per_rep[rep] = np.full(table.size, -1, dtype=np.int64)
+        if counts[pos] >= 0:
+            raise SchemaError(
+                f"{path}:{lineno}: duplicate stratum {key} in replicate {rep}"
+            )
+        counts[pos] = z
     if not per_rep:
         raise SchemaError(f"{path}: no replicate rows")
-    for rep, mask in filled.items():
-        if not mask.all():
+    for rep, counts in per_rep.items():
+        if counts.min() < 0:
             raise SchemaError(f"{path}: replicate {rep} is missing strata")
     order = sorted(per_rep)
     if order != list(range(len(order))):

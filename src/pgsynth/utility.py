@@ -19,14 +19,13 @@ label is allowed. An empty selector matches everything.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, SchemaError, UndefinedRateError
-from .strata import StrataTable, _read_table
+from .strata import StrataTable, read_floats, write_csv
 
 __all__ = [
     "StandardPopulation",
@@ -71,29 +70,13 @@ class StandardPopulation:
 
     @classmethod
     def from_csv(cls, path) -> "StandardPopulation":
-        dim_names, rows = _read_table(path, trailing=("weight",))
-        if dim_names != ("age_group",):
-            raise SchemaError(f"{path}: expected header age_group,weight")
-        weights: dict[str, float] = {}
-        for lineno, dims, tail in rows:
-            if dims[0] in weights:
-                raise SchemaError(f"{path}:{lineno}: duplicate age group {dims[0]!r}")
-            try:
-                weights[dims[0]] = float(tail[0])
-            except ValueError:
-                raise SchemaError(
-                    f"{path}:{lineno}: weight {tail[0]!r} is not a number"
-                ) from None
-        return cls(weights=weights)
+        _, weights = read_floats(path, "weight", ("age_group",))
+        return cls(weights={label: w for (label,), w in weights.items()})
 
     def to_csv(self, path, header_comment: str | None = None) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["age_group", "weight"])
-            for label, weight in self.weights.items():
-                writer.writerow([label, repr(weight)])
+        write_csv(path, ["age_group", "weight"],
+                  ([label, repr(w)] for label, w in self.weights.items()),
+                  header_comment)
 
 
 @dataclass(frozen=True)
@@ -320,8 +303,11 @@ def urban_rural_classify(
     """Partition geography labels into (urban, rural) by density.
 
     A geography is urban when its density strictly exceeds the
-    threshold. Every geography in the table needs a density.
+    threshold, which must be finite. Every geography in the table needs
+    a density.
     """
+    if not np.isfinite(threshold):
+        raise DomainError(f"the urban threshold must be finite, got {threshold}")
     labels = sorted(set(table.column(geo_dim)))
     missing = [g for g in labels if g not in densities]
     if missing:
@@ -343,38 +329,18 @@ def summarize_replicates(values) -> dict[str, float]:
 
 
 def read_density_csv(path) -> dict[str, float]:
-    dim_names, rows = _read_table(path, trailing=("density",))
-    if dim_names != ("geo",):
-        raise SchemaError(f"{path}: expected header geo,density")
-    densities: dict[str, float] = {}
-    for lineno, dims, tail in rows:
-        if dims[0] in densities:
-            raise SchemaError(f"{path}:{lineno}: duplicate geography {dims[0]!r}")
-        try:
-            densities[dims[0]] = float(tail[0])
-        except ValueError:
-            raise SchemaError(
-                f"{path}:{lineno}: density {tail[0]!r} is not a number"
-            ) from None
-    return densities
+    _, densities = read_floats(path, "density", ("geo",))
+    return {geo: d for (geo,), d in densities.items()}
 
 
 def write_density_csv(path, densities: dict[str, float], header_comment=None) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["geo", "density"])
-        for geo in sorted(densities):
-            writer.writerow([geo, repr(float(densities[geo]))])
+    write_csv(path, ["geo", "density"],
+              ([geo, repr(float(densities[geo]))] for geo in sorted(densities)),
+              header_comment)
 
 
 def write_metrics_csv(path, rows, header_comment: str | None = None) -> None:
     """Tidy metric rows: metric, selector, epsilon, replicate, value."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "selector", "epsilon", "replicate", "value"])
-        for metric, selector, epsilon, replicate, value in rows:
-            writer.writerow([metric, selector, epsilon, replicate, repr(float(value))])
+    write_csv(path, ["metric", "selector", "epsilon", "replicate", "value"],
+              ([m, s, e, r, repr(float(v))] for m, s, e, r, v in rows),
+              header_comment)

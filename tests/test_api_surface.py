@@ -113,3 +113,28 @@ def test_no_export_shadows_a_submodule():
         inspect.ismodule(getattr(pgsynth, name))
         for name in submodules & set(vars(pgsynth))
     )
+
+
+def test_only_strata_speaks_the_table_dialect():
+    # strata.py decides how every table is written and read; the one other
+    # csv.writer renders the replicate lines' key segments, and no other
+    # module imports csv
+    calls, importers = set(), set()
+    for mod, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names):
+                importers.add(mod)
+            elif isinstance(node, ast.ImportFrom) and node.module == "csv":
+                importers.add(mod)
+            elif isinstance(node, ast.FunctionDef):
+                calls |= {
+                    (mod, node.name) for call in ast.walk(node)
+                    if isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Attribute)
+                    and call.func.attr in ("reader", "writer")
+                    and isinstance(call.func.value, ast.Name)
+                    and call.func.value.id == "csv"
+                }
+    assert importers == {"strata", "synthesizer"}
+    assert {("strata", "write_csv"), ("strata", "_read_table")} <= calls
+    assert {c for c in calls if c[0] != "strata"} == {("synthesizer", "_csv_layout")}

@@ -384,6 +384,34 @@ class TestAudit:
         assert not out.exists()
 
 
+def evaluate_run(tmp_path):
+    """A 24-stratum fixture and three replicates drawn from it under
+    tmp_path; returns (fixture dir, run dir, evaluate argv writing m.csv)."""
+    fix_dir, run_dir = tmp_path / "fix", tmp_path / "run"
+    assert run([
+        "fixture", "--out", str(fix_dir), "--spec", json.dumps({
+            "dims": [["county", 2], ["age", 2], ["site", 1],
+                     ["race", 3], ["sex", 2]],
+            "total_deaths": 40, "state_population": 5_000,
+            "seed": 0, "urban_count": 1,
+        }),
+    ]) == 0
+    assert run([
+        "synthesize", "--strata", str(fix_dir / "strata.csv"),
+        "--rates", str(fix_dir / "rates.csv"), "--epsilon", "1.0",
+        "--mode", "truncated", "--replicates", "3", "--seed", "1",
+        "--out", str(run_dir),
+    ]) == 0
+    return fix_dir, run_dir, [
+        "evaluate", "--truth", str(fix_dir / "strata.csv"),
+        "--replicates", str(run_dir),
+        "--std", str(fix_dir / "standard.csv"),
+        "--density", str(fix_dir / "densities.csv"),
+        "--population-dims", "county,age,race,sex",
+        "--out", str(tmp_path / "m.csv"),
+    ]
+
+
 class TestEvaluateAndFixture:
     def test_fixture_synthesize_evaluate_pipeline(self, tmp_path):
         fix_dir = tmp_path / "fix"
@@ -469,37 +497,50 @@ class TestEvaluateAndFixture:
     ])
     def test_evaluate_input_that_is_not_utf8(self, tmp_path, capsys, name):
         # the byte sits in each file's leading comment line
-        fix_dir = tmp_path / "fix"
-        assert run([
-            "fixture", "--out", str(fix_dir), "--spec", json.dumps({
-                "dims": [["county", 2], ["age", 2], ["site", 1],
-                         ["race", 3], ["sex", 2]],
-                "total_deaths": 40, "state_population": 5_000,
-                "seed": 0, "urban_count": 1,
-            }),
-        ]) == 0
-        run_dir = tmp_path / "run"
-        assert run([
-            "synthesize", "--strata", str(fix_dir / "strata.csv"),
-            "--rates", str(fix_dir / "rates.csv"), "--epsilon", "1.0",
-            "--mode", "truncated", "--replicates", "3", "--seed", "1",
-            "--out", str(run_dir),
-        ]) == 0
+        fix_dir, run_dir, argv = evaluate_run(tmp_path)
         bad = (run_dir if name == "replicates.csv" else fix_dir) / name
         text = bad.read_bytes()
         assert text.startswith(b"#")
         bad.write_bytes(b"#\xff" + text[1:])
-        code = run([
-            "evaluate", "--truth", str(fix_dir / "strata.csv"),
-            "--replicates", str(run_dir),
-            "--std", str(fix_dir / "standard.csv"),
-            "--density", str(fix_dir / "densities.csv"),
-            "--population-dims", "county,age,race,sex",
-            "--out", str(tmp_path / "m.csv"),
-        ])
-        assert code == 2
+        assert run(argv) == 2
         err = capsys.readouterr().err
         assert f"{bad}: not UTF-8 text" in err
+
+    def test_replicate_count_of_2_63_or_more_is_usage_error(self, tmp_path, capsys):
+        _, run_dir, argv = evaluate_run(tmp_path)
+        reps = run_dir / "replicates.csv"
+        lines = reps.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + f",{2**63}"
+        reps.write_text("\n".join(lines) + "\n")
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{reps}:3: count '{2**63}' is 2^63 or more" in err
+        assert not (tmp_path / "m.csv").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "-5"])
+    def test_density_that_is_not_finite_and_nonnegative_is_usage_error(
+        self, tmp_path, capsys, value
+    ):
+        fix_dir, _, argv = evaluate_run(tmp_path)
+        dens = fix_dir / "densities.csv"
+        lines = dens.read_text().splitlines()
+        lines[2] = lines[2].split(",")[0] + f",{value}"
+        dens.write_text("\n".join(lines) + "\n")
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{dens}:3: density '{value}' is not a finite nonnegative number" in err
+        assert not (tmp_path / "m.csv").exists()
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    def test_urban_threshold_that_is_not_finite_is_usage_error(
+        self, tmp_path, capsys, threshold
+    ):
+        # any of these puts every county on one side, and the urban/rural
+        # disparity would be dropped without a word
+        _, _, argv = evaluate_run(tmp_path)
+        assert run([*argv, f"--urban-threshold={threshold}"]) == 2
+        assert "urban threshold must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "m.csv").exists()
 
     def test_fixture_bad_spec(self, tmp_path):
         spec = tmp_path / "spec.json"

@@ -20,6 +20,7 @@ from pgsynth.strata import (
     compute_bounds,
     joint_feasible_bounds,
 )
+from pgsynth.utility import StandardPopulation, read_density_csv, write_density_csv
 
 from _oracles import poisson_quantile_direct
 
@@ -173,6 +174,73 @@ class TestRatesTable:
         with pytest.raises(SchemaError):
             RatesTable(dim_names=("age",), rates={("a1",): -0.1})
         RatesTable(dim_names=("age",), rates={("a1",): 0.0})
+
+
+# labels csv.writer has to quote or escape, braces, non-ASCII and empty;
+# none with surrounding whitespace, which readers strip
+AWKWARD = ("com,ma", 'quo"te', "new\nline", "cr\rx", "{0}", "}{", "é", "")
+
+
+class TestTableDialect:
+    def test_awkward_labels_round_trip(self, tmp_path):
+        table = StrataTable(
+            dim_names=("g", "h"), keys=tuple(zip(AWKWARD, AWKWARD[::-1])),
+            n=np.arange(10, 18), y=np.arange(8),
+        )
+        rates = RatesTable(
+            dim_names=("h",), rates={(v,): 0.1 * i for i, v in enumerate(AWKWARD)}
+        )
+        std = StandardPopulation({v: 1 / 8 for v in AWKWARD})
+        densities = {v: 10.0 * i for i, v in enumerate(AWKWARD)}
+        table.to_csv(tmp_path / "strata.csv", header_comment="c")
+        rates.to_csv(tmp_path / "rates.csv", header_comment="c")
+        std.to_csv(tmp_path / "standard.csv", header_comment="c")
+        write_density_csv(tmp_path / "densities.csv", densities, "c")
+
+        back = StrataTable.from_csv(tmp_path / "strata.csv")
+        assert (back.dim_names, back.keys) == (table.dim_names, table.keys)
+        assert back.n.tolist() == table.n.tolist()
+        assert back.y.tolist() == table.y.tolist()
+        back_rates = RatesTable.from_csv(tmp_path / "rates.csv")
+        assert back_rates.dim_names == ("h",)
+        assert back_rates.rates == rates.rates
+        back_std = StandardPopulation.from_csv(tmp_path / "standard.csv")
+        assert list(back_std.weights.items()) == list(std.weights.items())
+        assert read_density_csv(tmp_path / "densities.csv") == densities
+
+    @pytest.mark.parametrize("write", [
+        lambda path: StrataTable(
+            dim_names=("g",), keys=(("#x",), ("b",), ("c",)),
+            n=[1, 1, 1], y=[1, 2, 3],
+        ).to_csv(path),
+        lambda path: StrataTable(
+            dim_names=("#x",), keys=(("a",), ("b",)), n=[1, 1], y=[1, 2],
+        ).to_csv(path),
+        lambda path: RatesTable(("g",), {("a",): 0.1, ("#x",): 0.2}).to_csv(path),
+        lambda path: StandardPopulation({"a": 0.5, "#x": 0.5}).to_csv(path),
+        lambda path: write_density_csv(path, {"a": 1.0, "#x": 2.0}),
+    ], ids=["strata", "strata-header", "rates", "standard", "densities"])
+    def test_label_that_reads_back_as_a_comment_is_refused(self, tmp_path, write):
+        # "#x,..." is a comment line to every reader, whatever its quoting
+        with pytest.raises(SchemaError, match="label '#x' would read as a comment"):
+            write(tmp_path / "t.csv")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-5"])
+    @pytest.mark.parametrize("read, header", [
+        (RatesTable.from_csv, "age,rate"),
+        (StandardPopulation.from_csv, "age_group,weight"),
+        (read_density_csv, "geo,density"),
+    ], ids=["rates", "standard", "densities"])
+    def test_number_that_is_not_finite_and_nonnegative_is_refused(
+        self, tmp_path, read, header, value
+    ):
+        path = tmp_path / "t.csv"
+        path.write_text(f"# provenance\n{header}\na,0.5\nb,{value}\n")
+        with pytest.raises(
+            SchemaError,
+            match=rf"t\.csv:4: \w+ '{value}' is not a finite nonnegative number",
+        ):
+            read(path)
 
 
 class TestBuildPrior:

@@ -594,6 +594,13 @@ MALFORMED = [
         "5" + line[1:] if line.startswith("1,") else line
         for line in lines[1:])],
      "indices"),
+    (lambda lines: [lines[0],
+                    lines[1].rsplit(",", 1)[0] + f",{2**63}", *lines[2:]],
+     rf"count '{2**63}' is 2\^63 or more"),
+    (lambda lines: [lines[0], *(
+        f"{2**63}" + line[1:] if line.startswith("1,") else line
+        for line in lines[1:])],
+     rf"replicate '{2**63}' is 2\^63 or more"),
 ]
 
 # labels csv.writer has to quote or escape, braces, non-ASCII and empty
