@@ -7,8 +7,9 @@ and every feasible output z, |log p(z|y) / p(z|x)| must stay within the
 budget. It enumerates the datasets and their neighbors, and bounds each
 pair's outputs in closed form: the worst output sits at one of two
 corners of a polygon (see audit), so one normalizer per distinct clamped
-dataset and O(1) work per pair suffice. The test oracle
-audit_enumerated, which also walks every output, must agree with it.
+dataset, one recursion step per distinct clamped suffix, and O(1) work
+per pair suffice. The test oracle audit_enumerated, which also walks
+every output, must agree with it.
 exact_joint_pmf and ratio_curve evaluate the law at every output.
 
 Datasets and outputs alike come from enumerate_feasible, in
@@ -145,13 +146,10 @@ def enumerate_feasible(lo, hi, total: int, cap: int = DEFAULT_CAP) -> np.ndarray
     return out
 
 
-def _log_pmf_on_support(
-    counts, table: StrataTable, calib: Calibration, support: np.ndarray
-) -> np.ndarray:
-    """Log mechanism pmf of each support row, given raw counts."""
+def _log_pmf_on_support(params: KernelParams, support: np.ndarray) -> np.ndarray:
+    """Log mechanism pmf of each support row under params."""
     from scipy.special import logsumexp
 
-    params = build_kernel_params(counts, table, calib)
     logw = log_negbin_kernel(
         support, params.shape[None, :], params.log_p[None, :]
     ).sum(axis=1)
@@ -170,7 +168,7 @@ def exact_joint_pmf(
     """
     params = build_kernel_params(counts, table, calib)
     support = enumerate_feasible(params.lo, params.hi, params.y_total, cap)
-    return support, _log_pmf_on_support(counts, table, calib, support)
+    return support, _log_pmf_on_support(params, support)
 
 
 def audit(
@@ -199,8 +197,9 @@ def audit(
     has positive mass. So g is largest at z_i = min(hi_i, B - lo_j),
     z_j = max(lo_j, A - z_i), smallest at z_i = max(lo_i, A - hi_j),
     z_j = min(hi_j, B - z_i), and |g - D| peaks at one of these corners.
-    Each distinct clamped dataset costs one mass-table recursion for ln C
-    and each pair O(1), in chunks of PAIR_CHUNK pairs.
+    The datasets are clamped once; ln C costs one recursion step per
+    distinct clamped suffix (_log_normalizers) and each pair O(1), in
+    chunks of PAIR_CHUNK pairs.
     """
     if cap < 1:
         raise DomainError(f"the dataset cap must be at least 1, got {cap}")
@@ -217,24 +216,26 @@ def audit(
             "the exact audit needs mass on every box output; "
             "a stratum with population 0 has none"
         )
-    bound = _PairBound(comps, params, calib)
+    keys, inverse = _distinct_clamped(comps, calib)
+    shapes = keys + calib.a
+    log_c = _log_normalizers(keys, params, calib)
 
     best = -1.0
     best_at = None
-    for rows, x, x_rows, i, j in _pair_chunks(comps, PAIR_CHUNK):
-        value, z_i, z_j = bound(rows, x, x_rows, i, j)
+    for rows, x_rows, i, j in _pair_chunks(comps, PAIR_CHUNK):
+        y_key, x_key = inverse[rows], inverse[x_rows]
+        value, z_i, z_j = _pair_bound(
+            params, shapes[y_key], shapes[x_key], log_c[y_key] - log_c[x_key], i, j
+        )
         k = int(np.argmax(value))
         if value[k] > best:
             best = float(value[k])
-            best_at = (
-                tuple(comps[rows[k]].tolist()), tuple(x[k].tolist()),
-                int(i[k]), int(j[k]), int(z_i[k]), int(z_j[k]),
-            )
+            best_at = [int(v[k]) for v in (rows, x_rows, i, j, z_i, z_j)]
     y, x, i, j, z_i, z_j = best_at
     return AuditReport(
         epsilon_target=float(epsilon),
         max_abs_log_ratio=best,
-        argmax_pair=NeighborPair(y, x, i, j),
+        argmax_pair=NeighborPair(*(tuple(comps[r].tolist()) for r in (y, x)), i, j),
         argmax_z=_fill_output(params.lo, params.hi, y_total, {i: z_i, j: z_j}),
         passed=bool(best <= epsilon + PASS_TOL),
         instance_size=(size, y_total),
@@ -244,52 +245,35 @@ def audit(
     )
 
 
-class _PairBound:
-    """Worst |log p(z|y) - log p(z|x)| over all outputs z, pair by pair.
+def _pair_bound(params: KernelParams, sy, sx, delta, i, j):
+    """Worst |log p(z|y) - log p(z|x)| over all outputs z, per pair, and
+    the corner (z_i, z_j) attaining it (see audit). Pair r has shapes
+    sy[r] and sx[r], ln C(y) - ln C(x) = delta[r] and x = y - e_i + e_j."""
+    from scipy.special import gammaln
 
-    Holds ln C of every dataset row of comps; params are the instance's
-    kernel parameters, whose boxes and total every dataset shares. A call
-    takes a chunk of _pair_chunks and returns each pair's worst value and
-    the corner (z_i, z_j) attaining it (see audit).
-    """
+    pos = np.arange(len(i))
+    lo, hi, y_total = params.lo, params.hi, params.y_total
+    # A and B of audit's docstring: the range of z_i + z_j
+    low = y_total - (hi.sum() - hi[i] - hi[j])
+    high = y_total - (lo.sum() - lo[i] - lo[j])
 
-    def __init__(self, comps: np.ndarray, params: KernelParams, calib: Calibration):
-        self.comps = comps
-        self.log_c = _log_normalizers(comps, params, calib)
-        self.calib = calib
-        self.lo, self.hi, self.y_total = params.lo, params.hi, params.y_total
-
-    def shapes(self, counts: np.ndarray) -> np.ndarray:
-        return clamp_counts(counts, self.calib.bounds).astype(np.float64) + self.calib.a
-
-    def __call__(self, rows, x, x_rows, i, j):
-        from scipy.special import gammaln
-
-        pos = np.arange(len(rows))
-        delta = self.log_c[rows] - self.log_c[x_rows]
-        sy, sx = self.shapes(self.comps[rows]), self.shapes(x)
-        lo, hi = self.lo, self.hi
-        # A and B of audit's docstring: the range of z_i + z_j
-        low = self.y_total - (hi.sum() - hi[i] - hi[j])
-        high = self.y_total - (lo.sum() - lo[i] - lo[j])
-
-        def g(z_i, z_j):
-            return (
-                gammaln(z_i + sy[pos, i]) - gammaln(z_i + sx[pos, i])
-                + gammaln(z_j + sy[pos, j]) - gammaln(z_j + sx[pos, j])
-            )
-
-        up_i = np.minimum(hi[i], high - lo[j])
-        up_j = np.maximum(lo[j], low - up_i)
-        down_i = np.maximum(lo[i], low - hi[j])
-        down_j = np.minimum(hi[j], high - down_i)
-        up = np.abs(g(up_i, up_j) - delta)
-        down = np.abs(g(down_i, down_j) - delta)
-        at_up = up >= down
+    def g(z_i, z_j):
         return (
-            np.where(at_up, up, down),
-            np.where(at_up, up_i, down_i), np.where(at_up, up_j, down_j),
+            gammaln(z_i + sy[pos, i]) - gammaln(z_i + sx[pos, i])
+            + gammaln(z_j + sy[pos, j]) - gammaln(z_j + sx[pos, j])
         )
+
+    up_i = np.minimum(hi[i], high - lo[j])
+    up_j = np.maximum(lo[j], low - up_i)
+    down_i = np.maximum(lo[i], low - hi[j])
+    down_j = np.minimum(hi[j], high - down_i)
+    up = np.abs(g(up_i, up_j) - delta)
+    down = np.abs(g(down_i, down_j) - delta)
+    at_up = up >= down
+    return (
+        np.where(at_up, up, down),
+        np.where(at_up, up_i, down_i), np.where(at_up, up_j, down_j),
+    )
 
 
 def _distinct_clamped(comps: np.ndarray, calib: Calibration):
@@ -301,32 +285,36 @@ def _distinct_clamped(comps: np.ndarray, calib: Calibration):
     return keys, inverse.ravel()
 
 
-def _log_normalizers(comps: np.ndarray, params: KernelParams, calib: Calibration):
-    """ln C of every dataset row, one recursion per distinct clamped dataset.
+def _log_normalizers(keys: np.ndarray, params: KernelParams, calib: Calibration):
+    """ln C of each clamped dataset row of keys.
 
-    A stratum's kernel table depends on the dataset only through its
-    clamped count (the shape), so one bank is built per distinct clamped
-    value, for all strata at once, and its tables are shared by every
-    recursion.
+    One bank of kernel tables is built per distinct clamped value. T_k
+    depends only on keys[:, k:], so the keys are walked last stratum
+    first (np.lexsort), and each rebuilds T_m down to T_0 from the
+    previous key's T_{m+1}, m being the last stratum where the two
+    differ: one recursion step per distinct suffix, each from the inputs
+    of its own chain, so ln C is bit for bit the backward pass's.
     """
-    keys, inverse = _distinct_clamped(comps, calib)
+    size = params.size
     values, index = np.unique(keys, return_inverse=True)
     index = index.reshape(keys.shape)
-    tables = []
+    kernels = []
     for v in values.tolist():
         bank = stratum_weight_table(replace(params, shape=float(v) + calib.a))
-        tables.append([bank[k] for k in range(params.size)])
-    y_total = params.y_total
+        kernels.append([bank[k] for k in range(size)])
+    order = np.lexsort(keys.T)
+    differs = (keys[order[1:]] != keys[order[:-1]])[:, ::-1]
+    last = np.concatenate([[size - 1], size - 1 - differs.argmax(axis=1)])
+    tables = [None] * size + [delta_table()]
     log_c = np.empty(len(keys))
-    for n, row in enumerate(index.tolist()):
-        weights = [tables[v][k] for k, v in enumerate(row)]
-        running = delta_table()
-        for _, running in suffix_tables(weights, running, len(row), 0, y_total):
-            pass
-        log_c[n] = running.log_at(y_total)
+    for n, m in zip(order.tolist(), last.tolist()):
+        weights = [kernels[v][k] for k, v in enumerate(index[n, : m + 1].tolist())]
+        for k, table in suffix_tables(weights, tables[m + 1], m + 1, 0, params.y_total):
+            tables[k] = table
+        log_c[n] = tables[0].log_at(params.y_total)
     if not np.isfinite(log_c).all():
         raise InfeasibilityError("the invariant total is unreachable")
-    return log_c[inverse]
+    return log_c
 
 
 class _CompositionRank:
@@ -356,10 +344,10 @@ class _CompositionRank:
 
 
 def _pair_chunks(comps: np.ndarray, chunk: int):
-    """Yield (rows, x, x_rows, i, j) for every unit transfer, chunk at a time.
+    """Yield (rows, x_rows, i, j) for every unit transfer, chunk at a time.
 
     comps holds every composition of one total, in order; each pair is
-    comps[rows] and x = comps[rows] - e_i + e_j = comps[x_rows]. The
+    comps[rows] and comps[x_rows] = comps[rows] - e_i + e_j. The
     order is the walk order: dataset rows first, then the source i (only
     where comps[row, i] > 0), then the destination j != i.
     """
@@ -381,7 +369,7 @@ def _pair_chunks(comps: np.ndarray, chunk: int):
         pos = np.arange(len(rows))
         x[pos, i] -= 1
         x[pos, j] += 1
-        yield rows, x, rank(x), i, j
+        yield rows, rank(x), i, j
 
 
 def _fill_output(lo, hi, total: int, fixed: dict) -> tuple:
@@ -436,11 +424,12 @@ def ratio_curve(table: StrataTable, calib: Calibration) -> RatioCurve:
     support = enumerate_feasible(params.lo, params.hi, y_total)
     comps = enumerate_feasible([0, 0], [y_total, y_total], y_total)
     keys, inverse = _distinct_clamped(comps, calib)
-    logp = np.array([_log_pmf_on_support(k, table, calib, support) for k in keys])
+    logp = np.array([_log_pmf_on_support(replace(params, shape=s), support)
+                     for s in keys + calib.a])
     best = np.full(len(support), -np.inf)
     best_at = np.full((2, len(support)), -1)  # rows of the attaining y and x
     chunk = max(1, PAIR_CHUNK // len(support))
-    for rows, _, x_rows, _, _ in _pair_chunks(comps, chunk):
+    for rows, x_rows, _, _ in _pair_chunks(comps, chunk):
         d = logp[inverse[rows]] - logp[inverse[x_rows]]
         k, top = d.argmax(axis=0), d.max(axis=0)
         better = top > best

@@ -15,6 +15,7 @@ spec value pins every artifact bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -209,47 +210,34 @@ def generate_fixture(spec: FixtureSpec) -> Fixture:
             for s, s_label in enumerate(levels["site"])
         }
 
-    keys: list[tuple[str, ...]] = []
-    n: list[int] = []
-    rate_vec: list[float] = []
-    weight: list[float] = []
-    group_pos = DIM_NAMES.index(spec.group_dim)
-    for c, c_label in enumerate(levels["county"]):
-        urb = spec.urban_multiplier if c_label in urban else 1.0
-        for a, a_label in enumerate(levels["age"]):
-            for s_label in levels["site"]:
-                for r, r_label in enumerate(levels["race"]):
-                    for x, x_label in enumerate(levels["sex"]):
-                        key = (c_label, a_label, s_label, r_label, x_label)
-                        cell = max(
-                            1,
-                            round(county_pop[c] * age_w[a] * race_w[r] * sex_w[x]),
-                        )
-                        mult = urb * (
-                            spec.group_multiplier
-                            if key[group_pos] == spec.group_level
-                            else 1.0
-                        )
-                        keys.append(key)
-                        n.append(cell)
-                        rate_vec.append(raw_rate[(a_label, s_label)])
-                        weight.append(cell * raw_rate[(a_label, s_label)] * mult)
+    # the strata form the grid of every level of DIM_NAMES, in that order;
+    # populations are rounded half to even (np.rint), and at least 1
+    c, a, s, r, x = np.indices(tuple(counts[name] for name in DIM_NAMES))
+    keys = tuple(itertools.product(*(levels[name] for name in DIM_NAMES)))
+    cell = county_pop[c] * age_w[a] * race_w[r] * sex_w[x]
+    n_arr = np.maximum(np.rint(cell), 1.0).astype(np.int64).ravel()
+    rate_grid = np.array([[raw_rate[(al, sl)] for sl in levels["site"]]
+                          for al in levels["age"]])
+    rate_arr = rate_grid[a, s].ravel()
+    urb = np.array([spec.urban_multiplier if g in urban else 1.0
+                    for g in levels["county"]])
+    group = (c, a, s, r, x)[DIM_NAMES.index(spec.group_dim)]
+    in_group = group == levels[spec.group_dim].index(spec.group_level)
+    mult = urb[c] * np.where(in_group, spec.group_multiplier, 1.0)
+    weight = n_arr * rate_arr * mult.ravel()
 
-    n_arr = np.array(n, dtype=np.int64)
-    rate_arr = np.array(rate_vec)
     if spec.rate_profile is None:
         # pin the prior scale: sum(n * rate) equals the death total
         scale = max(spec.total_deaths, 1) / float((n_arr * rate_arr).sum())
         raw_rate = {k: v * scale for k, v in raw_rate.items()}
 
-    w = np.array(weight)
     if spec.total_deaths > 0:
-        y = rng.multinomial(spec.total_deaths, w / w.sum())
+        y = rng.multinomial(spec.total_deaths, weight / weight.sum())
     else:
         y = np.zeros(len(keys), dtype=np.int64)
 
     table = StrataTable(
-        dim_names=DIM_NAMES, keys=tuple(keys), n=n_arr, y=np.asarray(y, np.int64)
+        dim_names=DIM_NAMES, keys=keys, n=n_arr, y=np.asarray(y, np.int64)
     )
     rates = RatesTable(dim_names=("age", "site"), rates=raw_rate)
     age_count = counts["age"]

@@ -414,11 +414,15 @@ def _read_table(path, trailing: tuple[str, ...], dims: tuple[str, ...] | None = 
     """Yield a table's dimension names, then (lineno, labels, values) per
     data row, as tuples of stripped fields, reading the file as it goes.
 
-    The header must be dims (any, if None) followed by trailing.
+    The header must be dims (any, if None) followed by trailing. lineno
+    is the record's first line: a quoted field may span several.
     """
     with open_input(path) as fh:
         header = None
-        for lineno, record in enumerate(csv.reader(fh), start=1):
+        reader = csv.reader(fh)
+        next_line = 1
+        for record in reader:
+            lineno, next_line = next_line, reader.line_num + 1
             if not record or record[0].startswith("#"):
                 continue
             if header is None:

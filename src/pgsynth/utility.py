@@ -169,13 +169,12 @@ def _level_populations(
     level = member[idx]
     n = table.n[idx]
     if key_dims is not None:
-        cells = np.column_stack(
-            [level, *(table.column_codes(d)[1][idx] for d in key_dims)]
-        )
-        _, first, cell = np.unique(
-            cells, axis=0, return_index=True, return_inverse=True
-        )
-        cell = cell.reshape(-1)  # numpy 2.0.0 returns it as a column
+        # one code per (level, key labels), each below size**2
+        cell = level
+        for d in key_dims:
+            labels, codes = table.column_codes(d)
+            cell = np.unique(cell * len(labels) + codes[idx], return_inverse=True)[1]
+        _, first, cell = np.unique(cell, return_index=True, return_inverse=True)
         bad = np.flatnonzero(n != n[first][cell])
         if bad.size:
             i = idx[bad[0]]

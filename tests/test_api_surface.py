@@ -138,3 +138,25 @@ def test_only_strata_speaks_the_table_dialect():
     assert importers == {"strata", "synthesizer"}
     assert {("strata", "write_csv"), ("strata", "_read_table")} <= calls
     assert {c for c in calls if c[0] != "strata"} == {("synthesizer", "_csv_layout")}
+
+
+def test_only_mechanism_runs_the_recursion_step():
+    # convolve_mass is a step of the one mass-table recursion loop: audit
+    # and synthesizer reach completion tables through suffix_tables or
+    # backward_pass, and no module names the step itself
+    named, loops = set(), set()
+    for mod, tree in _modules().items():
+        for node in ast.walk(tree):
+            name = (
+                node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else None
+            )
+            if isinstance(node, ast.alias):
+                name = node.name
+            if name == "convolve_mass":
+                named.add(mod)
+            elif name in ("suffix_tables", "backward_pass") and mod != "mechanism":
+                loops.add(mod)
+    assert named == {"mechanism"}
+    assert loops == {"audit", "synthesizer"}

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import pgsynth.audit as audit_mod
+import pgsynth.mechanism as mechanism
 from pgsynth.audit import audit, enumerate_feasible, exact_joint_pmf, ratio_curve
 from pgsynth.calibration import (
     Calibration,
@@ -83,6 +84,10 @@ def weighted(n, weights, y_total):
     table = StrataTable(dim_names=("g",), keys=keys, n=n, y=y)
     prior = PriorSpec(lambda0=w * y_total / n, rescale_factor=1.0, source=None)
     return table, prior
+
+
+# expected counts 10:1 apart, where calibration misses epsilon = 1
+CORNER = ((50, 60, 70, 80, 90), np.array([1, 2, 4, 8, 10]) / 25.0, 30)
 
 
 def calibrated(table, prior, epsilon, mode, alpha=0.05):
@@ -258,14 +263,21 @@ class TestAudit:
     def test_truncated_heterogeneity_corner_exceeds_the_budget(self):
         # expected counts 10:1 apart: the closed-form calibration misses
         # epsilon = 1 in truncated mode too (the corner calibration.py
-        # documents; untruncated mode reaches 1.2009 here)
-        table, prior = weighted(
-            (50, 60, 70, 80, 90), np.array([1, 2, 4, 8, 10]) / 25.0, 30
-        )
+        # documents)
+        table, prior = weighted(*CORNER)
         report = audit(table, calibrated(table, prior, 1.0, MODE_TRUNCATED))
         assert not report.passed
         assert report.max_abs_log_ratio == pytest.approx(
             1.0377706412736591, abs=1e-9
+        )
+
+    def test_untruncated_heterogeneity_corner_exceeds_the_budget(self):
+        # the same corner in untruncated mode, over all 46,376 datasets
+        table, prior = weighted(*CORNER)
+        report = audit(table, calibrated(table, prior, 1.0, MODE_UNTRUNCATED))
+        assert report.passed is False
+        assert report.max_abs_log_ratio == pytest.approx(
+            1.2008689921644375, abs=1e-9
         )
 
     def test_worst_pair_is_reported_correctly(self, demo):
@@ -354,12 +366,19 @@ class TestAgainstEnumeration:
         calib = scaled(calibrated(table, prior, 1.0, mode), factor)
         params = build_kernel_params(table.y, table, calib)
         comps = enumerate_feasible([0, 0, 0], [7, 7, 7], 7)
-        bound = audit_mod._PairBound(comps, params, calib)
-        got = [
-            (tuple(x), v, zi, zj)
-            for rows, xs, x_rows, i, j in audit_mod._pair_chunks(comps, 7)
-            for x, v, zi, zj in zip(xs, *bound(rows, xs, x_rows, i, j))
-        ]
+        keys, inverse = audit_mod._distinct_clamped(comps, calib)
+        shapes = keys + calib.a
+        log_c = audit_mod._log_normalizers(keys, params, calib)
+        got = []
+        for rows, x_rows, i, j in audit_mod._pair_chunks(comps, 7):
+            y, x = inverse[rows], inverse[x_rows]
+            bound = audit_mod._pair_bound(
+                params, shapes[y], shapes[x], log_c[y] - log_c[x], i, j
+            )
+            got += [
+                (tuple(comps[r].tolist()), v, zi, zj)
+                for r, v, zi, zj in zip(x_rows, *bound)
+            ]
         support, walk = neighbor_log_pmfs(table, calib)
         assert len(got) == len(walk) > 0
         for (x, value, z_i, z_j), (_, want_x, i, j, lp_y, lp_x) in zip(got, walk):
@@ -432,19 +451,49 @@ class TestPairChunks:
 
 class TestNormalizers:
     def test_shared_weight_tables_give_backward_pass_normalizers(self):
-        # one kernel table per (stratum, clamped count), shared by all
-        # datasets, must give each dataset's own ln C bit for bit
+        # one kernel table per (stratum, clamped count) and one mass table
+        # per clamped suffix, shared by all datasets, must give each
+        # dataset's own ln C bit for bit
         table, prior = weighted((40, 160, 90), (2 / 9, 3 / 9, 4 / 9), 12)
         for mode in (MODE_UNTRUNCATED, MODE_TRUNCATED):
             calib = calibrated(table, prior, 1.0, mode)
             comps = enumerate_feasible([0, 0, 0], [12, 12, 12], 12)
             params = build_kernel_params(table.y, table, calib)
-            got = audit_mod._log_normalizers(comps, params, calib)
+            keys, inverse = audit_mod._distinct_clamped(comps, calib)
+            got = audit_mod._log_normalizers(keys, params, calib)[inverse]
             want = []
             for y in comps:
                 params = build_kernel_params(y, table, calib)
                 want.append(backward_pass(params, stratum_weight_table(params), 3)[1])
             assert got.tolist() == want
+
+    @pytest.mark.parametrize("instance, mode, steps", [
+        (TRI100, MODE_UNTRUNCATED, 10403),
+        (TRI100, MODE_TRUNCATED, 1040),
+        (QUAD24, MODE_TRUNCATED, 1923),
+        (QUAD24, MODE_UNTRUNCATED, 6200),
+    ], ids=["tri100u", "tri100t", "quad24t", "quad24u"])
+    def test_one_recursion_step_per_distinct_clamped_suffix(
+        self, monkeypatch, instance, mode, steps
+    ):
+        # T_k depends on the clamped counts k..I-1 only, so the audit
+        # builds it once per distinct keys[:, k:], not once per dataset
+        table, prior = benchmark_instance(*instance)
+        calib = calibrated(table, prior, 1.0, mode)
+        total, size = table.y_total, table.size
+        comps = enumerate_feasible([0] * size, [total] * size, total)
+        keys, _ = audit_mod._distinct_clamped(comps, calib)
+        suffixes = sum(len(np.unique(keys[:, k:], axis=0)) for k in range(size))
+        calls = []
+        convolve = mechanism.convolve_mass
+
+        def counted(*args):
+            calls.append(None)
+            return convolve(*args)
+
+        monkeypatch.setattr(mechanism, "convolve_mass", counted)
+        audit(table, calib)
+        assert len(calls) == suffixes == steps
 
     def test_composition_rank_is_walk_order(self):
         for total, parts in ((0, 3), (7, 1), (9, 2), (6, 4)):

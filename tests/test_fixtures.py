@@ -1,5 +1,7 @@
 """Generated instance: determinism, margins, injected signal recovery."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,9 @@ from pgsynth.utility import (
 )
 
 SMALL_DIMS = (("county", 12), ("age", 5), ("site", 2), ("race", 3), ("sex", 2))
+PROFILE = {
+    (f"a{i}", f"s{j}"): 0.001 * i + 0.0001 * j for i in range(1, 6) for j in (1, 2)
+}
 
 
 def small_spec(**overrides):
@@ -61,6 +66,25 @@ class TestDeterminism:
         a = generate_fixture(small_spec())
         b = generate_fixture(small_spec(seed=1))
         assert not np.array_equal(a.table.y, b.table.y)
+
+    @pytest.mark.parametrize("spec, digest", [
+        (FixtureSpec(),
+         "827306652d221ee287f16e33c686e98ef65bb80f27f4e664d73b3abbca661f3c"),
+        (small_spec(),
+         "bfbc8d9f17fcd0669125a5893be5e1554e35e2f16fb45fe95d5bd4a096a106f2"),
+        (small_spec(total_deaths=0),
+         "83dbe122f32709b0391c47491e98be2b13d2894847dddb6b3a1b3468de9960da"),
+        (small_spec(rate_profile=PROFILE, group_dim="sex", group_level="female"),
+         "d472ff5671ce0d993f8a9169c33d20e4d395735d98e727eedfd8d12d034e9b2f"),
+    ], ids=["published", "small", "no-deaths", "rate-profile"])
+    def test_files_are_pinned(self, tmp_path, spec, digest):
+        # sha256 of the four files: every population's rounding, every
+        # weight's product order and the draw are fixed by the spec
+        paths = write_fixture_files(generate_fixture(spec), tmp_path)
+        h = hashlib.sha256()
+        for name in ("strata", "rates", "densities", "standard"):
+            h.update(paths[name].read_bytes())
+        assert h.hexdigest() == digest
 
 
 class TestDefaultScale:

@@ -20,6 +20,7 @@ from pgsynth.strata import (
     compute_bounds,
     joint_feasible_bounds,
 )
+from pgsynth.synthesizer import read_replicates_csv
 from pgsynth.utility import StandardPopulation, read_density_csv, write_density_csv
 
 from _oracles import poisson_quantile_direct
@@ -224,6 +225,27 @@ class TestTableDialect:
         # "#x,..." is a comment line to every reader, whatever its quoting
         with pytest.raises(SchemaError, match="label '#x' would read as a comment"):
             write(tmp_path / "t.csv")
+
+    @pytest.mark.parametrize("read, text, message", [
+        (StrataTable.from_csv, 'g,population,count\n"a\nb",1,1\nc,2,x\n',
+         "count 'x' is not an integer"),
+        (StrataTable.from_csv, 'g,population,count\n"a\nb",1,1\nc,2\n',
+         "expected 3 fields, got 2"),
+        (RatesTable.from_csv, 'g,rate\n"a\nb",0.1\nc,x\n',
+         "rate 'x' is not a finite nonnegative number"),
+        (lambda path: read_replicates_csv(path, StrataTable(
+            dim_names=("g",), keys=(("a\nb",), ("c",)), n=[1, 2], y=[1, 0],
+        )), 'replicate,g,z\n0,"a\nb",1\n0,c,x\n', "count 'x' is not an integer"),
+    ], ids=["strata-count", "strata-fields", "rates", "replicates"])
+    def test_errors_name_the_line_after_a_quoted_newline(
+        self, tmp_path, read, text, message
+    ):
+        # the record after "a<newline>b" starts on line 4, not record 3
+        path = tmp_path / "ln.csv"
+        path.write_text(text)
+        with pytest.raises(SchemaError) as err:
+            read(path)
+        assert str(err.value) == f"{path}:4: {message}"
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-5"])
     @pytest.mark.parametrize("read, header", [
