@@ -14,7 +14,7 @@ exact_joint_pmf and ratio_curve evaluate the law at every output.
 
 Datasets and outputs alike come from enumerate_feasible, in
 lexicographic order, and audit and ratio_curve walk the same neighbor
-pairs in vectorized chunks (_pair_chunks).
+pairs in vectorized steps of whole datasets (_pair_chunks).
 
 All ratio arithmetic is done as differences of log pmfs; tail masses
 around 1e-83 are routine here and would be garbage in linear scale.
@@ -58,8 +58,8 @@ __all__ = [
 DEFAULT_CAP = 10**6
 PASS_TOL = 1e-9
 
-# Neighbor pairs audit evaluates per vectorized step; it bounds the step's
-# temporaries, and no reported value depends on it.
+# Neighbor pairs audit evaluates per vectorized step, rounded down to whole
+# datasets; it bounds the step's temporaries, and no reported value depends on it.
 PAIR_CHUNK = 1 << 14
 
 
@@ -199,7 +199,7 @@ def audit(
     z_j = min(hi_j, B - z_i), and |g - D| peaks at one of these corners.
     The datasets are clamped once; ln C costs one recursion step per
     distinct clamped suffix (_log_normalizers) and each pair O(1), in
-    chunks of PAIR_CHUNK pairs.
+    steps of at most PAIR_CHUNK pairs or one dataset's.
     """
     if cap < 1:
         raise DomainError(f"the dataset cap must be at least 1, got {cap}")
@@ -219,14 +219,13 @@ def audit(
     keys, inverse = _distinct_clamped(comps, calib)
     shapes = keys + calib.a
     log_c = _log_normalizers(keys, params, calib)
+    del keys
 
     best = -1.0
     best_at = None
     for rows, x_rows, i, j in _pair_chunks(comps, PAIR_CHUNK):
-        y_key, x_key = inverse[rows], inverse[x_rows]
-        value, z_i, z_j = _pair_bound(
-            params, shapes[y_key], shapes[x_key], log_c[y_key] - log_c[x_key], i, j
-        )
+        y, x = inverse[rows], inverse[x_rows]
+        value, z_i, z_j = _pair_bound(params, shapes, y, x, log_c[y] - log_c[x], i, j)
         k = int(np.argmax(value))
         if value[k] > best:
             best = float(value[k])
@@ -245,13 +244,14 @@ def audit(
     )
 
 
-def _pair_bound(params: KernelParams, sy, sx, delta, i, j):
+def _pair_bound(params: KernelParams, shapes, y, x, delta, i, j):
     """Worst |log p(z|y) - log p(z|x)| over all outputs z, per pair, and
-    the corner (z_i, z_j) attaining it (see audit). Pair r has shapes
-    sy[r] and sx[r], ln C(y) - ln C(x) = delta[r] and x = y - e_i + e_j."""
+    the corner (z_i, z_j) attaining it (see audit). Pair r runs from the
+    clamped dataset y[r] to x[r] = y[r] - e_i + e_j, given as rows of the
+    per-key shapes, and ln C(y) - ln C(x) = delta[r]. Only the shapes of
+    strata i and j are read; the other kernels cancel."""
     from scipy.special import gammaln
 
-    pos = np.arange(len(i))
     lo, hi, y_total = params.lo, params.hi, params.y_total
     # A and B of audit's docstring: the range of z_i + z_j
     low = y_total - (hi.sum() - hi[i] - hi[j])
@@ -259,8 +259,8 @@ def _pair_bound(params: KernelParams, sy, sx, delta, i, j):
 
     def g(z_i, z_j):
         return (
-            gammaln(z_i + sy[pos, i]) - gammaln(z_i + sx[pos, i])
-            + gammaln(z_j + sy[pos, j]) - gammaln(z_j + sx[pos, j])
+            gammaln(z_i + shapes[y, i]) - gammaln(z_i + shapes[x, i])
+            + gammaln(z_j + shapes[y, j]) - gammaln(z_j + shapes[x, j])
         )
 
     up_i = np.minimum(hi[i], high - lo[j])
@@ -344,7 +344,8 @@ class _CompositionRank:
 
 
 def _pair_chunks(comps: np.ndarray, chunk: int):
-    """Yield (rows, x_rows, i, j) for every unit transfer, chunk at a time.
+    """Yield (rows, x_rows, i, j) for every unit transfer, a step of
+    whole datasets at a time: chunk // (I (I - 1)) rows, at least one.
 
     comps holds every composition of one total, in order; each pair is
     comps[rows] and comps[x_rows] = comps[rows] - e_i + e_j. The
@@ -356,15 +357,10 @@ def _pair_chunks(comps: np.ndarray, chunk: int):
     src, dst = np.array(
         [(i, j) for i in range(size) for j in range(size) if j != i]
     ).T
-    ends = np.cumsum((comps > 0).sum(axis=1) * (size - 1))
-    for start in range(0, int(ends[-1]), chunk):
-        stop = min(start + chunk, int(ends[-1]))
-        r0 = int(np.searchsorted(ends, start, side="right"))
-        r1 = int(np.searchsorted(ends, stop - 1, side="right")) + 1
-        rows, k = np.nonzero(comps[r0:r1, src] > 0)
-        skip = start - (int(ends[r0 - 1]) if r0 else 0)
-        take = slice(skip, skip + stop - start)
-        rows, i, j = rows[take] + r0, src[k[take]], dst[k[take]]
+    step = max(1, chunk // len(src))
+    for start in range(0, len(comps), step):
+        rows, k = np.nonzero(comps[start : start + step, src] > 0)
+        rows, i, j = rows + start, src[k], dst[k]
         x = comps[rows]
         pos = np.arange(len(rows))
         x[pos, i] -= 1
@@ -428,8 +424,7 @@ def ratio_curve(table: StrataTable, calib: Calibration) -> RatioCurve:
                      for s in keys + calib.a])
     best = np.full(len(support), -np.inf)
     best_at = np.full((2, len(support)), -1)  # rows of the attaining y and x
-    chunk = max(1, PAIR_CHUNK // len(support))
-    for rows, x_rows, _, _ in _pair_chunks(comps, chunk):
+    for rows, x_rows, _, _ in _pair_chunks(comps, PAIR_CHUNK // len(support)):
         d = logp[inverse[rows]] - logp[inverse[x_rows]]
         k, top = d.argmax(axis=0), d.max(axis=0)
         better = top > best

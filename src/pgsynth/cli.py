@@ -424,16 +424,31 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+# how each scalar field of a fixture spec is read from JSON
+_SPEC_FIELDS = {
+    "total_deaths": _integer, "state_population": _integer, "seed": _integer,
+    "urban_count": _integer, "density_threshold": _real,
+    "urban_multiplier": _real, "group_multiplier": _real,
+    "group_dim": _text, "group_level": _text,
+}
+
+
 def _parse_fixture_spec(doc: dict) -> FixtureSpec:
     kwargs = dict(doc)
+    for key, parse in _SPEC_FIELDS.items():
+        if key in kwargs:
+            try:
+                kwargs[key] = parse(kwargs[key])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise SchemaError(f"fixture spec {key!r}: {exc}") from None
     if "dims" in kwargs:
         try:
             kwargs["dims"] = tuple(
-                (str(name), int(count)) for name, count in kwargs["dims"]
+                (str(name), _integer(count)) for name, count in kwargs["dims"]
             )
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise SchemaError(
-                "fixture dims must be [[name, count], ...] pairs"
+                "fixture dims must be [[name, count], ...] pairs, counts integers"
             ) from None
     if kwargs.get("rate_profile") is not None:
         profile = {}

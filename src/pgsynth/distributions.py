@@ -23,21 +23,24 @@ __all__ = [
 ]
 
 
-def poisson_quantile_vec(p, mu) -> np.ndarray:
-    """Vectorized Poisson quantile: min{k >= 0 : F(k | mu) >= p}.
+def poisson_quantile_vec(p, mu, top: int) -> np.ndarray:
+    """Vectorized Poisson quantile capped at top: min{k >= 0 : F(k | mu) >= p},
+    or top where that exceeds it.
 
-    A normal-approximation seed gives an upper bracket which is doubled
-    until it covers the quantile, then the answer is resolved by integer
-    bisection on the monotone cdf. Exact for means up to at least 1e7:
-    the deciding comparisons are single cdf evaluations, so the result
-    satisfies F(q - 1) < p <= F(q) whenever q >= 1.
+    Integer bisection on the monotone cdf over [0, top], so it ends for
+    any mean. A normal-approximation seed, capped at top, is the first
+    upper end; where F(seed) < p the search moves above it. Exact for
+    means up to at least 1e7: the deciding comparisons are single cdf
+    evaluations, so the result satisfies F(q - 1) < p <= F(q) whenever
+    1 <= q < top.
 
     Args:
         p: probabilities, each strictly inside (0, 1).
         mu: nonnegative Poisson means, broadcastable against p.
+        top: the largest value returned, nonnegative.
 
     Raises:
-        DomainError: p outside (0, 1) or mu negative.
+        DomainError: p outside (0, 1), mu negative or top negative.
     """
     from scipy import special
 
@@ -47,6 +50,8 @@ def poisson_quantile_vec(p, mu) -> np.ndarray:
         raise DomainError("quantile probability must lie strictly in (0, 1)")
     if np.any(mu < 0.0):
         raise DomainError("Poisson mean must be nonnegative")
+    if top < 0:
+        raise DomainError(f"quantile cap must be nonnegative, got {top}")
     p, mu = np.broadcast_arrays(p, mu)
     q = np.zeros(p.shape, dtype=np.int64)
     active = mu > 0.0
@@ -55,25 +60,20 @@ def poisson_quantile_vec(p, mu) -> np.ndarray:
     pa = p[active]
     ma = mu[active]
 
-    # Upper bracket from the normal approximation, grown geometrically until
-    # F(hi) >= p everywhere. The +10 keeps tiny means out of the doubling loop.
-    z = special.ndtri(pa)
-    hi = np.maximum(np.ceil(ma + z * np.sqrt(ma) + 10.0), 1.0)
-    for _ in range(200):
-        need = special.pdtr(hi, ma) < pa
-        if not np.any(need):
-            break
-        hi[need] = hi[need] * 2.0 + 1.0
-    else:  # pragma: no cover - the bracket always closes long before this
-        raise RuntimeError("failed to bracket Poisson quantile")
-
-    lo = np.zeros_like(hi)  # invariant: F(lo - 1) < p <= F(hi)
+    # invariant: the answer lies in [lo, hi], and F(hi) >= p or hi = top.
+    # fmin/fmax also map the NaN seed of an infinite mean into range.
+    seed = np.ceil(ma + special.ndtri(pa) * np.sqrt(ma) + 10.0)
+    hi = np.minimum(np.fmin(np.fmax(seed, 1.0), 2.0**62).astype(np.int64), top)
+    ge = special.pdtr(hi, ma) >= pa
+    lo = np.where(ge, 0, np.minimum(hi, top - 1) + 1)
+    hi = np.where(ge, hi, top)
     while np.any(lo < hi):
-        mid = np.floor((lo + hi) / 2.0)
-        ge = special.pdtr(mid, ma) >= pa
+        mid = lo + (hi - lo) // 2
+        # mid = hi only where the search has ended; mid + 1 could overflow there
+        ge = (mid == hi) | (special.pdtr(mid, ma) >= pa)
         hi = np.where(ge, mid, hi)
-        lo = np.where(ge, lo, mid + 1.0)
-    q[active] = lo.astype(np.int64)
+        lo = np.where(ge, lo, mid + 1)
+    q[active] = hi
     return q
 
 

@@ -75,15 +75,17 @@ class FixtureSpec:
         for name, count in self.dims:
             if int(count) < 1:
                 raise DomainError(f"dimension {name!r} needs at least one level")
-        if self.total_deaths < 0:
-            raise DomainError("total_deaths must be nonnegative")
+        for name in ("total_deaths", "seed"):
+            if not 0 <= getattr(self, name) < 2**63:
+                raise DomainError(f"{name} must be nonnegative and below 2^63")
         if self.state_population < 1:
             raise DomainError("state_population must be positive")
         counts = dict(self.dims)
         if not 0 <= self.urban_count <= counts["county"]:
             raise DomainError("urban_count must lie between 0 and the county count")
-        if self.urban_multiplier <= 0.0 or self.group_multiplier <= 0.0:
-            raise DomainError("multipliers must be positive")
+        for name in ("density_threshold", "urban_multiplier", "group_multiplier"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be finite and positive")
         if self.group_dim not in names:
             raise DomainError(f"unknown group dimension {self.group_dim!r}")
         if self.group_level not in _levels(self.group_dim, counts[self.group_dim]):

@@ -63,13 +63,22 @@ def _frozen_float_array(values) -> np.ndarray:
     return arr
 
 
+def _check_dim_names(names, where: str = "") -> None:
+    """Raise SchemaError on the first dimension name that repeats: a
+    lookup by name would see only its first column."""
+    for j, name in enumerate(names):
+        if name in names[:j]:
+            raise SchemaError(f"{where}dimension {name!r} is repeated")
+
+
 @dataclass(frozen=True, eq=False)
 class StrataTable:
     """The universe of groups with populations, observed counts and total.
 
     Invariants (validated on construction): y_total equals the sum of
     counts, at least two strata, populations and counts nonnegative and
-    each summing to less than 2^63 (so int64 sums never wrap), keys unique.
+    each summing to less than 2^63 (so int64 sums never wrap), keys and
+    dimension names unique.
     """
 
     dim_names: tuple[str, ...]
@@ -79,6 +88,7 @@ class StrataTable:
 
     def __post_init__(self):
         object.__setattr__(self, "dim_names", tuple(self.dim_names))
+        _check_dim_names(self.dim_names)
         object.__setattr__(self, "keys", tuple(tuple(k) for k in self.keys))
         object.__setattr__(self, "n", _frozen_int_array(self.n))
         object.__setattr__(self, "y", _frozen_int_array(self.y))
@@ -170,6 +180,7 @@ class RatesTable:
 
     def __post_init__(self):
         object.__setattr__(self, "dim_names", tuple(self.dim_names))
+        _check_dim_names(self.dim_names)
         object.__setattr__(
             self, "rates", {tuple(k): float(v) for k, v in self.rates.items()}
         )
@@ -279,22 +290,26 @@ def compute_bounds(
     level is deliberately 1 - 2*alpha rather than 1 - alpha/2: this is the
     interval convention the released reference calibrations are pinned to
     (E = 15, alpha = 1e-4, c = 1 must give U = 30, which the symmetric
-    level would miss by two). Both bounds are clamped to the invariant
+    level would miss by two). Both quantiles are capped at the invariant
     total: values above it have zero probability under the sum constraint,
     and leaving U_i larger would only loosen the privacy requirement
     spuriously.
     """
     if not 0.0 < alpha < 0.5:
         raise DomainError("alpha must lie in (0, 1/2)")
+    if 1.0 - 2.0 * alpha == 1.0:
+        raise DomainError(
+            f"alpha {alpha!r} is too small: the upper level 1 - 2*alpha rounds to 1"
+        )
     if not 1.0 <= c < np.inf:
         raise DomainError(f"c must be finite and at least 1, got {c}")
     expected = prior.expected_counts(table)
-    lower = poisson_quantile_vec(alpha / 2.0, expected / c)
-    upper = poisson_quantile_vec(1.0 - 2.0 * alpha, expected * c)
     total = table.y_total
-    lower = np.minimum(lower, total)
+    lower = poisson_quantile_vec(alpha / 2.0, expected / c, total)
+    with np.errstate(over="ignore"):  # an infinite mean's quantile is the total
+        upper = poisson_quantile_vec(1.0 - 2.0 * alpha, expected * c, total)
     # alpha close to 1/2 can invert the levels; keep the box well formed
-    upper = np.maximum(np.minimum(upper, total), lower)
+    upper = np.maximum(upper, lower)
     return TruncationBounds(L=lower, U=upper, alpha=float(alpha), c=float(c))
 
 
@@ -344,7 +359,7 @@ STRATA_TRAILING = ("population", "count")
 
 def _read_strata_columns(path):
     """(dim_names, keys, n, y) of a strata CSV, or None unless the file is
-    plain and every row well formed.
+    plain and its header and every row well formed.
 
     Plain means no quote, CR other than in CRLF, or NUL: csv.reader then
     splits fields at commas and records at line ends, so the text is
@@ -367,7 +382,7 @@ def _read_strata_columns(path):
     width = len(header)
     k = width - len(STRATA_TRAILING)
     body = lines[1:]
-    if k < 1 or tuple(header[k:]) != STRATA_TRAILING:
+    if k < 1 or tuple(header[k:]) != STRATA_TRAILING or len(set(header[:k])) < k:
         return None
     if set(map(str.count, body, itertools.repeat(","))) != {width - 1}:
         return None
@@ -431,6 +446,7 @@ def _read_table(path, trailing: tuple[str, ...], dims: tuple[str, ...] | None = 
                 if k < 1 or header[k:] != trailing or dims not in (None, header[:k]):
                     want = ",".join((*(dims or ("...",)), *trailing))
                     raise SchemaError(f"{path}:{lineno}: expected header {want}")
+                _check_dim_names(header[:k], f"{path}:{lineno}: ")
                 yield header[:k]
                 continue
             if len(record) != len(header):

@@ -1,6 +1,7 @@
 """Exact privacy verification against enumeration oracles."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import mpmath as mp
@@ -373,7 +374,7 @@ class TestAgainstEnumeration:
         for rows, x_rows, i, j in audit_mod._pair_chunks(comps, 7):
             y, x = inverse[rows], inverse[x_rows]
             bound = audit_mod._pair_bound(
-                params, shapes[y], shapes[x], log_c[y] - log_c[x], i, j
+                params, shapes, y, x, log_c[y] - log_c[x], i, j
             )
             got += [
                 (tuple(comps[r].tolist()), v, zi, zj)
@@ -425,15 +426,35 @@ class TestPairChunks:
 
     @pytest.mark.parametrize("mode", [MODE_UNTRUNCATED, MODE_TRUNCATED])
     def test_chunk_size_does_not_change_curve(self, monkeypatch, mode):
-        # a step holds PAIR_CHUNK // outputs pairs, at least one; chunks of
-        # 1 or 7 pairs split the walk mid-dataset, and each output must
-        # still keep the first pair in walk order that attains it
+        # a step holds PAIR_CHUNK // outputs pairs, rounded down to whole
+        # datasets of up to two pairs, at least one; PAIR_CHUNK 1 or 7
+        # gives steps of one dataset and 7 * outputs steps of three, and
+        # each output must still keep the first pair in walk order that
+        # attains it
         table, prior = pair40_160(12)
         calib = scaled(calibrated(table, prior, 1.0, mode), 0.5)
         reference = ratio_curve(table, calib)
         for chunk in (1, 7, 7 * len(reference.z)):
             monkeypatch.setattr(audit_mod, "PAIR_CHUNK", chunk)
             assert_same_curve(ratio_curve(table, calib), reference)
+
+    @pytest.mark.parametrize("instance, mode", [
+        (TRI100, MODE_UNTRUNCATED),
+        (QUAD24, MODE_TRUNCATED),
+    ], ids=["tri100u", "quad24t"])
+    def test_one_audit_allocates_at_most_4_mb(self, instance, mode):
+        # a step reads the per-key shapes of strata i and j only, so no
+        # step gathers a pair x strata copy of them
+        table, prior = benchmark_instance(*instance)
+        calib = calibrated(table, prior, 1.0, mode)
+        audit(table, calib)  # imports and caches are not the audit's
+        tracemalloc.start()
+        try:
+            audit(table, calib)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.0e6
 
     def test_ties_keep_the_first_pair_in_walk_order(self, monkeypatch):
         # point boxes leave one output, where every pair's ratio is 1, so

@@ -147,6 +147,29 @@ class TestCalibrate:
         assert code == 2
         assert "c must be finite and at least 1" in capsys.readouterr().err
 
+    def test_alpha_whose_level_rounds_to_one_is_usage_error(
+        self, demo_files, tmp_path, capsys
+    ):
+        code = run([
+            "calibrate", "--strata", demo_files["strata"],
+            "--rates", demo_files["rates"],
+            "--epsilon", "1.0", "--mode", "truncated", "--alpha", "1e-17",
+            "--out", str(tmp_path / "x.json"),
+        ])
+        assert code == 2
+        assert "alpha 1e-17 is too small" in capsys.readouterr().err
+
+    def test_huge_c_finishes(self, demo_files, tmp_path):
+        # in a fresh process, so that a search that never ends times out
+        out = tmp_path / "x.json"
+        proc = run_python(
+            "-m", "pgsynth", "calibrate", "--strata", demo_files["strata"],
+            "--rates", demo_files["rates"], "--epsilon", "1.0",
+            "--mode", "truncated", "--c", "1e17", "--out", str(out),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert [s["U"] for s in json.loads(out.read_text())["strata"]] == [100, 100]
+
     def test_infeasible_bounds_is_runtime_error(self, demo_files, tmp_path):
         code = run([
             "calibrate", "--strata", demo_files["strata"],
@@ -176,6 +199,19 @@ class TestCalibrate:
             "--out", str(tmp_path / "x.json"),
         ])
         assert code == 2
+
+    def test_repeated_dimension_is_usage_error(self, tmp_path, capsys):
+        strata, rates = tmp_path / "strata.csv", tmp_path / "rates.csv"
+        strata.write_text("g,g,population,count\na,b,1000,10\nc,d,5000,90\n")
+        rates.write_text("g,rate\na,0.015\nc,0.017\n")
+        code = run([
+            "calibrate", "--strata", str(strata), "--rates", str(rates),
+            "--epsilon", "1.0", "--mode", "untruncated",
+            "--out", str(tmp_path / "x.json"),
+        ])
+        assert code == 2
+        assert f"{strata}:1: dimension 'g' is repeated" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
 
     @pytest.mark.parametrize("name", ["strata", "rates", "config"])
     def test_input_that_is_not_utf8_is_usage_error(
@@ -547,6 +583,32 @@ class TestEvaluateAndFixture:
         spec.write_text(json.dumps({"dims": [["county", 2]]}))
         assert run(["fixture", "--spec", str(spec),
                     "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", "-1"), ("seed", "1.5"), ("seed", '"a"'), ("seed", "2e19"),
+        ("seed", "true"), ("urban_count", "1.5"),
+        ("urban_multiplier", "NaN"), ("urban_multiplier", "Infinity"),
+        ("group_multiplier", "1e400"), ("density_threshold", "null"),
+        ("density_threshold", "-1"), ("density_threshold", "NaN"),
+        ("total_deaths", "1e19"), ("total_deaths", "1.5"),
+        ("state_population", "2.5"),
+        pytest.param(
+            "dims", '[["county", 2.9], ["age", 2], ["site", 1], ["race", 3], ["sex", 2]]',
+            id="dims-2.9",
+        ),
+    ])
+    def test_fixture_spec_value_is_refused(self, tmp_path, capsys, field, value):
+        # a type or range the generator cannot honour: no traceback, no
+        # silent rounding, and the error names the field
+        spec = (
+            '{"dims": [["county", 2], ["age", 2], ["site", 1], ["race", 3], '
+            '["sex", 2]], "total_deaths": 40, "state_population": 5000, '
+            f'"seed": 0, "urban_count": 1, "{field}": {value}}}'
+        )
+        out = tmp_path / "x"
+        assert run(["fixture", "--spec", spec, "--out", str(out)]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
 
     def test_inline_spec_writes_what_the_spec_file_writes(self, tmp_path):
         # the README quick start's spec, given inline and as a file

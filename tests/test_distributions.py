@@ -8,13 +8,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import pdtr
 
+from pgsynth.errors import DomainError
 from pgsynth.distributions import log_negbin_kernel, poisson_quantile_vec
 
 from _oracles import poisson_cdf_direct, poisson_quantile_direct
 
 
+# far above every quantile these tests ask for
+TOP = 10**9
+
+
 def quantile(p: float, mu: float) -> int:
-    return int(poisson_quantile_vec(p, mu))
+    return int(poisson_quantile_vec(p, mu, TOP))
 
 
 class TestPoissonCdf:
@@ -38,7 +43,7 @@ class TestPoissonCdf:
     def test_negative_k_is_zero(self):
         # F(-1) = 0 < p for every p, so no quantile is ever negative
         assert quantile(1e-12, 3.0) == 0
-        assert poisson_quantile_vec([1e-12, 0.5], [0.0, 1e-9]).tolist() == [0, 0]
+        assert poisson_quantile_vec([1e-12, 0.5], [0.0, 1e-9], TOP).tolist() == [0, 0]
 
     def test_large_mean_far_tail(self):
         # pmf summation would lose this; the incomplete-gamma route keeps it
@@ -75,12 +80,30 @@ class TestPoissonQuantile:
     def test_vectorized_matches_scalar(self):
         q = np.array([0.01, 0.5, 0.99])
         mu = np.array([2.0, 15.0, 85.0])
-        vec = poisson_quantile_vec(q, mu)
+        vec = poisson_quantile_vec(q, mu, TOP)
         assert vec.tolist() == [quantile(a, b) for a, b in zip(q, mu)]
         assert vec.tolist() == [poisson_quantile_direct(a, b) for a, b in zip(q, mu)]
 
     def test_zero_mean(self):
         assert quantile(0.999, 0.0) == 0
+
+    def test_capped_at_top(self):
+        assert [int(poisson_quantile_vec(1.0 - 2e-4, 15.0, top))
+                for top in (0, 29, 30, 31)] == [0, 29, 30, 30]
+
+    def test_huge_means_end(self):
+        # above 2^53 a float search can no longer step by one; an infinite
+        # mean's quantile lies past every cap
+        mu = [2e17, 1e20, 1e308, np.inf]
+        assert poisson_quantile_vec(1.0 - 2e-4, mu, 26116).tolist() == [26116] * 4
+        top = np.iinfo(np.int64).max
+        k = poisson_quantile_vec(1.0 - 2e-4, mu, top)
+        assert k[2:].tolist() == [top, top]
+        assert 2e17 < k[0] < 2e17 + 1e10 and pdtr(k[0], 2e17) >= 1.0 - 2e-4
+
+    def test_negative_top_is_refused(self):
+        with pytest.raises(DomainError, match="cap must be nonnegative"):
+            poisson_quantile_vec(0.5, 1.0, -1)
 
 
 class TestNegbinKernel:

@@ -264,6 +264,30 @@ class TestTableDialect:
         ):
             read(path)
 
+    @pytest.mark.parametrize("read, text", [
+        (StrataTable.from_csv, "# provenance\ng,g,population,count\na,b,10,1\nc,d,20,2\n"),
+        (StrataTable.from_csv, '# provenance\ng,g,population,count\n"a",b,10,1\nc,d,20,2\n'),
+        (RatesTable.from_csv, "# provenance\ng,g,rate\na,b,0.5\n"),
+    ], ids=["strata", "strata-quoted", "rates"])
+    def test_repeated_dimension_is_refused(self, tmp_path, read, text):
+        # a lookup by name would silently read the first "g" column only
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(SchemaError) as err:
+            read(path)
+        assert str(err.value) == f"{path}:2: dimension 'g' is repeated"
+
+    @pytest.mark.parametrize("build", [
+        lambda: StrataTable(
+            dim_names=("g", "h", "g"), keys=(("a", "b", "c"), ("d", "e", "f")),
+            n=[1, 2], y=[1, 0],
+        ),
+        lambda: RatesTable(dim_names=("g", "g"), rates={("a", "b"): 0.5}),
+    ], ids=["strata", "rates"])
+    def test_constructors_refuse_a_repeated_dimension(self, build):
+        with pytest.raises(SchemaError, match="dimension 'g' is repeated"):
+            build()
+
 
 class TestBuildPrior:
     def test_rescales_to_match_total(self):
@@ -338,6 +362,21 @@ class TestComputeBounds:
         for c in (0.5, np.inf, np.nan):
             with pytest.raises(DomainError, match="c must be finite"):
                 compute_bounds(prior, table, 1e-4, c)
+
+    def test_alpha_whose_upper_level_rounds_to_one_is_refused(self, demo):
+        # 1 - 2 * 1e-17 is 1.0 in float64; 3e-17 still leaves a level below 1
+        table, prior = demo
+        with pytest.raises(DomainError, match="alpha 1e-17 is too small"):
+            compute_bounds(prior, table, 1e-17, 1.0)
+        assert compute_bounds(prior, table, 3e-17, 1.0).U.tolist() == [56, 100]
+
+    @pytest.mark.parametrize("c", [1e17, 1e20, 1e308])
+    def test_huge_c_gives_the_whole_range(self, demo, c):
+        # c * E past 2^53, where a float search cannot step by one, or past
+        # float64 range: the search still ends, at the total
+        table, prior = demo
+        b = compute_bounds(prior, table, 1e-4, c)
+        assert b.L.tolist() == [0, 0] and b.U.tolist() == [100, 100]
 
 
 class TestDominance:
