@@ -17,9 +17,8 @@ lexicographic order, and audit and ratio_curve walk the same neighbor
 pairs in vectorized steps of whole datasets (_pair_chunks).
 
 All ratio arithmetic is done as differences of log pmfs; tail masses
-around 1e-83 are routine here and would be garbage in linear scale.
-scipy.special is imported where it is called, as in distributions, so
-importing this module (the CLI does) does not load scipy.
+around 1e-83 are routine here and would be garbage in linear scale. The
+log-gamma and log-sum-exp are distributions' own numpy code.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from math import comb
 import numpy as np
 
 from .calibration import Calibration
-from .distributions import log_negbin_kernel
+from .distributions import _log_gamma, _logsumexp, log_negbin_kernel
 from .errors import DomainError, EnumerationCapError, InfeasibilityError
 from .mechanism import (
     KernelParams,
@@ -148,12 +147,10 @@ def enumerate_feasible(lo, hi, total: int, cap: int = DEFAULT_CAP) -> np.ndarray
 
 def _log_pmf_on_support(params: KernelParams, support: np.ndarray) -> np.ndarray:
     """Log mechanism pmf of each support row under params."""
-    from scipy.special import logsumexp
-
     logw = log_negbin_kernel(
         support, params.shape[None, :], params.log_p[None, :]
     ).sum(axis=1)
-    return logw - logsumexp(logw)
+    return logw - _logsumexp(logw)
 
 
 def exact_joint_pmf(
@@ -250,18 +247,17 @@ def _pair_bound(params: KernelParams, shapes, y, x, delta, i, j):
     clamped dataset y[r] to x[r] = y[r] - e_i + e_j, given as rows of the
     per-key shapes, and ln C(y) - ln C(x) = delta[r]. Only the shapes of
     strata i and j are read; the other kernels cancel."""
-    from scipy.special import gammaln
-
     lo, hi, y_total = params.lo, params.hi, params.y_total
     # A and B of audit's docstring: the range of z_i + z_j
     low = y_total - (hi.sum() - hi[i] - hi[j])
     high = y_total - (lo.sum() - lo[i] - lo[j])
 
     def g(z_i, z_j):
-        return (
-            gammaln(z_i + shapes[y, i]) - gammaln(z_i + shapes[x, i])
-            + gammaln(z_j + shapes[y, j]) - gammaln(z_j + shapes[x, j])
-        )
+        out = _log_gamma(z_i + shapes[y, i])
+        out -= _log_gamma(z_i + shapes[x, i])
+        out += _log_gamma(z_j + shapes[y, j])
+        out -= _log_gamma(z_j + shapes[x, j])
+        return out
 
     up_i = np.minimum(hi[i], high - lo[j])
     up_j = np.maximum(lo[j], low - up_i)

@@ -1,10 +1,11 @@
 """Independent reference implementations used to check the package.
 
-Everything here is computed with mpmath arbitrary precision and direct
-summation/enumeration, deliberately avoiding the package's own numerics
-(scipy special functions, log-space convolutions) so agreement is
-evidence rather than tautology. The nu factors are scalar, per-stratum
-restatements of the calibration's vectorized requirements. The replicate
+Everything here is computed with mpmath arbitrary precision, scipy's
+special functions and direct summation/enumeration, deliberately
+avoiding the package's own numerics (its numpy special functions,
+log-space convolutions) so agreement is evidence rather than tautology.
+The nu factors are scalar, per-stratum restatements of the
+calibration's vectorized requirements. The replicate
 CSV writer is the plain csv.writer loop that the package's numpy
 renderer must match byte for byte; the report writer is json.dump with
 indent=2, which the package's templated report must match byte for

@@ -160,3 +160,20 @@ def test_only_mechanism_runs_the_recursion_step():
                 loops.add(mod)
     assert named == {"mechanism"}
     assert loops == {"audit", "synthesizer"}
+
+
+def test_no_module_imports_scipy():
+    # scipy is a test oracle only; the pipeline's special functions are
+    # distributions' own numpy code
+    importers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                importers.add(path.stem)
+    assert not importers, f"modules importing scipy: {sorted(importers)}"

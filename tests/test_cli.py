@@ -802,13 +802,38 @@ class TestModuleEntry:
         assert "evaluate" in proc.stdout
 
     def test_import_loads_no_scipy(self):
-        # evaluate and fixture never evaluate a kernel or a quantile, so
         # starting the CLI must not pay for loading scipy
         proc = run_python(
             "-c", "import sys, pgsynth.cli; print('scipy' in sys.modules)"
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["calibrate", "--mode", "truncated", "--out", "calib.json"],
+        ["synthesize", "--mode", "truncated", "--replicates", "3", "--seed", "1",
+         "--out", "run_t"],
+        ["synthesize", "--mode", "untruncated", "--replicates", "3", "--seed", "1",
+         "--out", "run_u"],
+        # the demo has two strata, so audit also writes the ratio curve
+        ["audit", "--mode", "truncated", "--out", "audit_t.json"],
+        ["audit", "--mode", "untruncated", "--out", "audit_u.json"],
+    ], ids=["calibrate", "synthesize-t", "synthesize-u", "audit-t", "audit-u"])
+    def test_commands_load_no_scipy(self, demo_files, tmp_path, argv):
+        # the quantile, the kernels and the exact audit run on distributions'
+        # own special functions
+        out = tmp_path / argv[-1]
+        argv = [*argv[:-1], str(out),
+                "--strata", demo_files["strata"], "--rates", demo_files["rates"],
+                "--epsilon", "1.0"]
+        proc = run_python("-c", (
+            "import sys; from pgsynth.cli import main; "
+            f"code = main({argv!r}); print(code, 'scipy' in sys.modules)"
+        ))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False"
+        if argv[0] == "audit":
+            assert out.with_name(f"{out.stem}_curve.csv").exists()
 
 
 class TestConfigHash:

@@ -1,4 +1,4 @@
-"""Distribution helpers against direct-summation oracles."""
+"""Distribution helpers against direct-summation, scipy and mpmath oracles."""
 
 import math
 
@@ -6,10 +6,16 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import pdtr
+from scipy.special import logsumexp, pdtr
 
 from pgsynth.errors import DomainError
-from pgsynth.distributions import log_negbin_kernel, poisson_quantile_vec
+from pgsynth.distributions import (
+    _log_gamma,
+    _logsumexp,
+    _poisson_cdf,
+    log_negbin_kernel,
+    poisson_quantile_vec,
+)
 
 from _oracles import poisson_cdf_direct, poisson_quantile_direct
 
@@ -22,23 +28,50 @@ def quantile(p: float, mu: float) -> int:
     return int(poisson_quantile_vec(p, mu, TOP))
 
 
+def cdf(k: float, mu: float) -> float:
+    return float(_poisson_cdf(np.array([float(k)]), np.array([float(mu)]))[0])
+
+
+def upper_gamma(a: int, x: float) -> float:
+    """Q(a, x) = F(a - 1 | x), the regularized upper incomplete gamma."""
+    return float(mp.gammainc(a, x, mp.inf, regularized=True))
+
+
 class TestPoissonCdf:
     """The cdf that poisson_quantile_vec brackets and bisects on.
 
-    The quantile's exactness rests on scipy's pdtr (the regularized upper
-    incomplete gamma route), so its accuracy is pinned here against
-    direct summation, including the far tail at a large mean.
+    The quantile's exactness rests on _poisson_cdf (Loader's pmf times the
+    near tail's series, and Temme's expansion near the mean from
+    k + 1 = 1e5), so its accuracy is pinned here against direct summation
+    and mpmath, including the far tail at a large mean.
     """
 
     @pytest.mark.parametrize("mu", [0.01, 0.5, 1.0, 15.0, 85.0, 1234.5])
     def test_matches_direct_summation(self, mu):
-        for k in range(0, int(mu + 6 * math.sqrt(mu) + 10)):
+        ks = np.arange(0, int(mu + 6 * math.sqrt(mu) + 10))
+        got = _poisson_cdf(ks, np.full(len(ks), mu))
+        for k, value in zip(ks.tolist(), got.tolist()):
             direct = float(poisson_cdf_direct(k, mu))
             if direct < 1e-200:
-                # far left tail at large mean underflows inside the
-                # incomplete-gamma route; nothing queries mass that deep
+                # far left tail at large mean: nothing queries mass that deep
                 continue
-            assert pdtr(k, mu) == pytest.approx(direct, rel=1e-12)
+            assert value == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize("k, mu", [
+        # scipy's pdtr is 3.2e-11 off here (0.999997163687103)
+        (1_004_541, 1e6),
+        (10_003_000, 1e7),
+        (9_995_000, 1e7),
+        # both sides of the switch to Temme's expansion at k + 1 = 1e5
+        (99_998, 1e5), (99_998, 1e5 + 3.0), (99_998, 99_990.0),
+        (99_999, 1e5), (99_999, 1e5 + 3.0), (99_999, 99_990.0),
+        (100_000, 1e5), (100_000, 1e5 + 3.0), (100_000, 99_990.0),
+        # the band's edges, |mu - k - 1| against 0.3 (k + 1)
+        (99_999, 1.2999e5), (99_999, 1.3001e5),
+        (99_999, 0.7001e5), (99_999, 0.6999e5),
+    ])
+    def test_large_means_match_mpmath(self, k, mu):
+        assert cdf(k, mu) == pytest.approx(upper_gamma(k + 1, mu), rel=1e-12)
 
     def test_negative_k_is_zero(self):
         # F(-1) = 0 < p for every p, so no quantile is ever negative
@@ -46,11 +79,54 @@ class TestPoissonCdf:
         assert poisson_quantile_vec([1e-12, 0.5], [0.0, 1e-9], TOP).tolist() == [0, 0]
 
     def test_large_mean_far_tail(self):
-        # pmf summation would lose this; the incomplete-gamma route keeps it
-        assert pdtr(900_000, 1_000_000.0) == pytest.approx(
-            float(mp.gammainc(900_001, 1_000_000, mp.inf, regularized=True)),
-            rel=1e-9,
+        # pmf summation would lose this; the saddle-point pmf keeps it
+        assert cdf(900_000, 1_000_000.0) == pytest.approx(
+            upper_gamma(900_001, 1_000_000), rel=1e-9
         )
+
+    def test_infinite_mean_puts_no_mass_below(self):
+        got = _poisson_cdf(np.array([0.0, 5.0, 1e18]), np.full(3, np.inf))
+        assert got.tolist() == [0.0, 0.0, 0.0]
+
+
+class TestLogGamma:
+    def test_matches_mpmath_over_the_range(self):
+        # 400 points from 1e-300 to 1e8: at most 5.3e-15 relative, or that
+        # much absolute where |log Gamma| < 1
+        x = np.geomspace(1e-300, 1e8, 400)
+        want = np.array([float(mp.loggamma(mp.mpf(float(v)))) for v in x])
+        err = np.abs(_log_gamma(x) - want)
+        assert np.all(err <= 5.3e-15 * np.maximum(np.abs(want), 1.0))
+
+    def test_matches_mpmath_where_shifted(self):
+        # below 10 the shift's product and the series cancel to a value
+        # near 0 (log Gamma vanishes at 1 and 2): at most 1e-14 absolute,
+        # or relative where |log Gamma| > 1
+        x = np.concatenate([np.linspace(0.001, 12.0, 2400), [1.0, 2.0, 10.0]])
+        want = np.array([float(mp.loggamma(mp.mpf(float(v)))) for v in x])
+        err = np.abs(_log_gamma(x) - want)
+        assert np.all(err <= 1e-14 * np.maximum(np.abs(want), 1.0))
+
+    def test_keeps_shape_and_scalars(self):
+        assert _log_gamma(np.full((2, 3), 4.0)).shape == (2, 3)
+        assert float(_log_gamma(5.0)) == pytest.approx(math.lgamma(5.0), rel=1e-15)
+
+
+class TestLogSumExp:
+    def test_bit_equal_to_scipy(self):
+        # ties at the max and -inf entries take scipy's split paths
+        rng = np.random.default_rng(7)
+        for _ in range(500):
+            a = rng.normal(0.0, 40.0, int(rng.integers(1, 120)))
+            a[rng.integers(0, len(a), 3)] = a.max()
+            if rng.random() < 0.4:
+                a[rng.integers(0, len(a), 2)] = -np.inf
+            assert _logsumexp(a) == float(logsumexp(a))
+
+    def test_edge_vectors(self):
+        assert _logsumexp(np.array([-np.inf, -np.inf])) == -np.inf
+        assert _logsumexp(np.array([np.inf, 0.0])) == np.inf
+        assert _logsumexp(np.array([3.0, 3.0])) == float(logsumexp([3.0, 3.0]))
 
 
 class TestPoissonQuantile:
@@ -60,6 +136,7 @@ class TestPoissonQuantile:
     )
     @settings(max_examples=150, deadline=None)
     def test_min_k_property(self, q, mu):
+        # against scipy's pdtr, an independent cdf
         k = quantile(q, mu)
         assert pdtr(k, mu) >= q
         if k > 0:

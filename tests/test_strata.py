@@ -1,5 +1,7 @@
 """Strata tables, rates, priors, and truncation boxes."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +22,7 @@ from pgsynth.strata import (
     compute_bounds,
     joint_feasible_bounds,
 )
+from pgsynth.fixtures import FixtureSpec, generate_fixture
 from pgsynth.synthesizer import read_replicates_csv
 from pgsynth.utility import StandardPopulation, read_density_csv, write_density_csv
 
@@ -316,6 +319,12 @@ class TestBuildPrior:
             build_prior(t, r)
 
 
+@pytest.fixture(scope="module")
+def published():
+    fix = generate_fixture(FixtureSpec())
+    return fix.table, build_prior(fix.table, fix.rates)
+
+
 class TestComputeBounds:
     def test_quantile_levels(self, demo):
         table, prior = demo
@@ -329,6 +338,27 @@ class TestComputeBounds:
             assert b.L[i] == lo and b.U[i] == hi
         # the pinned walkthrough box
         assert b.U[0] == 30 and b.L[0] == 3
+
+    @pytest.mark.parametrize("alpha, c, digest_l, digest_u", [
+        (1e-4, 1.0,
+         "dfba3ed2b40a0fee111d5e687a29969f28dd1db3cf38404a095ce0e30c7798c4",
+         "a9563dd2b476a07d5e4e3b71e7ddf1696b1e690aae3cdfdfee390070332a43cb"),
+        (0.05, 1.0,
+         "a38ee1827bcc5bc26914ee0cc910ae3c05615d13916c9b59078cd888f99aa3f2",
+         "2dbffdeefebb1e44532238a68ebc65fe468ea99d05b7d9518baa461330b488ed"),
+        (1 / 47034, 1.0,
+         "38ddb7467d13fcddcc0765d408080631892bc8db3a81826e9a8b5debe3645853",
+         "4ac0d36dc91ff81538a73f3660bd60376198cceec7a89c95a6d4140d0fde5dfb"),
+        (1e-6, 1.5,
+         "5e9d4e42e01b848b664622e6a420ef18cbb1747e5b268e7ec3dcd0960d16cda8",
+         "f3f6c2ec1f92bd3e72c69039d88d447e4e3ef56fba74fd567ba6e47ec0e2760d"),
+    ], ids=["1e-4", "0.05", "1/47034", "1e-6,c=1.5"])
+    def test_published_boxes_are_pinned(self, published, alpha, c, digest_l, digest_u):
+        # sha256 of L and U as little-endian int64, as scipy's cdf gave them
+        table, prior = published
+        b = compute_bounds(prior, table, alpha, c)
+        assert [hashlib.sha256(np.asarray(v, dtype="<i8").tobytes()).hexdigest()
+                for v in (b.L, b.U)] == [digest_l, digest_u]
 
     def test_c_widens_boxes(self, demo):
         table, prior = demo
