@@ -34,8 +34,6 @@ when the instance is small enough to enumerate.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -46,6 +44,8 @@ from .strata import (
     PriorSpec,
     StrataTable,
     TruncationBounds,
+    _render,
+    _spellings,
     check_dominance,
     joint_feasible_bounds,
 )
@@ -69,8 +69,6 @@ MAX_SWEEPS = 10**5
 
 # Strata entries per write in write_report.
 REPORT_ROWS = 10_000
-# json's spelling of the floats whose repr it does not write
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,12 +346,12 @@ def calibration_report(calib: Calibration, table: StrataTable) -> dict:
     return _report_doc(calib, strata)
 
 
-def _json_floats(values: np.ndarray) -> list[str]:
-    """Each float as json writes it: its repr, or NaN / Infinity / -Infinity."""
-    text = list(map(float.__repr__, values.tolist()))
-    if not np.isfinite(values).all():
-        text = [_JSON_NONFINITE.get(t, t) for t in text]
-    return text
+def _json_spellings(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(table, codes): json's spelling of each distinct bit pattern of a
+    float64 or int64 array (strata._spellings), and each entry's row. Bit
+    patterns, not values, so 0.0 and -0.0 keep their own spellings."""
+    bits, codes = np.unique(values.view(np.int64), return_inverse=True)
+    return _spellings(map(json.dumps, bits.view(values.dtype).tolist())), codes
 
 
 def write_report(calib: Calibration, table: StrataTable, path, extra: dict | None = None) -> None:
@@ -361,42 +359,49 @@ def write_report(calib: Calibration, table: StrataTable, path, extra: dict | Non
 
     The file is json.dump(doc, fh, indent=2) followed by a newline. The
     json module writes everything but the per-stratum entries; those,
-    most of the file, are filled into one template, each scalar spelled
-    as json spells it, and written REPORT_ROWS entries at a time.
+    most of the file, are rendered in numpy (strata._render), REPORT_ROWS
+    entries at a time. Each column of an entry gathers json's spelling of
+    its value, made once per distinct label of a dimension
+    (StrataTable.column_codes) and once per distinct number
+    (_json_spellings).
     """
     placeholder: list = []
     doc = _report_doc(calib, placeholder)
     if extra:
         doc.update(extra)
     text = json.dumps(doc, indent=2)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "wb") as fh:
         if doc["strata"] is not placeholder:  # extra replaced the entries
-            fh.write(text + "\n")
+            fh.write(f"{text}\n".encode())
             return
         # the top-level key, alone at two spaces of indent
         head, tail = text.split('\n  "strata": []', 1)
-        fh.write(head + '\n  "strata": [\n')
-        spell = functools.lru_cache(maxsize=None)(json.dumps)
-        columns = (map(spell, column) for column in zip(*table.keys))
-        keys = map((",\n" + " " * 8).join, zip(*columns))
+        fh.write(f'{head}\n  "strata": [\n'.encode())
+        columns = [
+            (_spellings(map(json.dumps, labels)), codes)
+            for labels, codes in map(table.column_codes, table.dim_names)
+        ]
         if calib.bounds is None:
-            lo = hi = itertools.repeat("null")
+            bounds = [(_spellings(["null"]), np.zeros(table.size, dtype=np.int64))] * 2
         else:
-            lo = map(str, calib.bounds.L.tolist())
-            hi = map(str, calib.bounds.U.tolist())
-        template = (
-            "    {{\n"
-            '      "key": [\n        {}\n      ],\n'
-            '      "a": {},\n      "b": {},\n      "L": {},\n      "U": {},\n'
-            '      "slack": {}\n'
-            "    }}"
-        ).format
-        entries = map(
-            template, keys, _json_floats(calib.a), _json_floats(calib.b), lo, hi,
-            _json_floats(calib.slack),
-        )
-        sep = ""
-        while chunk := ",\n".join(itertools.islice(entries, REPORT_ROWS)):
-            fh.write(sep + chunk)
-            sep = ",\n"
-        fh.write("\n  ]" + tail + "\n")
+            bounds = [_json_spellings(calib.bounds.L), _json_spellings(calib.bounds.U)]
+        columns += [
+            _json_spellings(calib.a), _json_spellings(calib.b), *bounds,
+            _json_spellings(calib.slack),
+        ]
+        # what comes before each column; every entry starts with the
+        # separator, which the first one drops
+        before = [
+            ',\n    {\n      "key": [\n        ',
+            *[",\n        "] * (len(table.dim_names) - 1),
+            '\n      ],\n      "a": ', ',\n      "b": ', ',\n      "L": ',
+            ',\n      "U": ', ',\n      "slack": ',
+        ]
+        for start in range(0, table.size, REPORT_ROWS):
+            end = min(start + REPORT_ROWS, table.size)
+            parts = []
+            for gap, (spelled, codes) in zip(before, columns):
+                parts += [gap.encode(), spelled[codes[start:end]]]
+            entries = _render((end - start,), [*parts, b"\n    }"])
+            fh.write(entries[2:] if start == 0 else entries)
+        fh.write(f"\n  ]{tail}\n".encode())

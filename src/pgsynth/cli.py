@@ -38,7 +38,13 @@ from .calibration import (
     solve_hyperparameters,
     write_report,
 )
-from .errors import CalibrationError, DomainError, PgsynthError, SchemaError
+from .errors import (
+    CalibrationError,
+    DomainError,
+    PgsynthError,
+    SchemaError,
+    UndefinedRateError,
+)
 from .fixtures import (
     POPULATION_KEY_DIMS,
     FixtureSpec,
@@ -266,13 +272,12 @@ def cmd_synthesize(args) -> int:
     table, prior = _load_instance(cfg)
     epsilon = cfg.epsilon[0]
 
+    threads = 1 if cfg.threads is None else cfg.threads
     t0 = time.perf_counter()
     calib = _calibrate_once(table, prior, cfg, epsilon)
     t1 = time.perf_counter()
     matrix = sample_counts_matrix(
-        table, calib,
-        count=cfg.replicates, base_seed=cfg.seed,
-        threads=1 if cfg.threads is None else cfg.threads,
+        table, calib, count=cfg.replicates, base_seed=cfg.seed, threads=threads
     )
     t2 = time.perf_counter()
 
@@ -293,7 +298,9 @@ def cmd_synthesize(args) -> int:
     h = cfg.config_hash()
     rep_path = out_dir / "replicates.csv"
     tmp = rep_path.with_suffix(".csv.tmp")
-    write_replicates_csv(tmp, table, matrix, header_comment=f"config_hash={h}")
+    write_replicates_csv(
+        tmp, table, matrix, header_comment=f"config_hash={h}", threads=threads
+    )
     os.replace(tmp, rep_path)
     t3 = time.perf_counter()
 
@@ -301,6 +308,7 @@ def cmd_synthesize(args) -> int:
         calib, table, out_dir / "calibration_report.json",
         extra={"config_hash": h, "config": cfg.to_doc()},
     )
+    t4 = time.perf_counter()
     manifest = {
         "config_hash": h,
         "config": cfg.to_doc(),
@@ -313,6 +321,7 @@ def cmd_synthesize(args) -> int:
             "calibrate": round(t1 - t0, 6),
             "sample": round(t2 - t1, 6),
             "write": round(t3 - t2, 6),
+            "report": round(t4 - t3, 6),
         },
         "invariants": {"sum_ok": sums_ok, "box_ok": box_ok},
         "files": {
@@ -377,7 +386,9 @@ def cmd_evaluate(args) -> int:
     rep_csv = rep_dir / "replicates.csv" if rep_dir.is_dir() else rep_dir
     if not rep_csv.exists():
         raise SchemaError(f"no replicates file at {rep_csv}")
-    matrix = read_replicates_csv(rep_csv, table)
+    # the truth is row 0, so each selector's age groups are built once; a
+    # row's value is bit for bit its value alone
+    counts = np.vstack([table.y, read_replicates_csv(rep_csv, table)])
 
     epsilon: float | str = ""
     if (rep_dir / "manifest.json").is_file():
@@ -388,11 +399,8 @@ def cmd_evaluate(args) -> int:
         "population_key_dims": cfg.population_key_dims,
         "warn": False,
     }
-    rows = _metric_rows(
-        "age_adjusted_rate", "all", epsilon,
-        age_adjusted_rate(table.y, table, std, **opts),
-        age_adjusted_rate(matrix, table, std, **opts),
-    )
+    rates = age_adjusted_rate(counts, table, std, **opts)
+    rows = _metric_rows("age_adjusted_rate", "all", epsilon, rates[0], rates[1:])
 
     pairs = []
     if cfg.group_dim in table.dim_names:
@@ -410,11 +418,16 @@ def cmd_evaluate(args) -> int:
         if urban and rural:
             pairs.append(("urban/rural", {cfg.geo_dim: urban}, {cfg.geo_dim: rural}))
     for label, sel_a, sel_b in pairs:
-        truth_d = disparity_ratio(table.y, table, std, sel_a, sel_b, **opts)
-        reps_d = disparity_ratio(matrix, table, std, sel_a, sel_b, **opts)
+        try:
+            ratios = disparity_ratio(counts, table, std, sel_a, sel_b, **opts)
+        except UndefinedRateError:
+            # the truth, or the replicate, as the message should name it
+            for rows_of in (counts[0], counts[1:]):
+                disparity_ratio(rows_of, table, std, sel_a, sel_b, **opts)
+            raise
         rows += _metric_rows(
             "disparity_ratio", label, epsilon,
-            truth_d.ratio, list(reps_d.per_replicate),
+            ratios.per_replicate[0], ratios.per_replicate[1:],
         )
 
     write_metrics_csv(

@@ -18,6 +18,12 @@ first field starts with "#" is a comment wherever it stands, fields are
 stripped, and errors name the file and line. So write_csv refuses a
 first field starting with "#". read_floats refuses rates, weights and
 densities that are not finite and nonnegative.
+
+The two large artifacts, the replicate CSV and the calibration report,
+are rendered as byte arrays (_render): fixed columns laid side by side,
+each a constant, digits (_digits) or a table of spellings with one row
+per distinct value gathered by index (_spellings), padded with a byte
+that UTF-8 never holds and that is dropped at the end.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import csv
 import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -124,8 +131,7 @@ class StrataTable:
 
     def column(self, name: str) -> tuple[str, ...]:
         """All key labels along one dimension, in stratum order."""
-        j = self.dim_index(name)
-        return tuple(k[j] for k in self.keys)
+        return tuple(map(itemgetter(self.dim_index(name)), self.keys))
 
     def column_codes(self, name: str) -> tuple[tuple[str, ...], np.ndarray]:
         """Distinct labels along one dimension and each stratum's index into them.
@@ -135,14 +141,14 @@ class StrataTable:
         """
         cache = self.__dict__.setdefault("_column_codes", {})
         if name not in cache:
-            j = self.dim_index(name)
-            lookup: dict[str, int] = {}
+            column = self.column(name)
+            labels = tuple(dict.fromkeys(column))
+            index = dict(zip(labels, range(len(labels))))
             codes = np.fromiter(
-                (lookup.setdefault(k[j], len(lookup)) for k in self.keys),
-                dtype=np.int64, count=self.size,
+                map(index.__getitem__, column), dtype=np.int64, count=self.size
             )
             codes.flags.writeable = False
-            cache[name] = (tuple(lookup), codes)
+            cache[name] = (labels, codes)
         return cache[name]
 
     @classmethod
@@ -423,6 +429,62 @@ def write_csv(path, header, rows, comment: str | None = None) -> None:
             if str(row[0]).startswith("#"):
                 raise SchemaError(f"{path}: label {row[0]!r} would read as a comment")
             writer.writerow(row)
+
+
+# 10^0 .. 10^18, the place values of an int64's decimal digits
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+# Padding in _render's layouts: a byte that UTF-8 text never holds
+_PAD = 0xFF
+
+
+def _digits(values: np.ndarray) -> np.ndarray:
+    """Right-aligned ASCII decimal digits of a nonempty int64 array, all >= 0.
+
+    The result has shape values.shape + (width,), width being the digit
+    count of the largest value; each value's leading padding is _PAD.
+    """
+    width = len(str(values.max()))
+    place = _POW10[width - 1::-1]
+    digits = (values[..., None] // place % 10).astype(np.uint8) + ord("0")
+    pad = values[..., None] < place
+    pad[..., -1] = False
+    digits[pad] = _PAD
+    return digits
+
+
+def _spellings(texts) -> np.ndarray:
+    """Each text's UTF-8 bytes as one row of a uint8 array, padded on the
+    right with _PAD; indexed by codes, it spells a column of _render."""
+    encoded = [text.encode() for text in texts]
+    width = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
+    mask = np.arange(width.max(initial=0)) < width[:, None]
+    table = np.full(mask.shape, _PAD, dtype=np.uint8)
+    table[mask] = np.frombuffer(b"".join(encoded), dtype=np.uint8)
+    return table
+
+
+def _lay_out(shape: tuple[int, ...], parts) -> np.ndarray:
+    """The parts side by side, as a shape + (width,) uint8 array.
+
+    A part is bytes, the same in every cell, or a uint8 array that
+    broadcasts to shape + (its width,): a table of spellings gathered by
+    codes (_spellings) or digits (_digits). Its _PAD bytes stay.
+    """
+    parts = [np.frombuffer(p, dtype=np.uint8) if isinstance(p, bytes) else p
+             for p in parts]
+    out = np.empty((*shape, sum(p.shape[-1] for p in parts)), dtype=np.uint8)
+    at = 0
+    for part in parts:
+        out[..., at:at + part.shape[-1]] = part
+        at += part.shape[-1]
+    return out
+
+
+def _render(shape: tuple[int, ...], parts) -> np.ndarray:
+    """The text of _lay_out(shape, parts), cell after cell, as a flat uint8
+    array: every field sits at a fixed column, then the _PAD bytes go."""
+    out = _lay_out(shape, parts)
+    return out[out != _PAD]
 
 
 def _read_table(path, trailing: tuple[str, ...], dims: tuple[str, ...] | None = None):

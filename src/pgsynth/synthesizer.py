@@ -75,13 +75,17 @@ uniforms, and its value, never depend on batch size, row tiling, head
 tiling or thread count.
 
 The replicate CSV is written and read at array speed. write_replicates_csv
-renders slices of lines in numpy (_render): each stratum's ",key...,"
-segment comes from csv.writer once, and the replicate and count digits
-are filled around it. read_replicates_csv decodes a file in exactly
-that layout in numpy and proves each slice by rendering it again; a file
-in any other layout goes to the row parser, which reads it through the
-table reader (strata._read_table) to the same matrix and raises every
-SchemaError, so the fast path never changes a result or a message.
+renders slices of lines with the text renderer of strata (_render):
+csv.writer spells each distinct label of each dimension once
+(_csv_layout), each stratum's ",key...," segment gathers those
+spellings by the dimension's codes, and the replicate and count digits
+are filled around it. The slices render side by side, on the calling
+thread and threads - 1 workers, and are written in order.
+read_replicates_csv decodes a file in exactly that layout in numpy and
+proves each slice by rendering it again; a file in any other layout
+goes to the row parser, which reads it through the table reader
+(strata._read_table) to the same matrix and raises every SchemaError,
+so the fast path never changes a result or a message.
 """
 
 from __future__ import annotations
@@ -108,7 +112,16 @@ from .mechanism import (
     suffix_tables,
     tilt,
 )
-from .strata import StrataTable, _parse_nonneg_int, _read_table
+from .strata import (
+    _POW10,
+    StrataTable,
+    _digits,
+    _lay_out,
+    _parse_nonneg_int,
+    _read_table,
+    _render,
+    _spellings,
+)
 
 __all__ = [
     "SAMPLER",
@@ -142,18 +155,17 @@ TAIL_SHARE = 0.1
 # depends on it.
 HEAD_CELLS = 1 << 19
 
-# CSV lines per slice that write_replicates_csv renders at once.
-WRITE_ROWS = 200_000
+# CSV lines rendered at once by write_replicates_csv, over all its threads.
+# A worker thread keeps its own malloc heap, so what its slices allocate
+# stays resident beside the caller's: with 200,000 lines on two workers,
+# a published synthesize peaked at about 106 MB against 101 MB on one
+# thread; with 100,000, the caller rendering one slice of each batch, at
+# 97 MB.
+WRITE_ROWS = 100_000
 
 # Bytes per read when read_replicates_csv decodes write_replicates_csv's text
 # (more when one replicate's lines are longer).
 READ_BYTES = 1 << 21
-
-# 10^0 .. 10^18, the place values of an int64's decimal digits
-_POW10 = 10 ** np.arange(19, dtype=np.int64)
-_CRLF = np.frombuffer(b"\r\n", dtype=np.uint8)
-# Padding in _render's line layout: a byte that UTF-8 text never holds
-_PAD = 0xFF
 
 _log = logging.getLogger(__name__)
 
@@ -444,75 +456,61 @@ def sample_counts_matrix(
         )
 
 
-def _digits(values: np.ndarray) -> np.ndarray:
-    """Right-aligned ASCII decimal digits of a nonempty int64 array, all >= 0.
-
-    The result has shape values.shape + (width,), width being the digit
-    count of the largest value; each value's leading padding is _PAD.
-    """
-    width = len(str(values.max()))
-    place = _POW10[width - 1::-1]
-    digits = (values[..., None] // place % 10).astype(np.uint8) + ord("0")
-    pad = values[..., None] < place
-    pad[..., -1] = False
-    digits[pad] = _PAD
-    return digits
-
-
 def _csv_layout(table: StrataTable) -> tuple[bytes, np.ndarray]:
     """The header line and each stratum's ",key...," segment, by csv.writer.
 
     Returns the header bytes and the UTF-8 segments as a (strata, width)
-    uint8 array padded on the right with _PAD. Each segment is cut from
-    the csv.writer line of ["0", *key, "0"], so quoting and escaping are
-    csv.writer's own.
+    uint8 array (strata._lay_out), with _PAD after each field. csv.writer
+    writes one line ["0", label, "0"] per distinct label of each
+    dimension and the field is cut from it, so quoting and escaping are
+    its own; a stratum's segment gathers its labels' fields by
+    StrataTable.column_codes.
     """
     text = io.StringIO()
     writer = csv.writer(text)
-    at = head = writer.writerow(["replicate", *table.dim_names, "z"])
-    lengths = [writer.writerow(["0", *map(str, key), "0"]) for key in table.keys]
-    lines = text.getvalue()
-    segments = []
-    for n in lengths:
-        segments.append(lines[at + 1:at + n - 3].encode())
-        at += n
-    width = np.fromiter(map(len, segments), dtype=np.int64, count=len(segments))
-    mask = np.arange(width.max()) < width[:, None]
-    seg = np.full(mask.shape, _PAD, dtype=np.uint8)
-    seg[mask] = np.frombuffer(b"".join(segments), dtype=np.uint8)
-    return lines[:head].encode(), seg
+    writer.writerow(["replicate", *table.dim_names, "z"])
+    header = text.getvalue().encode()
+
+    def field(label) -> str:
+        text.seek(0)
+        text.truncate()
+        writer.writerow(["0", str(label), "0"])
+        return text.getvalue()[2:-4]
+
+    parts = [b","]
+    for name in table.dim_names:
+        labels, codes = table.column_codes(name)
+        parts += [_spellings(map(field, labels))[codes], b","]
+    return header, _lay_out((table.size,), parts)
 
 
-def _render(first: int, z: np.ndarray, seg: np.ndarray) -> np.ndarray:
+def _replicate_lines(first: int, z: np.ndarray, seg: np.ndarray) -> np.ndarray:
     """The CSV lines of replicates first, first + 1, ... with counts z, as uint8.
 
     Line (r, i) is r's digits, stratum i's segment, z[r, i]'s digits and
-    CRLF. The lines are laid out as a (rows, strata, width) array with
-    every field at a fixed column, then the _PAD bytes are dropped.
+    CRLF, rendered as one (rows, strata) layout (strata._render).
     """
-    rows, size = z.shape
-    r_digits = _digits(np.arange(first, first + rows, dtype=np.int64))
-    z_digits = _digits(z)
-    a = r_digits.shape[1]
-    b = a + seg.shape[1]
-    out = np.empty((rows, size, b + z_digits.shape[2] + 2), dtype=np.uint8)
-    out[:, :, :a] = r_digits[:, None]
-    out[:, :, a:b] = seg
-    out[:, :, b:-2] = z_digits
-    out[:, :, -2:] = _CRLF
-    return out[out != _PAD]
+    r_digits = _digits(np.arange(first, first + len(z), dtype=np.int64))
+    return _render(z.shape, [r_digits[:, None], seg, _digits(z), b"\r\n"])
 
 
 def write_replicates_csv(
-    path, table: StrataTable, matrix: np.ndarray, header_comment: str | None = None
+    path,
+    table: StrataTable,
+    matrix: np.ndarray,
+    header_comment: str | None = None,
+    threads: int = 1,
 ) -> None:
     """Long-form CSV of a (replicates, strata) count matrix: replicate, dims..., z.
 
     The text is what csv.writer writes for one row [r, *key, z] per
     replicate and stratum, CRLF-terminated, under an optional
-    "# header_comment" line. It is rendered in numpy, in slices of about
-    WRITE_ROWS lines (_render), so the text never sits in memory whole.
-    Counts must be nonnegative integers.
+    "# header_comment" line. It is rendered in numpy (_replicate_lines),
+    in slices of whole replicates, about WRITE_ROWS // threads lines each,
+    and written in order. The slices go in batches of threads: the calling
+    thread renders the first and threads - 1 workers the others, so
+    about WRITE_ROWS lines sit in memory whatever the thread count, and
+    the bytes never depend on it. Counts must be nonnegative integers.
     """
     matrix = np.asarray(matrix)
     if matrix.dtype.kind not in "iu" or matrix.shape[1:] != (table.size,):
@@ -520,17 +518,28 @@ def write_replicates_csv(
             f"{matrix.dtype} matrix of shape {matrix.shape} is not an integer "
             "matrix with one column per stratum"
         )
+    if threads < 1:
+        raise DomainError("threads must be at least 1")
     header, seg = _csv_layout(table)
-    step = max(1, WRITE_ROWS // table.size)
-    with open(path, "wb") as fh:
+    step = max(1, WRITE_ROWS // threads // table.size)
+
+    def render(first: int) -> np.ndarray:
+        z = matrix[first:first + step].astype(np.int64, copy=False)
+        if z.min() < 0:
+            raise DomainError("replicate counts must be nonnegative")
+        return _replicate_lines(first, z, seg)
+
+    firsts = range(0, len(matrix), step)
+    # no worker thread starts when threads is 1: nothing is submitted
+    with open(path, "wb") as fh, ThreadPoolExecutor(max(1, threads - 1)) as pool:
         if header_comment:
             fh.write(f"# {header_comment}\n".encode())
         fh.write(header)
-        for first in range(0, len(matrix), step):
-            z = matrix[first:first + step].astype(np.int64, copy=False)
-            if z.min() < 0:
-                raise DomainError("replicate counts must be nonnegative")
-            fh.write(_render(first, z, seg))
+        for k in range(0, len(firsts), threads):
+            rest = [pool.submit(render, first) for first in firsts[k + 1:k + threads]]
+            fh.write(render(firsts[k]))
+            while rest:  # popped, so no written slice outlives its write
+                fh.write(rest.pop(0).result())
 
 
 def read_replicates_csv(path, table: StrataTable) -> np.ndarray:
@@ -553,7 +562,7 @@ def _read_written(path, table: StrataTable) -> np.ndarray | None:
 
     The file may start with one "#" comment line free of quotes and CR,
     then must hold the header and, in slices of whole replicates read
-    about READ_BYTES at a time, lines that equal _render of the counts
+    about READ_BYTES at a time, lines that equal _replicate_lines of the counts
     decoded from them, replicate 0 first. Tables whose labels the row
     parser would not read back unchanged (not str, or changed by strip())
     are left to it.
@@ -591,7 +600,7 @@ def _read_written(path, table: StrataTable) -> np.ndarray | None:
                 if z is None:
                     return None
                 z = z.reshape(reps, table.size)
-                if not np.array_equal(_render(first, z, seg), buf[:n]):
+                if not np.array_equal(_replicate_lines(first, z, seg), buf[:n]):
                     return None
                 parts.append(z)
                 first += reps

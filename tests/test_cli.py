@@ -291,6 +291,7 @@ class TestSynthesize:
         assert manifest["epsilon"] == 1.0
         assert manifest["replicates"] == 200
         assert manifest["invariants"] == {"sum_ok": True, "box_ok": True}
+        assert set(manifest["timings_s"]) == {"calibrate", "sample", "write", "report"}
         text = (out / "replicates.csv").read_text()
         assert text.startswith(f"# config_hash={manifest['config_hash']}\n")
         assert (out / "calibration_report.json").exists()
@@ -552,6 +553,28 @@ class TestEvaluateAndFixture:
         err = capsys.readouterr().err
         assert f"{reps}:3: count '{2**63}' is 2^63 or more" in err
         assert not (tmp_path / "m.csv").exists()
+
+    @pytest.mark.parametrize("row, where", [
+        (None, "has zero rate\n"), (1, "has zero rate in replicate 1\n"),
+    ], ids=["truth", "replicate"])
+    def test_zero_denominator_names_its_row(self, tmp_path, capsys, row, where):
+        # evaluate scores the truth and the replicates in one matrix; the
+        # message still names the truth, or the replicate by its own index
+        fix_dir, run_dir, argv = evaluate_run(tmp_path)
+        table = StrataTable.from_csv(fix_dir / "strata.csv")
+        white = np.array([key[3] == "white" for key in table.keys])
+        if row is None:
+            y = np.where(white, 0, table.y)
+            StrataTable(table.dim_names, table.keys, table.n, y).to_csv(
+                fix_dir / "strata.csv"
+            )
+        else:
+            matrix = synth.read_replicates_csv(run_dir / "replicates.csv", table)
+            matrix[row, white] = 0
+            synth.write_replicates_csv(run_dir / "replicates.csv", table, matrix)
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.endswith(f"denominator group race=white {where}")
 
     @pytest.mark.parametrize("value", ["nan", "-5"])
     def test_density_that_is_not_finite_and_nonnegative_is_usage_error(

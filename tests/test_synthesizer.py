@@ -612,10 +612,15 @@ AWKWARD = (
 
 def key_table(keys, dims):
     """A table of these keys; a single stratum, below StrataTable's
-    minimum, gets a stand-in with the three attributes the CSV code reads."""
+    minimum, gets a stand-in with the four attributes the CSV code reads."""
     dim_names = tuple(f"d{j}" for j in range(dims))
     if len(keys) == 1:
-        return SimpleNamespace(dim_names=dim_names, keys=tuple(keys), size=1)
+        return SimpleNamespace(
+            dim_names=dim_names, keys=tuple(keys), size=1,
+            column_codes=lambda name: (
+                (keys[0][dim_names.index(name)],), np.zeros(1, dtype=np.int64)
+            ),
+        )
     zeros = np.zeros(len(keys), dtype=np.int64)
     return StrataTable(dim_names=dim_names, keys=keys, n=zeros, y=zeros)
 
@@ -690,6 +695,23 @@ class TestCsvRoundtrip:
         assert got.read_bytes() == want.read_bytes()
         assert np.array_equal(read_replicates_csv(got, table), matrix)
 
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_writer_bytes_do_not_depend_on_threads(
+        self, tmp_path, monkeypatch, threads
+    ):
+        keys = (("plain", "1"), ("com,ma", "2"), ('quo"te', "3"), ("new\nline", "4"))
+        table = StrataTable(
+            dim_names=("g", "h"), keys=keys,
+            n=np.full(len(keys), 10), y=np.arange(len(keys)),
+        )
+        matrix = np.random.default_rng(1).integers(0, 1000, size=(23, len(keys)))
+        want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+        write_replicates_csv_rows(want, table, matrix, "config_hash=ab12")
+        # slices of 6, 3 and 2 replicates, the last one short
+        monkeypatch.setattr(synth, "WRITE_ROWS", 6 * len(keys))
+        write_replicates_csv(got, table, matrix, "config_hash=ab12", threads=threads)
+        assert got.read_bytes() == want.read_bytes()
+
     @settings(max_examples=60, deadline=None)
     @given(case=csv_cases())
     def test_renderer_and_decode_match_row_loop(self, case):
@@ -720,6 +742,10 @@ class TestCsvRoundtrip:
         for bad in (np.zeros((2, 2), int), np.zeros((2, 3))):
             with pytest.raises(DomainError, match="integer matrix"):
                 write_replicates_csv(tmp_path / "r.csv", table, bad)
+        with pytest.raises(DomainError, match="threads"):
+            write_replicates_csv(
+                tmp_path / "r.csv", table, np.zeros((2, 3), int), threads=0
+            )
 
     @pytest.mark.parametrize("mutate, message", MALFORMED)
     def test_malformed_rows_rejected(self, tmp_path, tiny3, mutate, message):
