@@ -15,9 +15,11 @@ Input tables, each a header row then one row per key:
 Every table is written by write_csv (an optional "# comment" line, then
 csv.writer rows) and read by _read_table: a blank record or one whose
 first field starts with "#" is a comment wherever it stands, fields are
-stripped, and errors name the file and line. So write_csv refuses a
-first field starting with "#". read_floats refuses rates, weights and
-densities that are not finite and nonnegative.
+stripped, a leading byte-order mark dropped, and errors name the file
+and line (a plain strata file is parsed in numpy instead, by
+_read_strata_columns). So write_csv refuses a first field starting with
+"#". read_floats refuses rates, weights and densities that are not
+finite and nonnegative.
 
 The two large artifacts, the replicate CSV and the calibration report,
 are rendered as byte arrays (_render): fixed columns laid side by side,
@@ -96,14 +98,14 @@ class StrataTable:
     def __post_init__(self):
         object.__setattr__(self, "dim_names", tuple(self.dim_names))
         _check_dim_names(self.dim_names)
-        object.__setattr__(self, "keys", tuple(tuple(k) for k in self.keys))
+        object.__setattr__(self, "keys", tuple(map(tuple, self.keys)))
         object.__setattr__(self, "n", _frozen_int_array(self.n))
         object.__setattr__(self, "y", _frozen_int_array(self.y))
         if len(self.keys) != len(self.n) or len(self.n) != len(self.y):
             raise SchemaError("keys, populations and counts must have equal length")
         if len(self.keys) < 2:
             raise DomainError("a strata table needs at least two strata")
-        if any(len(k) != len(self.dim_names) for k in self.keys):
+        if set(map(len, self.keys)) != {len(self.dim_names)}:
             raise SchemaError("every key must have one label per dimension")
         if np.any(self.n < 0) or np.any(self.y < 0):
             raise DomainError("populations and counts must be nonnegative")
@@ -153,23 +155,20 @@ class StrataTable:
 
     @classmethod
     def from_csv(cls, path) -> "StrataTable":
-        """Read a strata CSV, column by column when every row is well formed.
-
-        A file with anything to report goes through _read_table's row loop,
-        so every SchemaError carries the same line number and text.
-        """
-        columns = _read_strata_columns(path)
-        if columns is not None:
-            dim_names, keys, n, y = columns
-        else:
-            rows = _read_table(path, STRATA_TRAILING)
-            dim_names = next(rows)
-            keys, n, y = [], [], []
-            for lineno, dims, (population, count) in rows:
-                keys.append(dims)
-                n.append(_parse_nonneg_int(population, "population", path, lineno))
-                y.append(_parse_nonneg_int(count, "count", path, lineno))
-        return cls(dim_names=dim_names, keys=tuple(keys), n=n, y=y)
+        """Read a strata CSV in numpy (_read_strata_columns, whose codes seed
+        column_codes), or row by row, raising SchemaError with line numbers."""
+        if (columns := _read_strata_columns(path)) is not None:
+            table = cls(*columns[:4])
+            table.__dict__["_column_codes"] = columns[4]
+            return table
+        rows = _read_table(path, STRATA_TRAILING)
+        dim_names = next(rows)
+        keys, n, y = [], [], []
+        for lineno, dims, (population, count) in rows:
+            keys.append(dims)
+            n.append(_parse_nonneg_int(population, "population", path, lineno))
+            y.append(_parse_nonneg_int(count, "count", path, lineno))
+        return cls(dim_names=dim_names, keys=keys, n=n, y=y)
 
     def to_csv(self, path, header_comment: str | None = None) -> None:
         rows = zip(self.keys, self.n.tolist(), self.y.tolist())
@@ -267,16 +266,21 @@ def build_prior(table: StrataTable, raw_rates: RatesTable) -> PriorSpec:
             missing from the table.
         DegeneratePriorError: the raw expected total is zero.
     """
+    # one code per distinct cell, each looked up once, in table order
+    cell = np.zeros(table.size, dtype=np.int64)
+    for name in raw_rates.dim_names:
+        labels, codes = table.column_codes(name)
+        cell = np.unique(cell * len(labels) + codes, return_inverse=True)[1]
+    _, first, cell = np.unique(cell, return_index=True, return_inverse=True)
     positions = [table.dim_index(name) for name in raw_rates.dim_names]
-    raw = np.empty(table.size, dtype=np.float64)
-    for i, key in enumerate(table.keys):
-        cell = tuple(key[j] for j in positions)
-        try:
-            raw[i] = raw_rates.rates[cell]
-        except KeyError:
-            raise SchemaError(
-                f"no rate for cell {cell} (stratum {key})"
-            ) from None
+    rates = np.empty(len(first))
+    for u in np.argsort(first).tolist():
+        key = table.keys[first[u]]
+        labels = tuple(key[j] for j in positions)
+        if labels not in raw_rates.rates:
+            raise SchemaError(f"no rate for cell {labels} (stratum {key})")
+        rates[u] = raw_rates.rates[labels]
+    raw = rates[cell]
     denom = float(np.dot(table.n.astype(np.float64), raw))
     if denom <= 0.0:
         raise DegeneratePriorError(
@@ -361,56 +365,98 @@ def joint_feasible_bounds(bounds: TruncationBounds, y_total: int) -> TruncationB
 
 
 STRATA_TRAILING = ("population", "count")
+# _LOW_BYTES[b]: the mask of a little-endian word's first b bytes
+_LOW_BYTES = np.array([(1 << 8 * b) - 1 for b in range(9)], dtype=np.uint64)
 
 
 def _read_strata_columns(path):
-    """(dim_names, keys, n, y) of a strata CSV, or None unless the file is
-    plain and its header and every row well formed.
-
-    Plain means no quote, CR other than in CRLF, or NUL: csv.reader then
-    splits fields at commas and records at line ends, so the text is
-    split the same way here, into one flat list of fields whose columns
-    are strided slices. Labels are stripped with one map per column and
-    counts parsed with np.fromiter: the only Python step per row is the
-    filter that drops comments and blank lines, and no per-row list is
-    built for the garbage collector to walk. int() ignores the whitespace
-    that _read_table strips, so a count parses to the same value either
-    way.
-    """
-    with open_input(path) as fh:
-        text = fh.read().replace("\r\n", "\n")
-    if any(c in text for c in '"\r\0'):
+    """(dim_names, keys, n, y, codes) of a plain, well-formed strata CSV, or
+    None. Plain is UTF-8 with no quote, NUL or CR outside CRLF, which
+    csv.reader splits at commas and line ends as the bytes are split
+    here; codes maps each dimension to its StrataTable.column_codes."""
+    with open(path, "rb") as fh:
+        data = fh.read().removeprefix(b"\xef\xbb\xbf")  # as spreadsheets write
+    if b'"' in data or b"\0" in data or data.count(b"\r") != data.count(b"\r\n"):
         return None
-    lines = [ln for ln in text.split("\n") if ln and not ln.startswith("#")]
-    if len(lines) < 2:
+    if "\ufffd" in data.decode(errors="replace"):  # not UTF-8, or U+FFFD
         return None
-    header = [h.strip() for h in lines[0].split(",")]
-    width = len(header)
-    k = width - len(STRATA_TRAILING)
-    body = lines[1:]
+    # a last line end, then room for _label_codes' 8-byte words
+    data += (b"" if data.endswith(b"\n") else b"\n") + bytes(8)
+    buf = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    ends -= (ends > starts) & (buf[ends - 1] == ord("\r"))
+    kept = np.flatnonzero((ends > starts) & (buf[starts] != ord("#")))
+    if len(kept) < 2:
+        return None
+    header = [h.strip() for h in data[starts[kept[0]]:ends[kept[0]]].decode().split(",")]
+    k = len(header) - len(STRATA_TRAILING)
     if k < 1 or tuple(header[k:]) != STRATA_TRAILING or len(set(header[:k])) < k:
         return None
-    if set(map(str.count, body, itertools.repeat(","))) != {width - 1}:
+    starts, ends = starts[kept[1:]], ends[kept[1:]]
+    commas = np.flatnonzero(buf == ord(","))
+    first = np.searchsorted(commas, starts)
+    if np.any(np.searchsorted(commas, ends) - first != k + 1):
         return None
-    fields = ",".join(body).split(",")
-    keys = list(zip(*(map(str.strip, fields[j::width]) for j in range(k))))
-    try:
-        n, y = (
-            np.fromiter(map(int, fields[j::width]), np.int64, len(body))
-            for j in (k, k + 1)
-        )
-    except (ValueError, OverflowError):
+    # field j of each row spans cuts[:, j] + 1 .. cuts[:, j + 1]
+    cuts = np.column_stack((starts - 1, commas[first[:, None] + np.arange(k + 1)], ends))
+    n, y = (_parse_digits(buf, cuts[:, j] + 1, cuts[:, j + 1]) for j in (k, k + 1))
+    if n is None or y is None:
         return None
-    if n.min() < 0 or y.min() < 0:
-        return None
-    return tuple(header[:k]), keys, n, y
+    codes = {name: _label_codes(data, cuts[:, j] + 1, cuts[:, j + 1])
+             for j, name in enumerate(header[:k])}
+    columns = (np.array(labels, dtype=object)[c].tolist() for labels, c in codes.values())
+    return tuple(header[:k]), list(zip(*columns)), n, y, codes
+
+
+def _label_codes(data: bytes, starts: np.ndarray, ends: np.ndarray):
+    """StrataTable.column_codes of the fields data[starts:ends], by np.unique over
+    8-byte words (data runs 8 bytes past them); fields that strip alike share a code."""
+    width = ends - starts
+    words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
+    code = np.zeros(len(starts), dtype=np.uint64)
+    for at in range(0, int(width.max()), 8):
+        word = words[np.minimum(starts + at, len(words) - 1)]
+        word &= _LOW_BYTES[np.clip(width - at, 0, 8)]
+        if at:  # both codes lie below 2**32, so the pair packs into one word
+            code = np.unique(code, return_inverse=True)[1].astype(np.uint64) << 32
+            word = code | np.unique(word, return_inverse=True)[1].astype(np.uint64)
+        code = word
+    _, inverse = np.unique(code, return_inverse=True)
+    first = np.full(inverse.max() + 1, len(starts))
+    np.minimum.at(first, inverse, np.arange(len(starts)))
+    index, merged = {}, np.empty(len(first), dtype=np.int64)
+    for u in np.argsort(first).tolist():
+        text = data[starts[first[u]]:ends[first[u]]].decode().strip()
+        merged[u] = index.setdefault(text, len(index))
+    codes = merged[inverse]
+    codes.flags.writeable = False
+    return tuple(index), codes
+
+
+def _parse_digits(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """The int64 values of the fields buf[starts:ends], or None unless each
+    strips to 1-18 ASCII digits; fields not bare digits are decoded one by one."""
+    width = ends - starts
+    k = int(np.clip(width.max(), 1, 18))
+    place = np.arange(k, 0, -1)[:, None]  # row j: the digit k - j from the end
+    digits = buf.take(ends - place, mode="clip") - ord("0")
+    digits[place > width] = 0
+    values = _POW10[k - 1::-1] @ digits
+    bare = (width >= 1) & (width <= 18) & (digits.max(axis=0) <= 9)
+    for i in np.flatnonzero(~bare).tolist():
+        text = buf[starts[i]:ends[i]].tobytes().decode(errors="replace").strip()
+        if not (0 < len(text) <= 18 and text.isascii() and text.isdigit()):
+            return None
+        values[i] = int(text)
+    return values
 
 
 @contextmanager
 def open_input(path):
-    """path opened as UTF-8 text with line ends untranslated; a byte that
-    is not UTF-8 raises SchemaError naming the file."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    """path opened as UTF-8 text, line ends untranslated and a leading
+    byte-order mark dropped; a byte that is not UTF-8 raises SchemaError."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
@@ -442,8 +488,12 @@ def _digits(values: np.ndarray) -> np.ndarray:
 
     The result has shape values.shape + (width,), width being the digit
     count of the largest value; each value's leading padding is _PAD.
+    Given more values than numbers up to the largest, it spells those.
     """
-    width = len(str(values.max()))
+    top = int(values.max())
+    if top + 1 < values.size:
+        return _digits(np.arange(top + 1)).take(values, axis=0)
+    width = len(str(top))
     place = _POW10[width - 1::-1]
     digits = (values[..., None] // place % 10).astype(np.uint8) + ord("0")
     pad = values[..., None] < place

@@ -94,6 +94,7 @@ import csv
 import io
 import itertools
 import logging
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -113,10 +114,11 @@ from .mechanism import (
     tilt,
 )
 from .strata import (
-    _POW10,
+    _PAD,
     StrataTable,
     _digits,
     _lay_out,
+    _parse_digits,
     _parse_nonneg_int,
     _read_table,
     _render,
@@ -163,8 +165,7 @@ HEAD_CELLS = 1 << 19
 # 97 MB.
 WRITE_ROWS = 100_000
 
-# Bytes per read when read_replicates_csv decodes write_replicates_csv's text
-# (more when one replicate's lines are longer).
+# Bytes of read_replicates_csv's buffer, doubled while a replicate is longer.
 READ_BYTES = 1 << 21
 
 _log = logging.getLogger(__name__)
@@ -561,11 +562,11 @@ def _read_written(path, table: StrataTable) -> np.ndarray | None:
     """The matrix whose write_replicates_csv text the file is, or None.
 
     The file may start with one "#" comment line free of quotes and CR,
-    then must hold the header and, in slices of whole replicates read
-    about READ_BYTES at a time, lines that equal _replicate_lines of the counts
-    decoded from them, replicate 0 first. Tables whose labels the row
-    parser would not read back unchanged (not str, or changed by strip())
-    are left to it.
+    then must hold the header and, in slices of whole replicates read into
+    one buffer, lines that equal _replicate_lines of the counts read where
+    that layout puts them, replicate 0 first, into a matrix sized from the
+    file. Tables whose labels the row parser would not read back
+    unchanged (not str, or changed by strip()) are left to it.
     """
     labels = {*table.dim_names, *itertools.chain.from_iterable(table.keys)}
     if not all(type(v) is str and v == v.strip() for v in labels):
@@ -574,66 +575,53 @@ def _read_written(path, table: StrataTable) -> np.ndarray | None:
     # a key may hold newlines: these are the ones that end a replicate's lines
     breaks = 1 + np.count_nonzero(seg == ord("\n"), axis=1)
     per_rep, line_ends = int(breaks.sum()), np.cumsum(breaks) - 1
-    parts, first = [], 0
+    seg_width = np.count_nonzero(seg != _PAD, axis=1)
+    first = 0
     with open(path, "rb") as fh:
-        data = fh.readline()
-        if data.startswith(b"#"):
-            if not data.endswith(b"\n") or b'"' in data or b"\r" in data:
-                return None
-            try:
-                data.decode("utf-8")
-            except UnicodeDecodeError:
-                return None
-            data = b""
-        data += fh.read(len(header))
-        if not data.startswith(header):
+        line = fh.readline()
+        if not line.startswith(b"#"):
+            fh.seek(0)
+        elif not line.endswith(b"\n") or b'"' in line or b"\r" in line or (
+                "\ufffd" in line.decode(errors="replace")):
             return None
-        data = data[len(header):]
+        if fh.read(len(header)) != header:
+            return None
+        # a line holds at least one digit each for r and z, and CRLF
+        rows = (os.fstat(fh.fileno()).st_size - fh.tell()) // (
+            int(seg_width.sum()) + 4 * table.size)
+        out = np.empty((rows, table.size), dtype=np.int64)
+        chunk, have = np.empty(READ_BYTES, dtype=np.uint8), 0
         while True:
-            buf = np.frombuffer(data, dtype=np.uint8)
-            breaks_at = np.flatnonzero(buf == ord("\n"))
+            if have == len(chunk):
+                # doubling: a replicate longer than the buffer costs O(its length)
+                chunk = np.concatenate((chunk, np.empty_like(chunk)))
+            got = fh.readinto(chunk[have:])
+            have += got
+            breaks_at = np.flatnonzero(chunk[:have] == ord("\n"))
             reps = len(breaks_at) // per_rep
-            if reps:
-                ends = breaks_at[:reps * per_rep].reshape(reps, per_rep)[:, line_ends]
-                n = int(ends[-1, -1]) + 1
-                z = _parse_counts(buf[:n], ends.ravel())
-                if z is None:
-                    return None
-                z = z.reshape(reps, table.size)
-                if not np.array_equal(_replicate_lines(first, z, seg), buf[:n]):
-                    return None
-                parts.append(z)
-                first += reps
-                data = data[n:]
-            # doubling: a replicate longer than READ_BYTES costs O(its length)
-            more = fh.read(max(READ_BYTES, len(data)))
-            if not more:
+            if not reps:
+                if got:
+                    continue
                 break
-            data += more
-    if data or not parts:
+            if first + reps > rows:
+                return None
+            ends = breaks_at[:reps * per_rep].reshape(reps, per_rep)[:, line_ends]
+            starts = np.concatenate(([0], ends.flat[:-1] + 1)).reshape(ends.shape)
+            starts += np.array([len(str(r)) for r in range(first, first + reps)])[:, None]
+            z = _parse_digits(chunk, (starts + seg_width).ravel(), ends.ravel() - 1)
+            n = int(ends[-1, -1]) + 1
+            if z is None or not np.array_equal(
+                    _replicate_lines(first, z.reshape(reps, -1), seg), chunk[:n]):
+                return None
+            out[first:first + reps] = z.reshape(reps, -1)
+            first += reps
+            have -= n
+            chunk[:have] = chunk[n:n + have]
+    if have or not first:
         return None
-    return np.concatenate(parts)
-
-
-def _parse_counts(buf: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
-    """The number between each line's last comma and the CR before its LF.
-
-    ends holds the LF positions. None when a line has no comma, or the
-    span is empty, longer than 18 bytes or not all digits.
-    """
-    commas = np.flatnonzero(buf == ord(","))
-    last = np.searchsorted(commas, ends) - 1
-    if last.min() < 0:
-        return None
-    width = ends - commas[last] - 2
-    if width.min() < 1 or width.max() > 18:
-        return None
-    k = int(width.max())
-    digits = buf[np.maximum(ends[:, None] - 1 - k + np.arange(k), 0)] - ord("0")
-    digits[np.arange(k) < k - width[:, None]] = 0
-    if digits.max() > 9:
-        return None
-    return digits @ _POW10[k - 1::-1]
+    # rows past first were never written, so none of their pages is resident
+    out.resize((first, table.size), refcheck=False)
+    return out
 
 
 def _read_rows(path, table: StrataTable) -> np.ndarray:

@@ -11,7 +11,9 @@ renderer must match byte for byte; the report writer is json.dump with
 indent=2, which the package's templated report must match byte for
 byte; and the age-adjusted rate is the per-age-group, per-vector loop
 that the package's one-product-per-selector rate must match bit for
-bit. The per-stratum kernel table is
+bit; build_prior_loop looks up each stratum's rate by its labels, which
+the package's one lookup per distinct cell must match bit for bit. The
+per-stratum kernel table is
 the one-evaluation-per-stratum form the package's grouped evaluation
 must match bit for bit, and the uncut recursion keeps every completion-
 mass table whole up to the total, against which the package's cut
@@ -304,6 +306,21 @@ def nu_truncated(i: int, a_not_i: float, bounds, y_total: int) -> float:
     if den <= 0.0:
         raise ValueError("truncated nu denominator nonpositive")
     return num / den
+
+
+def build_prior_loop(table, raw_rates) -> tuple[np.ndarray, float]:
+    """(lambda0, rescale_factor) of build_prior, one stratum at a time: each
+    stratum's cell is looked up in the rates by its labels."""
+    positions = [table.dim_index(name) for name in raw_rates.dim_names]
+    raw = np.empty(table.size, dtype=np.float64)
+    for i, key in enumerate(table.keys):
+        cell = tuple(key[j] for j in positions)
+        try:
+            raw[i] = raw_rates.rates[cell]
+        except KeyError:
+            raise SchemaError(f"no rate for cell {cell} (stratum {key})") from None
+    factor = table.y_total / float(np.dot(table.n.astype(np.float64), raw))
+    return raw * factor, factor
 
 
 def write_replicates_csv_rows(path, table, matrix, header_comment=None) -> None:

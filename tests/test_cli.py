@@ -113,6 +113,20 @@ class TestCalibrate:
         assert out.exists()
         assert not (tmp_path / "from_config.json").exists()
 
+    def test_config_with_a_byte_order_mark_reads_alike(self, demo_files, tmp_path):
+        text = json.dumps({
+            "strata": demo_files["strata"], "rates": demo_files["rates"],
+            "epsilon": 1.0, "mode": "untruncated", "out": str(tmp_path / "c.json"),
+        })
+        plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+        plain.write_text(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        resolved = [
+            _resolve(build_parser().parse_args(["calibrate", "--config", str(cfg)]))
+            for cfg in (plain, marked)
+        ]
+        assert resolved[0].to_doc() == resolved[1].to_doc()
+
     def test_unknown_config_key_rejected(self, demo_files, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

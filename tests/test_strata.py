@@ -1,6 +1,9 @@
 """Strata tables, rates, priors, and truncation boxes."""
 
 import hashlib
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,11 +25,17 @@ from pgsynth.strata import (
     compute_bounds,
     joint_feasible_bounds,
 )
-from pgsynth.fixtures import FixtureSpec, generate_fixture
+from pgsynth.fixtures import (
+    FixtureSpec,
+    demo_rates,
+    demo_table,
+    generate_fixture,
+    write_fixture_files,
+)
 from pgsynth.synthesizer import read_replicates_csv
 from pgsynth.utility import StandardPopulation, read_density_csv, write_density_csv
 
-from _oracles import poisson_quantile_direct
+from _oracles import build_prior_loop, poisson_quantile_direct
 
 
 def small_table():
@@ -130,6 +139,36 @@ STRATA_FILES = [
 ]
 
 
+# fields that strip to equal text, non-ASCII and empty labels, one longer
+# than a word; counts the byte parser takes and ones only the row loop
+# takes or refuses, one holding a CR that csv.reader ends a record at
+LABELS = ("a", " a", "a ", "\u2009a", "b", "é", "", "ten bytes!", "c1")
+COUNTS = ("0", "7", "007", " 12 ", "\u20093", "+3", "1_0", "\u0663", "-1", "", "\r5",
+          "x", "999999999999999999", "9223372036854775807", "9223372036854775808")
+
+
+@st.composite
+def strata_texts(draw):
+    """A strata CSV: a header, rows with a unique first label, comments and
+    blank lines anywhere, LF, CRLF or a bare CR per line and perhaps no
+    final line end."""
+    k = draw(st.integers(1, 3))
+    header = [f" d{j}" if draw(st.booleans()) else f"d{j}" for j in range(k)]
+    lines = [",".join([*header, "population", " count"])]
+    for i in range(draw(st.integers(0, 6))):
+        labels = [f"r{i}", *(draw(st.sampled_from(LABELS)) for _ in range(k - 1))]
+        # mostly counts the byte parser takes, so it reads a good share
+        counts = [draw(st.sampled_from(COUNTS[:4] if draw(st.integers(0, 3)) else COUNTS))
+                  for _ in range(2)]
+        lines.append(",".join(labels + counts))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))
+        lines.insert(at, draw(st.sampled_from(["", "# note", "#r9,a,1,1"])))
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\n", "\r\n", "\r"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text.rstrip("\r\n") if draw(st.booleans()) else text
+
+
 def read_outcome(path):
     try:
         t = StrataTable.from_csv(path)
@@ -158,10 +197,50 @@ class TestStrataColumns:
     def test_written_table_is_read_by_column(self, tmp_path):
         path = tmp_path / "s.csv"
         small_table().to_csv(path, header_comment="roundtrip")
-        dim_names, keys, n, y = strata._read_strata_columns(path)
+        dim_names, keys, n, y, codes = strata._read_strata_columns(path)
         t = small_table()
         assert (dim_names, tuple(keys)) == (t.dim_names, t.keys)
         assert n.tolist() == t.n.tolist() and y.tolist() == t.y.tolist()
+        assert list(codes) == list(t.dim_names)
+        for name, (labels, c) in codes.items():
+            assert labels == t.column_codes(name)[0]
+            assert c.tolist() == t.column_codes(name)[1].tolist()
+            assert c.dtype == np.int64 and not c.flags.writeable
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=strata_texts())
+    def test_byte_parser_reads_what_the_row_loop_reads(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "s.csv")
+            path.write_bytes(text.encode())
+            got = read_outcome(path)
+            columns = strata._read_strata_columns(path)
+            with mock.patch.object(strata, "_read_strata_columns", lambda path: None):
+                assert got == read_outcome(path)
+        if columns is not None and not isinstance(got[0], str):
+            # the parse's codes are the ones a freshly built table computes
+            dim_names, keys, n, y, codes = columns
+            fresh = StrataTable(dim_names=dim_names, keys=keys, n=n, y=y)
+            assert list(codes) == list(dim_names)
+            for name, (labels, c) in codes.items():
+                want_labels, want_codes = fresh.column_codes(name)
+                assert labels == want_labels
+                assert c.tolist() == want_codes.tolist()
+                assert c.dtype == np.int64 and not c.flags.writeable
+
+    def test_default_fixture_is_read_without_the_row_loop(self, tmp_path):
+        want = generate_fixture(FixtureSpec()).table
+        paths = write_fixture_files(
+            generate_fixture(FixtureSpec()), tmp_path, header_comment="c"
+        )
+        with mock.patch.object(strata, "_read_table", side_effect=AssertionError):
+            got = StrataTable.from_csv(paths["strata"])
+        assert (got.dim_names, got.keys) == (want.dim_names, want.keys)
+        assert got.n.tolist() == want.n.tolist() and got.y.tolist() == want.y.tolist()
+        for name in want.dim_names:
+            labels, codes = got.column_codes(name)
+            assert labels == want.column_codes(name)[0]
+            assert codes.tolist() == want.column_codes(name)[1].tolist()
 
 
 class TestRatesTable:
@@ -211,6 +290,27 @@ class TestTableDialect:
         back_std = StandardPopulation.from_csv(tmp_path / "standard.csv")
         assert list(back_std.weights.items()) == list(std.weights.items())
         assert read_density_csv(tmp_path / "densities.csv") == densities
+
+    @pytest.mark.parametrize("read, text", [
+        (lambda p: read_outcome(p),
+         "# c\ncounty,age,population,count\nc1,a1,10,1\nc1,a2,20,2\n"),
+        (lambda p: read_outcome(p), "county,age,population,count\nc1,a1,10,1\n"),
+        (lambda p: RatesTable.from_csv(p).__dict__, "age,rate\na1,0.5\na2,0.25\n"),
+        (lambda p: StandardPopulation.from_csv(p).weights,
+         "age_group,weight\na1,0.5\na2,0.5\n"),
+        (read_density_csv, "geo,density\nc1,12.5\nc2,300.0\n"),
+    ], ids=["strata", "strata-error", "rates", "standard", "densities"])
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path, read, text):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        want = read(plain)
+        assert read(marked) == (
+            want if not isinstance(want, tuple) or want[0] != "SchemaError"
+            else (want[0], want[1].replace(str(plain), str(marked)))
+        )
+        if text.startswith("# c"):
+            assert strata._read_strata_columns(marked) is not None
 
     @pytest.mark.parametrize("write", [
         lambda path: StrataTable(
@@ -308,6 +408,41 @@ class TestBuildPrior:
         r = RatesTable(dim_names=("age",), rates={("a1",): 0.004})
         with pytest.raises(SchemaError, match="a2"):
             build_prior(t, r)
+
+    @pytest.mark.parametrize("instance", ["default", "demo", "reordered"])
+    def test_lambda0_is_the_per_stratum_loop_bit_for_bit(self, instance):
+        if instance == "demo":
+            table, rates = demo_table(), demo_rates()
+        else:
+            fix = generate_fixture(FixtureSpec())
+            table, rates = fix.table, fix.rates
+            if instance == "reordered":
+                # the rate dimensions in the other order than the table's
+                rates = RatesTable(
+                    dim_names=rates.dim_names[::-1],
+                    rates={key[::-1]: r for key, r in rates.rates.items()},
+                )
+        prior = build_prior(table, rates)
+        lambda0, factor = build_prior_loop(table, rates)
+        assert prior.lambda0.tobytes() == lambda0.tobytes()
+        assert prior.rescale_factor == factor
+
+    def test_missing_cell_names_the_first_stratum_without_one(self):
+        fix = generate_fixture(FixtureSpec())
+        # the rate dimensions reversed, so sorting the cells and meeting them
+        # in table order disagree; of the two cells gone, the error names the
+        # one whose first stratum comes first in table order
+        gone = {("s2", "a01"), ("s1", "a02")}
+        rates = RatesTable(
+            dim_names=fix.rates.dim_names[::-1],
+            rates={k[::-1]: r for k, r in fix.rates.rates.items() if k[::-1] not in gone},
+        )
+        with pytest.raises(SchemaError) as want:
+            build_prior_loop(fix.table, rates)
+        with pytest.raises(SchemaError) as got:
+            build_prior(fix.table, rates)
+        assert str(got.value) == str(want.value)
+        assert "('s2', 'a01')" in str(got.value)
 
     def test_zero_total_rate_mass_rejected(self):
         t = StrataTable(
