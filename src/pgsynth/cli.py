@@ -386,11 +386,9 @@ def cmd_evaluate(args) -> int:
     rep_csv = rep_dir / "replicates.csv" if rep_dir.is_dir() else rep_dir
     if not rep_csv.exists():
         raise SchemaError(f"no replicates file at {rep_csv}")
-    # the truth, as the last row, shares each selector's age groups; each row's
-    # value is bit for bit its own. Grown in place, where np.vstack would copy
-    counts = read_replicates_csv(rep_csv, table)
-    counts.resize((len(counts) + 1, table.size), refcheck=False)
-    counts[-1] = table.y
+    # the truth is row 0, so each selector's age groups are built once; a
+    # row's value is bit for bit its value alone
+    counts = np.vstack([table.y, read_replicates_csv(rep_csv, table)])
 
     epsilon: float | str = ""
     if (rep_dir / "manifest.json").is_file():
@@ -402,7 +400,7 @@ def cmd_evaluate(args) -> int:
         "warn": False,
     }
     rates = age_adjusted_rate(counts, table, std, **opts)
-    rows = _metric_rows("age_adjusted_rate", "all", epsilon, rates[-1], rates[:-1])
+    rows = _metric_rows("age_adjusted_rate", "all", epsilon, rates[0], rates[1:])
 
     pairs = []
     if cfg.group_dim in table.dim_names:
@@ -424,12 +422,12 @@ def cmd_evaluate(args) -> int:
             ratios = disparity_ratio(counts, table, std, sel_a, sel_b, **opts)
         except UndefinedRateError:
             # the truth, or the replicate, as the message should name it
-            for rows_of in (counts[-1], counts[:-1]):
+            for rows_of in (counts[0], counts[1:]):
                 disparity_ratio(rows_of, table, std, sel_a, sel_b, **opts)
             raise
         rows += _metric_rows(
             "disparity_ratio", label, epsilon,
-            ratios.per_replicate[-1], ratios.per_replicate[:-1],
+            ratios.per_replicate[0], ratios.per_replicate[1:],
         )
 
     write_metrics_csv(

@@ -422,9 +422,7 @@ def _label_codes(data: bytes, starts: np.ndarray, ends: np.ndarray):
             code = np.unique(code, return_inverse=True)[1].astype(np.uint64) << 32
             word = code | np.unique(word, return_inverse=True)[1].astype(np.uint64)
         code = word
-    _, inverse = np.unique(code, return_inverse=True)
-    first = np.full(inverse.max() + 1, len(starts))
-    np.minimum.at(first, inverse, np.arange(len(starts)))
+    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
     index, merged = {}, np.empty(len(first), dtype=np.int64)
     for u in np.argsort(first).tolist():
         text = data[starts[first[u]]:ends[first[u]]].decode().strip()
@@ -488,12 +486,8 @@ def _digits(values: np.ndarray) -> np.ndarray:
 
     The result has shape values.shape + (width,), width being the digit
     count of the largest value; each value's leading padding is _PAD.
-    Given more values than numbers up to the largest, it spells those.
     """
-    top = int(values.max())
-    if top + 1 < values.size:
-        return _digits(np.arange(top + 1)).take(values, axis=0)
-    width = len(str(top))
+    width = len(str(values.max()))
     place = _POW10[width - 1::-1]
     digits = (values[..., None] // place % 10).astype(np.uint8) + ord("0")
     pad = values[..., None] < place
