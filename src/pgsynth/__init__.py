@@ -20,7 +20,6 @@ from .calibration import (
     Calibration,
     MODE_TRUNCATED,
     MODE_UNTRUNCATED,
-    calibration_report,
     solve_hyperparameters,
 )
 from .errors import (
@@ -69,7 +68,6 @@ __all__ = [
     "Calibration",
     "MODE_TRUNCATED",
     "MODE_UNTRUNCATED",
-    "calibration_report",
     "solve_hyperparameters",
     "PgsynthError",
     "DomainError",

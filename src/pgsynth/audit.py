@@ -68,8 +68,6 @@ class NeighborPair:
 
     y: tuple
     x: tuple
-    moved_from: int
-    moved_to: int
 
     def __post_init__(self):
         y = np.asarray(self.y)
@@ -231,7 +229,7 @@ def audit(
     return AuditReport(
         epsilon_target=float(epsilon),
         max_abs_log_ratio=best,
-        argmax_pair=NeighborPair(*(tuple(comps[r].tolist()) for r in (y, x)), i, j),
+        argmax_pair=NeighborPair(*(tuple(comps[r].tolist()) for r in (y, x))),
         argmax_z=_fill_output(params.lo, params.hi, y_total, {i: z_i, j: z_j}),
         passed=bool(best <= epsilon + PASS_TOL),
         instance_size=(size, y_total),

@@ -44,6 +44,7 @@ from .strata import (
     PriorSpec,
     StrataTable,
     TruncationBounds,
+    _frozen,
     _render,
     _spellings,
     check_dominance,
@@ -54,8 +55,8 @@ __all__ = [
     "MODE_UNTRUNCATED",
     "MODE_TRUNCATED",
     "Calibration",
+    "exp_epsilon",
     "solve_hyperparameters",
-    "calibration_report",
     "write_report",
 ]
 
@@ -78,8 +79,8 @@ class Calibration:
     Fields:
         mode: untruncated or truncated.
         epsilon: privacy budget.
-        a, b: gamma shape and rate vectors with a / b = lambda0 exactly.
-        lambda0: the prior rates the means are pinned to.
+        a, b: gamma shape and rate vectors, b = a / lambda0 for the prior
+            rates lambda0 the means are pinned to.
         bounds: truncation boxes (truncated mode only). With two strata
             these are the exchange-rule boxes: each group's interval
             intersected with the other's reflected through the total, which
@@ -93,7 +94,6 @@ class Calibration:
     epsilon: float
     a: np.ndarray
     b: np.ndarray
-    lambda0: np.ndarray
     slack: np.ndarray
     converged: bool
     iterations: int
@@ -101,17 +101,11 @@ class Calibration:
     exchange_rule_applied: bool = False
 
     def __post_init__(self):
-        for name in ("a", "b", "lambda0", "slack"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64).copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        for name in ("a", "b", "slack"):
+            object.__setattr__(self, name, _frozen(getattr(self, name), np.float64))
         # the mechanism reads truncation off bounds alone, so mode must agree
         if (self.mode == MODE_TRUNCATED) != (self.bounds is not None):
             raise DomainError("exactly the truncated mode carries bounds")
-
-    @property
-    def size(self) -> int:
-        return len(self.a)
 
 
 def _r_factor(a: np.ndarray, expected: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -138,7 +132,7 @@ def _r_factor(a: np.ndarray, expected: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 
 def _required_untruncated(
-    a: np.ndarray, expected: np.ndarray, n: np.ndarray, y_total: int, eps: float
+    a: np.ndarray, expected: np.ndarray, n: np.ndarray, y_total: int, exp_eps: float
 ) -> np.ndarray:
     # Two strata scale the shortfall by (1 - r)^+; with more strata the full
     # shortfall is charged whenever r < 1. The scaled form is tighter for a
@@ -153,7 +147,7 @@ def _required_untruncated(
     else:
         shortfall = (r < 1.0).astype(np.float64)
     nu = (y_total * shortfall + denom) / denom
-    growth = np.exp(eps) / nu - 1.0
+    growth = exp_eps / nu - 1.0
     req = np.full_like(a, np.inf)
     ok = growth > 0.0
     req[ok] = y_total / growth[ok]
@@ -161,7 +155,7 @@ def _required_untruncated(
 
 
 def _required_truncated(
-    a: np.ndarray, L: np.ndarray, U: np.ndarray, y_total: int, eps: float
+    a: np.ndarray, L: np.ndarray, U: np.ndarray, y_total: int, exp_eps: float
 ) -> np.ndarray:
     a_rest = a.sum() - a
     width = U - L
@@ -172,11 +166,24 @@ def _required_truncated(
     if np.any((den <= 0.0) & (width > 0)):
         raise CalibrationError("truncated nu denominator nonpositive")
     nu = np.where(width > 0, num / np.where(den != 0.0, den, 1.0), 1.0)
-    growth = np.exp(eps) / nu - 1.0
+    growth = exp_eps / nu - 1.0
     req = np.full_like(a, np.inf)
     ok = growth > 0.0
     req[ok] = width[ok] / growth[ok] - 2.0 * L[ok]
     return req
+
+
+def exp_epsilon(epsilon: float) -> float:
+    """e^epsilon, refusing an epsilon not positive and finite or whose
+    e^epsilon rounds to 1 (no e^eps / nu - 1 is then ever positive). A huge
+    epsilon's e^epsilon is inf, which asks no prior weight of any stratum."""
+    if not 0.0 < epsilon < np.inf:
+        raise DomainError(f"epsilon must be positive and finite, got {epsilon}")
+    with np.errstate(over="ignore"):
+        exp_eps = np.exp(epsilon)
+    if exp_eps == 1.0:
+        raise DomainError(f"epsilon {epsilon} is too small: e^epsilon rounds to 1")
+    return exp_eps
 
 
 def solve_hyperparameters(
@@ -202,21 +209,23 @@ def solve_hyperparameters(
     mechanism; the result is flagged.
 
     Raises:
-        DomainError: bad epsilon, missing bounds, zero prior rate.
+        DomainError: bad epsilon (exp_epsilon), missing bounds, a prior
+            rate that is zero, subnormal or too small for a finite b.
         DominanceError: a stratum dominates (three or more strata).
         CalibrationError: no convergence within the sweep cap, or the
             re-verification failed.
     """
-    if not 0.0 < epsilon < np.inf:
-        raise DomainError(f"epsilon must be positive and finite, got {epsilon}")
+    exp_eps = exp_epsilon(epsilon)
     if mode not in (MODE_UNTRUNCATED, MODE_TRUNCATED):
         raise DomainError(f"unknown calibration mode {mode!r}")
     if table.y_total < 1:
         raise DomainError("calibration needs at least one observed event")
     lambda0 = prior.lambda0
-    if np.any(lambda0 <= 0.0):
+    # a subnormal rate's expected count loses its bits, and a / E overflows
+    if np.any(lambda0 < np.finfo(np.float64).tiny):
         raise DomainError(
-            "every stratum needs a positive prior rate to carry a proper gamma prior"
+            "every stratum needs a normal (2^-1022 or more) prior rate "
+            "to carry a proper gamma prior"
         )
     expected = prior.expected_counts(table)
     y_total = table.y_total
@@ -251,12 +260,10 @@ def solve_hyperparameters(
 
     def required(vec: np.ndarray) -> np.ndarray:
         if mode == MODE_UNTRUNCATED:
-            return _required_untruncated(vec, expected, n, y_total, epsilon)
-        return _required_truncated(vec, L, U, y_total, epsilon)
+            return _required_untruncated(vec, expected, n, y_total, exp_eps)
+        return _required_truncated(vec, L, U, y_total, exp_eps)
 
     prev_delta = np.zeros(size)
-    converged = False
-    sweeps = 0
     for sweeps in range(1, MAX_SWEEPS + 1):
         req = required(a)
         proposal = np.maximum(req, A_FLOOR)
@@ -272,10 +279,8 @@ def solve_hyperparameters(
         a = proposal
         prev_delta = delta
         if rel < CONVERGENCE_TOL:
-            converged = True
             break
-
-    if not converged:
+    else:
         resid = float(np.max(np.abs(a - required(a))))
         raise CalibrationError(
             f"no fixed point within {MAX_SWEEPS} sweeps (residual {resid:.3e})",
@@ -300,50 +305,21 @@ def solve_hyperparameters(
             residual=worst,
         )
 
-    b = a / lambda0
+    with np.errstate(over="ignore"):
+        b = a / lambda0
+    if not np.isfinite(b).all():
+        raise DomainError("a prior rate is too small for b = a / lambda0 to be finite")
     return Calibration(
         mode=mode,
         epsilon=float(epsilon),
         a=a,
         b=b,
-        lambda0=lambda0,
         slack=slack,
-        converged=converged,
+        converged=True,
         iterations=sweeps,
         bounds=bounds if mode == MODE_TRUNCATED else None,
         exchange_rule_applied=exchange,
     )
-
-
-def _report_doc(calib: Calibration, strata: list) -> dict:
-    bounds = calib.bounds
-    return {
-        "mode": calib.mode,
-        "epsilon": calib.epsilon,
-        "alpha": bounds.alpha if bounds is not None else None,
-        "c": bounds.c if bounds is not None else None,
-        "strata": strata,
-        "converged": calib.converged,
-        "iterations": calib.iterations,
-        "exchange_rule_applied": calib.exchange_rule_applied,
-    }
-
-
-def calibration_report(calib: Calibration, table: StrataTable) -> dict:
-    """Releasable JSON-ready description of a solved calibration."""
-    bounds = calib.bounds
-    strata = []
-    for i, key in enumerate(table.keys):
-        entry = {
-            "key": list(key),
-            "a": float(calib.a[i]),
-            "b": float(calib.b[i]),
-            "L": int(bounds.L[i]) if bounds is not None else None,
-            "U": int(bounds.U[i]) if bounds is not None else None,
-            "slack": float(calib.slack[i]),
-        }
-        strata.append(entry)
-    return _report_doc(calib, strata)
 
 
 def _json_spellings(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -355,18 +331,29 @@ def _json_spellings(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_report(calib: Calibration, table: StrataTable, path, extra: dict | None = None) -> None:
-    """calibration_report(calib, table), updated with extra, as indented JSON.
+    """The releasable report, updated with extra, as indented JSON.
 
-    The file is json.dump(doc, fh, indent=2) followed by a newline. The
-    json module writes everything but the per-stratum entries; those,
+    The file is json.dump(doc, fh, indent=2) followed by a newline, doc
+    holding one entry per stratum: its key, a, b, L, U and slack. The json
+    module writes everything but those entries; they,
     most of the file, are rendered in numpy (strata._render), REPORT_ROWS
     entries at a time. Each column of an entry gathers json's spelling of
     its value, made once per distinct label of a dimension
     (StrataTable.column_codes) and once per distinct number
     (_json_spellings).
     """
+    bounds = calib.bounds
     placeholder: list = []
-    doc = _report_doc(calib, placeholder)
+    doc = {
+        "mode": calib.mode,
+        "epsilon": calib.epsilon,
+        "alpha": None if bounds is None else bounds.alpha,
+        "c": None if bounds is None else bounds.c,
+        "strata": placeholder,
+        "converged": calib.converged,
+        "iterations": calib.iterations,
+        "exchange_rule_applied": calib.exchange_rule_applied,
+    }
     if extra:
         doc.update(extra)
     text = json.dumps(doc, indent=2)
@@ -381,12 +368,12 @@ def write_report(calib: Calibration, table: StrataTable, path, extra: dict | Non
             (_spellings(map(json.dumps, labels)), codes)
             for labels, codes in map(table.column_codes, table.dim_names)
         ]
-        if calib.bounds is None:
-            bounds = [(_spellings(["null"]), np.zeros(table.size, dtype=np.int64))] * 2
+        if bounds is None:
+            boxes = [(_spellings(["null"]), np.zeros(table.size, dtype=np.int64))] * 2
         else:
-            bounds = [_json_spellings(calib.bounds.L), _json_spellings(calib.bounds.U)]
+            boxes = [_json_spellings(bounds.L), _json_spellings(bounds.U)]
         columns += [
-            _json_spellings(calib.a), _json_spellings(calib.b), *bounds,
+            _json_spellings(calib.a), _json_spellings(calib.b), *boxes,
             _json_spellings(calib.slack),
         ]
         # what comes before each column; every entry starts with the

@@ -35,6 +35,7 @@ from .audit import audit, ratio_curve, write_audit_report, write_ratio_curve
 from .calibration import (
     MODE_TRUNCATED,
     MODE_UNTRUNCATED,
+    exp_epsilon,
     solve_hyperparameters,
     write_report,
 )
@@ -165,8 +166,7 @@ def _epsilon_tuple(eps: tuple[float, ...], *, many: bool) -> tuple[float, ...]:
     if not many and len(eps) != 1:
         raise SchemaError("this command takes a single epsilon")
     for e in eps:
-        if not 0.0 < e < np.inf:
-            raise SchemaError(f"epsilon must be positive and finite, got {e}")
+        exp_epsilon(e)
     return eps
 
 
@@ -317,21 +317,24 @@ def cmd_synthesize(args) -> int:
         "strata": table.size,
         "y_total": int(table.y_total),
         "replicates": cfg.replicates,
-        "timings_s": {
-            "calibrate": round(t1 - t0, 6),
-            "sample": round(t2 - t1, 6),
-            "write": round(t3 - t2, 6),
-            "report": round(t4 - t3, 6),
-        },
         "invariants": {"sum_ok": sums_ok, "box_ok": box_ok},
         "files": {
             "replicates": str(rep_path),
             "calibration_report": str(out_dir / "calibration_report.json"),
         },
     }
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    # the sampler's work follows the confidential counts, so its timings
+    # go to the operator's run log, not to the releasable manifest
+    run_log = {"timings_s": {
+        "calibrate": round(t1 - t0, 6),
+        "sample": round(t2 - t1, 6),
+        "write": round(t3 - t2, 6),
+        "report": round(t4 - t3, 6),
+    }}
+    for name, doc in (("manifest.json", manifest), ("run_log.json", run_log)):
+        with open(out_dir / name, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
     print(f"wrote {rep_path} ({cfg.replicates} replicates)")
     return 0
 
@@ -463,17 +466,6 @@ def _parse_fixture_spec(doc: dict) -> FixtureSpec:
             raise SchemaError(
                 "fixture dims must be [[name, count], ...] pairs, counts integers"
             ) from None
-    if kwargs.get("rate_profile") is not None:
-        profile = {}
-        try:
-            for age, by_site in kwargs["rate_profile"].items():
-                for site, rate in by_site.items():
-                    profile[(str(age), str(site))] = float(rate)
-        except (AttributeError, TypeError, ValueError):
-            raise SchemaError(
-                "rate_profile must be {age: {site: rate}} nested objects"
-            ) from None
-        kwargs["rate_profile"] = profile
     try:
         return FixtureSpec(**kwargs)
     except TypeError as exc:
@@ -497,11 +489,7 @@ def cmd_fixture(args) -> int:
     manifest = {
         "config_hash": h,
         "config": cfg.to_doc(),
-        "spec": {
-            **{k: v for k, v in asdict(spec).items() if k != "rate_profile"},
-            "dims": [list(d) for d in spec.dims],
-            "rate_profile": None if spec.rate_profile is None else "custom",
-        },
+        "spec": {**asdict(spec), "dims": [list(d) for d in spec.dims]},
         "strata": fixture.table.size,
         "y_total": int(fixture.table.y_total),
         "urban_counties": urban,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -66,7 +66,6 @@ class FixtureSpec:
     group_dim: str = "race"
     group_level: str = "black"
     group_multiplier: float = 1.45
-    rate_profile: dict[tuple[str, str], float] | None = field(default=None)
 
     def __post_init__(self):
         names = tuple(name for name, _ in self.dims)
@@ -190,27 +189,13 @@ def generate_fixture(spec: FixtureSpec) -> Fixture:
         g for g, d in densities.items() if d > spec.density_threshold
     )
 
-    if spec.rate_profile is not None:
-        profile = dict(spec.rate_profile)
-        for a in levels["age"]:
-            for s in levels["site"]:
-                if (a, s) not in profile:
-                    raise DomainError(f"rate_profile is missing ({a!r}, {s!r})")
-                if not profile[(a, s)] > 0.0:
-                    raise DomainError(f"rate_profile[{(a, s)}] must be positive")
-        raw_rate = {
-            (a, s): float(profile[(a, s)])
-            for a in levels["age"]
-            for s in levels["site"]
-        }
-    else:
-        curve = _age_rate_curve(counts["age"])
-        shares = _site_shares(counts["site"])
-        raw_rate = {
-            (a_label, s_label): float(curve[a] * shares[s])
-            for a, a_label in enumerate(levels["age"])
-            for s, s_label in enumerate(levels["site"])
-        }
+    curve = _age_rate_curve(counts["age"])
+    shares = _site_shares(counts["site"])
+    raw_rate = {
+        (a_label, s_label): float(curve[a] * shares[s])
+        for a, a_label in enumerate(levels["age"])
+        for s, s_label in enumerate(levels["site"])
+    }
 
     # the strata form the grid of every level of DIM_NAMES, in that order;
     # populations are rounded half to even (np.rint), and at least 1
@@ -228,10 +213,9 @@ def generate_fixture(spec: FixtureSpec) -> Fixture:
     mult = urb[c] * np.where(in_group, spec.group_multiplier, 1.0)
     weight = n_arr * rate_arr * mult.ravel()
 
-    if spec.rate_profile is None:
-        # pin the prior scale: sum(n * rate) equals the death total
-        scale = max(spec.total_deaths, 1) / float((n_arr * rate_arr).sum())
-        raw_rate = {k: v * scale for k, v in raw_rate.items()}
+    # pin the prior scale: sum(n * rate) equals the death total
+    scale = max(spec.total_deaths, 1) / float((n_arr * rate_arr).sum())
+    raw_rate = {k: v * scale for k, v in raw_rate.items()}
 
     if spec.total_deaths > 0:
         y = rng.multinomial(spec.total_deaths, weight / weight.sum())

@@ -52,7 +52,7 @@ import numpy as np
 
 from .distributions import log_gamma_ratio, log_negbin_kernel
 from .errors import InfeasibilityError
-from .strata import StrataTable, TruncationBounds
+from .strata import StrataTable, TruncationBounds, _frozen
 
 __all__ = [
     "KernelParams",
@@ -91,9 +91,7 @@ class KernelParams:
             ("lo", np.int64),
             ("hi", np.int64),
         ):
-            arr = np.asarray(getattr(self, name), dtype=dtype).copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
         if np.any(self.lo > self.hi):
             raise InfeasibilityError("empty per-stratum support")
         if self.lo.sum() > self.y_total or int(self.hi.sum()) < self.y_total:
@@ -382,15 +380,15 @@ def suffix_tables(
 
 def backward_pass(
     params: KernelParams, weights: KernelBank, block: int, start: int = 0
-) -> tuple[dict[int, MassTable], float | None]:
+) -> dict[int, MassTable]:
     """Run the recursion T_k = w_k * T_{k+1} from T_I down to T_start,
     weights being params' kernel bank (stratum_weight_table).
 
-    Returns the checkpoint map (T_I, and T_k at every k with k - start
-    divisible by block, so T_start among them) and ln C = log T_0(y_total),
-    the log of the total kernel mass on the box-and-total slice.
-    A suffix (start > 0) is read at many totals, one per draw of the
-    strata before it, so it has no single-total lookup: ln C is None.
+    Returns the checkpoint map: T_I, and T_k at every k with k - start
+    divisible by block, so T_start among them. T_0 must hold the total
+    (checkpoints[0].log_at(y_total) is ln C, the log of the kernel mass on
+    the box-and-total slice); a suffix (start > 0) is read at many totals,
+    one per draw of the strata before it, and is not checked at one.
     When T_0 holds no entry at y_total, the error tells two causes apart.
     The total is unreachable when the box sums miss it once strata pinned
     at zero by degenerate kernels (n_i = 0, so log_p = -inf) count at lo
@@ -408,10 +406,7 @@ def backward_pass(
     ):
         if (k - start) % block == 0:
             checkpoints[k] = running
-    if start:
-        return checkpoints, None
-    log_c = running.log_at(params.y_total)
-    if not np.isfinite(log_c):
+    if not start and not np.isfinite(running.log_at(params.y_total)):
         reach = np.where(np.isneginf(params.log_p), params.lo, params.hi)
         if params.lo.sum() <= params.y_total <= reach.sum():
             raise InfeasibilityError(
@@ -420,4 +415,4 @@ def backward_pass(
                 "represent it"
             )
         raise InfeasibilityError("the invariant total is unreachable")
-    return checkpoints, log_c
+    return checkpoints

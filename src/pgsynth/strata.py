@@ -60,14 +60,9 @@ __all__ = [
 ]
 
 
-def _frozen_int_array(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.int64).copy()
-    arr.flags.writeable = False
-    return arr
-
-
-def _frozen_float_array(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64).copy()
+def _frozen(values, dtype) -> np.ndarray:
+    """A read-only copy of values as dtype, for a frozen dataclass field."""
+    arr = np.array(values, dtype=dtype)
     arr.flags.writeable = False
     return arr
 
@@ -99,8 +94,8 @@ class StrataTable:
         object.__setattr__(self, "dim_names", tuple(self.dim_names))
         _check_dim_names(self.dim_names)
         object.__setattr__(self, "keys", tuple(map(tuple, self.keys)))
-        object.__setattr__(self, "n", _frozen_int_array(self.n))
-        object.__setattr__(self, "y", _frozen_int_array(self.y))
+        object.__setattr__(self, "n", _frozen(self.n, np.int64))
+        object.__setattr__(self, "y", _frozen(self.y, np.int64))
         if len(self.keys) != len(self.n) or len(self.n) != len(self.y):
             raise SchemaError("keys, populations and counts must have equal length")
         if len(self.keys) < 2:
@@ -220,7 +215,7 @@ class PriorSpec:
     source: RatesTable | None
 
     def __post_init__(self):
-        object.__setattr__(self, "lambda0", _frozen_float_array(self.lambda0))
+        object.__setattr__(self, "lambda0", _frozen(self.lambda0, np.float64))
 
     def expected_counts(self, table: StrataTable) -> np.ndarray:
         return table.n.astype(np.float64) * self.lambda0
@@ -236,8 +231,8 @@ class TruncationBounds:
     c: float
 
     def __post_init__(self):
-        object.__setattr__(self, "L", _frozen_int_array(self.L))
-        object.__setattr__(self, "U", _frozen_int_array(self.U))
+        object.__setattr__(self, "L", _frozen(self.L, np.int64))
+        object.__setattr__(self, "U", _frozen(self.U, np.int64))
         if self.L.shape != self.U.shape:
             raise DomainError("bound arrays must have matching shape")
         if np.any(self.L < 0) or np.any(self.L > self.U):
@@ -251,7 +246,6 @@ class DominanceReport:
     observed counts, so releasing it leaks nothing."""
 
     flagged: np.ndarray
-    expected: np.ndarray
     passed: bool
 
 
@@ -333,9 +327,7 @@ def check_dominance(prior: PriorSpec, table: StrataTable) -> DominanceReport:
     expected = prior.expected_counts(table)
     rest = expected.sum() - expected
     flagged = expected >= rest
-    return DominanceReport(
-        flagged=flagged, expected=expected, passed=not bool(flagged.any())
-    )
+    return DominanceReport(flagged=flagged, passed=not bool(flagged.any()))
 
 
 def joint_feasible_bounds(bounds: TruncationBounds, y_total: int) -> TruncationBounds:

@@ -425,7 +425,7 @@ def sample_counts_matrix(
     if count == 0:
         return np.empty((0, table.size), dtype=np.int64)
     params, start, block, bank = _plan(params)
-    checkpoints, _ = backward_pass(params, bank, block, start)
+    checkpoints = backward_pass(params, bank, block, start)
     buf = np.empty((count, params.size), dtype=np.float64)
     # an executor starts no thread until something is submitted to it, and
     # a batch of one row tile has nothing to run beside it

@@ -8,9 +8,8 @@ vectors, so the functions are safe to run in parallel across replicates.
 age_adjusted_rate and disparity_ratio also take a replicate matrix (one
 row per replicate) and score every row in one call: a selector's age
 groups, deduplicated populations and weights are built once, and the
-deaths per row and age group come from one float64 matrix product, exact
-for integer counts. For integer counts row r's value is bit for bit the
-value of row r passed alone.
+deaths per row and age group are one sum over that group's columns. Row
+r's value is bit for bit the value of row r passed alone.
 
 Selectors are dicts mapping dimension names to either one label or a
 collection of labels; a stratum matches when every named dimension's
@@ -88,8 +87,6 @@ class DisparityEstimate:
     the one ratio.
     """
 
-    numerator_group: str
-    denominator_group: str
     ratio: float
     per_replicate: tuple[float, ...]
     mean_ratio: float
@@ -206,13 +203,13 @@ def age_adjusted_rate(
     counts is one count vector (the rate comes back as a float) or a
     replicate matrix with one row per replicate (one rate per row comes
     back as an array). The selector's age groups and deduplicated
-    populations are built once; the deaths of every row and kept age
-    group then come from one float64 matrix product. For integer counts
-    (whose sums stay below 2**53) that product is exact, so a row's rate
-    is bit-for-bit the rate of that row passed alone. The weighted rates
-    and weights are added left to right in std.weights order; before
-    Python 3.12 that is also how sum() added them, from 3.12 on sum() of
-    floats is compensated and may differ in the last bit.
+    populations are built once; each kept age group's deaths are then
+    summed over its columns for every row at once, in the counts' own
+    dtype (exact in int64), so a row's rate is bit-for-bit the rate of
+    that row passed alone. The weighted rates and weights are added left
+    to right in std.weights order; before Python 3.12 that is also how
+    sum() added them, from 3.12 on sum() of floats is compensated and
+    may differ in the last bit.
 
     Age groups whose selected population is zero are dropped and the
     remaining weights renormalized (with a warning); a selector with no
@@ -236,14 +233,13 @@ def age_adjusted_rate(
             f"{selector_label(selector)}; weights renormalized",
             stacklevel=2,
         )
-    groups = (member[:, None] == np.array(kept)).astype(np.float64)
-    deaths = counts.astype(np.float64) @ groups
     # left to right over the kept levels in std.weights order on every
     # Python version (sum() of floats is compensated from 3.12 on)
     acc, weight_sum = 0.0, 0.0
-    for col, k in enumerate(kept):
+    for k in kept:
+        deaths = np.take(counts, np.flatnonzero(member == k), axis=-1).sum(axis=-1)
         w = std.weights[levels[k]]
-        acc = acc + w * (deaths[..., col] / pops[k])
+        acc = acc + w * (deaths / pops[k])
         weight_sum += w
     if weight_sum <= 0.0:
         raise UndefinedRateError("all populated age groups carry zero weight")
@@ -284,8 +280,6 @@ def disparity_ratio(
     ratios = rate_a / rate_b
     mean = float(np.mean(ratios))
     return DisparityEstimate(
-        numerator_group=selector_label(group_a),
-        denominator_group=selector_label(group_b),
         ratio=mean if counts.ndim > 1 else float(ratios[0]),
         per_replicate=tuple(ratios.tolist()),
         mean_ratio=mean,

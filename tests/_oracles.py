@@ -57,7 +57,6 @@ from pgsynth.audit import (
     RatioCurve,
     exact_joint_pmf,
 )
-from pgsynth.calibration import calibration_report
 from pgsynth.distributions import log_negbin_kernel
 from pgsynth.errors import (
     DomainError,
@@ -72,28 +71,26 @@ from pgsynth.utility import RATE_SCALE, selector_label, selector_mask
 mp.mp.dps = 60
 
 
-def poisson_cdf_direct(k: int, mu: float):
-    """P(Poisson(mu) <= k) by direct summation."""
-    if k < 0:
-        return mp.mpf(0)
+def poisson_cdf_direct(mu: float):
+    """P(Poisson(mu) <= k) for k = 0, 1, 2, ..., by direct summation: the
+    running partial sums of one pass over the pmf terms."""
     mu = mp.mpf(mu)
     total = mp.mpf(0)
     term = mp.e ** (-mu)
-    for j in range(k + 1):
+    for j in itertools.count():
         if j > 0:
             term = term * mu / j
         total += term
-    return total
+        yield total
 
 
 def poisson_quantile_direct(q: float, mu: float) -> int:
     """Smallest k with cdf(k) >= q, by scanning."""
-    k = 0
-    while poisson_cdf_direct(k, mu) < mp.mpf(q):
-        k += 1
-        if k > 10_000_000:
+    for k, cdf in enumerate(poisson_cdf_direct(mu)):
+        if cdf >= mp.mpf(q):
+            return k
+        if k >= 10_000_000:
             raise RuntimeError("quantile scan ran away")
-    return k
 
 
 def log_kernel_direct(z: int, shape: float, p: float):
@@ -333,6 +330,33 @@ def write_replicates_csv_rows(path, table, matrix, header_comment=None) -> None:
         for r, z in enumerate(matrix):
             for key, value in zip(table.keys, z.tolist()):
                 writer.writerow([r, *key, value])
+
+
+def calibration_report(calib, table) -> dict:
+    """The releasable calibration report as a dict, built one stratum at
+    a time."""
+    bounds = calib.bounds
+    strata = [
+        {
+            "key": list(key),
+            "a": float(calib.a[i]),
+            "b": float(calib.b[i]),
+            "L": int(bounds.L[i]) if bounds is not None else None,
+            "U": int(bounds.U[i]) if bounds is not None else None,
+            "slack": float(calib.slack[i]),
+        }
+        for i, key in enumerate(table.keys)
+    ]
+    return {
+        "mode": calib.mode,
+        "epsilon": calib.epsilon,
+        "alpha": bounds.alpha if bounds is not None else None,
+        "c": bounds.c if bounds is not None else None,
+        "strata": strata,
+        "converged": calib.converged,
+        "iterations": calib.iterations,
+        "exchange_rule_applied": calib.exchange_rule_applied,
+    }
 
 
 def write_report_json(calib, table, path, extra=None) -> None:
@@ -628,7 +652,7 @@ def audit_enumerated(table, calib, *, epsilon=None, cap: int = DEFAULT_CAP) -> A
         k = int(np.argmax(diff))
         if diff[k] > best:
             best = float(diff[k])
-            best_pair = NeighborPair(y, x, i, j)
+            best_pair = NeighborPair(y, x)
             best_z = tuple(support[k].tolist())
     if best_pair is None:
         raise DomainError("no neighbor pairs exist for this instance")

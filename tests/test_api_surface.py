@@ -17,7 +17,6 @@ SRC = Path(pgsynth.__file__).parent
 
 # Public names no other module uses, each with the outside caller it serves.
 ENTRY_POINTS = {
-    "calibration_report": "package export: the releasable report that write_report saves",
     "exact_joint_pmf": "README library; perfbench recomputes audit ratios with it",
     "demo_table": "perfbench writes the demo instance with it",
     "demo_rates": "perfbench writes the demo instance with it",

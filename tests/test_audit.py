@@ -254,7 +254,7 @@ class TestAudit:
         calib = solve_hyperparameters(table, prior, 1.0, mode=MODE_UNTRUNCATED)
         weak = Calibration(
             mode=calib.mode, epsilon=calib.epsilon,
-            a=calib.a / 2.0, b=calib.b / 2.0, lambda0=calib.lambda0,
+            a=calib.a / 2.0, b=calib.b / 2.0,
             slack=calib.slack, converged=True, iterations=calib.iterations,
         )
         report = audit(table, weak, epsilon=1.0)
@@ -485,7 +485,8 @@ class TestNormalizers:
             want = []
             for y in comps:
                 params = build_kernel_params(y, table, calib)
-                want.append(backward_pass(params, stratum_weight_table(params), 3)[1])
+                tables = backward_pass(params, stratum_weight_table(params), 3)
+                want.append(tables[0].log_at(params.y_total))
             assert got.tolist() == want
 
     @pytest.mark.parametrize("instance, mode, steps", [

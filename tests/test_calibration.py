@@ -1,5 +1,6 @@
 """Hyperparameter calibration: fixed points, closed forms, and gates."""
 
+import json
 import math
 import tempfile
 import time
@@ -18,7 +19,6 @@ from pgsynth.calibration import (
     MODE_UNTRUNCATED,
     _required_truncated,
     _required_untruncated,
-    calibration_report,
     solve_hyperparameters,
     write_report,
 )
@@ -157,7 +157,9 @@ class TestNuFactors:
         a = np.array([3.0, 0.5, 7.0, 2.0])
         b = a * table.n / expected
         y_tot, eps = table.y_total, 2.0
-        got = _required_untruncated(a, expected, table.n.astype(float), y_tot, eps)
+        got = _required_untruncated(
+            a, expected, table.n.astype(float), y_tot, math.exp(eps)
+        )
         nus = [nu_untruncated(i, a, b, table) for i in range(4)]
         assert min(nus) == pytest.approx(1.0) and max(nus) > 1.5
         for i, nu in enumerate(nus):
@@ -168,7 +170,7 @@ class TestNuFactors:
             L=np.array([0, 2, 1, 4]), U=np.array([4, 9, 1, 14]), alpha=0.01, c=1.0
         )
         L, U = bounds.L.astype(float), bounds.U.astype(float)
-        got = _required_truncated(a, L, U, y_tot, eps)
+        got = _required_truncated(a, L, U, y_tot, math.exp(eps))
         for i in range(4):
             nu = nu_truncated(i, a.sum() - a[i], bounds, y_tot)
             want = (U[i] - L[i]) / (math.exp(eps) / nu - 1.0) - 2.0 * L[i]
@@ -300,7 +302,7 @@ class TestGates:
             with pytest.raises(DomainError):
                 Calibration(
                     mode=mode, epsilon=1.0, a=calib.a, b=calib.b,
-                    lambda0=calib.lambda0, slack=calib.slack, converged=True,
+                    slack=calib.slack, converged=True,
                     iterations=1, bounds=boxes,
                 )
 
@@ -376,7 +378,7 @@ def report_cases(draw):
         )
     calib = Calibration(
         mode=MODE_UNTRUNCATED if bounds is None else MODE_TRUNCATED,
-        epsilon=0.5, a=a, b=b, lambda0=np.full(size, 7.0), slack=slack,
+        epsilon=0.5, a=a, b=b, slack=slack,
         converged=True, iterations=3, bounds=bounds,
     )
     extra = draw(st.sampled_from([None, {"config_hash": "ab12", "config": {}}]))
@@ -384,13 +386,14 @@ def report_cases(draw):
 
 
 class TestReport:
-    def test_report_contents(self, demo):
+    def test_report_contents(self, demo, tmp_path):
         table, prior = demo
         bounds = compute_bounds(prior, table, 1e-4, 1.0)
         calib = solve_hyperparameters(
             table, prior, 1.0, mode=MODE_TRUNCATED, bounds=bounds
         )
-        doc = calibration_report(calib, table)
+        write_report(calib, table, tmp_path / "report.json")
+        doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["mode"] == MODE_TRUNCATED
         assert doc["epsilon"] == 1.0
         assert doc["alpha"] == 1e-4 and doc["c"] == 1.0
@@ -425,7 +428,7 @@ class TestReport:
         )
         a = np.array([1e-3, 0.1, 1 / 3, 1e22, 2.5])
         calib = Calibration(
-            mode=mode, epsilon=0.5, a=a, b=a / 7.0, lambda0=np.full(size, 7.0),
+            mode=mode, epsilon=0.5, a=a, b=a / 7.0,
             slack=np.array([0.0, -0.0, np.nan, np.inf, -np.inf]),
             converged=False, iterations=3, bounds=bounds,
         )

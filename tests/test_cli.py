@@ -139,7 +139,9 @@ class TestCalibrate:
         }))
         assert run(["calibrate", "--config", str(cfg)]) == 2
 
-    @pytest.mark.parametrize("eps", ["-1.0", "inf", "nan"])
+    # e^1e-17 and e^1e-300 round to 1: no requirement could ever be met
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("eps", ["-1.0", "inf", "nan", "1e-17", "1e-300"])
     def test_bad_epsilon_is_usage_error(self, demo_files, tmp_path, eps):
         code = run([
             "calibrate", "--strata", demo_files["strata"],
@@ -149,6 +151,40 @@ class TestCalibrate:
         ])
         assert code == 2
         assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("mode, eps, rate, c, code", [
+        # e^eps overflows to inf, which asks no prior weight of any stratum
+        ("untruncated", "1e300", "0.015", "1", 0),
+        ("truncated", "1e300", "0.015", "1", 0),
+        # a subnormal rate is refused like a zero one
+        ("untruncated", "1.0", "1e-320", "1", 2),
+        ("truncated", "1.0", "1e-320", "1", 2),
+        # a normal rate whose box is wide enough that b = a / rate overflows
+        ("truncated", "1.0", "1e-307", "1e306", 2),
+    ], ids=[
+        "huge-epsilon-untruncated", "huge-epsilon-truncated",
+        "subnormal-rate-untruncated", "subnormal-rate-truncated", "infinite-b",
+    ])
+    def test_extreme_epsilon_or_rate(
+        self, demo_files, tmp_path, capsys, mode, eps, rate, c, code
+    ):
+        Path(demo_files["rates"]).write_text(f"group,rate\na,{rate}\nb,0.017\n")
+        out = tmp_path / "x.json"
+        assert run([
+            "calibrate", "--strata", demo_files["strata"],
+            "--rates", demo_files["rates"], "--epsilon", eps, "--mode", mode,
+            "--c", c, "--out", str(out),
+        ]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert "prior rate" in err and not out.exists()
+        else:
+            assert err == ""
+            doc = json.loads(
+                out.read_text(), parse_constant=lambda name: pytest.fail(name)
+            )
+            assert [s["a"] for s in doc["strata"]] == [1e-3, 1e-3]
 
     @pytest.mark.parametrize("c", ["inf", "nan", "0.5"])
     def test_bad_c_is_usage_error(self, demo_files, tmp_path, capsys, c):
@@ -305,7 +341,11 @@ class TestSynthesize:
         assert manifest["epsilon"] == 1.0
         assert manifest["replicates"] == 200
         assert manifest["invariants"] == {"sum_ok": True, "box_ok": True}
-        assert set(manifest["timings_s"]) == {"calibrate", "sample", "write", "report"}
+        # timings follow the confidential counts: the operator's log, not
+        # the released manifest, holds them
+        timings = json.loads((out / "run_log.json").read_text())["timings_s"]
+        assert set(timings) == {"calibrate", "sample", "write", "report"}
+        assert not set(timings) & set(manifest) and "timings_s" not in manifest
         text = (out / "replicates.csv").read_text()
         assert text.startswith(f"# config_hash={manifest['config_hash']}\n")
         assert (out / "calibration_report.json").exists()
@@ -628,7 +668,7 @@ class TestEvaluateAndFixture:
         ("group_multiplier", "1e400"), ("density_threshold", "null"),
         ("density_threshold", "-1"), ("density_threshold", "NaN"),
         ("total_deaths", "1e19"), ("total_deaths", "1.5"),
-        ("state_population", "2.5"),
+        ("state_population", "2.5"), ("rate_profile", '{"a1": {"s1": 0.01}}'),
         pytest.param(
             "dims", '[["county", 2.9], ["age", 2], ["site", 1], ["race", 3], ["sex", 2]]',
             id="dims-2.9",
@@ -707,11 +747,9 @@ class TestPrivacyBoundary:
                 "--epsilon", "1.0", "--mode", mode,
                 "--replicates", "50", "--seed", "3", "--out", "run",
             ]) == 0
-            manifest = json.loads((work / "run" / "manifest.json").read_text())
-            del manifest["timings_s"]
             released.append((
                 (work / "run" / "calibration_report.json").read_bytes(),
-                manifest,
+                (work / "run" / "manifest.json").read_bytes(),
             ))
         assert released[0] == released[1]
 
@@ -753,11 +791,9 @@ class TestPrivacyBoundary:
                 "--epsilon", "1.0", "--mode", mode,
                 "--replicates", "30", "--seed", "3", "--out", "run",
             ]) == 0
-            manifest = json.loads((work / "run" / "manifest.json").read_text())
-            del manifest["timings_s"]
             released.append((
                 (work / "run" / "calibration_report.json").read_bytes(),
-                manifest,
+                (work / "run" / "manifest.json").read_bytes(),
             ))
             logs.append(caplog.text)
         assert len(heads) == 2 and min(heads) > 0

@@ -24,9 +24,6 @@ from pgsynth.utility import (
 )
 
 SMALL_DIMS = (("county", 12), ("age", 5), ("site", 2), ("race", 3), ("sex", 2))
-PROFILE = {
-    (f"a{i}", f"s{j}"): 0.001 * i + 0.0001 * j for i in range(1, 6) for j in (1, 2)
-}
 
 
 def small_spec(**overrides):
@@ -74,9 +71,9 @@ class TestDeterminism:
          "bfbc8d9f17fcd0669125a5893be5e1554e35e2f16fb45fe95d5bd4a096a106f2"),
         (small_spec(total_deaths=0),
          "83dbe122f32709b0391c47491e98be2b13d2894847dddb6b3a1b3468de9960da"),
-        (small_spec(rate_profile=PROFILE, group_dim="sex", group_level="female"),
-         "d472ff5671ce0d993f8a9169c33d20e4d395735d98e727eedfd8d12d034e9b2f"),
-    ], ids=["published", "small", "no-deaths", "rate-profile"])
+        (small_spec(group_dim="sex", group_level="female"),
+         "a9515180cf507cc4034afc1e75d25630057a65f8538edcaa425e7148a324a555"),
+    ], ids=["published", "small", "no-deaths", "group-sex"])
     def test_files_are_pinned(self, tmp_path, spec, digest):
         # sha256 of the four files: every population's rounding, every
         # weight's product order and the draw are fixed by the spec
@@ -165,28 +162,6 @@ class TestEdgeCases:
         assert fix.table.y_total == 0
         assert np.all(fix.table.y == 0)
         assert np.all(fix.table.n >= 1)
-
-    def test_custom_rate_profile(self):
-        dims = (("county", 2), ("age", 2), ("site", 1),
-                ("race", 3), ("sex", 2))
-        ages = ("a1", "a2")
-        profile = {(a, "s1"): 0.01 for a in ages}
-        spec = FixtureSpec(
-            dims=dims, total_deaths=50, state_population=10_000,
-            seed=0, urban_count=1, rate_profile=profile,
-        )
-        fix = generate_fixture(spec)
-        assert fix.rates.rates == {(a, "s1"): 0.01 for a in ages}
-
-    def test_rate_profile_missing_pair(self):
-        dims = (("county", 2), ("age", 2), ("site", 1),
-                ("race", 3), ("sex", 2))
-        spec = FixtureSpec(
-            dims=dims, total_deaths=50, state_population=10_000,
-            seed=0, urban_count=1, rate_profile={("a1", "s1"): 0.01},
-        )
-        with pytest.raises(DomainError, match="missing"):
-            generate_fixture(spec)
 
 
 class TestSpecValidation:

@@ -69,7 +69,7 @@ def solo_draw(table, calib, base_seed, r):
         build_kernel_params(table.y, table, calib)
     )
     block = 2  # the checkpoint spacing changes memory use, never the draw
-    checkpoints, _ = backward_pass(params, weights, block, start)
+    checkpoints = backward_pass(params, weights, block, start)
     row = np.empty((1, params.size))
     left = params.y_total
     if start:
@@ -356,7 +356,7 @@ class TestDeterminism:
         lam = np.array([2.0, 3.0, 4.0]) / 9.0 * 40 / table.n
         calib = Calibration(
             mode=MODE_UNTRUNCATED, epsilon=1.0, a=np.ones(3), b=1.0 / lam,
-            lambda0=lam, slack=np.zeros(3), converged=True, iterations=0,
+            slack=np.zeros(3), converged=True, iterations=0,
         )
         reference = sample_counts_matrix(table, calib, count=300, base_seed=11)
         monkeypatch.setattr(synth, "ROW_TILE", 7)
@@ -385,7 +385,7 @@ class TestRecursionWork:
         lam = np.full(size, table.y_total / (50.0 * size))
         calib = Calibration(
             mode=MODE_UNTRUNCATED, epsilon=1.0, a=np.ones(size), b=1.0 / lam,
-            lambda0=lam, slack=np.zeros(size), converged=True, iterations=0,
+            slack=np.zeros(size), converged=True, iterations=0,
         )
         calls = []
         real = mechanism.convolve_mass
@@ -487,7 +487,7 @@ def assert_draws_carry_mass(params, uniforms):
     whose conditional mass w_i(v) * T_{i+1}(t - v) is positive."""
     params, _, _, bank = synth._plan(params)
     size, y_total = params.size, params.y_total
-    checkpoints, _ = backward_pass(params, bank, 2)
+    checkpoints = backward_pass(params, bank, 2)
     z = synth._draw_chunk(params, checkpoints, bank, 2, uniforms.copy())
     tables = dict(mechanism.suffix_tables(bank, delta_table(), size, 0, y_total))
     tables[size] = delta_table()
@@ -561,7 +561,7 @@ class TestExactness:
         a = np.ones(3)
         calib = Calibration(
             mode=MODE_UNTRUNCATED, epsilon=1.0, a=a, b=a / lam,
-            lambda0=lam, slack=np.zeros(3), converged=True, iterations=0,
+            slack=np.zeros(3), converged=True, iterations=0,
         )
         draws = sample_counts_matrix(table, calib, count=500, base_seed=2)
         assert np.all(draws[:, 0] == 0)
@@ -877,7 +877,7 @@ class TestGuards:
         params = random_params(MODE_TRUNCATED, 0)
         block = 4
         bank = mechanism.stratum_weight_table(params)
-        checkpoints, _ = backward_pass(params, bank, block)
+        checkpoints = backward_pass(params, bank, block)
         after = dict(mechanism.suffix_tables(
             bank, checkpoints[block], block, 1, params.y_total
         ))[1]
