@@ -7,9 +7,9 @@ and every feasible output z, |log p(z|y) / p(z|x)| must stay within the
 budget. It enumerates the datasets and their neighbors, and bounds each
 pair's outputs in closed form: the worst output sits at one of two
 corners of a polygon (see audit), so one normalizer per distinct clamped
-dataset, one recursion step per distinct clamped suffix, and O(1) work
-per pair suffice. The test oracle audit_enumerated, which also walks
-every output, must agree with it.
+dataset, from one matrix product per distinct clamped suffix, and O(1)
+work per pair suffice. The test oracle audit_enumerated, which also
+walks every output, must agree with it.
 exact_joint_pmf and ratio_curve evaluate the law at every output.
 
 Datasets and outputs alike come from enumerate_feasible, in
@@ -33,6 +33,8 @@ from .calibration import Calibration
 from .distributions import _log_gamma, _logsumexp, log_negbin_kernel
 from .errors import DomainError, EnumerationCapError, InfeasibilityError
 from .mechanism import (
+    KERNEL_GROUP,
+    KernelBoxes,
     KernelParams,
     build_kernel_params,
     clamp_counts,
@@ -192,7 +194,7 @@ def audit(
     has positive mass. So g is largest at z_i = min(hi_i, B - lo_j),
     z_j = max(lo_j, A - z_i), smallest at z_i = max(lo_i, A - hi_j),
     z_j = min(hi_j, B - z_i), and |g - D| peaks at one of these corners.
-    The datasets are clamped once; ln C costs one recursion step per
+    The datasets are clamped once; ln C costs one matrix product per
     distinct clamped suffix (_log_normalizers) and each pair O(1), in
     steps of at most PAIR_CHUNK pairs or one dataset's.
     """
@@ -280,32 +282,56 @@ def _distinct_clamped(comps: np.ndarray, calib: Calibration):
 
 
 def _log_normalizers(keys: np.ndarray, params: KernelParams, calib: Calibration):
-    """ln C of each clamped dataset row of keys.
+    """ln C of each clamped dataset row of keys: C = w_0 M w_1, with
+    M[z_0, z_1] = T_2(Y - z_0 - z_1) over the boxes of strata 0 and 1.
 
-    One bank of kernel tables is built per distinct clamped value. T_k
-    depends only on keys[:, k:], so the keys are walked last stratum
-    first (np.lexsort), and each rebuilds T_m down to T_0 from the
-    previous key's T_{m+1}, m being the last stratum where the two
-    differ: one recursion step per distinct suffix, each from the inputs
-    of its own chain, so ln C is bit for bit the backward pass's.
+    One bank holds the kernel tables of every clamped value v at every
+    stratum k (shape v + a_k). T_2 depends only on keys[:, 2:], so the
+    keys are walked last stratum first (np.lexsort), and each distinct
+    suffix rebuilds T_m down to T_2 from the previous one's T_{m+1}, m the
+    last stratum where the two differ (for I = 2, T_2 is the delta table).
+    Its keys' w_0 rows times M, each row over its peak, are then dotted
+    with their w_1 rows, KERNEL_GROUP entries a step at most.
     """
-    size = params.size
+    size, total, lo, hi = params.size, params.y_total, params.lo, params.hi
     values, index = np.unique(keys, return_inverse=True)
-    index = index.reshape(keys.shape)
-    kernels = []
-    for v in values.tolist():
-        bank = stratum_weight_table(replace(params, shape=float(v) + calib.a))
-        kernels.append([bank[k] for k in range(size)])
+    index, count = index.reshape(keys.shape), len(values)
+    bank = stratum_weight_table(KernelBoxes(
+        np.add.outer(values, calib.a).ravel(), np.tile(params.log_p, count),
+        np.tile(lo, count), np.tile(hi, count),
+    ))
+    offset = bank.offset.reshape(count, size)
+    dense = [np.zeros((count, hi[k] - lo[k] + 1)) for k in (0, 1)]
+    for v, k in np.ndindex(count, 2):  # strata 0 and 1's kernels over their boxes
+        w = bank[v * size + k]
+        dense[k][v, w.lo - lo[k]:w.hi - lo[k] + 1] = w.vals
+    # the totals M reads T_2 at; total + 1 stands for those below 0 and holds 0
+    cell = total - np.add.outer(*(np.arange(lo[k], hi[k] + 1) for k in (0, 1)))
+    cell[cell < 0] = total + 1
     order = np.lexsort(keys.T)
-    differs = (keys[order[1:]] != keys[order[:-1]])[:, ::-1]
-    last = np.concatenate([[size - 1], size - 1 - differs.argmax(axis=1)])
-    tables = [None] * size + [delta_table()]
-    log_c = np.empty(len(keys))
-    for n, m in zip(order.tolist(), last.tolist()):
-        weights = [kernels[v][k] for k, v in enumerate(index[n, : m + 1].tolist())]
-        for k, table in suffix_tables(weights, tables[m + 1], m + 1, 0, params.y_total):
-            tables[k] = table
-        log_c[n] = tables[0].log_at(params.y_total)
+    differs = (keys[order[1:], 2:] != keys[order[:-1], 2:])[:, ::-1]
+    starts = np.flatnonzero(np.concatenate([[True], differs.any(axis=1)])).tolist()
+    step = max(1, KERNEL_GROUP // max(cell.shape))
+    tables, log_c = [None] * size + [delta_table()], np.empty(len(keys))
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero peak: C = 0
+        for a, b in zip(starts, starts[1:] + [len(order)]):
+            m = size - 1 - int(differs[a - 1].argmax()) if a else size - 1
+            key = index[order[a]].tolist()
+            weights = {k: bank[key[k] * size + k] for k in range(2, m + 1)}
+            for k, table in suffix_tables(weights, tables[m + 1], m + 1, 2, total):
+                tables[k] = table
+            line = np.zeros(total + 2)
+            line[tables[2].lo:tables[2].hi + 1] = tables[2].vals
+            weigh = line[cell]
+            for rows in np.split(order[a:b], range(step, b - a, step)):
+                y0, y1 = index[rows, 0], index[rows, 1]
+                prod = dense[0][y0] @ weigh
+                peak = prod.max(axis=1)
+                prod /= peak[:, None]
+                prod *= dense[1][y1]
+                log_c[rows] = np.log(prod.sum(axis=1)) + np.log(peak) + (
+                    offset[y0, 0] + offset[y1, 1] + tables[2].offset
+                )
     if not np.isfinite(log_c).all():
         raise InfeasibilityError("the invariant total is unreachable")
     return log_c

@@ -67,6 +67,7 @@ A_FLOOR = 1e-3
 CONVERGENCE_TOL = 1e-10
 SLACK_TOL = 1e-9
 MAX_SWEEPS = 10**5
+TINY_RATE = "a prior rate is too small for b = a / lambda0 to be finite"
 
 # Strata entries per write in write_report.
 REPORT_ROWS = 10_000
@@ -227,6 +228,13 @@ def solve_hyperparameters(
             "every stratum needs a normal (2^-1022 or more) prior rate "
             "to carry a proper gamma prior"
         )
+    # untruncated, nu >= 1 makes every a_i at least y_total / (e^eps - 1),
+    # so a b_i = a_i / lambda0_i past float64's range shows before any sweep
+    if mode == MODE_UNTRUNCATED:
+        with np.errstate(over="ignore"):
+            least_b = table.y_total / (exp_eps - 1.0) / lambda0
+        if not np.isfinite(least_b).all():
+            raise DomainError(TINY_RATE)
     expected = prior.expected_counts(table)
     y_total = table.y_total
     n = table.n.astype(np.float64)
@@ -308,7 +316,7 @@ def solve_hyperparameters(
     with np.errstate(over="ignore"):
         b = a / lambda0
     if not np.isfinite(b).all():
-        raise DomainError("a prior rate is too small for b = a / lambda0 to be finite")
+        raise DomainError(TINY_RATE)
     return Calibration(
         mode=mode,
         epsilon=float(epsilon),

@@ -255,8 +255,10 @@ def cmd_calibrate(args) -> int:
             f"report file (named by {{epsilon:g}}); no file written"
         )
     table, prior = _load_instance(cfg)
-    for path, epsilon in reports.items():
-        calib = _calibrate_once(table, prior, cfg, epsilon)
+    # every epsilon is solved before any report is written, so a failure
+    # leaves no report behind
+    solved = {p: _calibrate_once(table, prior, cfg, e) for p, e in reports.items()}
+    for path, calib in solved.items():
         write_report(
             calib, table, path,
             extra={"config_hash": cfg.config_hash(), "config": cfg.to_doc()},

@@ -55,6 +55,7 @@ from .errors import InfeasibilityError
 from .strata import StrataTable, TruncationBounds, _frozen
 
 __all__ = [
+    "KernelBoxes",
     "KernelParams",
     "MassTable",
     "KernelBank",
@@ -69,20 +70,18 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class KernelParams:
-    """Everything the conditioned-product law depends on.
+class KernelBoxes:
+    """Per-stratum kernels on their boxes: all a kernel table depends on.
 
     shape: kernel shapes, clamped observed count plus gamma shape.
     log_p: per-stratum log success probability, -inf when n_i = 0.
     lo, hi: inclusive per-stratum support bounds.
-    y_total: the invariant total the draw is conditioned on.
     """
 
     shape: np.ndarray
     log_p: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    y_total: int
 
     def __post_init__(self):
         for name, dtype in (
@@ -94,14 +93,25 @@ class KernelParams:
             object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
         if np.any(self.lo > self.hi):
             raise InfeasibilityError("empty per-stratum support")
-        if self.lo.sum() > self.y_total or int(self.hi.sum()) < self.y_total:
-            raise InfeasibilityError(
-                "support boxes cannot reach the invariant total"
-            )
 
     @property
     def size(self) -> int:
         return len(self.shape)
+
+
+@dataclass(frozen=True)
+class KernelParams(KernelBoxes):
+    """Everything the conditioned-product law depends on: the kernels on
+    their boxes and y_total, the invariant total the draw is conditioned on."""
+
+    y_total: int
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.lo.sum() > self.y_total or int(self.hi.sum()) < self.y_total:
+            raise InfeasibilityError(
+                "support boxes cannot reach the invariant total"
+            )
 
 
 def log_success(b, n) -> np.ndarray:
@@ -217,7 +227,7 @@ class KernelBank:
         return MassTable(int(self.lo[i]), vals, float(self.offset[i]))
 
 
-def _log_gamma_groups(params: KernelParams) -> list[tuple]:
+def _log_gamma_groups(params: KernelBoxes) -> list[tuple]:
     """(a, widths, starts, log_gamma) per group of strata a, a + 1, ....
 
     Groups are consecutive strata whose summed support widths stay under
@@ -242,7 +252,7 @@ def _log_gamma_groups(params: KernelParams) -> list[tuple]:
     return groups
 
 
-def _log_kernel(params: KernelParams, group: tuple):
+def _log_kernel(params: KernelBoxes, group: tuple):
     """(z, logw, peaks) of one group of _log_gamma_groups: the support
     values, the log kernel there with success probability exp(log_p) less
     its stratum's largest log weight, and those largest log weights."""
@@ -262,7 +272,7 @@ def _log_kernel(params: KernelParams, group: tuple):
     return z, logw, peaks
 
 
-def stratum_weight_table(params: KernelParams, groups=None) -> KernelBank:
+def stratum_weight_table(params: KernelBoxes, groups=None) -> KernelBank:
     """The KernelBank of every stratum i over its support [lo_i, hi_i].
     groups, when given, is _log_gamma_groups(params), evaluated already."""
     if groups is None:
@@ -366,7 +376,7 @@ def convolve_mass(weights: MassTable, table: MassTable, cap: int) -> MassTable:
 
 
 def suffix_tables(
-    weights: KernelBank | list[MassTable],
+    weights: KernelBank | dict[int, MassTable],
     table: MassTable,
     stop: int,
     start: int,

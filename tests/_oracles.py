@@ -182,20 +182,22 @@ def multinomial_log_pmf(z, probs):
 
 
 def normalizer_direct(total: int, shapes, ps, lo, hi):
-    """Sum of unnormalized kernel products over the boxed simplex."""
+    """Sum of unnormalized kernel products over the boxed simplex.
+
+    Each stratum's kernel is evaluated once per box value, and every
+    composition multiplies its strata's values; p = 0 is the point mass
+    at zero."""
+    kernels = [
+        {v: (mp.e ** log_kernel_direct(v, sh, p) if p != 0.0
+             else mp.mpf(v == 0)) for v in range(a, b + 1)}
+        for sh, p, a, b in zip(shapes, ps, lo, hi)
+    ]
     out = mp.mpf(0)
     for z in boxed_compositions(total, lo, hi):
-        lw = mp.mpf(0)
-        dead = False
-        for zi, sh, p in zip(z, shapes, ps):
-            if p == 0.0:
-                if zi != 0:
-                    dead = True
-                    break
-                continue
-            lw += log_kernel_direct(zi, sh, p)
-        if not dead:
-            out += mp.e**lw
+        w = mp.mpf(1)
+        for zi, kernel in zip(z, kernels):
+            w *= kernel[zi]
+        out += w
     return out
 
 

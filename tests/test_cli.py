@@ -7,6 +7,8 @@ import logging
 import os
 import subprocess
 import sys
+import time
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -27,7 +29,9 @@ from pgsynth.cli import (
     build_parser,
     main,
 )
+import pgsynth.cli as cli_mod
 import pgsynth.synthesizer as synth
+from pgsynth.errors import CalibrationError
 from pgsynth.fixtures import FixtureSpec, demo_rates, demo_table, generate_fixture
 from pgsynth.strata import RatesTable, StrataTable
 
@@ -185,6 +189,48 @@ class TestCalibrate:
                 out.read_text(), parse_constant=lambda name: pytest.fail(name)
             )
             assert [s["a"] for s in doc["strata"]] == [1e-3, 1e-3]
+
+    def test_tiny_normal_rate_untruncated_is_refused_before_any_sweep(
+        self, demo_files, tmp_path, capsys
+    ):
+        # lambda0_a is about 5.9e-308, and every untruncated a_a is at
+        # least 100 / (e - 1), so b_a = a_a / lambda0_a overflows whatever
+        # the sweeps would find
+        Path(demo_files["rates"]).write_text("group,rate\na,5e-308\nb,0.017\n")
+        out = tmp_path / "x.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            start = time.perf_counter()
+            code = run([
+                "calibrate", "--strata", demo_files["strata"],
+                "--rates", demo_files["rates"], "--epsilon", "1",
+                "--mode", "untruncated", "--out", str(out),
+            ])
+            elapsed = time.perf_counter() - start
+        assert code == 2 and elapsed < 1.0
+        assert "prior rate is too small" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_failing_epsilon_leaves_no_report(
+        self, demo_files, tmp_path, monkeypatch
+    ):
+        # every epsilon is solved before the first report is written
+        solve, calls = cli_mod._calibrate_once, []
+
+        def second_fails(*args):
+            calls.append(args[-1])
+            if len(calls) == 2:
+                raise CalibrationError("no fixed point within 100000 sweeps")
+            return solve(*args)
+
+        monkeypatch.setattr(cli_mod, "_calibrate_once", second_fails)
+        assert run([
+            "calibrate", "--strata", demo_files["strata"],
+            "--rates", demo_files["rates"], "--epsilon", "1.0", "0.5",
+            "--mode", "untruncated", "--out", str(tmp_path / "grid.json"),
+        ]) == 1
+        assert calls == [1.0, 0.5]
+        assert not list(tmp_path.glob("grid*"))
 
     @pytest.mark.parametrize("c", ["inf", "nan", "0.5"])
     def test_bad_c_is_usage_error(self, demo_files, tmp_path, capsys, c):
