@@ -480,12 +480,17 @@ def _digits(values: np.ndarray) -> np.ndarray:
     count of the largest value; each value's leading padding is _PAD.
     """
     width = len(str(values.max()))
-    place = _POW10[width - 1::-1]
-    digits = (values[..., None] // place % 10).astype(np.uint8) + ord("0")
-    pad = values[..., None] < place
-    pad[..., -1] = False
-    digits[pad] = _PAD
-    return digits
+    # place by place, by a scalar: numpy divides by an array much slower
+    digits = np.empty((width, *values.shape), dtype=np.uint8)
+    rest = values
+    for k in range(width - 1, -1, -1):
+        high = rest // 10
+        np.subtract(rest, high * 10, out=digits[k], casting="unsafe")
+        digits[k] += ord("0")
+        if k < width - 1:
+            digits[k][rest == 0] = _PAD
+        rest = high
+    return np.moveaxis(digits, 0, -1)
 
 
 def _spellings(texts) -> np.ndarray:

@@ -45,22 +45,24 @@ from its checkpoint by the backward pass's own steps
 for bit. Then the block's strata are drawn for every replicate in tiles
 of ROW_TILE rows, on a thread pool when threads > 1 and there is more
 than one tile; the tail's uniforms are read in the same tiles on the
-same pool, and each worker writes every step's temporaries into one set
-of tile buffers. A rebuild never depends on the rows, so tiles and
-threads never change it. A draw step indexes the next table from one
-shared arange of candidate offsets and counts the cdf entries at or
-below the target, the uniform times the cdf's own last entry, with no
-per-stratum candidate array.
+same pool. A draw counts the first m - 1 entries of stratum i's cdf (m
+its kernel's width) at or below the uniform times the cdf's last entry.
+The cdf depends on a row only through t, one of K_i = len(T_{i+1}.vals)
++ m - 1 totals: below the row count, the block's cdfs are built at all
+K_i before the tiles run and a row bisects its total's in ceil(log2 m)
+rounds; otherwise each tile builds its rows', in one set of buffers per
+worker. Both build by _cdf, so no entry depends on the tiles or threads.
 
 Memory and work. A completion-mass table spans only the totals whose
 weight is >= 2^-1022 of its peak, at most y_total + 1 of them. Table
 memory is the tail's checkpoints plus one block of tables,
-O(sqrt(tail) * span); convolution work is O(tail * span * box_width) in
-the backward pass and as much again in the rebuilds, whatever the
-replicate count. A head proposal costs O(head strata + summed head box
-widths) per row, and a tile's temporaries O(HEAD_CELLS). Each draw
-overwrites the uniform it consumed, and the head's counts go to the same
-matrix, so a batch holds one (count x I) matrix.
+O(sqrt(tail) * span), and the block's per-total cdfs, at most
+sum (K_i + 2) * 2m_i * 8 B; convolution work is O(tail * span *
+box_width) in the backward pass and as much again in the rebuilds,
+whatever the replicate count. A head proposal costs O(head strata +
+summed head box widths) per row, and a tile's temporaries O(HEAD_CELLS).
+Each draw overwrites the uniform it consumed, and the head's counts go
+to the same matrix, so a batch holds one (count x I) matrix.
 
 Reproducibility contract (SAMPLER, which enters the synthesize config
 hash). A batch reads numpy streams at offsets: stream j is PCG64 seeded
@@ -168,7 +170,20 @@ WRITE_ROWS = 100_000
 # Bytes of read_replicates_csv's buffer, doubled while a replicate is longer.
 READ_BYTES = 1 << 21
 
+_BUFS = (np.int64, np.float64, np.float64, np.bool_)  # _cdf's idx, mass, cdf, flag
 _log = logging.getLogger(__name__)
+
+
+def _cdf(rem, w, nxt, steps, idx, mass, cdf, flag) -> np.ndarray:
+    """cdf[r, j]: the sum of w(v) * nxt(rem[r] - v) over v = w.lo .. w.lo + j."""
+    # idx[r, j]: where candidate w.lo + j leaves row r in nxt; a negative
+    # index wraps to a huge unsigned one, so one compare finds those inside
+    np.subtract(rem - (w.lo + nxt.lo), steps[:len(w.vals)], out=idx)
+    nxt.vals.take(idx, mode="clip", out=mass)
+    np.less(idx.view(np.uint64), len(nxt.vals), out=flag)
+    mass *= flag
+    mass *= w.vals
+    return mass.cumsum(axis=1, out=cdf)
 
 
 def _draw_chunk(
@@ -189,10 +204,10 @@ def _draw_chunk(
     one value per stratum, starting from its remaining total (a column;
     y_total for every row when None). Blocks of strata from start are
     the outer loop: a block's tables are rebuilt once from its checkpoint
-    (mechanism.suffix_tables), then each tile of ROW_TILE rows draws the
-    block's strata, the tiles mapped through run (map, or a thread pool's
-    map). The returned int64 matrix is a view of uniforms; columns before
-    start are left as they are.
+    (mechanism.suffix_tables), with the per-total cdfs, then each tile of
+    ROW_TILE rows draws the block's strata, the tiles mapped through run
+    (map, or a thread pool's map). The returned int64 matrix is a view of
+    uniforms; columns before start are left as they are.
     """
     count, size = uniforms.shape
     z = uniforms.view(np.int64)
@@ -207,40 +222,34 @@ def _draw_chunk(
     # and returned to the system at every step.
     scratch = threading.local()
 
-    def draw_tile(first: int, end: int, tables: dict[int, MassTable], a: int):
+    def draw_tile(first: int, end: int, tables: dict, per_total: dict, a: int):
         rows = slice(a, a + ROW_TILE)
         rem = remaining[rows]
         n = len(rem)
-        if not hasattr(scratch, "bufs"):
-            cells = min(ROW_TILE, count) * len(steps)
-            scratch.bufs = [
-                np.empty(cells, dtype=t)
-                for t in (np.int64, np.float64, np.float64, np.bool_)
-            ]
-            scratch.views = {}
         for i in range(first, end):
-            nxt = tables[i + 1]
             w = bank[i]
             m = len(w.vals)
-            views = scratch.views.get((n, m))
-            if views is None:
-                # below: flag's first cells again, contiguous, for m - 1 columns
-                views = scratch.views[n, m] = [
-                    b[:n * m].reshape(n, m) for b in scratch.bufs
-                ] + [scratch.bufs[3][:n * (m - 1)].reshape(n, m - 1)]
-            idx, mass, cdf, flag, below = views
-            # idx[r, j]: where candidate w.lo + j leaves row r in nxt; an
-            # index below 0 wraps to a huge unsigned one, so one compare
-            # finds the indices inside nxt
-            np.subtract(rem - (w.lo + nxt.lo), steps[:m], out=idx)
-            nxt.vals.take(idx, mode="clip", out=mass)
-            np.less(idx.view(np.uint64), len(nxt.vals), out=flag)
-            mass *= flag
-            mass *= w.vals
-            # the total is the cdf's own last entry: a sum in another order
-            # may exceed it, and a target near it would pick a top with no mass
-            mass.cumsum(axis=1, out=cdf)
-            total = cdf[:, -1:]
+            if i in per_total:
+                lo, table = per_total[i]
+                # a total outside the table reads a row of zero mass
+                row = np.clip(rem - lo, 0, len(table) - 1) * table.shape[1]
+                total = table.take(row + (table.shape[1] - 1))
+            else:
+                if not hasattr(scratch, "bufs"):
+                    cells = min(ROW_TILE, count) * len(steps)
+                    scratch.bufs = [np.empty(cells, dtype=t) for t in _BUFS]
+                    scratch.views = {}
+                views = scratch.views.get((n, m))
+                if views is None:
+                    # below: flag's first cells again, contiguous, for m - 1 columns
+                    views = scratch.views[n, m] = [
+                        b[:n * m].reshape(n, m) for b in scratch.bufs
+                    ] + [scratch.bufs[3][:n * (m - 1)].reshape(n, m - 1)]
+                *bufs, below = views
+                cdf = _cdf(rem, w, tables[i + 1], steps, *bufs)
+                # the total is the cdf's own last entry: a sum in another order
+                # may exceed it, and a target near it would pick a top with no mass
+                total = cdf[:, -1:]
             if total.min() <= 0.0:
                 raise InfeasibilityError(
                     f"conditional mass of stratum {i} underflowed to zero; "
@@ -249,19 +258,46 @@ def _draw_chunk(
             # the cdf never decreases, so counting its first m - 1 entries
             # at or below the target gives min(pick, m - 1), pick being
             # the count over all m
-            np.less_equal(cdf[:, :-1], uniforms[rows, i:i + 1] * total, out=below)
-            draw = below.sum(axis=1, keepdims=True)
+            target = uniforms[rows, i:i + 1] * total
+            if i in per_total:
+                # that count by bisection: at ends on the last entry counted;
+                # the padding after entry m - 2 is +inf, never counted
+                at, step = row - 1, table.shape[1]
+                while step := step >> 1:
+                    at += (table.take(at + step) <= target) * step
+                draw = at - row + 1
+            else:
+                np.less_equal(cdf[:, :-1], target, out=below)
+                draw = below.sum(axis=1, keepdims=True)
             draw += w.lo
             z[rows, i:i + 1] = draw
             rem -= draw
 
+    by_total = 0
     for first in range(start, size, block):
         end = min(first + block, size)
         tables = {end: checkpoints[end]}
         tables.update(
             suffix_tables(bank, tables[end], end, first + 1, params.y_total)
         )
-        list(run(partial(draw_tile, first, end, tables), tiles))
+        per_total = {}
+        for i in range(first, end):
+            w, nxt = bank[i], tables[i + 1]
+            m = len(w.vals)
+            # the K reachable totals, w.lo + nxt.lo .. w.hi + nxt.hi, and
+            # one of zero mass at each end; rows of 2^ceil(log2 m) entries
+            reach = len(nxt.vals) + m + 1
+            if reach - 2 < count:
+                lo = w.lo + nxt.lo - 1
+                cdf = _cdf(np.arange(lo, lo + reach)[:, None], w, nxt, steps,
+                           *(np.empty((reach, m), t) for t in _BUFS))
+                table = np.full((reach, 1 << (m - 1).bit_length()), np.inf)
+                table[:, :m - 1], table[:, -1] = cdf[:, :-1], cdf[:, -1]
+                per_total[i] = lo, table
+        by_total += len(per_total)
+        list(run(partial(draw_tile, first, end, tables, per_total), tiles))
+    _log.debug("%d of %d tail strata drawn from per-total tables",
+               by_total, size - start)
     if np.any(remaining != 0):
         raise InfeasibilityError("a draw failed to exhaust the invariant total")
     return z
@@ -435,7 +471,11 @@ def sample_counts_matrix(
 
         def fill(a: int) -> None:
             b = min(a + ROW_TILE, count)
-            buf[a:b, start:] = _stream(base_seed, 0, a * width).random((b - a, width))
+            rng = _stream(base_seed, 0, a * width)
+            if start:  # Generator.random(out=) refuses the strided buf[a:b, start:]
+                buf[a:b, start:] = rng.random((b - a, width))
+            else:
+                rng.random(out=buf[a:b])
 
         list(run(fill, range(0, count, ROW_TILE)))
         remaining, proposals = None, 0

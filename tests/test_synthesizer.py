@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import logging
 import sys
 import tempfile
 from pathlib import Path
@@ -34,9 +35,11 @@ from pgsynth.mechanism import (
     delta_table,
 )
 from pgsynth.strata import (
+    _PAD,
     PriorSpec,
     StrataTable,
     TruncationBounds,
+    _digits,
     build_prior,
     compute_bounds,
 )
@@ -165,6 +168,25 @@ class TestSoloBatchEquivalence:
         batch = sample_counts_matrix(table, calib, count=8, base_seed=base_seed)
         for r in range(8):
             assert np.array_equal(solo_draw(table, calib, base_seed, r), batch[r])
+
+    @pytest.mark.parametrize("mode", [MODE_UNTRUNCATED, MODE_TRUNCATED])
+    @pytest.mark.parametrize("instance", ["tiny3", "c05"])
+    def test_per_total_tables_draw_the_row_step_s_rows(
+        self, tiny3, instance, mode, caplog
+    ):
+        # 10,000 rows outnumber every stratum's reachable totals, so the
+        # batch bisects per-total cdfs; solo_draw's one row takes the row step
+        table, calib = calibrated(tiny3, mode)[:2] if instance == "tiny3" else c05(mode)
+        caplog.set_level(logging.DEBUG, logger="pgsynth.synthesizer")
+        batch = sample_counts_matrix(table, calib, count=10_000, base_seed=11)
+        assert "3 of 3 tail strata drawn from per-total tables" in caplog.messages
+        caplog.clear()
+        rows = [0, 1, 9_999, *np.random.default_rng(0).integers(10_000, size=40)]
+        for r in rows:
+            assert np.array_equal(solo_draw(table, calib, 11, r), batch[r])
+        assert [m for m in caplog.messages if "per-total" in m] == [
+            "0 of 3 tail strata drawn from per-total tables"
+        ] * len(rows)
 
     @pytest.mark.parametrize("share", [None, 0.6])
     @pytest.mark.parametrize("n, w, y_total, scale, mode", split_cases())
@@ -644,6 +666,22 @@ def csv_cases(draw):
     return key_table(tuple(keys), dims), matrix, draw(st.integers(1, 40))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(
+    st.sampled_from([0, 9, 10, 2**63 - 1]) | st.integers(0, 999)
+    | st.integers(0, 2**63 - 1), min_size=1, max_size=30,
+))
+def test_digits_spell_values_as_str(values):
+    width = len(str(max(values)))
+    want = [f"{v:>{width}}".encode().replace(b" ", bytes([_PAD])) for v in values]
+    got = _digits(np.array(values, dtype=np.int64))
+    assert got.shape == (len(values), width)
+    assert [row.tobytes() for row in got] == want
+    column = _digits(np.array(values, dtype=np.int64)[:, None])
+    assert column.shape == (len(values), 1, width)
+    assert np.array_equal(column[:, 0], got)
+
+
 def read_outcome(read, path, table):
     """The matrix a reader returns, or the message of the SchemaError it raises."""
     try:
@@ -873,11 +911,15 @@ class TestGuards:
         assert np.all(remaining == tail_lo)
 
     @pytest.mark.parametrize("reach", ["far below", "just below", "far above"])
-    def test_a_row_no_completion_table_reaches_raises(self, reach):
+    @pytest.mark.parametrize("step", ["row", "per-total"])
+    def test_a_row_no_completion_table_reaches_raises(self, reach, step):
         params = random_params(MODE_TRUNCATED, 0)
         block = 4
         bank = mechanism.stratum_weight_table(params)
         checkpoints = backward_pass(params, bank, block)
+        # a stratum reaches len(T_{i+1}.vals) + m - 1 <= y_total + m totals;
+        # more rows than that take its per-total cdf
+        count = 1 if step == "row" else params.y_total + int(bank.width.max()) + 1
         after = dict(mechanism.suffix_tables(
             bank, checkpoints[block], block, 1, params.y_total
         ))[1]
@@ -887,13 +929,17 @@ class TestGuards:
             "just below": after.lo + bank[0].lo - 1,
             "far above": 10 * params.y_total,
         }[reach]
+        remaining = np.full((count, 1), params.y_total)
+        remaining[-1] = total  # the rows before it can all be drawn
         with pytest.raises(InfeasibilityError, match="no exact draw exists"):
             synth._draw_chunk(
                 params, checkpoints, bank, block,
-                np.full((1, params.size), 0.5), remaining=np.array([[total]]),
+                np.full((count, params.size), 0.5), remaining=remaining,
             )
 
-    def test_zero_conditional_mass_raises(self):
+    # stratum 0 reaches 3 + 3 - 1 = 5 totals: 6 rows take its per-total cdf
+    @pytest.mark.parametrize("count", [1, 6])
+    def test_zero_conditional_mass_raises(self, count):
         # hand-built tables whose products underflow: 1e-200 * 1e-200 is
         # 0.0 in double precision, so no candidate carries any mass
         params = KernelParams(
@@ -902,8 +948,11 @@ class TestGuards:
         )
         tiny = MassTable(lo=0, vals=np.full(3, 1e-200), offset=0.0)
         checkpoints = {0: tiny, 1: tiny, 2: delta_table()}
-        with pytest.raises(InfeasibilityError):
+        with pytest.raises(
+            InfeasibilityError,
+            match="^conditional mass of stratum 0 underflowed to zero; no exact",
+        ):
             synth._draw_chunk(
                 params, checkpoints, bank_of(tiny, tiny), 1,
-                np.full((4, 2), 0.5),
+                np.full((count, 2), 0.5),
             )
