@@ -23,13 +23,15 @@ design: it is a function of public quantities only.
 When every stratum shares one rate-to-prior ratio the untruncated
 requirement is exactly sufficient for any number of strata (the joint
 ratio telescopes). Away from that case the closed form is a design rule,
-not a theorem: it holds on every enumerable configuration we audit with
-moderate heterogeneity, but strata whose expected counts differ tenfold
-or more can exceed the budget in either mode: at n = (50, 60, 70, 80,
-90), expected counts in proportion to (1, 2, 4, 8, 10), y_total = 30 and
-epsilon = 1, audit reports 1.0378 truncated (alpha = 0.05, c = 1) and
-1.2009 untruncated. Verify such calibrations with the exhaustive audit
-when the instance is small enough to enumerate.
+not a theorem, and it can exceed the budget even with rates close
+together: the demo instance (n = (1000, 5000), prior rates 0.015 and
+0.017, 13 percent apart) audits above epsilon untruncated for epsilon = 0.3,
+0.5 and 0.8 (0.3109, 0.5330 and 0.8205). Strata whose expected counts
+differ tenfold or more can exceed it in either mode: at n = (50, 60, 70,
+80, 90), expected counts in proportion to (1, 2, 4, 8, 10), y_total = 30
+and epsilon = 1, audit reports 1.0378 truncated (alpha = 0.05, c = 1)
+and 1.2009 untruncated. Verify such calibrations with the exhaustive
+audit when the instance is small enough to enumerate.
 """
 
 from __future__ import annotations

@@ -31,6 +31,7 @@ that UTF-8 never holds and that is dropped at the end.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -502,6 +503,25 @@ def _spellings(texts) -> np.ndarray:
     table = np.full(mask.shape, _PAD, dtype=np.uint8)
     table[mask] = np.frombuffer(b"".join(encoded), dtype=np.uint8)
     return table
+
+
+def _csv_fields(header, columns) -> tuple[bytes, list[np.ndarray]]:
+    """The header line as csv.writer writes it, and each list of labels in
+    columns as a _spellings table of csv.writer's fields: one line
+    ["0", label, "0"] per label, the field cut from it, so quoting and
+    escaping are its own."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    line = text.getvalue().encode()
+
+    def field(label) -> str:
+        text.seek(0)
+        text.truncate()
+        writer.writerow(["0", str(label), "0"])
+        return text.getvalue()[2:-4]
+
+    return line, [_spellings(map(field, labels)) for labels in columns]
 
 
 def _lay_out(shape: tuple[int, ...], parts) -> np.ndarray:

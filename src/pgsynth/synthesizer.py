@@ -50,8 +50,8 @@ its kernel's width) at or below the uniform times the cdf's last entry.
 The cdf depends on a row only through t, one of K_i = len(T_{i+1}.vals)
 + m - 1 totals: below the row count, the block's cdfs are built at all
 K_i before the tiles run and a row bisects its total's in ceil(log2 m)
-rounds; otherwise each tile builds its rows', in one set of buffers per
-worker. Both build by _cdf, so no entry depends on the tiles or threads.
+rounds; otherwise each tile builds its rows'. Both build by _cdf, so no
+entry depends on the tiles or threads.
 
 Memory and work. A completion-mass table spans only the totals whose
 weight is >= 2^-1022 of its peak, at most y_total + 1 of them. Table
@@ -79,7 +79,7 @@ tiling or thread count.
 The replicate CSV is written and read at array speed. write_replicates_csv
 renders slices of lines with the text renderer of strata (_render):
 csv.writer spells each distinct label of each dimension once
-(_csv_layout), each stratum's ",key...," segment gathers those
+(strata._csv_fields), each stratum's ",key...," segment gathers those
 spellings by the dimension's codes, and the replicate and count digits
 are filled around it. The slices render side by side, on the calling
 thread and threads - 1 workers, and are written in order.
@@ -92,12 +92,8 @@ so the fast path never changes a result or a message.
 
 from __future__ import annotations
 
-import csv
-import io
-import itertools
 import logging
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from functools import partial
@@ -118,13 +114,13 @@ from .mechanism import (
 from .strata import (
     _PAD,
     StrataTable,
+    _csv_fields,
     _digits,
     _lay_out,
     _parse_digits,
     _parse_nonneg_int,
     _read_table,
     _render,
-    _spellings,
 )
 
 __all__ = [
@@ -170,20 +166,18 @@ WRITE_ROWS = 100_000
 # Bytes of read_replicates_csv's buffer, doubled while a replicate is longer.
 READ_BYTES = 1 << 21
 
-_BUFS = (np.int64, np.float64, np.float64, np.bool_)  # _cdf's idx, mass, cdf, flag
 _log = logging.getLogger(__name__)
 
 
-def _cdf(rem, w, nxt, steps, idx, mass, cdf, flag) -> np.ndarray:
+def _cdf(rem, w, nxt) -> np.ndarray:
     """cdf[r, j]: the sum of w(v) * nxt(rem[r] - v) over v = w.lo .. w.lo + j."""
     # idx[r, j]: where candidate w.lo + j leaves row r in nxt; a negative
     # index wraps to a huge unsigned one, so one compare finds those inside
-    np.subtract(rem - (w.lo + nxt.lo), steps[:len(w.vals)], out=idx)
-    nxt.vals.take(idx, mode="clip", out=mass)
-    np.less(idx.view(np.uint64), len(nxt.vals), out=flag)
-    mass *= flag
+    idx = rem - (w.lo + nxt.lo) - np.arange(len(w.vals))
+    mass = nxt.vals.take(idx, mode="clip")
+    mass *= idx.view(np.uint64) < len(nxt.vals)
     mass *= w.vals
-    return mass.cumsum(axis=1, out=cdf)
+    return mass.cumsum(axis=1, out=mass)
 
 
 def _draw_chunk(
@@ -215,38 +209,19 @@ def _draw_chunk(
         # a column, so each tile's (rows, 1) view broadcasts over candidates
         remaining = np.full((count, 1), params.y_total, dtype=np.int64)
     tiles = range(0, count, ROW_TILE)
-    steps = np.arange(bank.width[start:].max(), dtype=np.int64)
-    # each worker's idx, mass, cdf and flag buffers, allocated once, with
-    # their (rows, m) views kept by shape; every step writes through out=.
-    # A tile's temporaries allocated afresh at every step would be mapped
-    # and returned to the system at every step.
-    scratch = threading.local()
 
     def draw_tile(first: int, end: int, tables: dict, per_total: dict, a: int):
         rows = slice(a, a + ROW_TILE)
         rem = remaining[rows]
-        n = len(rem)
         for i in range(first, end):
             w = bank[i]
-            m = len(w.vals)
             if i in per_total:
                 lo, table = per_total[i]
                 # a total outside the table reads a row of zero mass
                 row = np.clip(rem - lo, 0, len(table) - 1) * table.shape[1]
                 total = table.take(row + (table.shape[1] - 1))
             else:
-                if not hasattr(scratch, "bufs"):
-                    cells = min(ROW_TILE, count) * len(steps)
-                    scratch.bufs = [np.empty(cells, dtype=t) for t in _BUFS]
-                    scratch.views = {}
-                views = scratch.views.get((n, m))
-                if views is None:
-                    # below: flag's first cells again, contiguous, for m - 1 columns
-                    views = scratch.views[n, m] = [
-                        b[:n * m].reshape(n, m) for b in scratch.bufs
-                    ] + [scratch.bufs[3][:n * (m - 1)].reshape(n, m - 1)]
-                *bufs, below = views
-                cdf = _cdf(rem, w, tables[i + 1], steps, *bufs)
+                cdf = _cdf(rem, w, tables[i + 1])
                 # the total is the cdf's own last entry: a sum in another order
                 # may exceed it, and a target near it would pick a top with no mass
                 total = cdf[:, -1:]
@@ -267,8 +242,7 @@ def _draw_chunk(
                     at += (table.take(at + step) <= target) * step
                 draw = at - row + 1
             else:
-                np.less_equal(cdf[:, :-1], target, out=below)
-                draw = below.sum(axis=1, keepdims=True)
+                draw = (cdf[:, :-1] <= target).sum(axis=1, keepdims=True)
             draw += w.lo
             z[rows, i:i + 1] = draw
             rem -= draw
@@ -289,8 +263,7 @@ def _draw_chunk(
             reach = len(nxt.vals) + m + 1
             if reach - 2 < count:
                 lo = w.lo + nxt.lo - 1
-                cdf = _cdf(np.arange(lo, lo + reach)[:, None], w, nxt, steps,
-                           *(np.empty((reach, m), t) for t in _BUFS))
+                cdf = _cdf(np.arange(lo, lo + reach)[:, None], w, nxt)
                 table = np.full((reach, 1 << (m - 1).bit_length()), np.inf)
                 table[:, :m - 1], table[:, -1] = cdf[:, :-1], cdf[:, -1]
                 per_total[i] = lo, table
@@ -447,7 +420,8 @@ def sample_counts_matrix(
 
     Row r is replicate r, drawn from its uniforms in stream 0 of base_seed
     and, when the instance has a head, in the proposal streams j >= 1;
-    see the module docstring. The truncation boxes are calib.bounds.
+    see the module docstring. The truncation boxes are calib.bounds. At
+    most os.cpu_count() threads run, whatever threads asks.
     """
     if table.size < 2:
         raise DomainError("synthesis needs at least two strata")
@@ -457,6 +431,7 @@ def sample_counts_matrix(
         raise DomainError("base_seed must be nonnegative")
     if threads < 1:
         raise DomainError("threads must be at least 1")
+    threads = min(threads, os.cpu_count() or 1)
     params = build_kernel_params(table.y, table, calib)
     if count == 0:
         return np.empty((0, table.size), dtype=np.int64)
@@ -501,27 +476,18 @@ def _csv_layout(table: StrataTable) -> tuple[bytes, np.ndarray]:
     """The header line and each stratum's ",key...," segment, by csv.writer.
 
     Returns the header bytes and the UTF-8 segments as a (strata, width)
-    uint8 array (strata._lay_out), with _PAD after each field. csv.writer
-    writes one line ["0", label, "0"] per distinct label of each
-    dimension and the field is cut from it, so quoting and escaping are
-    its own; a stratum's segment gathers its labels' fields by
+    uint8 array (strata._lay_out), with _PAD after each field. Each
+    distinct label of each dimension is spelled once (strata._csv_fields),
+    and a stratum's segment gathers its labels' fields by
     StrataTable.column_codes.
     """
-    text = io.StringIO()
-    writer = csv.writer(text)
-    writer.writerow(["replicate", *table.dim_names, "z"])
-    header = text.getvalue().encode()
-
-    def field(label) -> str:
-        text.seek(0)
-        text.truncate()
-        writer.writerow(["0", str(label), "0"])
-        return text.getvalue()[2:-4]
-
+    columns = [table.column_codes(name) for name in table.dim_names]
+    header, fields = _csv_fields(
+        ["replicate", *table.dim_names, "z"], [labels for labels, _ in columns]
+    )
     parts = [b","]
-    for name in table.dim_names:
-        labels, codes = table.column_codes(name)
-        parts += [_spellings(map(field, labels))[codes], b","]
+    for (_, codes), spelled in zip(columns, fields):
+        parts += [spelled[codes], b","]
     return header, _lay_out((table.size,), parts)
 
 
@@ -551,7 +517,8 @@ def write_replicates_csv(
     and written in order. The slices go in batches of threads: the calling
     thread renders the first and threads - 1 workers the others, so
     about WRITE_ROWS lines sit in memory whatever the thread count, and
-    the bytes never depend on it. Counts must be nonnegative integers.
+    the bytes never depend on it. threads counts at most os.cpu_count().
+    Counts must be nonnegative integers.
     """
     matrix = np.asarray(matrix)
     if matrix.dtype.kind not in "iu" or matrix.shape[1:] != (table.size,):
@@ -561,6 +528,7 @@ def write_replicates_csv(
         )
     if threads < 1:
         raise DomainError("threads must be at least 1")
+    threads = min(threads, os.cpu_count() or 1)
     header, seg = _csv_layout(table)
     step = max(1, WRITE_ROWS // threads // table.size)
 
@@ -608,7 +576,9 @@ def _read_written(path, table: StrataTable) -> np.ndarray | None:
     file. Tables whose labels the row parser would not read back
     unchanged (not str, or changed by strip()) are left to it.
     """
-    labels = {*table.dim_names, *itertools.chain.from_iterable(table.keys)}
+    labels = [*table.dim_names]
+    for name in table.dim_names:
+        labels += table.column_codes(name)[0]
     if not all(type(v) is str and v == v.strip() for v in labels):
         return None
     header, seg = _csv_layout(table)

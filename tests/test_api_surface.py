@@ -115,9 +115,9 @@ def test_no_export_shadows_a_submodule():
 
 
 def test_only_strata_speaks_the_table_dialect():
-    # strata.py decides how every table is written and read; the one other
-    # csv.writer renders the replicate lines' key segments, and no other
-    # module imports csv
+    # strata.py decides how every table is written and read, the replicate
+    # lines' key segments included (_csv_fields); no other module imports
+    # csv or calls its reader or writer
     calls, importers = set(), set()
     for mod, tree in _modules().items():
         for node in ast.walk(tree):
@@ -134,9 +134,11 @@ def test_only_strata_speaks_the_table_dialect():
                     and isinstance(call.func.value, ast.Name)
                     and call.func.value.id == "csv"
                 }
-    assert importers == {"strata", "synthesizer"}
-    assert {("strata", "write_csv"), ("strata", "_read_table")} <= calls
-    assert {c for c in calls if c[0] != "strata"} == {("synthesizer", "_csv_layout")}
+    assert importers == {"strata"}
+    assert {
+        ("strata", "write_csv"), ("strata", "_read_table"), ("strata", "_csv_fields")
+    } <= calls
+    assert {c for c in calls if c[0] != "strata"} == set()
 
 
 def test_only_mechanism_runs_the_recursion_step():
@@ -176,3 +178,20 @@ def test_no_module_imports_scipy():
             if any(name.split(".")[0] == "scipy" for name in names):
                 importers.add(path.stem)
     assert not importers, f"modules importing scipy: {sorted(importers)}"
+
+
+def test_no_module_keeps_per_thread_state():
+    # a worker's state outlives its task: buffers kept per thread are
+    # memory no measurement of one call shows
+    users = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "local" and (
+                isinstance(node.value, ast.Name) and node.value.id == "threading"
+            ):
+                users.add(path.stem)
+            elif isinstance(node, ast.ImportFrom) and node.module == "threading" and any(
+                alias.name == "local" for alias in node.names
+            ):
+                users.add(path.stem)
+    assert not users, f"modules using threading.local: {sorted(users)}"

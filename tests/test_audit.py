@@ -288,6 +288,24 @@ class TestAudit:
             1.2008689921644375, abs=1e-9
         )
 
+    @pytest.mark.parametrize("epsilon, worst", [
+        (0.3, 0.3108717692909977),
+        (0.5, 0.5329552543093996),
+        (0.8, 0.8204678239745249),
+    ])
+    def test_untruncated_demo_exceeds_the_budget_below_one(self, demo, epsilon, worst):
+        # the demo's rates are only 13 % apart (15 / 1000 against
+        # 85 / 5000), yet the closed form misses these budgets untruncated
+        table, prior = demo
+        calib = solve_hyperparameters(table, prior, epsilon, mode=MODE_UNTRUNCATED)
+        report = audit(table, calib, epsilon=epsilon)
+        assert report.passed is False
+        assert report.max_abs_log_ratio == pytest.approx(worst, abs=1e-9)
+        if epsilon == 0.5:
+            assert report.argmax_pair.y == (99, 1)
+            assert report.argmax_pair.x == (100, 0)
+            assert report.argmax_z == (100, 0)
+
     def test_worst_pair_is_reported_correctly(self, demo):
         table, prior = demo
         calib = solve_hyperparameters(table, prior, 1.0, mode=MODE_UNTRUNCATED)

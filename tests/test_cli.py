@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import logging
 import os
@@ -770,10 +771,52 @@ class TestEvaluateAndFixture:
         assert not out.exists()
 
 
+def released_run(root, name, table, rates, argv, capsys):
+    """Run argv in a fresh work directory root/name holding table and rates
+    as strata.csv and rates.csv; return the exit code, stdout, stderr and
+    every file the run wrote there, as bytes, but the operator's run_log.json.
+    Of replicates.csv only the comment and header lines are kept: its body
+    is the draws, which follow the counts by design."""
+    work = root / name
+    work.mkdir()
+    table.to_csv(work / "strata.csv")
+    rates.to_csv(work / "rates.csv")
+    capsys.readouterr()
+    cwd = os.getcwd()
+    os.chdir(work)
+    try:
+        code = run(argv)
+    finally:
+        os.chdir(cwd)
+    out, err = capsys.readouterr()
+    files = {}
+    for path in sorted(work.rglob("*")):
+        rel = str(path.relative_to(work))
+        if path.is_dir() or rel in ("strata.csv", "rates.csv", "run/run_log.json"):
+            continue
+        data = path.read_bytes()
+        if path.name == "replicates.csv":
+            lines = data.splitlines(keepends=True)
+            comments = [*itertools.takewhile(lambda line: line[:1] == b"#", lines)]
+            data = b"".join(lines[:len(comments) + 1])
+        files[rel] = data
+    return code, out, err, files
+
+
 class TestPrivacyBoundary:
+    # a release is every file a command writes (but the operator's run log
+    # and the replicate draws) and what it prints: none of it may follow
+    # the confidential counts
+    ARGS = {
+        "calibrate": ["--out", "calib.json"],
+        "synthesize": ["--replicates", "50", "--seed", "3", "--out", "run"],
+        "audit": ["--out", "audit.json"],
+    }
+
     @pytest.mark.parametrize("mode", ["untruncated", "truncated"])
+    @pytest.mark.parametrize("command", ["calibrate", "synthesize", "audit"])
     def test_released_files_do_not_depend_on_the_counts(
-        self, tmp_path, monkeypatch, mode
+        self, tmp_path, capsys, command, mode
     ):
         # one death moved between strata: same keys, populations and total
         base = demo_table()
@@ -781,27 +824,18 @@ class TestPrivacyBoundary:
             dim_names=base.dim_names, keys=base.keys, n=base.n,
             y=base.y + np.array([1, -1]),
         )
-        released = []
-        for name, table in (("x", base), ("y", moved)):
-            work = tmp_path / name
-            work.mkdir()
-            table.to_csv(work / "strata.csv")
-            demo_rates().to_csv(work / "rates.csv")
-            monkeypatch.chdir(work)
-            assert run([
-                "synthesize", "--strata", "strata.csv", "--rates", "rates.csv",
-                "--epsilon", "1.0", "--mode", mode,
-                "--replicates", "50", "--seed", "3", "--out", "run",
-            ]) == 0
-            released.append((
-                (work / "run" / "calibration_report.json").read_bytes(),
-                (work / "run" / "manifest.json").read_bytes(),
-            ))
-        assert released[0] == released[1]
+        argv = [
+            command, "--strata", "strata.csv", "--rates", "rates.csv",
+            "--epsilon", "1.0", "--mode", mode, *self.ARGS[command],
+        ]
+        x = released_run(tmp_path, "x", base, demo_rates(), argv, capsys)
+        y = released_run(tmp_path, "y", moved, demo_rates(), argv, capsys)
+        assert x[3], "the run wrote no file"
+        assert x == y
 
     @pytest.mark.parametrize("mode", ["untruncated", "truncated"])
     def test_released_files_do_not_depend_on_the_counts_with_a_head(
-        self, tmp_path, monkeypatch, caplog, mode
+        self, tmp_path, monkeypatch, caplog, capsys, mode
     ):
         # the tilt, the split and the proposal counts follow the clamped
         # counts: they may reach the DEBUG log, never a released file
@@ -824,26 +858,21 @@ class TestPrivacyBoundary:
         moved = StrataTable(
             dim_names=base.table.dim_names, keys=base.table.keys, n=base.table.n, y=y,
         )
+        argv = [
+            "synthesize", "--strata", "strata.csv", "--rates", "rates.csv",
+            "--epsilon", "1.0", "--mode", mode,
+            "--replicates", "30", "--seed", "3", "--out", "run",
+        ]
         released, logs = [], []
         for name, table in (("x", base.table), ("y", moved)):
-            work = tmp_path / name
-            work.mkdir()
-            table.to_csv(work / "strata.csv")
-            base.rates.to_csv(work / "rates.csv")
-            monkeypatch.chdir(work)
             caplog.clear()
-            assert run([
-                "synthesize", "--strata", "strata.csv", "--rates", "rates.csv",
-                "--epsilon", "1.0", "--mode", mode,
-                "--replicates", "30", "--seed", "3", "--out", "run",
-            ]) == 0
-            released.append((
-                (work / "run" / "calibration_report.json").read_bytes(),
-                (work / "run" / "manifest.json").read_bytes(),
-            ))
+            released.append(
+                released_run(tmp_path, name, table, base.rates, argv, capsys)
+            )
             logs.append(caplog.text)
         assert len(heads) == 2 and min(heads) > 0
         assert all("head proposals" in text for text in logs)
+        assert released[0][0] == 0 and "run/manifest.json" in released[0][3]
         assert released[0] == released[1]
 
 

@@ -342,9 +342,13 @@ class TestDeterminism:
         b = sample_counts_matrix(table, calib, count=64, base_seed=4)
         assert not np.array_equal(a, b)
 
+    # 5 rows are fewer than any tail stratum's reachable totals, so each
+    # tile builds its rows' cdfs (the row step); 50 are more, so the tiles
+    # read per-total tables
+    @pytest.mark.parametrize("count,step", [(5, "row"), (50, "per-total")])
     @pytest.mark.parametrize("split", [False, True])
     def test_thread_count_and_chunking_do_not_change_draws(
-        self, tiny3, monkeypatch, split
+        self, tiny3, monkeypatch, caplog, split, count, step
     ):
         table, calib, _ = calibrated(tiny3, MODE_UNTRUNCATED)
         if split:
@@ -352,18 +356,27 @@ class TestDeterminism:
             monkeypatch.setattr(synth, "SPLIT_MIN", 2)
             monkeypatch.setattr(synth, "HEAD_CELLS", 1)
             assert head_size(table, calib) > 0
-        reference = sample_counts_matrix(table, calib, count=50, base_seed=7)
-        # tiny row tiles give every block several tiles, so threads engage;
-        # a short switch interval interleaves the workers as often as it can
+        reference = sample_counts_matrix(table, calib, count=count, base_seed=7)
+        # tiny row tiles give every block several tiles, so threads engage
+        # (on any host: the pool is capped at the CPU count); a short switch
+        # interval interleaves the workers as often as it can
         monkeypatch.setattr(synth, "ROW_TILE", 3)
+        monkeypatch.setattr(synth.os, "cpu_count", lambda: 4)
+        caplog.set_level(logging.DEBUG, logger="pgsynth.synthesizer")
+        tail = 3 - head_size(table, calib)
+        by_total = f"{0 if step == 'row' else tail} of {tail} tail strata"
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for threads in (1, 2, 4):
+                caplog.clear()
                 got = sample_counts_matrix(
-                    table, calib, count=50, base_seed=7, threads=threads
+                    table, calib, count=count, base_seed=7, threads=threads
                 )
                 assert np.array_equal(got, reference)
+                assert [m for m in caplog.messages if "per-total" in m] == [
+                    f"{by_total} drawn from per-total tables"
+                ]
         finally:
             sys.setswitchinterval(interval)
 
@@ -745,8 +758,9 @@ class TestCsvRoundtrip:
         matrix = np.random.default_rng(1).integers(0, 1000, size=(23, len(keys)))
         want, got = tmp_path / "want.csv", tmp_path / "got.csv"
         write_replicates_csv_rows(want, table, matrix, "config_hash=ab12")
-        # slices of 6, 3 and 2 replicates, the last one short
+        # slices of 6, 3 and 2 replicates, the last one short, on any host
         monkeypatch.setattr(synth, "WRITE_ROWS", 6 * len(keys))
+        monkeypatch.setattr(synth.os, "cpu_count", lambda: 3)
         write_replicates_csv(got, table, matrix, "config_hash=ab12", threads=threads)
         assert got.read_bytes() == want.read_bytes()
 
@@ -863,6 +877,42 @@ class TestThreadConfig:
             sample_counts_matrix(
                 table, calib, count=4, base_seed=0, threads=threads
             )
+
+    def test_threads_above_the_cpu_count_are_capped(
+        self, tiny3, tmp_path, monkeypatch
+    ):
+        # a pool that records its size and runs its work inline, so a huge
+        # thread count starts no thread
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+            def submit(self, fn, *args):
+                return SimpleNamespace(result=lambda value=fn(*args): value)
+
+        table, calib, _ = calibrated(tiny3, MODE_UNTRUNCATED)
+        # several row tiles and several CSV slices, so both pools get work
+        monkeypatch.setattr(synth, "ROW_TILE", 3)
+        monkeypatch.setattr(synth, "WRITE_ROWS", 2 * table.size)
+        want = sample_counts_matrix(table, calib, count=10, base_seed=2)
+        write_replicates_csv(tmp_path / "want.csv", table, want)
+        monkeypatch.setattr(synth, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(synth.os, "cpu_count", lambda: 2)
+        got = sample_counts_matrix(table, calib, count=10, base_seed=2, threads=10**6)
+        write_replicates_csv(tmp_path / "got.csv", table, got, threads=10**6)
+        assert sizes and max(sizes) <= 2
+        assert np.array_equal(got, want)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 class TestGuards:
