@@ -505,15 +505,21 @@ def _spellings(texts) -> np.ndarray:
     return table
 
 
-def _csv_fields(header, columns) -> tuple[bytes, list[np.ndarray]]:
-    """The header line as csv.writer writes it, and each list of labels in
-    columns as a _spellings table of csv.writer's fields: one line
-    ["0", label, "0"] per label, the field cut from it, so quoting and
-    escaping are its own."""
+def _csv_layout(table: StrataTable) -> tuple[bytes, np.ndarray]:
+    """The replicate CSV's header line and each stratum's ",key...," segment,
+    by csv.writer.
+
+    Returns the header bytes and the UTF-8 segments as a (strata, width)
+    uint8 array (_lay_out), with _PAD after each field. csv.writer writes
+    one line ["0", label, "0"] per distinct label of each dimension and
+    the field is cut from it, so quoting and escaping are its own; a
+    stratum's segment gathers its labels' fields by
+    StrataTable.column_codes.
+    """
     text = io.StringIO()
     writer = csv.writer(text)
-    writer.writerow(header)
-    line = text.getvalue().encode()
+    writer.writerow(["replicate", *table.dim_names, "z"])
+    header = text.getvalue().encode()
 
     def field(label) -> str:
         text.seek(0)
@@ -521,7 +527,11 @@ def _csv_fields(header, columns) -> tuple[bytes, list[np.ndarray]]:
         writer.writerow(["0", str(label), "0"])
         return text.getvalue()[2:-4]
 
-    return line, [_spellings(map(field, labels)) for labels in columns]
+    parts = [b","]
+    for name in table.dim_names:
+        labels, codes = table.column_codes(name)
+        parts += [_spellings(map(field, labels))[codes], b","]
+    return header, _lay_out((table.size,), parts)
 
 
 def _lay_out(shape: tuple[int, ...], parts) -> np.ndarray:

@@ -79,7 +79,7 @@ tiling or thread count.
 The replicate CSV is written and read at array speed. write_replicates_csv
 renders slices of lines with the text renderer of strata (_render):
 csv.writer spells each distinct label of each dimension once
-(strata._csv_fields), each stratum's ",key...," segment gathers those
+(strata._csv_layout), each stratum's ",key...," segment gathers those
 spellings by the dimension's codes, and the replicate and count digits
 are filled around it. The slices render side by side, on the calling
 thread and threads - 1 workers, and are written in order.
@@ -114,9 +114,8 @@ from .mechanism import (
 from .strata import (
     _PAD,
     StrataTable,
-    _csv_fields,
+    _csv_layout,
     _digits,
-    _lay_out,
     _parse_digits,
     _parse_nonneg_int,
     _read_table,
@@ -470,25 +469,6 @@ def sample_counts_matrix(
         return _draw_chunk(
             params, checkpoints, bank, block, buf, run, start, remaining
         )
-
-
-def _csv_layout(table: StrataTable) -> tuple[bytes, np.ndarray]:
-    """The header line and each stratum's ",key...," segment, by csv.writer.
-
-    Returns the header bytes and the UTF-8 segments as a (strata, width)
-    uint8 array (strata._lay_out), with _PAD after each field. Each
-    distinct label of each dimension is spelled once (strata._csv_fields),
-    and a stratum's segment gathers its labels' fields by
-    StrataTable.column_codes.
-    """
-    columns = [table.column_codes(name) for name in table.dim_names]
-    header, fields = _csv_fields(
-        ["replicate", *table.dim_names, "z"], [labels for labels, _ in columns]
-    )
-    parts = [b","]
-    for (_, codes), spelled in zip(columns, fields):
-        parts += [spelled[codes], b","]
-    return header, _lay_out((table.size,), parts)
 
 
 def _replicate_lines(first: int, z: np.ndarray, seg: np.ndarray) -> np.ndarray:

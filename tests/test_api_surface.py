@@ -116,7 +116,7 @@ def test_no_export_shadows_a_submodule():
 
 def test_only_strata_speaks_the_table_dialect():
     # strata.py decides how every table is written and read, the replicate
-    # lines' key segments included (_csv_fields); no other module imports
+    # lines' key segments included (_csv_layout); no other module imports
     # csv or calls its reader or writer
     calls, importers = set(), set()
     for mod, tree in _modules().items():
@@ -136,7 +136,7 @@ def test_only_strata_speaks_the_table_dialect():
                 }
     assert importers == {"strata"}
     assert {
-        ("strata", "write_csv"), ("strata", "_read_table"), ("strata", "_csv_fields")
+        ("strata", "write_csv"), ("strata", "_read_table"), ("strata", "_csv_layout")
     } <= calls
     assert {c for c in calls if c[0] != "strata"} == set()
 

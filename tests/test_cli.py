@@ -830,7 +830,7 @@ class TestPrivacyBoundary:
         ]
         x = released_run(tmp_path, "x", base, demo_rates(), argv, capsys)
         y = released_run(tmp_path, "y", moved, demo_rates(), argv, capsys)
-        assert x[3], "the run wrote no file"
+        assert x[0] == 0 and x[3], "the run failed or wrote no file"
         assert x == y
 
     @pytest.mark.parametrize("mode", ["untruncated", "truncated"])
