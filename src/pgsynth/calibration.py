@@ -205,11 +205,11 @@ def solve_hyperparameters(
     CONVERGENCE_TOL within MAX_SWEEPS sweeps; the final vector is then
     re-verified against all requirements and must hold with slack >= -1e-9.
 
-    Truncated mode needs bounds and, for three or more strata, a passing
-    dominance report. With exactly two strata dominance necessarily fails,
-    so the boxes are first reduced to their joint-feasible form (the
-    exchange rule) and the reduced boxes are used both here and by the
-    mechanism; the result is flagged.
+    Truncated mode needs bounds and, for three or more strata, no stratum
+    flagged by check_dominance. With exactly two strata dominance
+    necessarily fails, so the boxes are first reduced to their
+    joint-feasible form (the exchange rule) and the reduced boxes are used
+    both here and by the mechanism; the result is flagged.
 
     Raises:
         DomainError: bad epsilon (exp_epsilon), missing bounds, a prior
@@ -254,9 +254,8 @@ def solve_hyperparameters(
             bounds = joint_feasible_bounds(bounds, y_total)
             exchange = True
         else:
-            report = check_dominance(prior, table)
-            if not report.passed:
-                flagged = np.flatnonzero(report.flagged)
+            flagged = np.flatnonzero(check_dominance(prior, table))
+            if flagged.size:
                 raise DominanceError(
                     f"strata {flagged.tolist()} dominate the combined rest; "
                     "the truncated requirement does not apply"
@@ -293,8 +292,7 @@ def solve_hyperparameters(
     else:
         resid = float(np.max(np.abs(a - required(a))))
         raise CalibrationError(
-            f"no fixed point within {MAX_SWEEPS} sweeps (residual {resid:.3e})",
-            residual=resid,
+            f"no fixed point within {MAX_SWEEPS} sweeps (residual {resid:.3e})"
         )
 
     # The relative stopping rule can leave absolute slack a shade negative.
@@ -311,8 +309,7 @@ def solve_hyperparameters(
     if np.any(slack < -SLACK_TOL):
         worst = float(slack.min())
         raise CalibrationError(
-            f"solved vector violates a requirement (worst slack {worst:.3e})",
-            residual=worst,
+            f"solved vector violates a requirement (worst slack {worst:.3e})"
         )
 
     with np.errstate(over="ignore"):

@@ -605,10 +605,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, DomainError) as exc:
-        print(f"pgsynth: error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (
+        SchemaError, DomainError, FileNotFoundError, FileExistsError,
+        IsADirectoryError, NotADirectoryError, PermissionError,
+    ) as exc:
         print(f"pgsynth: error: {exc}", file=sys.stderr)
         return 2
     except PgsynthError as exc:

@@ -33,11 +33,7 @@ class DominanceError(PgsynthError):
 
 class CalibrationError(PgsynthError):
     """Hyperparameter calibration failed (non-convergence or infeasible
-    privacy requirement). Carries the residual when available."""
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
+    privacy requirement)."""
 
 
 class EnumerationCapError(PgsynthError):

@@ -207,13 +207,11 @@ class PriorSpec:
 
     Specs from build_prior carry rescaled rates, so sum(n * lambda0)
     equals the invariant total exactly; a directly constructed spec may
-    hold raw rates instead (rescale_factor 1). Rates carry no geographic
-    signal when the source rate table excludes the geographic dimension.
+    hold raw rates instead. Rates carry no geographic signal when the
+    source rate table excludes the geographic dimension.
     """
 
     lambda0: np.ndarray
-    rescale_factor: float
-    source: RatesTable | None
 
     def __post_init__(self):
         object.__setattr__(self, "lambda0", _frozen(self.lambda0, np.float64))
@@ -238,16 +236,6 @@ class TruncationBounds:
             raise DomainError("bound arrays must have matching shape")
         if np.any(self.L < 0) or np.any(self.L > self.U):
             raise DomainError("bounds must satisfy 0 <= L_i <= U_i")
-
-
-@dataclass(frozen=True)
-class DominanceReport:
-    """Which strata carry at least as much prior expectation as all others
-    combined. Computed from public prior expectations only, never from
-    observed counts, so releasing it leaks nothing."""
-
-    flagged: np.ndarray
-    passed: bool
 
 
 def build_prior(table: StrataTable, raw_rates: RatesTable) -> PriorSpec:
@@ -282,7 +270,7 @@ def build_prior(table: StrataTable, raw_rates: RatesTable) -> PriorSpec:
             "total prior expected count is zero; cannot rescale rates"
         )
     factor = table.y_total / denom
-    return PriorSpec(lambda0=raw * factor, rescale_factor=factor, source=raw_rates)
+    return PriorSpec(lambda0=raw * factor)
 
 
 def compute_bounds(
@@ -318,17 +306,18 @@ def compute_bounds(
     return TruncationBounds(L=lower, U=upper, alpha=float(alpha), c=float(c))
 
 
-def check_dominance(prior: PriorSpec, table: StrataTable) -> DominanceReport:
-    """Flag strata whose prior expected count reaches the combined rest.
+def check_dominance(prior: PriorSpec, table: StrataTable) -> np.ndarray:
+    """The read-only mask of strata whose prior expected count reaches the
+    combined rest.
 
-    Stratum i is flagged when E_i >= sum_{j != i} E_j. With exactly two
-    strata at least one is always flagged; the two-group calibration
-    handles that case through the exchange rule instead of refusing.
+    Stratum i is flagged when E_i >= sum_{j != i} E_j. The mask follows
+    from public prior expectations only, never from observed counts, so
+    releasing it leaks nothing. With exactly two strata at least one is
+    always flagged; the two-group calibration handles that case through
+    the exchange rule instead of refusing.
     """
     expected = prior.expected_counts(table)
-    rest = expected.sum() - expected
-    flagged = expected >= rest
-    return DominanceReport(flagged=flagged, passed=not bool(flagged.any()))
+    return _frozen(expected >= expected.sum() - expected, bool)
 
 
 def joint_feasible_bounds(bounds: TruncationBounds, y_total: int) -> TruncationBounds:

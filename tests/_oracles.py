@@ -11,7 +11,7 @@ renderer must match byte for byte; the report writer is json.dump with
 indent=2, which the package's templated report must match byte for
 byte; and the age-adjusted rate is the per-age-group, per-vector loop
 that the package's one-product-per-selector rate must match bit for
-bit; build_prior_loop looks up each stratum's rate by its labels, which
+bit; stratum_rates_loop looks up each stratum's rate by its labels, which
 the package's one lookup per distinct cell must match bit for bit. The
 per-stratum kernel table is
 the one-evaluation-per-stratum form the package's grouped evaluation
@@ -307,9 +307,9 @@ def nu_truncated(i: int, a_not_i: float, bounds, y_total: int) -> float:
     return num / den
 
 
-def build_prior_loop(table, raw_rates) -> tuple[np.ndarray, float]:
-    """(lambda0, rescale_factor) of build_prior, one stratum at a time: each
-    stratum's cell is looked up in the rates by its labels."""
+def stratum_rates_loop(table, raw_rates) -> np.ndarray:
+    """Each stratum's raw rate, one stratum at a time: the stratum's cell
+    is looked up in the rates by its labels."""
     positions = [table.dim_index(name) for name in raw_rates.dim_names]
     raw = np.empty(table.size, dtype=np.float64)
     for i, key in enumerate(table.keys):
@@ -318,8 +318,7 @@ def build_prior_loop(table, raw_rates) -> tuple[np.ndarray, float]:
             raw[i] = raw_rates.rates[cell]
         except KeyError:
             raise SchemaError(f"no rate for cell {cell} (stratum {key})") from None
-    factor = table.y_total / float(np.dot(table.n.astype(np.float64), raw))
-    return raw * factor, factor
+    return raw
 
 
 def write_replicates_csv_rows(path, table, matrix, header_comment=None) -> None:

@@ -28,7 +28,7 @@ def tiny3():
     )
     w = np.array([2.0, 3.0, 4.0]) / 9.0
     lam = w * table.y_total / table.n
-    prior = PriorSpec(lambda0=lam, rescale_factor=1.0, source=None)
+    prior = PriorSpec(lambda0=lam)
     return table, prior
 
 

@@ -48,7 +48,7 @@ def make_instance(n, weights, y_total, y=None):
         y[0] += y_total - y.sum()
     keys = tuple((f"s{i}",) for i in range(len(n)))
     table = StrataTable(dim_names=("g",), keys=keys, n=n, y=np.asarray(y))
-    prior = PriorSpec(lambda0=w * y_total / n, rescale_factor=1.0, source=None)
+    prior = PriorSpec(lambda0=w * y_total / n)
     return table, prior
 
 

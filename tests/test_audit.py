@@ -65,9 +65,7 @@ def het3(y=(1, 3, 2)):
         y=np.array(y),
     )
     w = np.array([2.0, 3.0, 4.0]) / 9.0
-    prior = PriorSpec(
-        lambda0=w * table.y_total / table.n, rescale_factor=1.0, source=None
-    )
+    prior = PriorSpec(lambda0=w * table.y_total / table.n)
     return table, prior
 
 
@@ -78,7 +76,7 @@ def pair40_160(y_total):
     y = np.floor(w * y_total).astype(np.int64)
     y[0] += y_total - y.sum()
     table = StrataTable(dim_names=("g",), keys=(("s0",), ("s1",)), n=n, y=y)
-    prior = PriorSpec(lambda0=w * y_total / n, rescale_factor=1.0, source=None)
+    prior = PriorSpec(lambda0=w * y_total / n)
     return table, prior
 
 
@@ -90,7 +88,7 @@ def weighted(n, weights, y_total):
     y[0] += y_total - y.sum()
     keys = tuple((f"s{i}",) for i in range(len(n)))
     table = StrataTable(dim_names=("g",), keys=keys, n=n, y=y)
-    prior = PriorSpec(lambda0=w * y_total / n, rescale_factor=1.0, source=None)
+    prior = PriorSpec(lambda0=w * y_total / n)
     return table, prior
 
 
@@ -214,10 +212,7 @@ class TestBivariatePmf:
             n=np.array([50, 50, 50]),
             y=np.array([1, 3, 2]),
         )
-        prior = PriorSpec(
-            lambda0=np.full(3, table.y_total / 150.0),
-            rescale_factor=1.0, source=None,
-        )
+        prior = PriorSpec(lambda0=np.full(3, table.y_total / 150.0))
         calib = solve_hyperparameters(table, prior, 1.0, mode=MODE_UNTRUNCATED)
         support, logp = exact_joint_pmf(table.y, calib, table)
         z_vals, logm = exact_bivariate_pmf(0, table.y, calib, table)

@@ -33,7 +33,13 @@ from pgsynth.cli import (
 import pgsynth.cli as cli_mod
 import pgsynth.synthesizer as synth
 from pgsynth.errors import CalibrationError
-from pgsynth.fixtures import FixtureSpec, demo_rates, demo_table, generate_fixture
+from pgsynth.fixtures import (
+    FixtureSpec,
+    demo_rates,
+    demo_table,
+    generate_fixture,
+    write_fixture_files,
+)
 from pgsynth.strata import RatesTable, StrataTable
 
 
@@ -285,6 +291,33 @@ class TestCalibrate:
             "--out", str(tmp_path / "x.json"),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("command, wrong", [
+        ("calibrate", "strata"), ("calibrate", "out"), ("synthesize", "out"),
+    ])
+    def test_path_of_the_wrong_kind_is_usage_error(
+        self, demo_files, tmp_path, capsys, command, wrong
+    ):
+        # a directory where a file is read or written, or a file where
+        # synthesize makes its output directory
+        target = tmp_path / "target"
+        if command == "synthesize":
+            target.write_text("kept\n")
+        else:
+            target.mkdir()
+        paths = {**demo_files, "out": str(tmp_path / "calib.json"), wrong: str(target)}
+        before = sorted(tmp_path.rglob("*"))
+        code = run([
+            command, "--strata", paths["strata"], "--rates", paths["rates"],
+            "--epsilon", "1.0", "--mode", "untruncated", "--out", paths["out"],
+            *(["--replicates", "5", "--seed", "1"] if command == "synthesize" else []),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("pgsynth: error: ") and err.count("\n") == 1
+        assert sorted(tmp_path.rglob("*")) == before
+        if command == "synthesize":
+            assert target.read_text() == "kept\n"
 
     def test_malformed_strata_csv(self, demo_files, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -956,6 +989,32 @@ class TestModuleEntry:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
+
+    @pytest.mark.parametrize("module, loaded", [
+        ("pgsynth", []),
+        # a fixture needs no calibration, mechanism, synthesizer or audit
+        ("pgsynth.fixtures", ["distributions", "errors", "fixtures", "strata", "utility"]),
+    ])
+    def test_import_loads_only_what_the_module_imports(self, module, loaded):
+        proc = run_python("-c", (
+            f"import sys, {module}; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'pgsynth'))"
+        ))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{['pgsynth', *(f'pgsynth.{m}' for m in loaded)]}\n"
+
+    def test_readme_library_block_runs(self, tmp_path, monkeypatch):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+            encoding="utf-8"
+        )
+        library = readme.split("\n## Library\n", 1)[1]
+        block = library.split("```python\n", 1)[1].split("```", 1)[0]
+        dims = (("county", 3), ("age", 2), ("site", 1), ("race", 3), ("sex", 2))
+        spec = FixtureSpec(dims=dims, total_deaths=500, urban_count=1)
+        write_fixture_files(generate_fixture(spec), tmp_path / "fix")
+        monkeypatch.chdir(tmp_path)
+        exec(compile(block, "README.md", "exec"), {})
+        assert (tmp_path / "replicates.csv").exists()
 
     @pytest.mark.parametrize("argv", [
         ["calibrate", "--mode", "truncated", "--out", "calib.json"],

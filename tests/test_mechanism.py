@@ -58,9 +58,7 @@ def instance():
         y=np.array([2, 3, 3]),
     )
     w = np.array([2.0, 3.0, 4.0]) / 9.0
-    prior = PriorSpec(
-        lambda0=w * table.y_total / table.n, rescale_factor=1.0, source=None
-    )
+    prior = PriorSpec(lambda0=w * table.y_total / table.n)
     return table, prior
 
 

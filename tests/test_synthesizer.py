@@ -120,9 +120,7 @@ def weighted(n, weights, y_total, mode, scale=1.0):
         dim_names=("g",), keys=tuple((f"s{i}",) for i in range(len(n))),
         n=n, y=y,
     )
-    prior = PriorSpec(
-        lambda0=w * y_total * scale / n, rescale_factor=1.0, source=None
-    )
+    prior = PriorSpec(lambda0=w * y_total * scale / n)
     bounds = (
         compute_bounds(prior, table, 0.05, 1.0) if mode == MODE_TRUNCATED else None
     )
@@ -510,7 +508,7 @@ def c05(mode):
         n=np.array([40, 160, 90]), y=np.array([3, 2, 3]),
     )
     w = np.array([2.0, 3.0, 4.0]) / 9.0
-    prior = PriorSpec(lambda0=w * 8 / table.n, rescale_factor=1.0, source=None)
+    prior = PriorSpec(lambda0=w * 8 / table.n)
     bounds = (
         compute_bounds(prior, table, 1e-4, 1.0) if mode == MODE_TRUNCATED else None
     )
